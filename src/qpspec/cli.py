@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -25,6 +24,7 @@ from .errors import (
     ConfigError,
     DiophantineRejection,
     DivergenceError,
+    LabelError,
     ReductionError,
     StaleArtifactError,
 )
@@ -32,13 +32,11 @@ from .gaps import (
     GapRecord,
     decay_profile,
     detect_gaps,
-    gap_separation_check,
-    holder_modulus,
     homogeneity_profile,
     label_all,
     refine_gap_edges,
 )
-from .mat2 import inv2, log_sl2, rotation
+from .mat2 import rotation
 from .qpcore import (
     FourierSeries,
     amo_potential,
@@ -62,8 +60,20 @@ _DEFAULT_NUMERICS = {
     "rotation_iterations": 20000,
     "homog_eps": [1e-3, 3e-3, 1e-2, 3e-2, 1e-1],
     "homog_samples": 200,
-    "holder_eps": [2.0 ** -p for p in range(12, 3, -1)],
 }
+
+# the type every numerics field is converted to once, at admission
+_NUMERICS_TYPES = {
+    "L": int,
+    "phases": int,
+    "resolution": float,
+    "min_gap_length": float,
+    "M_max": int,
+    "label_tol": float,
+    "rotation_iterations": int,
+    "homog_samples": int,
+}
+_ENERGY_TYPES = {"min": float, "max": float, "points": int}
 
 
 # ---------------------------------------------------------------------------
@@ -129,39 +139,57 @@ def build_frequency(spec):
     return diophantine_check(comps, gamma=gamma, tau=tau, cutoff=cutoff)
 
 
+def _typed(name: str, val, kind):
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"numerics.{name} must be {kind.__name__}, got {val!r}") from exc
+
+
 def numerics_of(cfg: dict) -> dict:
+    """Numerics with defaults filled in, each field converted to its type."""
     out = json.loads(json.dumps(_DEFAULT_NUMERICS))
     user = cfg.get("numerics", {})
     if not isinstance(user, dict):
         raise ConfigError("numerics section must be an object")
     for key, val in user.items():
         if key == "energy":
+            if not isinstance(val, dict):
+                raise ConfigError("numerics.energy must be an object")
             out["energy"].update(val)
         else:
             out[key] = val
-    if int(out["L"]) < 100:
-        raise ConfigError("numerics.L must be at least 100")
-    if int(out["phases"]) < 1:
-        raise ConfigError("numerics.phases must be positive")
-    if float(out["resolution"]) <= 0:
-        raise ConfigError("numerics.resolution must be positive")
-    if float(out["label_tol"]) <= 0:
-        raise ConfigError("numerics.label_tol must be positive")
-    grid = out["energy"]
-    degenerate = float(grid["min"]) == float(grid["max"]) \
-        and int(grid["points"]) == 1
-    if not degenerate and (float(grid["min"]) >= float(grid["max"])
-                           or int(grid["points"]) < 1):
-        raise ConfigError("numerics.energy grid must be sorted and nonempty")
     if out["min_gap_length"] is None:
-        out["min_gap_length"] = 2.0 * float(out["resolution"])
+        out["min_gap_length"] = 2.0 * _typed("resolution",
+                                             out["resolution"], float)
+    for key, kind in _NUMERICS_TYPES.items():
+        out[key] = _typed(key, out[key], kind)
+    grid = out["energy"]
+    for key, kind in _ENERGY_TYPES.items():
+        grid[key] = _typed(f"energy.{key}", grid[key], kind)
+    if not isinstance(out["homog_eps"], list):
+        raise ConfigError("numerics.homog_eps must be a list")
+    out["homog_eps"] = [_typed("homog_eps", e, float)
+                        for e in out["homog_eps"]]
+
+    if out["L"] < 100:
+        raise ConfigError("numerics.L must be at least 100")
+    if out["phases"] < 1:
+        raise ConfigError("numerics.phases must be positive")
+    if out["resolution"] <= 0:
+        raise ConfigError("numerics.resolution must be positive")
+    if out["label_tol"] <= 0:
+        raise ConfigError("numerics.label_tol must be positive")
+    degenerate = grid["min"] == grid["max"] and grid["points"] == 1
+    if not degenerate and (grid["min"] >= grid["max"] or grid["points"] < 1):
+        raise ConfigError("numerics.energy grid must be sorted and nonempty")
     return out
 
 
 def energy_grid(num: dict) -> np.ndarray:
     grid = num["energy"]
-    return np.linspace(float(grid["min"]), float(grid["max"]),
-                       int(grid["points"]))
+    return np.linspace(grid["min"], grid["max"], grid["points"])
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +267,11 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs,
 
 
 def _scan_and_label(V, freq, num):
-    scan = spectrum_scan(V, freq, int(num["L"]), int(num["phases"]),
-                         float(num["resolution"]))
+    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
     records, boundary = detect_gaps(
-        scan, lambda E: ids(V, freq, float(E), int(num["L"]),
-                            int(num["phases"])),
-        float(num["min_gap_length"]))
-    labelled = label_all(records, freq, int(num["M_max"]),
-                         float(num["label_tol"]))
+        scan, lambda E: ids(V, freq, float(E), num["L"], num["phases"]),
+        num["min_gap_length"])
+    labelled = label_all(records, freq, num["M_max"], num["label_tol"])
     return scan, labelled, boundary
 
 
@@ -270,16 +295,14 @@ _GAP_COLUMNS = ["m", "E_minus", "E_plus", "length", "N_plateau",
 
 
 def cmd_ids(cfg, V, freq, num, out_dir, fmt):
-    curve = ids_curve(V, freq, energy_grid(num), int(num["L"]),
-                      int(num["phases"]))
+    curve = ids_curve(V, freq, energy_grid(num), num["L"], num["phases"])
     rows = [{"E": float(e), "N": float(n)}
             for e, n in zip(curve.energies, curve.values)]
     return [emit_rows(rows, ["E", "N"], out_dir, "ids", fmt)], None
 
 
 def cmd_scan(cfg, V, freq, num, out_dir, fmt):
-    scan = spectrum_scan(V, freq, int(num["L"]), int(num["phases"]),
-                         float(num["resolution"]))
+    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
     rows = [{"E_lo": a, "E_hi": b} for a, b in scan]
     return [emit_rows(rows, ["E_lo", "E_hi"], out_dir, "scan", fmt)], {
         "intervals": len(rows)}
@@ -315,11 +338,9 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
 
 
 def cmd_homog(cfg, V, freq, num, out_dir, fmt):
-    scan = spectrum_scan(V, freq, int(num["L"]), int(num["phases"]),
-                         float(num["resolution"]))
-    profile = homogeneity_profile(scan, np.asarray(num["homog_eps"],
-                                                   dtype=float),
-                                  int(num["homog_samples"]))
+    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
+    profile = homogeneity_profile(scan, np.asarray(num["homog_eps"]),
+                                  num["homog_samples"])
     rows = [{"eps": float(e), "mu": float(m), "attaining_E": float(a)}
             for e, m, a in zip(profile.eps, profile.mu, profile.attaining_E)]
     name = emit_rows(rows, ["eps", "mu", "attaining_E"], out_dir, "homog",
@@ -329,9 +350,8 @@ def cmd_homog(cfg, V, freq, num, out_dir, fmt):
 
 def cmd_rotation(cfg, V, freq, num, out_dir, fmt):
     energies = energy_grid(num)
-    rho, err = schrodinger_rotation_grid(V, freq, energies,
-                                         n_iters=int(
-                                             num["rotation_iterations"]))
+    rho, err = schrodinger_rotation_grid(
+        V, freq, energies, n_iters=num["rotation_iterations"])
     rows = [{"E": float(e), "rho": float(r), "error": float(x),
              "N_dual": 1.0 - 2.0 * float(r)}
             for e, r, x in zip(energies, rho, err)]
@@ -358,11 +378,6 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
                 raise ConfigError(f"kam perturbation needs a '{field}' field")
         f = kam.seeded_sl2_series(float(pert["scale"]), int(pert["radius"]),
                                   int(pert["seed"]))
-    norm0 = kam._perturbation_norm(f)
-    if norm0 > kam._START_NORM:
-        raise DivergenceError(
-            f"perturbation norm {norm0:.3e} exceeds the reducibility entry "
-            f"gate {kam._START_NORM:.0e}")
     state = kam.almost_reducibility_run(
         A, f, freq,
         M=int(spec.get("M", 10)),
@@ -439,64 +454,21 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
 
     # re-resolve both edges: the inventory carries scan-cell estimates,
     # and the parabolic gate needs the edge to window accuracy
-    L = int(num["L"])
-    window = max(float(spec.get("edge_tol", 1e-6)), 4.0 / L)
+    window = max(float(spec.get("edge_tol", 1e-6)), 4.0 / num["L"])
     gap = GapRecord(label, e_minus, e_plus, e_plus - e_minus, 0.0, None)
-    refined = refine_gap_edges(V, freq, gap, L, window,
-                               int(num["phases"]))
+    refined = refine_gap_edges(V, freq, gap, num["L"], window, num["phases"])
     if refined.length == 0.0:
         raise StaleArtifactError(
             f"gap {label} from {spec['gaps_file']} vanished on "
             "re-measurement; the inventory is stale")
-    # one window into the gap keeps the rotation number locked while the
-    # trace defect stays within the relaxed parabolic slack
-    e_reduce = refined.E_plus - window
-
-    mean_v = float(V.coeffs.get((0,) * V.dim, 0.0).real) if V.coeffs else 0.0
-    const = np.array([[e_reduce - mean_v, -1.0], [1.0, 0.0]])
-    info = kam.eigen_rho(const)
-    if info["kind"] != "elliptic":
-        raise ReductionError(
-            "averaged transfer matrix at the gap edge is not elliptic; "
-            "no rotation normal form to expand around")
-    Q = kam._elliptic_conjugator(const, info["rho"])
-    A = rotation(info["rho"])
-    band = max(V.support_radius(), 1)
-    g = kam._pow2_at_least(8 * band + 2)
-    pts = kam._mesh_points(freq.dim, g, 1)
-    v_vals = V.evaluate(pts)
-    cocycle_vals = np.zeros(v_vals.shape + (2, 2))
-    cocycle_vals[..., 0, 0] = e_reduce - v_vals
-    cocycle_vals[..., 0, 1] = -1.0
-    cocycle_vals[..., 1, 0] = 1.0
-    shape = (g,) * freq.dim + (2, 2)
-    logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q)).reshape(shape)
-    f = kam._extract_series(logs, freq.dim, 4 * band, period=1)
-    norm0 = kam._perturbation_norm(f)
-    if norm0 > kam._START_NORM:
-        raise DivergenceError(
-            f"edge perturbation norm {norm0:.3e} exceeds the reducibility "
-            f"entry gate {kam._START_NORM:.0e}; the coupling is too large "
-            "for the conjugation scheme at this scale")
-
-    reduced = kam.reduce_to_parabolic(A, f, freq, label,
-                                      parabolic_tol=max(1e-6, 20.0 * window))
-    zeta = float(reduced["zeta"])
-    if not 0.0 < zeta < 0.5:
-        raise ReductionError(
-            f"edge datum zeta={zeta:.3e} leaves (0, 1/2); the perturbation "
-            "step is not defined on this side of the gap")
-    B = reduced["B"]
-    guard = freq.gamma ** 3 / (kam._D_TAU * ck_norm(B, 0).upper ** 2)
-    delta = float(spec.get("delta", 0.0)) or 0.5 * min(
-        guard, zeta ** (17.0 / 18.0))
-    mp = kam.moser_poschel_step(B, zeta, delta, freq)
-    bound = kam.gap_edge_bound(mp, zeta)
+    step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
+                             delta=float(spec.get("delta", 0.0)) or None)
+    mp, bound = step["mp"], step["bound"]
     row = {
         "m": label,
         "E_plus": refined.E_plus,
-        "zeta": zeta,
-        "delta": delta,
+        "zeta": step["zeta"],
+        "delta": step["delta"],
         "delta1": bound["delta1"],
         "predicted_gap_upper": bound["predicted_gap_upper"],
         "measured_length": refined.length,
@@ -580,6 +552,9 @@ def main(argv=None) -> int:
     except (DivergenceError, ReductionError) as exc:
         print(f"reduction failed: {exc}", file=sys.stderr)
         return 5
+    except LabelError as exc:
+        print(f"gap labelling failed: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .errors import DegreeError
-from .qpcore import FourierSeries, Frequency, cosine_polynomial
+from .qpcore import FourierSeries, Frequency
 
 __all__ = [
     "Cocycle",
@@ -55,10 +54,7 @@ class Cocycle:
 
     def orbit_matrices(self, theta0, n):
         """Map values along theta0, theta0+alpha, ..., theta0+(n-1)alpha."""
-        theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-        steps = np.arange(n, dtype=float)[:, None]
-        pts = theta0[None, :] + steps * np.asarray(self.freq.vec)[None, :]
-        return self.map_series.evaluate(pts)
+        return self.map_series.evaluate(self.freq.orbit(theta0, np.arange(n)))
 
 
 def constant_cocycle(freq: Frequency, a) -> Cocycle:
@@ -114,8 +110,7 @@ def iterate(c: Cocycle, theta, n: int):
         return np.eye(2)
     if n > 0:
         return _ordered_product(c.orbit_matrices(theta, n))
-    theta0 = np.atleast_1d(np.asarray(theta, dtype=float))
-    shifted = theta0 + n * np.asarray(c.freq.vec)
+    shifted = c.freq.orbit(theta, n)
     return mat2.inv2(_ordered_product(c.orbit_matrices(shifted, -n)))
 
 
@@ -178,7 +173,6 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
     if orbit < 10:
         raise ValueError("orbit >= 10 required")
     theta = _phase_samples(c.freq.dim, phases)
-    alpha = np.asarray(c.freq.vec)
 
     prod = np.broadcast_to(np.eye(2), (phases, 2, 2)).copy()
     log_scale = np.zeros(phases)
@@ -187,7 +181,7 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
     winding = np.zeros(phases)
 
     for k in range(orbit):
-        a_k = c.matrix(theta + k * alpha[None, :])
+        a_k = c.matrix(c.freq.orbit(theta, k))
         w = np.einsum("pij,pj->pi", a_k, v)
         cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
         dot = v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1]

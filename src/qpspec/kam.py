@@ -45,6 +45,7 @@ __all__ = [
     "moser_poschel_step",
     "mp_brackets",
     "gap_edge_bound",
+    "gap_edge_step",
     "bch_log_product",
 ]
 
@@ -163,6 +164,18 @@ def _zero_mode(f: FourierSeries) -> np.ndarray:
 def _perturbation_norm(f: FourierSeries) -> float:
     """Coefficient-sum bound for the sup norm; the engine's step metric."""
     return ck_norm(f, 0).upper
+
+
+class _EntryGateError(DivergenceError, ValueError):
+    """Start-norm gate failure; also a ValueError for direct engine callers."""
+
+
+def _check_entry_gate(f: FourierSeries, what: str) -> None:
+    norm0 = _perturbation_norm(f)
+    if norm0 > _START_NORM:
+        raise _EntryGateError(
+            f"{what} norm {norm0:.3e} exceeds the reducibility entry gate "
+            f"{_START_NORM:.0e}")
 
 
 def _require_sl2_series(f: FourierSeries, what: str) -> None:
@@ -651,11 +664,8 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     threshold follow the measured perturbation norm.  Divergence (two
     consecutive non-contracting steps) raises with the ledger attached.
     """
+    _check_entry_gate(f, "starting perturbation")
     state = initial_state(A, f, freq, residual_tol)
-    if state.norm() > _START_NORM:
-        raise ValueError(
-            f"starting perturbation {state.norm():.3e} exceeds the engine "
-            f"guard {_START_NORM:.0e}")
     worse = 0
     for j in range(1, max_steps + 1):
         eps = state.norm()
@@ -824,6 +834,11 @@ def _check_edge_inputs(A, f, freq, m, rho_tol, rho_iterations) -> None:
 # Moser-Poschel step at a right gap edge
 
 
+def _delta_guard(x_norm: float, freq: Frequency) -> float:
+    """Contraction guard gamma^3 / (D_tau ||X||^2) on the step size delta."""
+    return freq.gamma ** 3 / (_D_TAU * x_norm ** 2)
+
+
 @dataclass(frozen=True)
 class MoserPoschelData:
     """Averaged data of one Moser-Poschel perturbation step.
@@ -916,7 +931,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     if not X.is_matrix:
         raise ValueError("conjugacy must be matrix-valued")
     x_norm = ck_norm(X, 0).upper
-    guard = freq.gamma ** 3 / (_D_TAU * x_norm ** 2)
+    guard = _delta_guard(x_norm, freq)
     if not 0.0 < delta < guard:
         raise ValueError(
             f"delta = {delta:.3e} outside the contraction guard "
@@ -1001,6 +1016,59 @@ def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
         "hypotheses": hyp,
         "failed": failed,
     }
+
+
+def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
+                  window: float, delta: float = None) -> dict:
+    """Gap-edge datum zeta and its predicted local gap bound.
+
+    edge is the resolved right edge of the gap labelled m, to accuracy
+    window.  The transfer cocycle is taken one window into the gap,
+    which keeps the rotation number locked while the trace defect stays
+    within the relaxed parabolic slack max(1e-6, 20 window); it is
+    written as R_rho e^{f} around the elliptic normal form of its
+    average and reduced to the parabolic normal form.  delta defaults
+    to half the smaller of the contraction guard and zeta^(17/18).
+
+    Returns {"zeta", "delta", "mp", "bound"}: the edge datum, the step
+    size, the MoserPoschelData of that step and its gap_edge_bound.
+    """
+    e_reduce = edge - window
+    mean_v = float(V.coeffs.get((0,) * V.dim, 0.0).real) if V.coeffs else 0.0
+    const = np.array([[e_reduce - mean_v, -1.0], [1.0, 0.0]])
+    info = eigen_rho(const)
+    if info["kind"] != "elliptic":
+        raise ReductionError(
+            "averaged transfer matrix at the gap edge is not elliptic; "
+            "no rotation normal form to expand around")
+    Q = _elliptic_conjugator(const, info["rho"])
+    A = rotation(info["rho"])
+    band = max(V.support_radius(), 1)
+    g = _pow2_at_least(8 * band + 2)
+    v_vals = V.evaluate(_mesh_points(freq.dim, g, 1))
+    cocycle_vals = np.zeros(v_vals.shape + (2, 2))
+    cocycle_vals[..., 0, 0] = e_reduce - v_vals
+    cocycle_vals[..., 0, 1] = -1.0
+    cocycle_vals[..., 1, 0] = 1.0
+    shape = (g,) * freq.dim + (2, 2)
+    logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q)).reshape(shape)
+    f = _extract_series(logs, freq.dim, 4 * band, period=1)
+    _check_entry_gate(f, "edge perturbation")
+
+    reduced = reduce_to_parabolic(A, f, freq, m,
+                                  parabolic_tol=max(1e-6, 20.0 * window))
+    zeta = float(reduced["zeta"])
+    if not 0.0 < zeta < 0.5:
+        raise ReductionError(
+            f"edge datum zeta={zeta:.3e} leaves (0, 1/2); the perturbation "
+            "step is not defined on this side of the gap")
+    B = reduced["B"]
+    if delta is None:
+        delta = 0.5 * min(_delta_guard(ck_norm(B, 0).upper, freq),
+                          zeta ** (17.0 / 18.0))
+    mp = moser_poschel_step(B, zeta, delta, freq)
+    return {"zeta": zeta, "delta": delta, "mp": mp,
+            "bound": gap_edge_bound(mp, zeta)}
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,19 @@ class Frequency:
         """<n, alpha> as a plain real number (not reduced mod 1)."""
         return float(np.dot(np.asarray(n, dtype=float), self.vec))
 
+    def orbit(self, theta, steps) -> np.ndarray:
+        """Orbit points theta + n * alpha (not reduced mod 1).
+
+        theta holds one phase, shape (dim,), or a stack of phases, shape
+        (..., dim); a scalar or length-1 last axis is broadcast to every
+        coordinate.  steps is an integer or an integer array.  The result
+        has shape theta.shape[:-1] + steps.shape + (dim,).
+        """
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        steps = np.asarray(steps, dtype=float)
+        lead = theta.shape[:-1] + (1,) * steps.ndim + theta.shape[-1:]
+        return theta.reshape(lead) + steps[..., None] * self.vec
+
 
 def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency:
     """Scan the sup-norm ball and return a validated Frequency.
@@ -184,12 +197,8 @@ class FourierSeries:
         if self._modes is None:
             if self.coeffs:
                 self._modes = np.array(list(self.coeffs.keys()), dtype=float)
-                if self.is_matrix:
-                    self._values = np.array(list(self.coeffs.values()),
-                                            dtype=complex)
-                else:
-                    self._values = np.array(list(self.coeffs.values()),
-                                            dtype=complex)
+                self._values = np.array(list(self.coeffs.values()),
+                                        dtype=complex)
             else:
                 self._modes = np.zeros((0, self.dim))
                 shape = (0, 2, 2) if self.is_matrix else (0,)

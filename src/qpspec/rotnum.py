@@ -43,44 +43,41 @@ class RotationEstimate:
 def _track_winding(mats, transfer: bool):
     """Total lifted angle along the orbit, with the half-orbit subtotal.
 
-    mats has shape (n, 2, 2) or (n, L, 2, 2) for L independent lanes.
-    Branch choice: transfer matrices advance the vector angle within
-    (-pi/2, 3pi/2) (forward rotation in the elliptic zone, a near-pi flip
-    below the spectrum), so a branch window shifted by +pi/2 never slips.
-    General cocycles instead unwrap against a running mean advance, which
-    handles conjugated cocycles whose steps drift by a constant angle.
+    mats has shape (n, 2, 2).  Branch choice: transfer matrices advance the
+    vector angle within (-pi/2, 3pi/2) (forward rotation in the elliptic
+    zone, a near-pi flip below the spectrum), so a branch window shifted by
+    +pi/2 never slips.  General cocycles instead unwrap against a running
+    mean advance, which handles conjugated cocycles whose steps drift by a
+    constant angle.
     """
-    laned = mats.ndim == 4
-    if not laned:
-        mats = mats[:, None, :, :]
-    n, lanes = mats.shape[0], mats.shape[1]
-    v = np.zeros((lanes, 2))
-    v[:, 0] = 1.0
-    total = np.zeros(lanes)
-    half_total = np.zeros(lanes)
+    n = mats.shape[0]
+    v0, v1 = 1.0, 0.0
+    total = 0.0
+    half_total = 0.0
     half_at = n // 2
-    mean = np.zeros(lanes)
+    mean = 0.0
     warmup = min(64, n)
-    for k in range(n):
-        w = np.einsum("lij,lj->li", mats[k], v)
-        cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-        dot = (v * w).sum(axis=1)
-        delta = np.arctan2(cross, dot)
+    for k, ((a, b), (c, d)) in enumerate(mats.tolist()):
+        w0 = a * v0 + b * v1
+        w1 = c * v0 + d * v1
+        # np.arctan2 rather than math.atan2: their last bits differ, and
+        # the emitted rotation numbers are pinned to np.arctan2.
+        delta = float(np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1))
         if transfer:
-            delta = np.where(delta <= -0.5 * math.pi, delta + _TWO_PI, delta)
+            if delta <= -0.5 * math.pi:
+                delta += _TWO_PI
         elif k >= warmup:
-            delta = delta + _TWO_PI * np.round((mean - delta) / _TWO_PI)
+            delta += _TWO_PI * round((mean - delta) / _TWO_PI)
         if k < warmup:
             mean += (delta - mean) / (k + 1)
         else:
             mean += 0.02 * (delta - mean)
         total += delta
-        v = w / np.linalg.norm(w, axis=1, keepdims=True)
+        norm = math.sqrt(w0 * w0 + w1 * w1)
+        v0, v1 = w0 / norm, w1 / norm
         if k + 1 == half_at:
-            half_total[:] = total
-    if laned:
-        return total, half_total, half_at
-    return total[0], half_total[0], half_at
+            half_total = total
+    return total, half_total, half_at
 
 
 def _estimate(total, half_total, n, half_at, fold):
@@ -122,10 +119,7 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     pass of length n_iters regardless of the number of energies.
     """
     energies = np.asarray(energies, dtype=float)
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    steps = np.arange(n_iters, dtype=float)[:, None]
-    pts = theta0[None, :] + steps * np.asarray(freq.vec)[None, :]
-    v_orbit = V.evaluate(pts)
+    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters)))
 
     lanes = energies.shape[0]
     v1 = np.ones(lanes)
@@ -214,10 +208,7 @@ def rotation_perturbation_bound_check(A: FourierSeries, phi: float,
     A need not have exactly unit determinant (perturbations of a rotation
     are accepted), but the projective action must preserve orientation.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    steps = np.arange(n_iters, dtype=float)[:, None]
-    pts = theta0[None, :] + steps * np.asarray(freq.vec)[None, :]
-    mats = A.evaluate(pts)
+    mats = A.evaluate(freq.orbit(theta0, np.arange(n_iters)))
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     if dets.min() <= 0:
         raise ValueError("orientation-reversing map has no rotation number")

@@ -51,9 +51,7 @@ class TruncatedOperator:
     @classmethod
     def build(cls, V: FourierSeries, freq: Frequency, theta,
               L: int) -> "TruncatedOperator":
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        n = np.arange(-L, L + 1, dtype=float)[:, None]
-        pts = theta[None, :] + n * np.asarray(freq.vec)[None, :]
+        pts = freq.orbit(theta, np.arange(-L, L + 1))
         return cls(L, np.asarray(V.evaluate(pts), dtype=float))
 
     @property
@@ -105,9 +103,7 @@ def phase_samples(dim: int, count: int) -> np.ndarray:
 
 
 def _phase_diagonals(V, freq, L, phases):
-    thetas = phase_samples(freq.dim, phases)
-    n = np.arange(-L, L + 1, dtype=float)
-    pts = thetas[:, None, :] + n[None, :, None] * np.asarray(freq.vec)[None, None, :]
+    pts = freq.orbit(phase_samples(freq.dim, phases), np.arange(-L, L + 1))
     flat = pts.reshape(-1, freq.dim)
     return np.asarray(V.evaluate(flat), dtype=float).reshape(phases, 2 * L + 1)
 
@@ -138,7 +134,7 @@ class IdsCurve:
             raise ValueError("IDS values escape [0, 1]")
 
     def __call__(self, E):
-        """Left-continuous step interpolation between grid nodes."""
+        """Linear interpolation between grid nodes, constant beyond them."""
         return np.interp(np.asarray(E, dtype=float), self.energies,
                          self.values)
 

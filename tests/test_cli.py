@@ -98,6 +98,24 @@ def test_rotation_free(tmp_path):
                    (1.0 - 2.0 * float(row["rho"]))) < 1e-15
 
 
+def test_rotation_two_frequency_cosine(tmp_path):
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        potential={"family": "cosine", "dim": 2,
+                   "terms": {"1,0": 0.01, "0,1": 0.01}},
+        frequency={"components": [GOLDEN, math.sqrt(2.0) - 1.0],
+                   "gamma": 0.01, "tau": 2.5, "cutoff": 10},
+        numerics={"energy": {"min": -1.0, "max": 1.0, "points": 5},
+                  "rotation_iterations": 4000}))
+    assert main(["rotation", "--config", cfg]) == 0
+    _, rows = _read_csv(tmp_path / "rotation.csv")
+    rhos = [float(row["rho"]) for row in rows]
+    assert len(rhos) == 5
+    assert all(0.0 <= r <= 0.5 for r in rhos)
+    assert rhos == sorted(rhos, reverse=True)
+    assert abs(rhos[2] - 0.25) <= 1e-2
+
+
 def test_homog_free_single_interval(tmp_path):
     cfg = _write(tmp_path, _base_config(
         tmp_path, numerics={"L": 1200, "resolution": 5e-3,
@@ -291,3 +309,52 @@ def test_threads_and_seed_do_not_change_values(tmp_path):
     assert main(["ids", "--config", p, "--out", str(d2),
                  "--threads", "2", "--seed", "7"]) == 0
     assert (d1 / "ids.csv").read_bytes() == (d2 / "ids.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# numerics typing and gap-labelling failures
+
+
+def _amo_gaps_config(tmp_path, **numerics):
+    return _base_config(tmp_path,
+                        potential={"family": "amo", "coupling": 0.3},
+                        numerics=numerics)
+
+
+def test_ambiguous_label_exits_6(tmp_path, capsys):
+    cfg = _amo_gaps_config(tmp_path, L=3000, label_tol=0.2)
+    assert main(["gaps", "--config", _write(tmp_path, cfg)]) == 6
+    assert "gap labelling failed" in capsys.readouterr().err
+
+
+def test_unmatched_label_exits_6(tmp_path, capsys):
+    cfg = _amo_gaps_config(tmp_path, L=500, label_tol=1e-9)
+    assert main(["gaps", "--config", _write(tmp_path, cfg)]) == 6
+    assert "no label within" in capsys.readouterr().err
+
+
+def test_non_numeric_numerics_exit_2(tmp_path, capsys):
+    cfg = _base_config(tmp_path, numerics={"L": "big"})
+    assert main(["ids", "--config", _write(tmp_path, cfg)]) == 2
+    assert "numerics.L" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# library/CLI seam
+
+
+def test_cli_names_no_private_kam_attribute():
+    import ast
+
+    import qpspec.cli
+
+    tree = ast.parse(Path(qpspec.cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "kam"):
+            private.append(node.attr)
+        if isinstance(node, ast.ImportFrom) and node.module == "kam":
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -67,6 +67,18 @@ def test_iterate_inverse_identity(freq):
     np.testing.assert_allclose(back @ fwd, np.eye(2), atol=1e-12)
 
 
+def test_iterate_scalar_phase_on_two_torus():
+    f2 = diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), gamma=0.01,
+                           tau=2.5, cutoff=10)
+    V = cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2)
+    c = schrodinger_cocycle(V, 0.7, f2)
+    theta = np.array([0.2, 0.2])
+    want = np.eye(2)
+    for k in range(3):
+        want = c.matrix(theta + k * f2.vec) @ want
+    np.testing.assert_allclose(iterate(c, 0.2, 3), want, atol=1e-13)
+
+
 def test_cocycle_identity(freq):
     # E = 0 lies in the coupling-0.3 spectrum (E <-> -E symmetry), so the
     # products stay tame and the identity is meaningful at 1e-8 relative

@@ -542,3 +542,24 @@ def test_bch_guards():
     small = np.diag([0.01, -0.01])
     with pytest.raises(ValueError):
         bch_log_product(small, small, order=4)
+
+
+# ---------------------------------------------------------------------------
+# gap-edge entry point
+
+
+def test_gap_edge_step_entry_gate(freq):
+    from qpspec.errors import DivergenceError
+    from qpspec.qpcore import amo_potential
+
+    # coupling 0.3 puts the edge cocycle far outside the entry gate
+    with pytest.raises(DivergenceError, match="entry gate"):
+        kam.gap_edge_step(amo_potential(0.3), freq, (1,), 1.0553, 4.0 / 3000)
+
+
+def test_gap_edge_step_needs_elliptic_average(freq):
+    from qpspec.qpcore import cosine_polynomial
+
+    free = cosine_polynomial({0: 0.0})
+    with pytest.raises(ReductionError, match="not elliptic"):
+        kam.gap_edge_step(free, freq, (1,), 2.5, 1e-3)

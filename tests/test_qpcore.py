@@ -257,3 +257,25 @@ def test_payload_coefficient_order_is_canonical():
     f = qc.cosine_polynomial({3: 1.0, 1: 2.0})
     ns = [tuple(e["n"]) for e in f.to_payload()["coeffs"]]
     assert ns == sorted(ns)
+
+
+def test_frequency_orbit_points():
+    f = qc.diophantine_check((GOLDEN, SQRT2M1), gamma=0.01, tau=2.5,
+                             cutoff=10)
+    theta = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    pts = f.orbit(theta, np.arange(-2, 3))
+    assert pts.shape == (3, 5, 2)
+    assert np.array_equal(pts[1, 4], theta[1] + 2.0 * f.vec)
+    assert np.array_equal(f.orbit(theta, 3), theta + 3 * f.vec)
+    assert np.array_equal(f.orbit(theta[0], np.arange(4))[3],
+                          theta[0] + 3.0 * f.vec)
+    one = qc.diophantine_check(GOLDEN, gamma=0.2, tau=1.5, cutoff=100)
+    assert one.orbit(0.25, np.arange(3)).shape == (3, 1)
+
+
+def test_frequency_orbit_scalar_phase_in_two_dimensions():
+    f = qc.diophantine_check((GOLDEN, SQRT2M1), gamma=0.01, tau=2.5,
+                             cutoff=10)
+    steps = np.arange(3)
+    assert np.array_equal(f.orbit(0.0, steps), steps[:, None] * f.vec)
+    assert np.array_equal(f.orbit(0.3, 2), 0.3 + 2 * f.vec)
