@@ -105,46 +105,71 @@ def build_potential(spec) -> FourierSeries:
     if family == "amo":
         if "coupling" not in spec:
             raise ConfigError("amo potential needs a 'coupling' field")
-        return amo_potential(float(spec["coupling"]))
+        return amo_potential(_typed("potential.coupling", spec["coupling"],
+                                    float))
     if family == "ck":
         for field in ("epsilon", "k", "modes"):
             if field not in spec:
                 raise ConfigError(f"ck potential needs a '{field}' field")
-        eps = float(spec["epsilon"])
-        k = int(spec["k"])
+        eps, k, modes = _ck_spec(spec)
         if eps <= 0:
             raise ConfigError("ck potential needs epsilon > 0")
-        terms = {int(n): eps * float(n) ** (-k) for n in spec["modes"]}
-        return cosine_polynomial(terms)
+        return cosine_polynomial({n: eps * float(n) ** (-k) for n in modes})
     if family == "cosine":
         if "terms" not in spec:
             raise ConfigError("cosine potential needs a 'terms' field")
+        if not isinstance(spec["terms"], dict):
+            raise ConfigError("potential.terms must be an object")
         terms = {}
         for key, amp in spec["terms"].items():
-            parts = tuple(int(tok) for tok in str(key).split(","))
-            terms[parts if len(parts) > 1 else parts[0]] = float(amp)
-        return cosine_polynomial(terms, dim=spec.get("dim", 1))
+            parts = _mode_key("potential.terms", key)
+            terms[parts if len(parts) > 1 else parts[0]] = _typed(
+                f"potential.terms.{key}", amp, float)
+        return cosine_polynomial(
+            terms, dim=_typed("potential.dim", spec.get("dim", 1), int))
     raise ConfigError(f"unknown potential family '{family}'")
 
 
 def build_frequency(spec):
     if not isinstance(spec, dict) or "components" not in spec:
         raise ConfigError("frequency section needs a 'components' field")
-    comps = tuple(float(x) for x in spec["components"])
-    gamma = float(spec.get("gamma", 0.1))
-    tau = float(spec.get("tau", 1.5))
-    cutoff = int(spec.get("cutoff", 60))
+    comps = tuple(_typed("frequency.components", x, float)
+                  for x in _listed("frequency.components",
+                                   spec["components"]))
+    gamma = _typed("frequency.gamma", spec.get("gamma", 0.1), float)
+    tau = _typed("frequency.tau", spec.get("tau", 1.5), float)
+    cutoff = _typed("frequency.cutoff", spec.get("cutoff", 60), int)
     if gamma <= 0 or tau <= 0 or cutoff < 1:
         raise ConfigError("frequency gamma, tau, cutoff must be positive")
     return diophantine_check(comps, gamma=gamma, tau=tau, cutoff=cutoff)
 
 
 def _typed(name: str, val, kind):
+    """kind(val), or a ConfigError naming the section-qualified field."""
     try:
         return kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
-            f"numerics.{name} must be {kind.__name__}, got {val!r}") from exc
+            f"{name} must be {kind.__name__}, got {val!r}") from exc
+
+
+def _listed(name: str, val) -> list:
+    if not isinstance(val, list):
+        raise ConfigError(f"{name} must be a list, got {val!r}")
+    return val
+
+
+def _mode_key(name: str, key) -> tuple:
+    """Integer mode vector from a "n" or "n1,n2" key."""
+    return tuple(_typed(name, tok, int) for tok in str(key).split(","))
+
+
+def _ck_spec(spec: dict):
+    """(epsilon, k, modes) of a ck potential section, typed."""
+    return (_typed("potential.epsilon", spec["epsilon"], float),
+            _typed("potential.k", spec["k"], int),
+            [_typed("potential.modes", n, int)
+             for n in _listed("potential.modes", spec["modes"])])
 
 
 def numerics_of(cfg: dict) -> dict:
@@ -161,16 +186,16 @@ def numerics_of(cfg: dict) -> dict:
         else:
             out[key] = val
     if out["min_gap_length"] is None:
-        out["min_gap_length"] = 2.0 * _typed("resolution",
+        out["min_gap_length"] = 2.0 * _typed("numerics.resolution",
                                              out["resolution"], float)
     for key, kind in _NUMERICS_TYPES.items():
-        out[key] = _typed(key, out[key], kind)
+        out[key] = _typed(f"numerics.{key}", out[key], kind)
     grid = out["energy"]
     for key, kind in _ENERGY_TYPES.items():
-        grid[key] = _typed(f"energy.{key}", grid[key], kind)
+        grid[key] = _typed(f"numerics.energy.{key}", grid[key], kind)
     if not isinstance(out["homog_eps"], list):
         raise ConfigError("numerics.homog_eps must be a list")
-    out["homog_eps"] = [_typed("homog_eps", e, float)
+    out["homog_eps"] = [_typed("numerics.homog_eps", e, float)
                         for e in out["homog_eps"]]
 
     if out["L"] < 100:
@@ -319,10 +344,8 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     spec = cfg["potential"]
     if spec.get("family") != "ck":
         raise ConfigError("decay command needs the 'ck' potential family")
-    eps = float(spec["epsilon"])
-    k = int(spec["k"])
-    unit_profile = cosine_polynomial(
-        {int(n): float(n) ** (-k) for n in spec["modes"]})
+    eps, k, modes = _ck_spec(spec)
+    unit_profile = cosine_polynomial({n: float(n) ** (-k) for n in modes})
     c_norm = ck_norm(unit_profile, k).upper
     _, labelled, _ = _scan_and_label(V, freq, num)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
@@ -366,7 +389,7 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
         raise ConfigError("kam command needs a 'kam' config section")
     if "rho0" not in spec:
         raise ConfigError("kam section needs a 'rho0' field")
-    A = rotation(float(spec["rho0"]))
+    A = rotation(_typed("kam.rho0", spec["rho0"], float))
     pert = spec.get("perturbation")
     if not isinstance(pert, dict):
         raise ConfigError("kam section needs a 'perturbation' object")
@@ -376,15 +399,18 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
         for field in ("scale", "radius", "seed"):
             if field not in pert:
                 raise ConfigError(f"kam perturbation needs a '{field}' field")
-        f = kam.seeded_sl2_series(float(pert["scale"]), int(pert["radius"]),
-                                  int(pert["seed"]))
+        f = kam.seeded_sl2_series(
+            _typed("kam.perturbation.scale", pert["scale"], float),
+            _typed("kam.perturbation.radius", pert["radius"], int),
+            _typed("kam.perturbation.seed", pert["seed"], int))
     state = kam.almost_reducibility_run(
         A, f, freq,
-        M=int(spec.get("M", 10)),
-        sigma=float(spec.get("sigma", 0.1)),
-        stop_tol=float(spec.get("stop_tol", 1e-12)),
-        max_steps=int(spec.get("max_steps", 12)),
-        residual_tol=float(spec.get("residual_tol", 1e-7)))
+        M=_typed("kam.M", spec.get("M", 10), int),
+        sigma=_typed("kam.sigma", spec.get("sigma", 0.1), float),
+        stop_tol=_typed("kam.stop_tol", spec.get("stop_tol", 1e-12), float),
+        max_steps=_typed("kam.max_steps", spec.get("max_steps", 12), int),
+        residual_tol=_typed("kam.residual_tol",
+                            spec.get("residual_tol", 1e-7), float))
     columns = ["step", "kind", "norm_before", "norm_after", "rho",
                "window", "threshold", "band", "n_star", "inner_passes",
                "residual", "bch_defect"]
@@ -405,9 +431,15 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
 def _explicit_sl2_series(terms) -> FourierSeries:
     coeffs = {}
     radius = 0
+    if not isinstance(terms, dict) or not terms:
+        raise ConfigError("kam.perturbation.terms must be a nonempty object")
     for key, entries in terms.items():
-        parts = tuple(int(tok) for tok in str(key).split(","))
-        mat = np.asarray(entries, dtype=float)
+        parts = _mode_key("kam.perturbation.terms", key)
+        try:
+            mat = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("perturbation terms must be 2x2 matrices") \
+                from exc
         if mat.shape != (2, 2):
             raise ConfigError("perturbation terms must be 2x2 matrices")
         coeffs[parts] = mat.astype(complex)
@@ -419,6 +451,14 @@ def _explicit_sl2_series(terms) -> FourierSeries:
 def _load_gap_inventory(path: Path):
     if not path.is_file():
         raise StaleArtifactError(f"gap inventory not found: {path}")
+    try:
+        return _read_gap_inventory(path)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise StaleArtifactError(
+            f"gap inventory {path} is unreadable: {exc!r}") from exc
+
+
+def _read_gap_inventory(path: Path):
     if path.suffix == ".json":
         rows = json.loads(path.read_text())
         return [(tuple(int(x) for x in np.atleast_1d(r["m"])),
@@ -444,7 +484,8 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     for field in ("gaps_file", "label"):
         if field not in spec:
             raise ConfigError(f"edge section needs a '{field}' field")
-    label = tuple(int(x) for x in np.atleast_1d(spec["label"]))
+    label = tuple(_typed("edge.label", x, int)
+                  for x in np.atleast_1d(spec["label"]))
     inventory = _load_gap_inventory(Path(spec["gaps_file"]))
     match = [row for row in inventory if row[0] == label]
     if not match:
@@ -454,7 +495,8 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
 
     # re-resolve both edges: the inventory carries scan-cell estimates,
     # and the parabolic gate needs the edge to window accuracy
-    window = max(float(spec.get("edge_tol", 1e-6)), 4.0 / num["L"])
+    window = max(_typed("edge.edge_tol", spec.get("edge_tol", 1e-6), float),
+                 4.0 / num["L"])
     gap = GapRecord(label, e_minus, e_plus, e_plus - e_minus, 0.0, None)
     refined = refine_gap_edges(V, freq, gap, num["L"], window, num["phases"])
     if refined.length == 0.0:
@@ -462,7 +504,8 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
             f"gap {label} from {spec['gaps_file']} vanished on "
             "re-measurement; the inventory is stale")
     step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
-                             delta=float(spec.get("delta", 0.0)) or None)
+                             delta=_typed("edge.delta", spec.get("delta", 0.0),
+                                          float) or None)
     mp, bound = step["mp"], step["bound"]
     row = {
         "m": label,
@@ -509,7 +552,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="output format (overrides the config)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads, 0 = auto (never affects values)")
+                   help="accepted for compatibility; qpspec runs "
+                        "single-threaded, so it never affects values")
     p.add_argument("--seed", type=int, default=None,
                    help="reserved; affects nothing numeric")
     return p

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .qpcore import FourierSeries, Frequency
+from .qpcore import FourierSeries, Frequency, phase_samples
 
 __all__ = [
     "Cocycle",
@@ -129,14 +129,6 @@ class HyperbolicityVerdict:
     cone_margin: float
 
 
-def _phase_samples(dim: int, count: int):
-    """Deterministic low-discrepancy phases on the torus."""
-    if dim == 1:
-        return np.arange(count, dtype=float)[:, None] / count
-    gens = np.array([math.sqrt(p) % 1.0 for p in (2, 3, 5)][:dim])
-    return (np.arange(1, count + 1, dtype=float)[:, None] * gens[None, :]) % 1.0
-
-
 def _cone_image_margin(prod):
     """Margin of M(cone) inside the cone, or -inf when the image wraps.
 
@@ -172,7 +164,7 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
         raise ValueError("phases >= 1 required")
     if orbit < 10:
         raise ValueError("orbit >= 10 required")
-    theta = _phase_samples(c.freq.dim, phases)
+    theta = phase_samples(c.freq.dim, phases)
 
     prod = np.broadcast_to(np.eye(2), (phases, 2, 2)).copy()
     log_scale = np.zeros(phases)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AmbiguousLabelError, LabelError
 from .qpcore import FourierSeries, Frequency, dist_to_int
-from .spectrum import IdsCurve, _phase_diagonals, _pivot_counts
+from .spectrum import IdsCurve, TruncatedOperator
 
 __all__ = [
     "GapRecord",
@@ -172,18 +172,6 @@ def decay_profile(gaps, eps: float, k: int) -> dict:
 # edge refinement
 
 
-class _PresenceOracle:
-    """Phase-uniform eigenvalue presence on energy windows."""
-
-    def __init__(self, V: FourierSeries, freq: Frequency, L: int,
-                 phases: int):
-        self.diags = _phase_diagonals(V, freq, L, phases)
-
-    def present(self, lo: float, hi: float) -> bool:
-        counts = _pivot_counts(self.diags, np.array([lo, hi]))
-        return bool((counts[1] - counts[0] >= 1).all())
-
-
 def _bisect_flip(pred, x_true, x_false, tol: float):
     """Shrink [x_true, x_false] (pred true/false at ends) to width tol."""
     for _ in range(200):
@@ -207,18 +195,18 @@ def refine_band_edge(V: FourierSeries, freq: Frequency, coarse: float,
     'lower' mirrors it.  The window w = max(edge_tol, 4/L) keeps a few
     mean level spacings inside, so presence is statistically reliable.
     """
-    oracle = _PresenceOracle(V, freq, L, phases)
-    return _refine_edge(oracle, coarse, side, L, edge_tol)
+    H = TruncatedOperator.sampled(V, freq, L, phases)
+    return _refine_edge(H, coarse, side, edge_tol)
 
 
-def _refine_edge(oracle: _PresenceOracle, coarse: float, side: str,
-                 L: int, edge_tol: float) -> float:
-    w = max(edge_tol, 4.0 / L)
+def _refine_edge(H: TruncatedOperator, coarse: float, side: str,
+                 edge_tol: float) -> float:
+    w = max(edge_tol, 4.0 / H.L)
     if side == "upper":
-        pred = lambda x: oracle.present(x - w, x)
+        pred = lambda x: bool(H.present([x - w, x])[0])
         step = -w
     elif side == "lower":
-        pred = lambda x: oracle.present(x, x + w)
+        pred = lambda x: bool(H.present([x, x + w])[0])
         step = w
     else:
         raise ValueError("side must be 'upper' or 'lower'")
@@ -246,17 +234,16 @@ def refine_gap_edges(V: FourierSeries, freq: Frequency, gap: GapRecord,
     """Refine both edges of a detected gap; collapsed gaps are kept.
 
     The refined record is clamped inside the coarse record (containment
-    contract); the clamp only ever discards a sub-resolution correction.
+    contract).
     """
-    oracle = _PresenceOracle(V, freq, L, phases)
+    H = TruncatedOperator.sampled(V, freq, L, phases)
     w = max(edge_tol, 4.0 / L)
     mid = gap.midpoint
-    if gap.length <= 2.0 * w or oracle.present(mid - w, mid) \
-            or oracle.present(mid, mid + w):
+    if gap.length <= 2.0 * w or H.present([mid - w, mid, mid + w]).any():
         return replace(gap, E_minus=mid, E_plus=mid, length=0.0)
 
-    lo = _refine_edge(oracle, gap.E_minus, "upper", L, edge_tol)
-    hi = _refine_edge(oracle, gap.E_plus, "lower", L, edge_tol)
+    lo = _refine_edge(H, gap.E_minus, "upper", edge_tol)
+    hi = _refine_edge(H, gap.E_plus, "lower", edge_tol)
     lo = max(lo, gap.E_minus)
     hi = min(hi, gap.E_plus)
     if lo >= hi:

@@ -126,6 +126,17 @@ def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency
                      cutoff=int(cutoff))
 
 
+# fixed low-discrepancy generators, one per torus dimension (d <= 3)
+_PHASE_GENS = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0,
+               math.sqrt(5.0) - 2.0)
+
+
+def phase_samples(dim: int, count: int) -> np.ndarray:
+    """Deterministic Kronecker phase samples theta_j = j * omega mod 1."""
+    gens = np.array(_PHASE_GENS[:dim])
+    return (np.arange(count, dtype=float)[:, None] * gens[None, :]) % 1.0
+
+
 def _as_key(n) -> tuple:
     if isinstance(n, (int, np.integer)):
         return (int(n),)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpcore import FourierSeries, Frequency, dist_to_int
+from .qpcore import FourierSeries, Frequency, dist_to_int, phase_samples
 from .rotnum import schrodinger_rotation_grid
 
 __all__ = [
@@ -32,20 +32,20 @@ _SHIFT_EPS = 2.0 ** -50
 # zero-pivot replacement, negative so an exact pivot counts as below
 _PIVOT_FLOOR = -1e-300
 
-# fixed low-discrepancy shift for deterministic phase sampling
-_PHASE_GENS = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0,
-               math.sqrt(5.0) - 2.0)
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Symmetric tridiagonal restriction to the window [-L, L]."""
+    """Symmetric tridiagonal restriction to the window [-L, L].
+
+    diag has shape (2L+1,), or (phases, 2L+1) with one row per sampled
+    phase; every Sturm count against the truncation goes through here.
+    """
 
     L: int
     diag: np.ndarray
 
     def __post_init__(self):
-        if self.diag.shape != (2 * self.L + 1,):
+        if self.diag.ndim > 2 or self.diag.shape[-1:] != (2 * self.L + 1,):
             raise ValueError("diagonal must have length 2L+1")
 
     @classmethod
@@ -54,15 +54,43 @@ class TruncatedOperator:
         pts = freq.orbit(theta, np.arange(-L, L + 1))
         return cls(L, np.asarray(V.evaluate(pts), dtype=float))
 
+    @classmethod
+    def sampled(cls, V: FourierSeries, freq: Frequency, L: int,
+                phases: int) -> "TruncatedOperator":
+        """One diagonal per Kronecker phase sample, evaluated in one call."""
+        if L < 100:
+            raise ValueError("L >= 100 required")
+        if phases < 1:
+            raise ValueError("phases >= 1 required")
+        pts = freq.orbit(phase_samples(freq.dim, phases),
+                         np.arange(-L, L + 1))
+        flat = pts.reshape(-1, freq.dim)
+        diag = np.asarray(V.evaluate(flat), dtype=float)
+        return cls(L, diag.reshape(phases, 2 * L + 1))
+
     @property
     def size(self) -> int:
         return 2 * self.L + 1
 
     def dense(self) -> np.ndarray:
+        if self.diag.ndim != 1:
+            raise ValueError("dense() needs a single-phase operator")
         m = np.diag(self.diag)
         off = np.ones(self.size - 1)
         m += np.diag(off, 1) + np.diag(off, -1)
         return m
+
+    def _counts(self, energies) -> np.ndarray:
+        """(nE, phases) counts of eigenvalues <= E."""
+        return _pivot_counts(np.atleast_2d(self.diag), np.atleast_1d(energies))
+
+    def ids(self, energies) -> np.ndarray:
+        """Phase-averaged counting function per energy, normalized by 2L+1."""
+        return self._counts(energies).mean(axis=1) / self.size
+
+    def present(self, edges) -> np.ndarray:
+        """Mask over edge cells: an eigenvalue in the cell at every phase."""
+        return (np.diff(self._counts(edges), axis=0) >= 1).all(axis=1)
 
 
 def _shifted(E):
@@ -92,32 +120,13 @@ def _pivot_counts(diags, energies):
 
 def eigen_count_below(H: TruncatedOperator, E: float) -> int:
     """Number of eigenvalues <= E (closed inequality via an upward nudge)."""
-    counts = _pivot_counts(H.diag[None, :], np.atleast_1d(float(E)))
-    return int(counts[0, 0])
-
-
-def phase_samples(dim: int, count: int) -> np.ndarray:
-    """Deterministic Kronecker phase samples theta_j = j * omega mod 1."""
-    gens = np.array(_PHASE_GENS[:dim])
-    return (np.arange(count, dtype=float)[:, None] * gens[None, :]) % 1.0
-
-
-def _phase_diagonals(V, freq, L, phases):
-    pts = freq.orbit(phase_samples(freq.dim, phases), np.arange(-L, L + 1))
-    flat = pts.reshape(-1, freq.dim)
-    return np.asarray(V.evaluate(flat), dtype=float).reshape(phases, 2 * L + 1)
+    return int(H._counts(float(E))[0, 0])
 
 
 def ids(V: FourierSeries, freq: Frequency, E: float, L: int,
         phases: int) -> float:
     """Phase-averaged eigenvalue counting function at one energy."""
-    if L < 100:
-        raise ValueError("L >= 100 required")
-    if phases < 1:
-        raise ValueError("phases >= 1 required")
-    diags = _phase_diagonals(V, freq, L, phases)
-    counts = _pivot_counts(diags, np.atleast_1d(float(E)))
-    return float(counts.mean() / (2 * L + 1))
+    return float(TruncatedOperator.sampled(V, freq, L, phases).ids(E)[0])
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,8 @@ class IdsCurve:
     phases: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("IDS values must be finite")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("IDS curve must be non-decreasing")
         if self.values[0] < 0 or self.values[-1] > 1:
@@ -142,15 +153,11 @@ class IdsCurve:
 def ids_curve(V: FourierSeries, freq: Frequency, energies, L: int,
               phases: int) -> IdsCurve:
     """IDS sampled on an energy grid with one vectorized counting pass."""
-    if L < 100:
-        raise ValueError("L >= 100 required")
     energies = np.asarray(energies, dtype=float)
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energy grid must be strictly increasing")
-    diags = _phase_diagonals(V, freq, L, phases)
-    counts = _pivot_counts(diags, energies)
-    values = counts.mean(axis=1) / (2 * L + 1)
-    return IdsCurve(energies, values, L, phases)
+    H = TruncatedOperator.sampled(V, freq, L, phases)
+    return IdsCurve(energies, H.ids(energies), L, phases)
 
 
 def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
@@ -165,15 +172,13 @@ def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    H = TruncatedOperator.sampled(V, freq, L, phases)
     sup_v = float(V.sup_norm())
     lo = -2.0 - sup_v - 2.0 * resolution
     hi = 2.0 + sup_v + 2.0 * resolution
     n_cells = int(math.ceil((hi - lo) / resolution))
     edges = lo + resolution * np.arange(n_cells + 1)
-
-    diags = _phase_diagonals(V, freq, L, phases)
-    counts = _pivot_counts(diags, edges)
-    present = (np.diff(counts, axis=0) >= 1).all(axis=1)
+    present = H.present(edges)
 
     intervals = []
     start = None

@@ -358,3 +358,35 @@ def test_cli_names_no_private_kam_attribute():
         if isinstance(node, ast.ImportFrom) and node.module == "kam":
             private += [a.name for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+_NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
+                        "1,0.722,0.006,0.618,1e-05\n")
+
+
+@pytest.mark.parametrize("command,section,inventory,code,needle", [
+    ("ids", {"potential": {"family": "amo", "coupling": "strong"}}, None, 2,
+     "potential.coupling"),
+    ("ids", {"potential": {"family": "ck", "epsilon": 0.01, "k": "six",
+                           "modes": [1, 2]}}, None, 2, "potential.k"),
+    ("ids", {"frequency": {"components": [GOLDEN], "gamma": "x"}}, None, 2,
+     "frequency.gamma"),
+    ("kam", {"kam": {"rho0": "a", "perturbation": {
+        "scale": 0.1, "radius": 1, "seed": 1}}}, None, 2, "kam.rho0"),
+    ("edge", {"edge": {"label": "x"}}, _NO_E_PLUS_INVENTORY, 2,
+     "edge.label"),
+    ("edge", {"edge": {"label": [1]}}, "", 4, "unreadable"),
+    ("edge", {"edge": {"label": [1]}}, _NO_E_PLUS_INVENTORY, 4,
+     "E_plus"),
+], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
+        "inventory_without_E_plus"])
+def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
+                                             section, inventory, code,
+                                             needle):
+    cfg = _base_config(tmp_path, **section)
+    if inventory is not None:
+        inv = tmp_path / "gaps.csv"
+        inv.write_text(inventory)
+        cfg["edge"]["gaps_file"] = str(inv)
+    assert main([command, "--config", _write(tmp_path, cfg)]) == code
+    assert needle in capsys.readouterr().err

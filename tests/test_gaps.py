@@ -224,6 +224,13 @@ def test_refine_collapses_subwindow_gap(golden):
     assert out.length == 0.0
 
 
+def test_refine_rejects_zero_phases(golden):
+    V0 = cosine_polynomial({0: 0.0})
+    gap = GapRecord(None, 2.1, 2.5, 0.4, 1.0, None)
+    with pytest.raises(ValueError, match="phases"):
+        refine_gap_edges(V0, golden, gap, L=600, edge_tol=1e-3, phases=0)
+
+
 # ---------------------------------------------------------------------------
 # homogeneity
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpspec.qpcore import amo_potential, cosine_polynomial, diophantine_check
+from qpspec.qpcore import (amo_potential, cosine_polynomial, diophantine_check,
+                           phase_samples)
 from qpspec.spectrum import (
     IdsCurve,
     TruncatedOperator,
@@ -186,3 +188,58 @@ def test_duality_amo_grid(freq):
     for E in (-1.8, -0.7, 0.0, 0.9, 1.6):
         rep = ids_rotation_consistency(V, freq, E, 800, 30000)
         assert rep["defect"] <= 5e-3, (E, rep)
+
+
+# ---------------------------------------------------------------------------
+# admission and the phase-sampled operator
+
+
+def test_ids_curve_rejects_zero_phases(freq):
+    with pytest.raises(ValueError, match="phases"):
+        ids_curve(amo_potential(0.3), freq, np.linspace(-2, 2, 5), 200, 0)
+
+
+def test_scan_rejects_zero_phases(freq):
+    with pytest.raises(ValueError, match="phases"):
+        spectrum_scan(amo_potential(0.3), freq, 200, 0, 0.05)
+
+
+def test_ids_curve_rejects_non_finite_values():
+    grid = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        IdsCurve(grid, np.full(3, np.nan), 200, 1)
+
+
+def test_sampled_rows_match_single_phase_builds(freq):
+    V = amo_potential(0.3)
+    stack = TruncatedOperator.sampled(V, freq, 300, 4)
+    assert stack.diag.shape == (4, 601)
+    for j, theta in enumerate(phase_samples(1, 4)):
+        row = TruncatedOperator.build(V, freq, theta, 300).diag
+        assert np.array_equal(stack.diag[j], row)
+
+
+def test_sampled_ids_and_presence(freq):
+    H = TruncatedOperator.sampled(_zero_potential(), freq, 400, 3)
+    assert np.array_equal(H.ids([-2.5, 2.5]), [0.0, 1.0])
+    # the free band [-2, 2] holds eigenvalues at every phase; outside
+    # it no phase does
+    assert H.present([-3.0, -2.5, -0.1, 0.1, 2.5, 3.0]).tolist() == [
+        False, True, True, True, False]
+
+
+def test_sturm_counting_has_one_owner():
+    import ast
+
+    import qpspec.spectrum
+
+    src = Path(qpspec.spectrum.__file__).parent
+    gaps_tree = ast.parse((src / "gaps.py").read_text())
+    private = [a.name for node in ast.walk(gaps_tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "spectrum"
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+    users = sorted(path.name for path in src.glob("*.py")
+                   if "_pivot_counts" in path.read_text())
+    assert users == ["spectrum.py"]
