@@ -15,6 +15,7 @@ import numpy as np
 
 from . import mat2
 from .qpcore import FourierSeries, Frequency, phase_samples
+from .rotnum import matrix_step, projective_walk
 
 __all__ = [
     "Cocycle",
@@ -28,6 +29,7 @@ __all__ = [
 
 _DET_TOL = 1e-9
 _RENORM_EVERY = 64
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,11 @@ class Cocycle:
         return self.map_series.evaluate(theta)
 
     def orbit_matrices(self, theta0, n):
-        """Map values along theta0, theta0+alpha, ..., theta0+(n-1)alpha."""
+        """Map values along theta0, theta0+alpha, ..., theta0+(n-1)alpha.
+
+        One phase gives shape (n, 2, 2); a stack of phases, shape
+        (..., dim), gives (..., n, 2, 2).
+        """
         return self.map_series.evaluate(self.freq.orbit(theta0, np.arange(n)))
 
 
@@ -90,28 +96,42 @@ def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
 
 
 def _ordered_product(mats):
-    """Product mats[n-1] ... mats[0] with periodic det renormalization."""
-    prod = np.eye(2)
-    for k in range(mats.shape[0]):
+    """Product mats[n-1] ... mats[0] of an (n, [lanes,] 2, 2) stack.
+
+    Returns (P, log_scale) with the product P * exp(log_scale): P is
+    renormalized to unit norm every _RENORM_EVERY steps and at the end.
+    """
+    n = mats.shape[0]
+    prod = np.broadcast_to(np.eye(2), mats.shape[1:]).copy()
+    log_scale = np.zeros(mats.shape[1:-2])
+    for k in range(n):
         prod = mats[k] @ prod
-        if (k + 1) % _RENORM_EVERY == 0:
-            det = mat2.det2(prod)
-            # once norms pass ~1e8 the det is lost to cancellation; leave
-            # the product alone rather than divide by noise
-            if det > 0 and mat2.norm2(prod) < 1e8:
-                prod = prod / math.sqrt(det)
-    return prod
+        if (k + 1) % _RENORM_EVERY == 0 or k == n - 1:
+            # norm2 squares squared entries: scale them to <= 1 first
+            big = np.abs(prod).max(axis=(-2, -1))
+            scale = mat2.norm2(prod / big[..., None, None])
+            prod = prod / (big * scale)[..., None, None]
+            log_scale += np.log(big) + np.log(scale)
+    return prod, log_scale
 
 
 def iterate(c: Cocycle, theta, n: int):
-    """n-th cocycle iterate at theta; identity at n = 0, inverse chain for n < 0."""
+    """n-th cocycle iterate at theta; identity at n = 0, inverse chain for n < 0.
+
+    Raises OverflowError when the iterate's norm exceeds the float range.
+    """
     n = int(n)
     if n == 0:
         return np.eye(2)
     if n > 0:
-        return _ordered_product(c.orbit_matrices(theta, n))
-    shifted = c.freq.orbit(theta, n)
-    return mat2.inv2(_ordered_product(c.orbit_matrices(shifted, -n)))
+        mats = c.orbit_matrices(theta, n)
+    else:  # step k applies A(theta - (k + 1) alpha)^-1
+        mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
+    prod, log_scale = _ordered_product(mats)
+    if not log_scale <= _LOG_MAX:
+        raise OverflowError(f"iterate n={n}: log-norm {float(log_scale):.4g} "
+                            "exceeds the float range")
+    return prod * math.exp(log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +185,10 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
     if orbit < 10:
         raise ValueError("orbit >= 10 required")
     theta = phase_samples(c.freq.dim, phases)
-
-    prod = np.broadcast_to(np.eye(2), (phases, 2, 2)).copy()
-    log_scale = np.zeros(phases)
-    v = np.zeros((phases, 2))
-    v[:, 0] = 1.0
-    winding = np.zeros(phases)
-
-    for k in range(orbit):
-        a_k = c.matrix(c.freq.orbit(theta, k))
-        w = np.einsum("pij,pj->pi", a_k, v)
-        cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-        dot = v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1]
-        winding += np.arctan2(cross, dot)
-        v = w / np.linalg.norm(w, axis=1, keepdims=True)
-        prod = np.einsum("pij,pjk->pik", a_k, prod)
-        if (k + 1) % _RENORM_EVERY == 0 or k == orbit - 1:
-            scale = mat2.norm2(prod)
-            prod = prod / scale[:, None, None]
-            log_scale += np.log(scale)
-
+    mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
+    winding = projective_walk(matrix_step(mats), np.ones(phases),
+                              np.zeros(phases), orbit, None)[0]
+    prod, log_scale = _ordered_product(mats)
     growth = float(np.min(log_scale) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
 

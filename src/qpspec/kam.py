@@ -25,12 +25,13 @@ from itertools import product
 
 import numpy as np
 
+from .cocycle import Cocycle, uniform_hyperbolicity_test
 from .errors import (BranchError, DivergenceError, DivisorError,
                      ReductionError, ResonanceError)
 from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
                    project_traceless, rotation, trace2)
 from .qpcore import FourierSeries, Frequency, ck_norm, dist_to_int
-from .rotnum import rotation_series
+from .rotnum import rotation_number, rotation_series
 
 __all__ = [
     "KamState",
@@ -805,9 +806,6 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
 
 
 def _check_edge_inputs(A, f, freq, m, rho_tol, rho_iterations) -> None:
-    from .cocycle import Cocycle, uniform_hyperbolicity_test
-    from .rotnum import rotation_number
-
     band = max(f.support_radius(), 1)
     g = _pow2_at_least(2 * (2 * band + 2) + 2)
     vals = np.asarray(A, dtype=float) @ exp_sl2(_real_grid(_sample(f, g)))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .cocycle import Cocycle
 from .errors import DegreeError
 from .qpcore import FourierSeries, Frequency, dist_to_int
 
@@ -23,6 +22,8 @@ __all__ = [
     "RotationEstimate",
     "rotation_number",
     "rotation_from_orbit",
+    "projective_walk",
+    "matrix_step",
     "schrodinger_rotation_grid",
     "rotation_series",
     "degree",
@@ -40,66 +41,75 @@ class RotationEstimate:
     error: float
 
 
-def _track_winding(mats, transfer: bool):
-    """Total lifted angle along the orbit, with the half-orbit subtotal.
+def projective_walk(step, v0, v1, n: int, lift):
+    """Lifted projective angle swept by v = (v0, v1) along n orbit steps.
 
-    mats has shape (n, 2, 2).  Branch choice: transfer matrices advance the
-    vector angle within (-pi/2, 3pi/2) (forward rotation in the elliptic
-    zone, a near-pi flip below the spectrum), so a branch window shifted by
-    +pi/2 never slips.  General cocycles instead unwrap against a running
-    mean advance, which handles conjugated cocycles whose steps drift by a
-    constant angle.
+    step(k, v0, v1) returns the image of v under the k-th orbit matrix; v0
+    and v1 are floats for one orbit or arrays for lanes.  Returns (total,
+    half_total, half_at): the summed advance and its subtotal after the
+    first half_at = n // 2 steps.  Branch of each advance, by lift:
+    "transfer" takes the window (-pi/2, 3pi/2), which transfer matrices
+    never leave (forward rotation in the elliptic zone, a near-pi flip
+    below the spectrum); "mean" unwraps against a running mean advance,
+    for general cocycles whose steps drift by a constant angle; None keeps
+    the principal branch.
     """
-    n = mats.shape[0]
-    v0, v1 = 1.0, 0.0
-    total = 0.0
-    half_total = 0.0
+    if np.ndim(v0):  # lanes: emitted grid rotation numbers pin np.arctan2
+        atan2, hypot, rint = np.arctan2, np.hypot, np.rint
+    else:  # one orbit: Python-float math beats numpy scalar ufuncs
+        atan2, hypot, rint = math.atan2, math.hypot, round
+    total = half_total = mean = 0.0
     half_at = n // 2
-    mean = 0.0
     warmup = min(64, n)
-    for k, ((a, b), (c, d)) in enumerate(mats.tolist()):
-        w0 = a * v0 + b * v1
-        w1 = c * v0 + d * v1
-        # np.arctan2 rather than math.atan2: their last bits differ, and
-        # the emitted rotation numbers are pinned to np.arctan2.
-        delta = float(np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1))
-        if transfer:
-            if delta <= -0.5 * math.pi:
-                delta += _TWO_PI
-        elif k >= warmup:
-            delta += _TWO_PI * round((mean - delta) / _TWO_PI)
-        if k < warmup:
-            mean += (delta - mean) / (k + 1)
-        else:
-            mean += 0.02 * (delta - mean)
-        total += delta
-        norm = math.sqrt(w0 * w0 + w1 * w1)
+    for k in range(n):
+        w0, w1 = step(k, v0, v1)
+        delta = atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
+        if lift == "transfer":
+            delta += _TWO_PI * (delta <= -0.5 * math.pi)
+        elif lift == "mean":
+            if k < warmup:
+                mean += (delta - mean) / (k + 1)
+            else:
+                delta += _TWO_PI * rint((mean - delta) / _TWO_PI)
+                mean += 0.02 * (delta - mean)
+        total = total + delta  # a new object, so half_total stays a snapshot
+        norm = hypot(w0, w1)
         v0, v1 = w0 / norm, w1 / norm
         if k + 1 == half_at:
             half_total = total
     return total, half_total, half_at
 
 
-def _estimate(total, half_total, n, half_at, fold):
+def matrix_step(mats):
+    """projective_walk step for orbit matrices (n, 2, 2) or (n, lanes, 2, 2)."""
+    mats = np.asarray(mats, dtype=float)
+    entries = np.moveaxis(mats.reshape(mats.shape[:-2] + (4,)), -1, 0)
+    # one orbit walks on Python floats, read from flat per-entry lists
+    a, b, c, d = entries.tolist() if mats.ndim == 3 else entries
+    return lambda k, v0, v1: (a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1)
+
+
+def _estimate(total, half_total, half_at, n, fold):
+    """(rho mod 1, half-orbit error) of a walk; fold maps rho into [0, 1/2]."""
     rho = (total / (_TWO_PI * n)) % 1.0
     rho_half = (half_total / (_TWO_PI * half_at)) % 1.0
-    err = float(dist_to_int(rho - rho_half))
-    rho = float(rho)
+    err = dist_to_int(rho - rho_half)
     if fold:
-        rho = min(rho, 1.0 - rho)
-    return RotationEstimate(rho, n, err)
+        rho = np.minimum(rho, 1.0 - rho)
+    return rho, err
 
 
 def rotation_from_orbit(mats, schrodinger: bool = False) -> RotationEstimate:
     """Rotation estimate from precomputed orbit matrices of shape (n, 2, 2)."""
     n = mats.shape[0]
-    total, half_total, half_at = _track_winding(np.asarray(mats, dtype=float),
-                                                transfer=schrodinger)
-    return _estimate(total, half_total, n, half_at, schrodinger)
+    walk = projective_walk(matrix_step(mats), 1.0, 0.0, n,
+                           "transfer" if schrodinger else "mean")
+    rho, err = _estimate(*walk, n, schrodinger)
+    return RotationEstimate(float(rho), n, float(err))
 
 
-def rotation_number(c: Cocycle, theta0, n_iters: int) -> RotationEstimate:
-    """Average projective-angle advance along one orbit, mod Z.
+def rotation_number(c, theta0, n_iters: int) -> RotationEstimate:
+    """Average projective-angle advance of a Cocycle along one orbit, mod Z.
 
     Schrodinger cocycles are folded into [0, 1/2]; general cocycles report
     the representative in [0, 1).
@@ -119,30 +129,12 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     pass of length n_iters regardless of the number of energies.
     """
     energies = np.asarray(energies, dtype=float)
-    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters)))
-
+    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters))).tolist()
     lanes = energies.shape[0]
-    v1 = np.ones(lanes)
-    v2 = np.zeros(lanes)
-    total = np.zeros(lanes)
-    half_total = np.zeros(lanes)
-    half_at = n_iters // 2
-    for k in range(n_iters):
-        w1 = (energies - v_orbit[k]) * v1 - v2
-        w2 = v1
-        cross = v1 * w2 - v2 * w1
-        dot = v1 * w1 + v2 * w2
-        delta = np.arctan2(cross, dot)
-        total += np.where(delta <= -0.5 * math.pi, delta + _TWO_PI, delta)
-        norm = np.hypot(w1, w2)
-        v1 = w1 / norm
-        v2 = w2 / norm
-        if k + 1 == half_at:
-            half_total[:] = total
-    rho = (total / (_TWO_PI * n_iters)) % 1.0
-    rho_half = (half_total / (_TWO_PI * half_at)) % 1.0
-    err = dist_to_int(rho - rho_half)
-    return np.minimum(rho, 1.0 - rho), err
+    walk = projective_walk(
+        lambda k, v0, v1: ((energies - v_orbit[k]) * v0 - v1, v0),
+        np.ones(lanes), np.zeros(lanes), n_iters, "transfer")
+    return _estimate(*walk, n_iters, True)
 
 
 def rotation_series(n_vec, dim: int = None) -> FourierSeries:

@@ -390,3 +390,22 @@ def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
         cfg["edge"]["gaps_file"] = str(inv)
     assert main([command, "--config", _write(tmp_path, cfg)]) == code
     assert needle in capsys.readouterr().err
+
+
+def test_cli_import_loads_every_layer():
+    # a fresh interpreter: importing the CLI must load every layer module
+    import os
+    import subprocess
+    import sys
+
+    import qpspec
+
+    layers = ("qpcore", "mat2", "cocycle", "rotnum", "spectrum", "gaps",
+              "kam", "cli")
+    code = ("import sys, qpspec.cli; print(' '.join(m for m in %r "
+            "if 'qpspec.' + m not in sys.modules))" % (layers,))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qpspec.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []

@@ -161,3 +161,45 @@ def test_rotation_cocycle_winding(freq):
     v = uniform_hyperbolicity_test(c, phases=2, orbit=50)
     assert v.verdict == "not_uniform"
     assert v.growth_exponent == pytest.approx(0.0, abs=1e-12)
+
+
+def test_verdict_amo_below_spectrum_inconclusive(freq):
+    # the short cone test sees neither a certificate nor 4 pi of principal-
+    # branch winding here; a lifted winding would report not_uniform
+    c = schrodinger_cocycle(amo_potential(0.3), -2.75, freq)
+    v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+    assert v.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("n", [1000, -1000])
+def test_iterate_overflow_raises(freq, n):
+    c = schrodinger_cocycle(amo_potential(0.3), 5.0, freq)
+    with pytest.raises(OverflowError, match=f"n={n}: log-norm"):
+        iterate(c, 0.0, n)
+
+
+@pytest.mark.parametrize("n", [100, 300, 440])
+def test_iterate_negative_hyperbolic_is_adjugate(freq, n):
+    # an SL(2,R) inverse is the adjugate, even where the det of the
+    # product is lost to cancellation
+    c = schrodinger_cocycle(amo_potential(0.3), 5.0, freq)
+    theta = 0.37
+    fwd = iterate(c, theta - n * freq.alpha[0], n)
+    adj = np.array([[fwd[1, 1], -fwd[0, 1]], [-fwd[1, 0], fwd[0, 0]]])
+    back = iterate(c, theta, -n)
+    assert np.all(np.isfinite(back))
+    assert np.abs(back - adj).max() <= 1e-12 * np.abs(fwd).max()
+
+
+def test_iterate_and_verdict_far_above_spectrum(freq):
+    # 64 steps at E = 40 grow past 1e100, whose squares leave the float
+    # range; the renormalization must still measure the norm
+    c = schrodinger_cocycle(_zero_potential(), 40.0, freq)
+    a = np.array([[40.0, -1.0], [1.0, 0.0]])
+    want = np.linalg.matrix_power(a / 40.0, 100) * 40.0 ** 100
+    got = iterate(c, 0.3, 100)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+    assert v.verdict == "uniformly_hyperbolic"
+    assert v.growth_exponent == pytest.approx(math.log(20 + math.sqrt(399)),
+                                              abs=1e-2)

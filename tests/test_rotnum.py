@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpspec import mat2
-from qpspec.cocycle import rotation_cocycle, schrodinger_cocycle
+from qpspec.cocycle import Cocycle, rotation_cocycle, schrodinger_cocycle
 from qpspec.errors import DegreeError
 from qpspec.qpcore import (
     FourierSeries,
@@ -20,6 +22,8 @@ from qpspec.qpcore import (
 from qpspec.rotnum import (
     conjugated_rotation,
     degree,
+    matrix_step,
+    projective_walk,
     rotation_from_orbit,
     rotation_number,
     rotation_perturbation_bound_check,
@@ -210,3 +214,51 @@ def test_perturbation_bound_parabolic(freq):
     assert rep["holds"]
     assert rep["lhs"] == pytest.approx(0.0, abs=1e-3)
     assert rep["rhs"] == pytest.approx(zeta, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the one orbit kernel
+
+
+def test_projective_walk_mean_lanes_match_orbits(freq):
+    # general cocycles walked as lanes of one (n, lanes, 2, 2) stack
+    conj = np.array([[2.0, 0.3], [0.1, 0.6]])
+    conj_rot = conj @ mat2.rotation(0.31) @ np.linalg.inv(conj)
+    stacks = [rotation_cocycle(freq, 0.17).orbit_matrices(0.0, 4000),
+              np.broadcast_to(conj_rot, (4000, 2, 2))]
+    for V, E in ((amo_potential(0.3), 0.5), (amo_potential(0.3), -1.2),
+                 (_zero_potential(), 3.0)):
+        series = schrodinger_cocycle(V, E, freq).map_series
+        stacks.append(Cocycle(freq, series).orbit_matrices(0.2, 4000))
+    lanes = np.stack(stacks, axis=1)
+    n, count = lanes.shape[:2]
+    total, half_total, half_at = projective_walk(
+        matrix_step(lanes), np.ones(count), np.zeros(count), n, "mean")
+    assert half_at == n // 2
+    rho = (total / (2.0 * math.pi * n)) % 1.0
+    for j in range(count):
+        est = rotation_from_orbit(lanes[:, j])
+        assert dist_to_int(rho[j] - est.rho) <= 1e-12, j
+
+
+def test_orbit_walk_has_one_owner():
+    src = Path(rotation_number.__code__.co_filename).parent
+    owners, nested, private = set(), [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    nested.append(f"{path.stem}.{fn.name}")
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if name in ("arctan2", "atan2"):
+                    owners.add(f"{path.stem}.{fn.name}")
+        private += [f"{path.stem}: {a.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for a in node.names if a.name.startswith("_")
+                    and not a.name.endswith("__")]
+    assert owners == {"rotnum.projective_walk", "rotnum.degree"}
+    assert nested == []
+    assert private == []
