@@ -107,19 +107,21 @@ def _ordered_product(mats):
     for k in range(n):
         prod = mats[k] @ prod
         if (k + 1) % _RENORM_EVERY == 0 or k == n - 1:
-            # norm2 squares squared entries: scale them to <= 1 first
-            big = np.abs(prod).max(axis=(-2, -1))
-            scale = mat2.norm2(prod / big[..., None, None])
-            prod = prod / (big * scale)[..., None, None]
-            log_scale += np.log(big) + np.log(scale)
+            scale = mat2.norm2(prod)
+            prod = prod / scale[..., None, None]
+            log_scale += np.log(scale)
     return prod, log_scale
 
 
 def iterate(c: Cocycle, theta, n: int):
     """n-th cocycle iterate at theta; identity at n = 0, inverse chain for n < 0.
 
-    Raises OverflowError when the iterate's norm exceeds the float range.
+    theta is one point, of shape () or (dim,).  Raises OverflowError when
+    the iterate's norm exceeds the float range.
     """
+    if np.shape(theta) not in ((), (c.freq.dim,)):
+        raise ValueError(f"iterate needs one phase of shape () or "
+                         f"({c.freq.dim},), got shape {np.shape(theta)}")
     n = int(n)
     if n == 0:
         return np.eye(2)

@@ -172,17 +172,124 @@ def decay_profile(gaps, eps: float, k: int) -> dict:
 # edge refinement
 
 
-def _bisect_flip(pred, x_true, x_false, tol: float):
-    """Shrink [x_true, x_false] (pred true/false at ends) to width tol."""
-    for _ in range(200):
-        if abs(x_false - x_true) <= tol:
-            break
-        mid = 0.5 * (x_true + x_false)
-        if pred(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return 0.5 * (x_true + x_false)
+# Edge searches run in lockstep: each round of every open search is one
+# Sturm pass over interleaved windows [lo0, hi0, lo1, hi1, ...].  Ladders
+# are asked in chunks, one round each: 8 steps looking for spectrum near
+# the coarse edge, then 8 + 56 looking for the presence flip.
+_TRUE_CHUNKS = (8,)
+_FALSE_CHUNKS = (8, 56)
+_BISECT_STEPS = 200
+_LEVELS = 4          # dyadic bisection levels evaluated per round
+
+
+def _present(H: TruncatedOperator, groups):
+    """Presence in every window of every group, from one counting pass."""
+    edges = [x for group in groups for window in group for x in window]
+    cells = H.present(edges)[::2].tolist() if edges else []
+    out, k = [], 0
+    for group in groups:
+        out.append(cells[k:k + len(group)])
+        k += len(group)
+    return out
+
+
+def _lockstep(H: TruncatedOperator, searches, probe=()):
+    """Run edge searches together, one presence pass per round.
+
+    Each search is a generator that yields its windows and receives their
+    presence.  The probe windows ride along in the first pass; if any of
+    them holds spectrum, returns None.  A search that fails raises after
+    the others finish, the first in order winning, as if run one by one.
+    """
+    windows = [next(s) for s in searches]
+    probe_hits, *hits = _present(H, [probe, *windows])
+    if any(probe_hits):
+        return None
+    results, failed = [None] * len(searches), {}
+    pending = range(len(searches))
+    while pending:
+        asked = []
+        for i, got in zip(pending, hits):
+            try:
+                windows[i] = searches[i].send(got)
+                asked.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except ValueError as err:
+                failed[i] = err
+        pending = asked
+        hits = _present(H, [windows[i] for i in pending])
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
+def _bisection(window, x_true, x_false, tol: float):
+    """Shrink [x_true, x_false] (pred true/false at ends) to width tol.
+
+    Each round yields the midpoints of the next _LEVELS dyadic levels; the
+    walk down that tree repeats the one-step bisection float for float.
+    A midpoint equal to an end is a fixed point and ends the search.
+    """
+    done = 0
+    while True:
+        # heap order: node i splits into 2i (pred true) and 2i + 1 (false)
+        bounds, mids = {1: (x_true, x_false)}, {}
+        for i in range(1, 2 ** _LEVELS):
+            if i not in bounds:
+                continue
+            a, b = bounds[i]
+            m = 0.5 * (a + b)
+            if done + i.bit_length() > _BISECT_STEPS or abs(b - a) <= tol \
+                    or m in (a, b):
+                continue
+            mids[i] = m
+            bounds[2 * i], bounds[2 * i + 1] = (m, b), (a, m)
+        if not mids:
+            return 0.5 * (x_true + x_false)
+        hits = yield [window(m) for m in mids.values()]
+        hit = dict(zip(mids, hits))
+        i = 1
+        while i in mids:
+            i = 2 * i + (not hit[i])
+            done += 1
+        x_true, x_false = bounds[i]
+
+
+def _first(window, x, step: float, want: bool, chunks):
+    """First of x, x + step, ... whose presence is want, or None.
+
+    Each chunk of the ladder is one round, so a flip near the start costs
+    no pass over the rest of the ladder.
+    """
+    for size in chunks:
+        ladder = [x]
+        for _ in range(size - 1):
+            ladder.append(ladder[-1] + step)
+        hits = yield [window(x) for x in ladder]
+        if want in hits:
+            return ladder[hits.index(want)]
+        x = ladder[-1] + step
+    return None
+
+
+def _edge_search(coarse: float, side: str, w: float, tol: float):
+    """Search generator for one edge (see _lockstep)."""
+    if side == "upper":
+        step, window = -w, lambda x: (x - w, x)
+    elif side == "lower":
+        step, window = w, lambda x: (x, x + w)
+    else:
+        raise ValueError("side must be 'upper' or 'lower'")
+    x_true = yield from _first(window, coarse, step, True, _TRUE_CHUNKS)
+    if x_true is None:
+        raise ValueError(f"no spectrum found near {coarse:.6f} to refine")
+    x_false = yield from _first(window, x_true - 2.0 * step, -2.0 * step,
+                                False, _FALSE_CHUNKS)
+    if x_false is None:
+        raise ValueError(f"presence never flips near {coarse:.6f}")
+    flip = yield from _bisection(window, x_true, x_false, tol)
+    return flip + step
 
 
 def refine_band_edge(V: FourierSeries, freq: Frequency, coarse: float,
@@ -196,58 +303,33 @@ def refine_band_edge(V: FourierSeries, freq: Frequency, coarse: float,
     mean level spacings inside, so presence is statistically reliable.
     """
     H = TruncatedOperator.sampled(V, freq, L, phases)
-    return _refine_edge(H, coarse, side, edge_tol)
-
-
-def _refine_edge(H: TruncatedOperator, coarse: float, side: str,
-                 edge_tol: float) -> float:
-    w = max(edge_tol, 4.0 / H.L)
-    if side == "upper":
-        pred = lambda x: bool(H.present([x - w, x])[0])
-        step = -w
-    elif side == "lower":
-        pred = lambda x: bool(H.present([x, x + w])[0])
-        step = w
-    else:
-        raise ValueError("side must be 'upper' or 'lower'")
-
-    x_true = coarse
-    for _ in range(8):
-        if pred(x_true):
-            break
-        x_true += step
-    else:
-        raise ValueError(f"no spectrum found near {coarse:.6f} to refine")
-    x_false = x_true
-    for _ in range(64):
-        x_false -= 2.0 * step
-        if not pred(x_false):
-            break
-    else:
-        raise ValueError(f"presence never flips near {coarse:.6f}")
-    flip = _bisect_flip(pred, x_true, x_false, edge_tol)
-    return flip - w if side == "upper" else flip + w
+    search = _edge_search(coarse, side, max(edge_tol, 4.0 / L), edge_tol)
+    return _lockstep(H, [search])[0]
 
 
 def refine_gap_edges(V: FourierSeries, freq: Frequency, gap: GapRecord,
                      L: int, edge_tol: float, phases: int = 8) -> GapRecord:
     """Refine both edges of a detected gap; collapsed gaps are kept.
 
-    The refined record is clamped inside the coarse record (containment
-    contract).
+    Both edges and the collapse probe at the midpoint advance in lockstep,
+    one Sturm pass per round.  The refined record is clamped inside the
+    coarse record (containment contract).
     """
     H = TruncatedOperator.sampled(V, freq, L, phases)
     w = max(edge_tol, 4.0 / L)
     mid = gap.midpoint
-    if gap.length <= 2.0 * w or H.present([mid - w, mid, mid + w]).any():
-        return replace(gap, E_minus=mid, E_plus=mid, length=0.0)
-
-    lo = _refine_edge(H, gap.E_minus, "upper", edge_tol)
-    hi = _refine_edge(H, gap.E_plus, "lower", edge_tol)
-    lo = max(lo, gap.E_minus)
-    hi = min(hi, gap.E_plus)
+    collapsed = replace(gap, E_minus=mid, E_plus=mid, length=0.0)
+    if gap.length <= 2.0 * w:
+        return collapsed
+    edges = _lockstep(H, [_edge_search(gap.E_minus, "upper", w, edge_tol),
+                          _edge_search(gap.E_plus, "lower", w, edge_tol)],
+                      probe=[(mid - w, mid), (mid, mid + w)])
+    if edges is None:
+        return collapsed
+    lo = max(edges[0], gap.E_minus)
+    hi = min(edges[1], gap.E_plus)
     if lo >= hi:
-        return replace(gap, E_minus=mid, E_plus=mid, length=0.0)
+        return collapsed
     return replace(gap, E_minus=lo, E_plus=hi, length=hi - lo)
 
 

@@ -45,12 +45,18 @@ def norm2(a: np.ndarray) -> np.ndarray:
     """Spectral norm of (..., 2, 2) real or complex arrays, closed form.
 
     For a 2x2 matrix the singular values satisfy
-    s1^2 + s2^2 = ||a||_F^2 and s1 s2 = |det a|.
+    s1^2 + s2^2 = ||a||_F^2 and s1 s2 = |det a|.  The formula is quartic in
+    the entries, so each matrix is first scaled by a power of two that
+    brings its largest |entry| into [1/2, 1); that scaling is exact, and
+    undoing it keeps in-range results bit for bit.
     """
+    _, e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
+    e = np.clip(e, -1021, 1021)
+    a = a * np.ldexp(1.0, -e)[..., None, None]
     fro2 = np.sum(np.abs(a) ** 2, axis=(-2, -1))
     d = np.abs(det2(a))
     gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * d * d, 0.0))
-    return np.sqrt((fro2 + gap) / 2.0)
+    return np.ldexp(np.sqrt((fro2 + gap) / 2.0), e)
 
 
 def rotation(phi) -> np.ndarray:

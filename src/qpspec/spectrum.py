@@ -29,8 +29,8 @@ __all__ = [
 
 # upward nudge so "x <= E" is the closed inequality even at exact hits
 _SHIFT_EPS = 2.0 ** -50
-# zero-pivot replacement, negative so an exact pivot counts as below
-_PIVOT_FLOOR = -1e-300
+# pivots held per block of rows in the Sturm kernel (1 MB of floats)
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,11 @@ class TruncatedOperator:
 
     def _counts(self, energies) -> np.ndarray:
         """(nE, phases) counts of eigenvalues <= E."""
-        return _pivot_counts(np.atleast_2d(self.diag), np.atleast_1d(energies))
+        energies = np.atleast_1d(np.asarray(energies, dtype=float))
+        if np.isnan(energies).any():
+            # the kernel would count a NaN by its sign bit: 0 or every row
+            raise ValueError("energies must not be NaN")
+        return _pivot_counts(np.atleast_2d(self.diag), energies)
 
     def ids(self, energies) -> np.ndarray:
         """Phase-averaged counting function per energy, normalized by 2L+1."""
@@ -95,7 +99,8 @@ class TruncatedOperator:
 
 def _shifted(E):
     E = np.asarray(E, dtype=float)
-    return E + np.abs(E) * _SHIFT_EPS
+    # no nudge at +-inf, where -inf + inf would make a NaN
+    return E + np.where(np.isinf(E), 0.0, np.abs(E) * _SHIFT_EPS)
 
 
 def _pivot_counts(diags, energies):
@@ -103,19 +108,44 @@ def _pivot_counts(diags, energies):
 
     diags: (phases, size) diagonals; energies: (nE,) targets.
     Returns (nE, phases) integer counts of eigenvalues <= E.
+
+    The recurrence runs phase-major, (phases, nE), in place in a
+    preallocated block of rows: the block is filled with the shifted
+    diagonals at once, two ufunc calls per row turn them into pivots, and
+    the block's sign bits are counted at once.  A zero pivot needs no
+    floor: +0 sends the next pivot to -inf, which counts there, -0 counts
+    itself through its sign bit, and the row after an infinite pivot
+    starts afresh.  Only a +0 on the last row is left to count after the
+    loop.
     """
-    shift = _shifted(energies)[:, None]
-    size = diags.shape[1]
-    count = np.zeros((shift.shape[0], diags.shape[0]), dtype=np.int64)
-    d = np.ones_like(count, dtype=float)
-    first = True
-    for row in range(size):
-        a = diags[:, row][None, :] - shift
-        d = a if first else a - 1.0 / d
-        first = False
-        d = np.where(d == 0.0, _PIVOT_FLOOR, d)
-        count += d < 0.0
-    return count
+    shift = _shifted(energies)
+    phases, size = diags.shape
+    cols = np.ascontiguousarray(diags.T)[:, :, None]
+    cells = max(1, phases * shift.size)
+    block = max(1, min(size, 255, _BLOCK_CELLS // cells))
+    piv = np.empty((block, phases, shift.size))
+    rows = list(piv)
+    neg = np.empty(piv.shape, dtype=bool)
+    tally = np.empty(rows[0].shape, dtype=np.uint8)  # a block has < 256 rows
+    count = np.zeros(rows[0].shape, dtype=np.int64)
+    r = np.zeros_like(rows[0])  # x - (+0) is x, so row 0 needs no case
+    with np.errstate(divide="ignore"):
+        for start in range(0, size, block):
+            n = min(block, size - start)
+            # copy, then subtract: faster than one broadcast subtract
+            np.copyto(piv[:n], cols[start:start + n])
+            np.subtract(piv[:n], shift, out=piv[:n])
+            np.subtract(rows[0], r, out=rows[0])
+            for prev, d in zip(rows, rows[1:n]):
+                np.divide(1.0, prev, out=r)
+                np.subtract(d, r, out=d)
+            np.divide(1.0, rows[n - 1], out=r)
+            np.signbit(piv[:n], out=neg[:n])
+            count += np.add.reduce(neg[:n].view(np.uint8), axis=0,
+                                   dtype=np.uint8, out=tally)
+    last = rows[n - 1]
+    count += (last == 0.0) & ~np.signbit(last)
+    return count.T
 
 
 def eigen_count_below(H: TruncatedOperator, E: float) -> int:

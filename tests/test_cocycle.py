@@ -79,6 +79,15 @@ def test_iterate_scalar_phase_on_two_torus():
     np.testing.assert_allclose(iterate(c, 0.2, 3), want, atol=1e-13)
 
 
+def test_iterate_rejects_phase_stack(freq):
+    c = schrodinger_cocycle(amo_potential(0.3), 1.0, freq)
+    with pytest.raises(ValueError, match=r"shape \(2, 1\)"):
+        iterate(c, [[0.1], [0.2]], 5)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        iterate(c, [0.1, 0.2, 0.3], 5)
+    np.testing.assert_array_equal(iterate(c, [0.1], 5), iterate(c, 0.1, 5))
+
+
 def test_cocycle_identity(freq):
     # E = 0 lies in the coupling-0.3 spectrum (E <-> -E symmetry), so the
     # products stay tame and the identity is meaningful at 1e-8 relative

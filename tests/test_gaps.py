@@ -207,6 +207,54 @@ def test_refine_amo_gap_contained_and_stable(golden, amo):
     assert ra.m == main.m and ra.N_plateau == main.N_plateau
 
 
+def _counting_kernel(monkeypatch):
+    import qpspec.spectrum
+
+    passes = []
+    kernel = qpspec.spectrum._pivot_counts
+
+    def counted(diags, energies):
+        passes.append(len(energies))
+        return kernel(diags, energies)
+
+    monkeypatch.setattr(qpspec.spectrum, "_pivot_counts", counted)
+    return passes
+
+
+def test_refine_amo_gap_pass_budget_and_pinned_edges(golden, amo,
+                                                     monkeypatch):
+    V, scan, curve = amo
+    recs, _ = detect_gaps(scan, curve, min_length=5e-3)
+    main = max(recs, key=lambda r: r.length)
+    passes = _counting_kernel(monkeypatch)
+    out = refine_gap_edges(V, golden, main, L=1200, edge_tol=2e-4, phases=8)
+    # one pass per round: probe and spectrum ladders, flip ladders,
+    # then two rounds of four bisection levels (one by one: 17 passes)
+    assert len(passes) <= 5
+    assert out.E_minus.hex() == "-0x1.0dd2f1a9fbe77p+0"
+    assert out.E_plus.hex() == "-0x1.db22d0e560418p-2"
+
+
+@pytest.mark.parametrize("coarse, side, want", [
+    (1.9, "upper", "0x1.fffe8f5c28f5cp+0"),
+    (-2.01, "lower", "-0x1.fffd70a3d70a4p+0"),
+])
+def test_refine_band_edge_pinned(golden, monkeypatch, coarse, side, want):
+    V0 = cosine_polynomial({0: 0.0})
+    passes = _counting_kernel(monkeypatch)
+    got = refine_band_edge(V0, golden, coarse, side, L=800, edge_tol=1e-4,
+                           phases=4)
+    assert got.hex() == want
+    assert len(passes) <= 6
+
+
+def test_refine_gap_reports_lower_edge_failure_first(golden):
+    V0 = cosine_polynomial({0: 0.0})
+    above = GapRecord(None, 2.5, 3.5, 1.0, 1.0, None)
+    with pytest.raises(ValueError, match="no spectrum found near 2.500000"):
+        refine_gap_edges(V0, golden, above, L=600, edge_tol=1e-3, phases=4)
+
+
 def test_refine_collapses_fake_gap(golden):
     # an interval in the middle of the free band is not a gap; the
     # presence probe sees spectrum at the midpoint and collapses it

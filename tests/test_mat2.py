@@ -26,6 +26,36 @@ def test_norm2_matches_svd():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def _norm2_quartic(a):
+    """The unscaled closed form, for the bitwise comparison below."""
+    fro2 = np.sum(np.abs(a) ** 2, axis=(-2, -1))
+    d = np.abs(mat2.det2(a))
+    gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * d * d, 0.0))
+    return np.sqrt((fro2 + gap) / 2.0)
+
+
+def test_norm2_huge_and_tiny_matrices():
+    big = 1e200 * mat2.rotation(0.1)
+    assert mat2.norm2(big) == pytest.approx(1e200, rel=1e-14)
+    assert np.isfinite(mat2.norm2(np.array([[1e300, 1e300], [0.0, 1e300]])))
+    for scale in (1e-200, 1e-310):
+        tiny = scale * np.array([[1.0, 2.0], [0.5, -1.0]])
+        got = mat2.norm2(tiny)
+        want = scale * np.linalg.norm(tiny / scale, ord=2)
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-6 if scale < 1e-300
+                                    else 1e-12)
+
+
+def test_norm2_in_range_bitwise_unchanged():
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((10000, 2, 2)) * rng.uniform(
+        1e-3, 1e3, size=(10000, 1, 1))
+    cplx = real + 1j * rng.standard_normal((10000, 2, 2))
+    for a in (real, cplx):
+        assert np.array_equal(mat2.norm2(a), _norm2_quartic(a))
+
+
 def test_rotation_matrix():
     r = mat2.rotation(0.25)
     np.testing.assert_allclose(r, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)

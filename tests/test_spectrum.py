@@ -13,6 +13,8 @@ from qpspec.qpcore import (amo_potential, cosine_polynomial, diophantine_check,
 from qpspec.spectrum import (
     IdsCurve,
     TruncatedOperator,
+    _pivot_counts,
+    _shifted,
     eigen_count_below,
     ids,
     ids_curve,
@@ -228,6 +230,14 @@ def test_sampled_ids_and_presence(freq):
         False, True, True, True, False]
 
 
+def test_counts_reject_nan_energies(freq):
+    H = TruncatedOperator.sampled(_zero_potential(), freq, 200, 2)
+    for bad in (np.nan, -np.nan):
+        with pytest.raises(ValueError, match="NaN"):
+            H.ids([0.5, bad])
+    assert np.array_equal(H.ids([-np.inf, np.inf]), [0.0, 1.0])
+
+
 def test_sturm_counting_has_one_owner():
     import ast
 
@@ -243,3 +253,52 @@ def test_sturm_counting_has_one_owner():
     users = sorted(path.name for path in src.glob("*.py")
                    if "_pivot_counts" in path.read_text())
     assert users == ["spectrum.py"]
+
+
+def _pivot_counts_floored(diags, energies):
+    """The row-by-row kernel with an exact-zero pivot floor, kept here as
+    the reference for the in-place one."""
+    shift = _shifted(energies)[:, None]
+    size = diags.shape[1]
+    count = np.zeros((shift.shape[0], diags.shape[0]), dtype=np.int64)
+    d = np.ones_like(count, dtype=float)
+    first = True
+    for row in range(size):
+        a = diags[:, row][None, :] - shift
+        d = a if first else a - 1.0 / d
+        first = False
+        d = np.where(d == 0.0, -1e-300, d)
+        count += d < 0.0
+    return count
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(5)
+    for phases, size, n_e in ((3, 40, 5), (8, 601, 7), (4, 7, 20000)):
+        yield rng.normal(size=(phases, size)), rng.normal(size=n_e) * 2.0
+    # integer diagonals and energies: exact zero pivots mid-chain
+    yield (rng.integers(-2, 3, size=(6, 30)).astype(float),
+           np.arange(-3.0, 4.0))
+    # +0 on the last row ([1, 1] at E = 0), -0 on the first and last rows
+    # ([-0, -0, -0] at E = 0: -0, +inf, -0), and +0 then -inf
+    yield np.array([[1.0, 1.0]]), np.array([0.0])
+    yield np.array([[-0.0, -0.0, -0.0]]), np.array([0.0, -0.0])
+    yield np.array([[1.0, 1.0, 1.0, 3.0]]), np.array([0.0, 1.0])
+    yield rng.choice([0.0, -0.0, 1.0, -1.0], size=(5, 25)), np.array(
+        [0.0, -0.0, 1.0, -1.0])
+    # E = +-0 on an all-zero diagonal of either sign
+    for size in (1, 2, 5, 300):
+        for zero in (0.0, -0.0):
+            yield np.full((2, size), zero), np.array([0.0, -0.0])
+    # every pivot negative, so whole blocks of rows count
+    yield np.full((2, 600), -10.0), np.array([0.0, 1.0])
+    # a single energy and a single phase
+    yield rng.normal(size=(1, 50)), np.array([0.3])
+
+
+def test_pivot_kernel_matches_floored_reference():
+    for diags, energies in _kernel_cases():
+        want = _pivot_counts_floored(diags, energies)
+        got = _pivot_counts(diags, energies)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
