@@ -206,6 +206,13 @@ def numerics_of(cfg: dict) -> dict:
         raise ConfigError("numerics.resolution must be positive")
     if out["label_tol"] <= 0:
         raise ConfigError("numerics.label_tol must be positive")
+    if out["M_max"] < 1:
+        raise ConfigError("numerics.M_max must be at least 1")
+    # the half-orbit error estimate divides by n // 2
+    if out["rotation_iterations"] < 2:
+        raise ConfigError("numerics.rotation_iterations must be at least 2")
+    if any(e <= 0 for e in out["homog_eps"]):
+        raise ConfigError("numerics.homog_eps must be positive")
     degenerate = grid["min"] == grid["max"] and grid["points"] == 1
     if not degenerate and (grid["min"] >= grid["max"] or grid["points"] < 1):
         raise ConfigError("numerics.energy grid must be sorted and nonempty")
@@ -394,7 +401,7 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     if not isinstance(pert, dict):
         raise ConfigError("kam section needs a 'perturbation' object")
     if "terms" in pert:
-        f = _explicit_sl2_series(pert["terms"])
+        f = _explicit_sl2_series(pert["terms"], freq.dim)
     else:
         for field in ("scale", "radius", "seed"):
             if field not in pert:
@@ -402,7 +409,8 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
         f = kam.seeded_sl2_series(
             _typed("kam.perturbation.scale", pert["scale"], float),
             _typed("kam.perturbation.radius", pert["radius"], int),
-            _typed("kam.perturbation.seed", pert["seed"], int))
+            _typed("kam.perturbation.seed", pert["seed"], int),
+            dim=freq.dim)
     state = kam.almost_reducibility_run(
         A, f, freq,
         M=_typed("kam.M", spec.get("M", 10), int),
@@ -428,13 +436,16 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     return [name], summary
 
 
-def _explicit_sl2_series(terms) -> FourierSeries:
+def _explicit_sl2_series(terms, dim: int) -> FourierSeries:
     coeffs = {}
     radius = 0
     if not isinstance(terms, dict) or not terms:
         raise ConfigError("kam.perturbation.terms must be a nonempty object")
     for key, entries in terms.items():
         parts = _mode_key("kam.perturbation.terms", key)
+        if len(parts) != dim:
+            raise ConfigError(f"kam.perturbation.terms key {key!r} needs "
+                              f"{dim} components, one per frequency")
         try:
             mat = np.asarray(entries, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -444,7 +455,6 @@ def _explicit_sl2_series(terms) -> FourierSeries:
             raise ConfigError("perturbation terms must be 2x2 matrices")
         coeffs[parts] = mat.astype(complex)
         radius = max(radius, max(abs(x) for x in parts))
-    dim = len(next(iter(coeffs)))
     return FourierSeries(dim, radius, coeffs, 1).symmetrized()
 
 

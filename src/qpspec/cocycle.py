@@ -2,8 +2,8 @@
 
 A cocycle is a pair (alpha, A) with alpha a torus translation vector and
 A a matrix-valued function on the torus.  The n-th iterate is the ordered
-product A(theta + (n-1) alpha) ... A(theta); negative iterates invert the
-forward product started at the shifted phase.
+product A(theta + (n-1) alpha) ... A(theta); negative iterates multiply
+the inverted single steps A(theta - k alpha)^{-1}, k = 1, ..., |n|.
 """
 
 from __future__ import annotations
@@ -140,6 +140,7 @@ def iterate(c: Cocycle, theta, n: int):
 # finite-orbit hyperbolicity verdict
 
 _CONE_SLOPE = 2.0
+_CONE_MARGIN = 0.05
 _WINDING_THRESHOLD = 4.0 * math.pi
 
 
@@ -170,12 +171,12 @@ def _cone_image_margin(prod):
     return _CONE_SLOPE - max(abs(s_lo), abs(s_hi))
 
 
-def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
-                               margin: float = 0.05) -> HyperbolicityVerdict:
+def uniform_hyperbolicity_test(c: Cocycle, phases: int,
+                               orbit: int) -> HyperbolicityVerdict:
     """Cone-field certificate with a projective-winding fallback.
 
     The fixed cone |slope| <= 2 must map strictly inside itself, with the
-    given margin, under the orbit-length product from every sampled phase.
+    margin 0.05, under the orbit-length product from every sampled phase.
     Sustained projective rotation instead yields not_uniform.  Everything
     else is reported as inconclusive; in particular the certificate cannot
     see hyperbolicity inside gaps whose invariant directions wind around
@@ -194,7 +195,7 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int, orbit: int,
     growth = float(np.min(log_scale) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
 
-    if cone_margin >= margin:
+    if cone_margin >= _CONE_MARGIN:
         verdict = "uniformly_hyperbolic"
     elif np.abs(winding).max() >= _WINDING_THRESHOLD:
         verdict = "not_uniform"

@@ -48,6 +48,7 @@ __all__ = [
     "gap_edge_bound",
     "gap_edge_step",
     "bch_log_product",
+    "seeded_sl2_series",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -57,6 +58,12 @@ _STEP_NORM = 0.1
 _SIGMA = 0.1
 _THRESHOLD_CAP = 5e-3
 _PARABOLIC_TOL = 1e-10
+_STOP_TOL = 1e-12
+_RESIDUAL_TOL = 1e-7
+# gap-edge reduction: schedule length and the rotation-number precheck
+_EDGE_MAX_STEPS = 14
+_EDGE_RHO_TOL = 5e-3
+_EDGE_RHO_ITERATIONS = 20000
 # largest resonance-scan ball per dimension that stays cheap to enumerate
 _WINDOW_CAP = {1: 100000, 2: 1200, 3: 60}
 _RESIDUAL_POINTS = {1: 256, 2: 16, 3: 7}
@@ -309,7 +316,7 @@ class KamState:
 
 
 def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
-                  residual_tol: float = 1e-7) -> KamState:
+                  residual_tol: float = _RESIDUAL_TOL) -> KamState:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2) or abs(float(det2(A)) - 1.0) > 1e-9:
         raise ValueError("constant part must be a real 2x2 unimodular matrix")
@@ -343,10 +350,6 @@ def _conjugate_pointwise(A_target: np.ndarray, A_source: np.ndarray,
     return _extract_series(logs, f.dim, out_radius, period=1, noise=noise)
 
 
-def _compose_conjugacy(B: FourierSeries, step: FourierSeries) -> FourierSeries:
-    return _series_product(B, _lift_double(step))
-
-
 def _exp_series(Y: FourierSeries) -> FourierSeries:
     band = max(Y.support_radius(), 1)
     g = _pow2_at_least(2 * (3 * band + 2) + 2)
@@ -375,6 +378,33 @@ def _absorb_average(A: np.ndarray, f: FourierSeries) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the modewise solve and its divisor floor
+
+
+def _check_divisors(modes: list, smallest, what: str) -> None:
+    """The one divisor floor: raise DivisorError at the argmin mode."""
+    worst = int(np.argmin(smallest))
+    if smallest[worst] < _DIVISOR_FLOOR:
+        raise DivisorError(modes[worst], float(smallest[worst]), what)
+
+
+def _modewise_solve(modes: list, rhs: list, mats: np.ndarray, radius: int,
+                    what: str) -> FourierSeries:
+    """Solve mats[i] vec(y_n) = rhs[i] for every mode n = modes[i].
+
+    The smallest singular value of each 4x4 system is its divisor; the
+    floor check runs before one batched solve, and the solution is
+    projected onto the real subspace.
+    """
+    _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
+                    what)
+    sol = np.linalg.solve(mats, np.array(rhs)[..., None])[..., 0]
+    coeffs = {k: sol[i].reshape(2, 2) for i, k in enumerate(modes)}
+    return FourierSeries(len(modes[0]), radius, coeffs,
+                         period=1).symmetrized()
+
+
+# ---------------------------------------------------------------------------
 # non-resonant step
 
 
@@ -399,15 +429,9 @@ def _solve_homological(A: np.ndarray, f: FourierSeries, band: int,
         return _zero_sl2_series(f.dim)
     phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
     mats = phases[:, None, None] * kron[None] - np.eye(4)[None]
-    sigma = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    worst = int(np.argmin(sigma))
-    if sigma[worst] < _DIVISOR_FLOOR:
-        raise DivisorError(modes[worst], float(sigma[worst]),
+    return _modewise_solve(modes, rhs, mats, band,
                            "homological divisor under the safety floor; "
                            "a resonance was missed upstream")
-    sol = np.linalg.solve(mats, np.array(rhs)[..., None])[..., 0]
-    coeffs = {k: sol[i].reshape(2, 2) for i, k in enumerate(modes)}
-    return FourierSeries(f.dim, band, coeffs, period=1).symmetrized()
 
 
 def nonresonant_step(state: KamState, window: int, threshold: float,
@@ -458,8 +482,8 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
     A_cur, f_cur = _absorb_average(A_cur, f_cur)
 
     after = _perturbation_norm(f_cur)
-    B_new = state.B_accum if conj is None else _compose_conjugacy(
-        state.B_accum, conj)
+    B_new = state.B_accum if conj is None else _series_product(
+        state.B_accum, _lift_double(conj))
     row = {"kind": "nonresonant", "norm_before": before, "norm_after": after,
            "rho": info["rho"], "window": int(window),
            "threshold": float(threshold), "band": int(band), "n_star": None,
@@ -523,14 +547,13 @@ def _solve_resonant_modes(f: FourierSeries, rho: float, n_star: tuple,
     """
     omega = _TWO_PI * rho
     minus_star = tuple(-v for v in n_star)
-    coeffs = {}
-    floor_hit = None
+    modes = []
+    lines = []
     for k, c in f.coeffs.items():
         if not any(k):
             continue
         omega_n = _TWO_PI * float(np.dot(k, freq.vec))
         j, wp, wm = _sl2_components(c)
-        y = np.zeros((2, 2), dtype=complex)
         parts = (
             (j, _J, np.exp(1j * omega_n) - 1.0, True),
             (wp, _N_PLUS, np.exp(1j * (omega_n - 2.0 * omega)) - 1.0,
@@ -538,21 +561,20 @@ def _solve_resonant_modes(f: FourierSeries, rho: float, n_star: tuple,
             (wm, _N_MINUS, np.exp(1j * (omega_n + 2.0 * omega)) - 1.0,
              k != minus_star),
         )
-        for coef, basis, div, solve in parts:
-            if not solve:
-                continue
-            if abs(div) < _DIVISOR_FLOOR:
-                floor_hit = (k, abs(div))
-                break
-            y = y + (coef / div) * basis
-        if floor_hit:
-            break
-        coeffs[k] = y
-    if floor_hit:
-        raise DivisorError(floor_hit[0], float(floor_hit[1]),
-                           "non-resonant line hits the divisor floor")
-    if not coeffs:
+        modes.append(k)
+        lines.append([(coef, basis, div)
+                      for coef, basis, div, solve in parts if solve])
+    if not modes:
         return _zero_sl2_series(f.dim)
+    _check_divisors(modes, [min(abs(div) for _, _, div in solved)
+                            for solved in lines],
+                    "non-resonant line hits the divisor floor")
+    coeffs = {}
+    for k, solved in zip(modes, lines):
+        y = np.zeros((2, 2), dtype=complex)
+        for coef, basis, div in solved:
+            y = y + (coef / div) * basis
+        coeffs[k] = y
     return FourierSeries(f.dim, max(f.support_radius(), 1), coeffs,
                          period=1).symmetrized()
 
@@ -654,10 +676,9 @@ def _window_size(eps: float, band: int) -> int:
 
 def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
                             freq: Frequency, *, M: int = 10,
-                            sigma: float = _SIGMA, stop_tol: float = 1e-12,
-                            max_steps: int = 12, residual_tol: float = 1e-7,
-                            threshold_cap: float = _THRESHOLD_CAP,
-                            schedule=None) -> KamState:
+                            sigma: float = _SIGMA, stop_tol: float = _STOP_TOL,
+                            max_steps: int = 12,
+                            residual_tol: float = _RESIDUAL_TOL) -> KamState:
     """Drive the perturbation below stop_tol on a doubling band schedule.
 
     Step j solves up to band l_j = M^(2^(j-1)), capped by the stored
@@ -672,16 +693,13 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
         eps = state.norm()
         if eps <= stop_tol:
             break
-        if schedule is not None and j <= len(schedule):
-            band = int(schedule[j - 1])
-        else:
-            band = int(min(float(M) ** (2 ** (j - 1)), 1e6))
+        band = int(min(float(M) ** (2 ** (j - 1)), 1e6))
         band = min(band, max(state.f.support_radius(), 1))
         # the scan protects the divisors of the modes actually solved,
         # so the analytic window formula is clamped to the solve band
         # (beyond it the stored series has no content to strip)
         window = min(_window_size(eps, band), band, _WINDOW_CAP[freq.dim])
-        threshold = min(eps ** sigma, threshold_cap)
+        threshold = min(eps ** sigma, _THRESHOLD_CAP)
         info = eigen_rho(state.A)
         site = None
         if info["kind"] != "hyperbolic":
@@ -736,10 +754,7 @@ def _triangularize_nilpotent(h: np.ndarray) -> tuple:
 
 def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
                         m, *, check_inputs: bool = True,
-                        stop_tol: float = 1e-12, max_steps: int = 14,
-                        residual_tol: float = 1e-7,
-                        parabolic_tol: float = 1e-6, rho_tol: float = 5e-3,
-                        rho_iterations: int = 20000) -> dict:
+                        parabolic_tol: float = 1e-6) -> dict:
     """Conjugate a gap-edge cocycle to sign * [[1, zeta], [0, 1]].
 
     Runs the reduction schedule, demands that the accumulated degree
@@ -756,12 +771,10 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
         raise ValueError("label dimension does not match the frequency")
 
     if check_inputs:
-        _check_edge_inputs(A, f, freq, m, rho_tol, rho_iterations)
+        _check_edge_inputs(A, f, freq, m)
 
-    state = almost_reducibility_run(A, f, freq, stop_tol=stop_tol,
-                                    max_steps=max_steps,
-                                    residual_tol=residual_tol)
-    if state.norm() > 10.0 * stop_tol:
+    state = almost_reducibility_run(A, f, freq, max_steps=_EDGE_MAX_STEPS)
+    if state.norm() > 10.0 * _STOP_TOL:
         raise ReductionError(
             f"schedule stalled at perturbation {state.norm():.3e}")
     if state.deg_accum not in (m, tuple(-v for v in m)):
@@ -786,7 +799,7 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
         state, A=sign * np.array([[1.0, zeta], [0.0, 1.0]]),
         f=_zero_sl2_series(freq.dim), B_accum=B)
     residual = final.residual()
-    bound = residual_tol * (1.0 + final.conjugacy_norm() ** 2) \
+    bound = _RESIDUAL_TOL * (1.0 + final.conjugacy_norm() ** 2) \
         + 4.0 * float(norm2(P)) ** 2 * (discarded + parabolic_tol)
     if residual > bound:
         raise ReductionError(
@@ -805,7 +818,7 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
     }
 
 
-def _check_edge_inputs(A, f, freq, m, rho_tol, rho_iterations) -> None:
+def _check_edge_inputs(A, f, freq, m) -> None:
     band = max(f.support_radius(), 1)
     g = _pow2_at_least(2 * (2 * band + 2) + 2)
     vals = np.asarray(A, dtype=float) @ exp_sl2(_real_grid(_sample(f, g)))
@@ -816,16 +829,16 @@ def _check_edge_inputs(A, f, freq, m, rho_tol, rho_iterations) -> None:
         raise ReductionError(
             "cocycle is uniformly hyperbolic: the energy sits inside a gap, "
             "not at an edge")
-    est = rotation_number(c, 0.0, rho_iterations)
+    est = rotation_number(c, 0.0, _EDGE_RHO_ITERATIONS)
     bracket = float(np.dot(m, freq.vec))
     # orientation of the projective winding is not pinned for a general
     # cocycle, so the label is only determined up to sign
     defect = min(float(dist_to_int(2.0 * est.rho - bracket)),
                  float(dist_to_int(2.0 * est.rho + bracket)))
-    if defect > rho_tol:
+    if defect > _EDGE_RHO_TOL:
         raise ReductionError(
             f"measured rotation number defect {defect:.3e} against the "
-            f"label {m} exceeds {rho_tol:.1e}")
+            f"label {m} exceeds {_EDGE_RHO_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -904,15 +917,9 @@ def _solve_parabolic_cohomological(B: np.ndarray, G: FourierSeries,
     phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
     left = np.kron(B, np.eye(2))[None] \
         - phases[:, None, None] * np.kron(np.eye(2), B.T)[None]
-    sigma = np.linalg.svd(left, compute_uv=False)[:, -1]
-    worst = int(np.argmin(sigma))
-    if sigma[worst] < _DIVISOR_FLOOR:
-        raise DivisorError(modes[worst], float(sigma[worst]),
-                           "parabolic cohomological divisor under the floor")
-    sol = np.linalg.solve(left, np.array(rhs)[..., None])[..., 0]
-    coeffs = {k: sol[i].reshape(2, 2) for i, k in enumerate(modes)}
     radius = max(max(abs(v) for v in k) for k in modes)
-    return FourierSeries(G.dim, radius, coeffs, period=1).symmetrized()
+    return _modewise_solve(modes, rhs, left, radius,
+                           "parabolic cohomological divisor under the floor")
 
 
 def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,

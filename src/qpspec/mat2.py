@@ -72,22 +72,6 @@ def rotation(phi) -> np.ndarray:
     return out
 
 
-def sl2(a, b, c) -> np.ndarray:
-    """Traceless matrix [[a, b], [c, -a]] from three free parameters."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty(a.shape + (2, 2))
-    out[..., 0, 0] = a
-    out[..., 0, 1] = b
-    out[..., 1, 0] = c
-    out[..., 1, 1] = -a
-    return out
-
-
-def sl2_params(x: np.ndarray):
-    """Inverse of :func:`sl2`; ignores any (tiny) trace defect."""
-    return x[..., 0, 0], x[..., 0, 1], x[..., 1, 0]
-
-
 def project_traceless(x: np.ndarray) -> np.ndarray:
     """Remove the trace component (harmless for trace ~ 1e-16 drift)."""
     t = trace2(x) / 2.0
@@ -95,14 +79,6 @@ def project_traceless(x: np.ndarray) -> np.ndarray:
     out[..., 0, 0] -= t
     out[..., 1, 1] -= t
     return out
-
-
-def project_sl2(a: np.ndarray) -> np.ndarray:
-    """Rescale to unit determinant; det must be positive."""
-    d = det2(a)
-    if np.any(d <= 0):
-        raise ValueError("project_sl2 requires positive determinant")
-    return a / np.sqrt(d)[..., None, None]
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -80,10 +80,6 @@ class Frequency:
     def vec(self) -> np.ndarray:
         return np.asarray(self.alpha, dtype=float)
 
-    def bracket(self, n) -> float:
-        """<n, alpha> as a plain real number (not reduced mod 1)."""
-        return float(np.dot(np.asarray(n, dtype=float), self.vec))
-
     def orbit(self, theta, steps) -> np.ndarray:
         """Orbit points theta + n * alpha (not reduced mod 1).
 
@@ -250,16 +246,16 @@ class FourierSeries:
             return float(out)
         return out
 
-    def grid_points(self, per_dim: int | None = None) -> np.ndarray:
+    def grid_points(self) -> np.ndarray:
         """Fixed evaluation grid: 4*radius + 1 points per dimension."""
-        m = per_dim or (4 * max(self.radius, 1) + 1)
+        m = 4 * max(self.radius, 1) + 1
         axes = [np.arange(m) * (self.period / m) for _ in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.dim)
 
-    def sup_norm(self, per_dim: int | None = None) -> float:
+    def sup_norm(self) -> float:
         """Grid sup of |f| (scalar) or the spectral norm (matrix)."""
-        vals = self.evaluate_complex(self.grid_points(per_dim))
+        vals = self.evaluate_complex(self.grid_points())
         if self.is_matrix:
             return float(np.max(norm2(vals))) if vals.size else 0.0
         return float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -313,11 +309,6 @@ class FourierSeries:
     def __sub__(self, other):
         return self._binary(other, -1.0)
 
-    def scaled(self, factor) -> "FourierSeries":
-        return FourierSeries(self.dim, self.radius,
-                             {k: factor * v for k, v in self.coeffs.items()},
-                             self.period)
-
     def shifted(self, delta) -> "FourierSeries":
         """Series of theta -> f(theta + delta)."""
         delta = np.asarray(delta, dtype=float).reshape(self.dim)
@@ -345,36 +336,6 @@ class FourierSeries:
     def __hash__(self):  # content equality makes instances unhashable
         raise TypeError("FourierSeries is not hashable")
 
-    # ---- serialization ---------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict; coefficient order is canonical (sorted keys)."""
-        entries = []
-        for k, v in self.coeffs.items():
-            if self.is_matrix:
-                entries.append({
-                    "n": list(k),
-                    "re": np.asarray(v).real.tolist(),
-                    "im": np.asarray(v).imag.tolist(),
-                })
-            else:
-                entries.append({"n": list(k), "re": v.real, "im": v.imag})
-        return {
-            "dim": self.dim,
-            "half_period": self.period,
-            "radius": self.radius,
-            "coeffs": entries,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FourierSeries":
-        coeffs = {}
-        for entry in payload["coeffs"]:
-            re = np.asarray(entry["re"])
-            im = np.asarray(entry["im"])
-            coeffs[tuple(entry["n"])] = re + 1j * im
-        return cls(int(payload["dim"]), int(payload["radius"]), coeffs,
-                   int(payload.get("half_period", 1)))
 
 
 def cosine_polynomial(terms, dim: int = 1) -> FourierSeries:

@@ -137,11 +137,10 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     return _estimate(*walk, n_iters, True)
 
 
-def rotation_series(n_vec, dim: int = None) -> FourierSeries:
+def rotation_series(n_vec) -> FourierSeries:
     """Matrix series of theta -> R_{<n, theta>/2} on the doubled torus."""
     n_vec = tuple(int(x) for x in np.atleast_1d(n_vec))
-    if dim is None:
-        dim = len(n_vec)
+    dim = len(n_vec)
     plus = 0.5 * np.array([[1.0, 1j], [-1j, 1.0]])
     if all(x == 0 for x in n_vec):
         return FourierSeries(dim, 0, {n_vec: np.eye(2, dtype=complex)},

@@ -20,7 +20,6 @@ from .rotnum import schrodinger_rotation_grid
 __all__ = [
     "TruncatedOperator",
     "IdsCurve",
-    "eigen_count_below",
     "ids",
     "ids_curve",
     "spectrum_scan",
@@ -146,11 +145,6 @@ def _pivot_counts(diags, energies):
     last = rows[n - 1]
     count += (last == 0.0) & ~np.signbit(last)
     return count.T
-
-
-def eigen_count_below(H: TruncatedOperator, E: float) -> int:
-    """Number of eigenvalues <= E (closed inequality via an upward nudge)."""
-    return int(H._counts(float(E))[0, 0])
 
 
 def ids(V: FourierSeries, freq: Frequency, E: float, L: int,

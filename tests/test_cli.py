@@ -162,6 +162,19 @@ def test_kam_seeded_run(tmp_path):
     assert all(r["kind"] == "nonresonant" for r in rows)
 
 
+def test_kam_seeded_run_two_frequencies(tmp_path):
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        frequency={"components": [GOLDEN, math.sqrt(2.0) - 1.0],
+                   "gamma": 0.01, "tau": 2.5, "cutoff": 10},
+        kam={"rho0": 0.23,
+             "perturbation": {"scale": 2.5e-4, "radius": 1, "seed": 3}}))
+    assert main(["kam", "--config", cfg]) == 0
+    summary = _manifest(tmp_path, "kam")["summary"]
+    assert summary["final_norm"] <= 1e-12
+    assert summary["degree"] == [0, 0]
+
+
 def test_gaps_then_edge_pipeline(tmp_path):
     base = _base_config(
         tmp_path,
@@ -378,8 +391,17 @@ _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
     ("edge", {"edge": {"label": [1]}}, "", 4, "unreadable"),
     ("edge", {"edge": {"label": [1]}}, _NO_E_PLUS_INVENTORY, 4,
      "E_plus"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "terms": {"1,0": [[0.0, 1e-4], [0.0, 0.0]]}}}}, None, 2,
+     "kam.perturbation.terms"),
+    ("gaps", {"numerics": {"M_max": 0}}, None, 2, "numerics.M_max"),
+    ("rotation", {"numerics": {"rotation_iterations": 1}}, None, 2,
+     "numerics.rotation_iterations"),
+    ("homog", {"numerics": {"homog_eps": [0.0, 0.01]}}, None, 2,
+     "numerics.homog_eps"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
-        "inventory_without_E_plus"])
+        "inventory_without_E_plus", "terms_dimension", "M_max",
+        "rotation_iterations", "homog_eps"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
@@ -409,3 +431,19 @@ def test_cli_import_loads_every_layer():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True)
     assert out.stdout.split() == []
+
+
+def test_every_public_name_resolves():
+    import importlib
+    import pkgutil
+
+    import qpspec
+
+    missing = []
+    for info in pkgutil.iter_modules(qpspec.__path__):
+        module = importlib.import_module(f"qpspec.{info.name}")
+        missing += [f"{info.name}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    missing += [name for name in qpspec.__all__ if not hasattr(qpspec, name)]
+    assert missing == []

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpspec import kam
-from qpspec.errors import ReductionError, ResonanceError
+from qpspec.errors import DivisorError, ReductionError, ResonanceError
 from qpspec.kam import (
     KamState,
     MoserPoschelData,
@@ -268,6 +270,50 @@ def test_resonant_step_needs_elliptic_constant(freq):
     st = initial_state(np.array([[3.0, -1.0], [1.0, 0.0]]), _zero_f(), freq)
     with pytest.raises(ReductionError):
         resonant_step(st, (1,))
+
+
+# ---------------------------------------------------------------------------
+# the divisor floor
+
+
+def test_nonresonant_step_divisor_floor_outside_the_window(freq):
+    # 2 rho = <2, alpha> mod 1 exactly, but the window only scans |n| <= 1
+    m = 1e-4 * np.array([[1.0, 2.0j], [0.5, -1.0]])
+    f = FourierSeries(1, 2, {(2,): m, (-2,): np.conj(m)}, 1).symmetrized()
+    st = initial_state(rotation((2.0 * GOLDEN % 1.0) / 2.0), f, freq)
+    with pytest.raises(DivisorError) as err:
+        nonresonant_step(st, window=1, threshold=1e-3, band=2)
+    assert err.value.n in {(2,), (-2,)}
+    assert err.value.divisor < 1e-12
+
+
+def test_resonant_step_divisor_floor_at_a_wrong_site(freq):
+    # the resonance sits at n = 1; skipping the lines of n = 2 leaves the
+    # vanishing divisor of mode +-1 in the solve
+    st = initial_state(rotation(GOLDEN / 2.0),
+                       _rand_sl2_series(1e-4, 3, 13), freq)
+    with pytest.raises(DivisorError) as err:
+        resonant_step(st, (2,))
+    assert err.value.n in {(1,), (-1,)}
+    assert err.value.divisor < 1e-12
+
+
+def test_modewise_solve_has_one_owner():
+    tree = ast.parse(Path(kam.__file__).read_text())
+    owners = {"solve": set(), "svd": set(), "DivisorError": set()}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr in owners
+                    and ast.unparse(node.value) == "np.linalg"):
+                owners[node.attr].add(fn.name)
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and "DivisorError" in ast.unparse(node.exc):
+                owners["DivisorError"].add(fn.name)
+    assert owners == {"solve": {"_modewise_solve"},
+                      "svd": {"_modewise_solve"},
+                      "DivisorError": {"_check_divisors"}}
 
 
 # ---------------------------------------------------------------------------

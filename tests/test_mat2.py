@@ -132,20 +132,6 @@ def test_exp_log_round_trip_near_parabolic():
     assert mat2.norm2(back - x) <= 1e-9
 
 
-def test_project_sl2():
-    a = 3.0 * mat2.rotation(0.1)
-    np.testing.assert_allclose(mat2.project_sl2(a), mat2.rotation(0.1),
-                               atol=1e-14)
-    with pytest.raises(ValueError):
-        mat2.project_sl2(np.array([[1.0, 2.0], [2.0, 1.0]]))  # det < 0
-
-
-def test_sl2_params_round_trip():
-    x = mat2.sl2(0.3, -1.2, 0.5)
-    a, b, c = mat2.sl2_params(x)
-    assert (a, b, c) == pytest.approx((0.3, -1.2, 0.5))
-
-
 def test_commutator_traceless():
     rng = np.random.default_rng(9)
     x = mat2.project_traceless(rng.standard_normal((20, 2, 2)))

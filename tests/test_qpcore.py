@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -229,34 +228,6 @@ def test_truncate_converges_in_ck():
         errs.append(qc.ck_norm(f - fj, 2).upper)
     assert errs[-1] == 0.0
     assert all(a >= b for a, b in zip(errs, errs[1:]))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_payload_round_trip_scalar():
-    f = qc.cosine_polynomial({1: 0.25, 4: -0.125})
-    blob = json.dumps(f.to_payload())
-    g = qc.FourierSeries.from_payload(json.loads(blob))
-    assert g == f
-    assert g.period == 1
-
-
-def test_payload_round_trip_matrix_half_period():
-    m = np.array([[0.1, 0.2], [0.3, -0.1]], dtype=complex)
-    f = qc.FourierSeries(1, 2, {(1,): m, (-1,): np.conj(m)}, period=2)
-    blob = json.dumps(f.to_payload())
-    g = qc.FourierSeries.from_payload(json.loads(blob))
-    assert g == f
-    assert g.period == 2
-    assert g.is_matrix
-
-
-def test_payload_coefficient_order_is_canonical():
-    f = qc.cosine_polynomial({3: 1.0, 1: 2.0})
-    ns = [tuple(e["n"]) for e in f.to_payload()["coeffs"]]
-    assert ns == sorted(ns)
 
 
 def test_frequency_orbit_points():

@@ -15,7 +15,6 @@ from qpspec.spectrum import (
     TruncatedOperator,
     _pivot_counts,
     _shifted,
-    eigen_count_below,
     ids,
     ids_curve,
     ids_rotation_consistency,
@@ -42,6 +41,11 @@ def free_ids(E):
 
 # ---------------------------------------------------------------------------
 # counting
+
+
+def eigen_count_below(h, E):
+    """Number of eigenvalues <= E of a single-phase truncation."""
+    return round(h.ids(E)[0] * h.size)
 
 
 def test_count_three_site_free(freq):
