@@ -411,9 +411,11 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
             _typed("kam.perturbation.radius", pert["radius"], int),
             _typed("kam.perturbation.seed", pert["seed"], int),
             dim=freq.dim)
+    M = _typed("kam.M", spec.get("M", 10), int)
+    if M < 1:
+        raise ConfigError(f"kam.M must be at least 1, got {M}")
     state = kam.almost_reducibility_run(
-        A, f, freq,
-        M=_typed("kam.M", spec.get("M", 10), int),
+        A, f, freq, M=M,
         sigma=_typed("kam.sigma", spec.get("sigma", 0.1), float),
         stop_tol=_typed("kam.stop_tol", spec.get("stop_tol", 1e-12), float),
         max_steps=_typed("kam.max_steps", spec.get("max_steps", 12), int),
@@ -453,6 +455,12 @@ def _explicit_sl2_series(terms, dim: int) -> FourierSeries:
                 from exc
         if mat.shape != (2, 2):
             raise ConfigError("perturbation terms must be 2x2 matrices")
+        if not np.all(np.isfinite(mat)):
+            raise ConfigError(f"kam.perturbation.terms key {key!r} must be "
+                              "finite")
+        if abs(mat[0, 0] + mat[1, 1]) > 1e-9:
+            raise ConfigError(f"kam.perturbation.terms key {key!r} must be "
+                              "traceless")
         coeffs[parts] = mat.astype(complex)
         radius = max(radius, max(abs(x) for x in parts))
     return FourierSeries(dim, radius, coeffs, 1).symmetrized()

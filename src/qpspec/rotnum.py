@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# orbit segments of the energy-grid walk, and the shortest one worth cutting
+_SEGMENTS = 50
+_MIN_SEGMENT = 64
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,12 @@ class RotationEstimate:
     rho: float
     iterations: int
     error: float
+
+
+def _max_abs(w0, w1):
+    """Lane vector size: any positive scale keeps the direction, and this
+    costs a sixth of np.hypot."""
+    return np.maximum(abs(w0), abs(w1))
 
 
 def projective_walk(step, v0, v1, n: int, lift):
@@ -55,9 +64,9 @@ def projective_walk(step, v0, v1, n: int, lift):
     the principal branch.
     """
     if np.ndim(v0):  # lanes: emitted grid rotation numbers pin np.arctan2
-        atan2, hypot, rint = np.arctan2, np.hypot, np.rint
+        atan2, size, rint = np.arctan2, _max_abs, np.rint
     else:  # one orbit: Python-float math beats numpy scalar ufuncs
-        atan2, hypot, rint = math.atan2, math.hypot, round
+        atan2, size, rint = math.atan2, math.hypot, round
     total = half_total = mean = 0.0
     half_at = n // 2
     warmup = min(64, n)
@@ -73,7 +82,7 @@ def projective_walk(step, v0, v1, n: int, lift):
                 delta += _TWO_PI * rint((mean - delta) / _TWO_PI)
                 mean += 0.02 * (delta - mean)
         total = total + delta  # a new object, so half_total stays a snapshot
-        norm = hypot(w0, w1)
+        norm = size(w0, w1)
         v0, v1 = w0 / norm, w1 / norm
         if k + 1 == half_at:
             half_total = total
@@ -120,21 +129,94 @@ def rotation_number(c, theta0, n_iters: int) -> RotationEstimate:
     return rotation_from_orbit(mats, schrodinger=c.is_schrodinger)
 
 
+def _segment_cuts(n: int) -> list:
+    """Boundaries of the grid's orbit segments; n // 2 is always one.
+
+    Each half of the orbit gets up to _SEGMENTS // 2 segments of at least
+    _MIN_SEGMENT steps (one segment when the half is shorter).
+    """
+    half = n // 2
+    cuts = [0]
+    for lo, hi in ((0, half), (half, n)):
+        count = max(1, min(_SEGMENTS // 2, (hi - lo) // _MIN_SEGMENT))
+        cuts += [lo + (hi - lo) * i // count for i in range(1, count + 1)]
+    return cuts
+
+
+def _rescale(cols):
+    """Scale each lane by the power of two that brings its largest entry
+    into [1/2, 1); exact, so when it runs never changes a bit."""
+    biggest = np.maximum(np.maximum(abs(cols[0]), abs(cols[1])),
+                         np.maximum(abs(cols[2]), abs(cols[3])))
+    shift = -np.frexp(biggest)[1]
+    return [np.ldexp(x, shift) for x in cols]
+
+
 def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
                               theta0=0.0, n_iters: int = 20000):
     """Folded rotation numbers for a grid of energies via lane tracking.
 
-    The potential is sampled once along the orbit; the transfer-matrix
-    action on each lane reduces to scalar arithmetic, so the cost is one
-    pass of length n_iters regardless of the number of energies.
+    The potential is sampled once along the orbit, which is cut into up
+    to _SEGMENTS contiguous segments (n_iters // 2 is a cut); every
+    (segment, energy) pair is one lane, so a pass takes about
+    n_iters / _SEGMENTS steps.  Pass 1 carries both columns of each
+    segment's transfer product; a serial stitch over the segments turns
+    them into each segment's start vector on the one orbit; pass 2 walks
+    the "transfer" winding from those starts.  The "transfer" lift needs
+    no history, so segmenting changes only the rounding of the start
+    vectors.  The per-lane totals are summed in segment order.
     """
+    if n_iters < 2:
+        raise ValueError("n_iters >= 2 required")
     energies = np.asarray(energies, dtype=float)
-    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters))).tolist()
-    lanes = energies.shape[0]
-    walk = projective_walk(
-        lambda k, v0, v1: ((energies - v_orbit[k]) * v0 - v1, v0),
-        np.ones(lanes), np.zeros(lanes), n_iters, "transfer")
-    return _estimate(*walk, n_iters, True)
+    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters)))
+    cuts = np.array(_segment_cuts(n_iters))
+    starts, lengths = cuts[:-1, None], np.diff(cuts)[:, None]
+    n_steps = int(lengths.max())
+    steps = np.arange(n_steps)
+    # v_table[k] holds v at step k of every segment; a segment shorter
+    # than k + 1 steps is inactive and takes the identity, whose advance is
+    # exactly 0
+    v_table = v_orbit[np.minimum(starts + steps, n_iters - 1)].T[..., None]
+    active = (steps < lengths).T[..., None]
+    full = int(lengths.min())
+
+    def step(k, v0, v1):
+        w0 = (energies - v_table[k]) * v0 - v1
+        if k < full:
+            return w0, v0
+        return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
+
+    # pass 1: columns (a, c) and (b, d) of every segment's product; a step
+    # scales a lane's largest entry by a factor within [1/grow, grow], so
+    # rescaling every interval steps keeps it within 2**-601 .. 2**600
+    grow = float(np.abs(energies).max(initial=0.0) + np.abs(v_orbit).max()
+                 + 2.0)
+    interval = max(1, int(600.0 * math.log(2.0) / math.log(grow)))
+    shape = (len(lengths), len(energies))
+    cols = [np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)]
+    for k in range(n_steps):
+        a, c, b, d = cols
+        cols = [*step(k, a, c), *step(k, b, d)]
+        if (k + 1) % interval == 0:
+            cols = _rescale(cols)
+    a, c, b, d = cols
+    # the stitch: each segment starts where the orbit left the last one
+    u0, u1 = np.empty(shape), np.empty(shape)
+    w0, w1 = np.ones(len(energies)), np.zeros(len(energies))
+    for s in range(shape[0]):
+        u0[s], u1[s] = w0, w1
+        w0, w1 = a[s] * u0[s] + b[s] * u1[s], c[s] * u0[s] + d[s] * u1[s]
+        norm = _max_abs(w0, w1)
+        w0, w1 = w0 / norm, w1 / norm
+    # pass 2: the winding of every lane, summed in segment order
+    seg_total = projective_walk(step, u0, u1, n_steps, "transfer")[0]
+    total = half_total = 0.0
+    for s in range(shape[0]):
+        total = total + seg_total[s]
+        if cuts[s + 1] == n_iters // 2:
+            half_total = total
+    return _estimate(total, half_total, n_iters // 2, n_iters, True)
 
 
 def rotation_series(n_vec) -> FourierSeries:

@@ -273,6 +273,17 @@ def test_reruns_byte_identical(tmp_path):
     assert (d1 / "ids.csv").read_bytes() == (d2 / "ids.csv").read_bytes()
 
 
+def test_rotation_reruns_byte_identical(tmp_path):
+    cfg = _base_config(tmp_path, potential={"family": "cosine",
+                                            "terms": {"1": 0.6}},
+                       numerics={"rotation_iterations": 10001})
+    for d in ("a", "b"):
+        assert main(["rotation", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / d)]) == 0
+    assert ((tmp_path / "a" / "rotation.csv").read_bytes()
+            == (tmp_path / "b" / "rotation.csv").read_bytes())
+
+
 def test_digest_stable_under_field_reordering(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     cfg = _base_config(d1)
@@ -394,13 +405,24 @@ _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
     ("kam", {"kam": {"rho0": 0.17, "perturbation": {
         "terms": {"1,0": [[0.0, 1e-4], [0.0, 0.0]]}}}}, None, 2,
      "kam.perturbation.terms"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "terms": {"1": [[1e-4, 0.0], [0.0, 1e-4]]}}}}, None, 2,
+     "kam.perturbation.terms"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "terms": {"1": [[0.0, math.inf], [0.0, 0.0]]}}}}, None, 2,
+     "kam.perturbation.terms"),
+    ("kam", {"kam": {"rho0": 0.17, "M": 0, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.M"),
+    ("kam", {"kam": {"rho0": 0.17, "M": -1, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.M"),
     ("gaps", {"numerics": {"M_max": 0}}, None, 2, "numerics.M_max"),
     ("rotation", {"numerics": {"rotation_iterations": 1}}, None, 2,
      "numerics.rotation_iterations"),
     ("homog", {"numerics": {"homog_eps": [0.0, 0.01]}}, None, 2,
      "numerics.homog_eps"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
-        "inventory_without_E_plus", "terms_dimension", "M_max",
+        "inventory_without_E_plus", "terms_dimension", "terms_trace",
+        "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
         "rotation_iterations", "homog_eps"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,

@@ -92,6 +92,108 @@ def test_grid_variant_matches_scalar(freq):
     assert np.all(err >= 0.0)
 
 
+# ---------------------------------------------------------------------------
+# the segmented energy-grid walk
+
+DUALITY_GRID = np.linspace(-2.6, 2.6, 201)
+
+
+def _duality_potential():
+    return cosine_polynomial({1: 0.6})
+
+
+def _sequential_grid(V, freq, energies, n):
+    """The one-orbit lane walk the segmented grid replaced, kept as a
+    reference: every energy walks all n steps from (1, 0)."""
+    v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n))).tolist()
+    v0, v1 = np.ones(len(energies)), np.zeros(len(energies))
+    total = half_total = 0.0
+    for k in range(n):
+        w0, w1 = (energies - v_orbit[k]) * v0 - v1, v0
+        delta = np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
+        delta += 2.0 * math.pi * (delta <= -0.5 * math.pi)
+        total = total + delta
+        norm = np.hypot(w0, w1)
+        v0, v1 = w0 / norm, w1 / norm
+        if k + 1 == n // 2:
+            half_total = total
+    rho = (total / (2.0 * math.pi * n)) % 1.0
+    err = dist_to_int(rho - (half_total / (2.0 * math.pi * (n // 2))) % 1.0)
+    return np.minimum(rho, 1.0 - rho), err
+
+
+def test_grid_lane_independent_of_the_grid(freq):
+    # 10001 steps: the second half's last segment is one step longer, so
+    # the masked tail steps run too
+    V, n = _duality_potential(), 10001
+    rho, err = schrodinger_rotation_grid(V, freq, DUALITY_GRID, n_iters=n)
+    for j, e in enumerate(DUALITY_GRID):
+        r, x = schrodinger_rotation_grid(V, freq, [e], n_iters=n)
+        assert (r[0], x[0]) == (rho[j], err[j]), e
+
+
+@pytest.mark.parametrize("n", [2, 3, 1001, 4999])
+def test_grid_short_and_uneven_orbits(freq, n):
+    V = amo_potential(0.3)
+    energies = np.linspace(-3.0, 3.0, 13)
+    rho, err = schrodinger_rotation_grid(V, freq, energies, n_iters=n)
+    assert np.all(np.isfinite(rho)) and np.all(np.isfinite(err))
+    assert np.all((rho >= 0.0) & (rho <= 0.5))
+    assert np.all(err >= 0.0)
+    if n >= 1000:
+        for e, r, x in zip(energies, rho, err):
+            est = rotation_number(schrodinger_cocycle(V, float(e), freq),
+                                  0.0, n)
+            assert r == pytest.approx(est.rho, abs=1e-12), e
+            assert x == pytest.approx(est.error, abs=1e-12), e
+
+
+def test_grid_two_frequencies():
+    f2 = diophantine_check((GOLDEN, math.sqrt(2) - 1), 0.03, 2.5, 40)
+    V = cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2)
+    energies = np.linspace(-2.5, 2.5, 11)
+    rho, err = schrodinger_rotation_grid(V, f2, energies, n_iters=4999)
+    for e, r, x in zip(energies, rho, err):
+        est = rotation_number(schrodinger_cocycle(V, float(e), f2), 0.0, 4999)
+        assert r == pytest.approx(est.rho, abs=1e-12), e
+        assert x == pytest.approx(est.error, abs=1e-12), e
+
+
+def test_grid_matches_sequential_walk(freq):
+    V, n = _duality_potential(), 100000
+    energies = DUALITY_GRID[::10]
+    rho, err = schrodinger_rotation_grid(V, freq, energies, n_iters=n)
+    ref_rho, ref_err = _sequential_grid(V, freq, energies, n)
+    np.testing.assert_allclose(rho, ref_rho, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-13)
+
+
+def test_grid_far_outside_the_spectrum(freq):
+    # a pass-1 rescale interval too long for |E| = 1e12 would overflow
+    energies = np.array([-1e12, -1e6, -1e3, 0.5, 1e3, 1e6, 1e12])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rho, err = schrodinger_rotation_grid(amo_potential(0.3), freq,
+                                             energies, n_iters=20000)
+    assert np.all(np.isfinite(rho)) and np.all(np.isfinite(err))
+    # N = 1 - 2 rho is 0 below the spectrum and 1 above it
+    np.testing.assert_allclose(rho[:3], 0.5, atol=1e-6)
+    np.testing.assert_allclose(rho[4:], 0.0, atol=1e-6)
+
+
+def test_grid_memory_stays_small(freq):
+    import tracemalloc
+
+    V = _duality_potential()
+    tracemalloc.start()
+    try:
+        schrodinger_rotation_grid(V, freq, DUALITY_GRID, n_iters=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a materialized (n, lanes, 2, 2) product stack would take ~640 MB
+    assert peak <= 16 * 2**20
+
+
 def test_monotone_in_energy(freq):
     V = amo_potential(0.3)
     energies = np.linspace(-3.0, 3.0, 31)
