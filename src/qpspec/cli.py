@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,6 +75,9 @@ _NUMERICS_TYPES = {
     "homog_samples": int,
 }
 _ENERGY_TYPES = {"min": float, "max": float, "points": int}
+# run options of the kam section; unset ones keep the engine's defaults
+_KAM_OPTION_TYPES = {"M": int, "sigma": float, "stop_tol": float,
+                     "max_steps": int, "residual_tol": float}
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +149,15 @@ def build_frequency(spec):
 
 
 def _typed(name: str, val, kind):
-    """kind(val), or a ConfigError naming the section-qualified field."""
+    """kind(val), finite if a float, or a ConfigError naming the field."""
     try:
-        return kind(val)
+        out = kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"{name} must be {kind.__name__}, got {val!r}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{name} must be a finite float, got {val!r}")
+    return out
 
 
 def _listed(name: str, val) -> list:
@@ -411,16 +418,11 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
             _typed("kam.perturbation.radius", pert["radius"], int),
             _typed("kam.perturbation.seed", pert["seed"], int),
             dim=freq.dim)
-    M = _typed("kam.M", spec.get("M", 10), int)
-    if M < 1:
-        raise ConfigError(f"kam.M must be at least 1, got {M}")
-    state = kam.almost_reducibility_run(
-        A, f, freq, M=M,
-        sigma=_typed("kam.sigma", spec.get("sigma", 0.1), float),
-        stop_tol=_typed("kam.stop_tol", spec.get("stop_tol", 1e-12), float),
-        max_steps=_typed("kam.max_steps", spec.get("max_steps", 12), int),
-        residual_tol=_typed("kam.residual_tol",
-                            spec.get("residual_tol", 1e-7), float))
+    options = {key: _typed(f"kam.{key}", spec[key], kind)
+               for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
+    if options.get("M", 1) < 1:
+        raise ConfigError(f"kam.M must be at least 1, got {options['M']}")
+    state = kam.almost_reducibility_run(A, f, freq, **options)
     columns = ["step", "kind", "norm_before", "norm_after", "rho",
                "window", "threshold", "band", "n_star", "inner_passes",
                "residual", "bch_defect"]
@@ -478,21 +480,22 @@ def _load_gap_inventory(path: Path):
 
 def _read_gap_inventory(path: Path):
     if path.suffix == ".json":
-        rows = json.loads(path.read_text())
-        return [(tuple(int(x) for x in np.atleast_1d(r["m"])),
-                 float(r["E_minus"]), float(r["E_plus"]), float(r["length"]))
-                for r in rows]
-    out = []
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    idx = {col: j for j, col in enumerate(header)}
-    for line in lines[1:]:
-        cells = line.split(",")
-        m = tuple(int(tok) for tok in cells[idx["m"]].split(";"))
-        out.append((m, float(cells[idx["E_minus"]]),
-                    float(cells[idx["E_plus"]]),
-                    float(cells[idx["length"]])))
-    return out
+        records = json.loads(path.read_text())
+    else:
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        records = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = []
+    for r in records:
+        m = r["m"].split(";") if isinstance(r["m"], str) else r["m"]
+        row = (tuple(int(x) for x in np.atleast_1d(m)), float(r["E_minus"]),
+               float(r["E_plus"]), float(r["length"]))
+        if not all(map(math.isfinite, row[1:])):
+            raise ValueError(f"gap {row[0]} has a non-finite entry")
+        if row[1] > row[2]:
+            raise ValueError(f"gap {row[0]} has E_minus > E_plus")
+        rows.append(row)
+    return rows
 
 
 def cmd_edge(cfg, V, freq, num, out_dir, fmt):

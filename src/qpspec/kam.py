@@ -25,13 +25,13 @@ from itertools import product
 
 import numpy as np
 
-from .cocycle import Cocycle, uniform_hyperbolicity_test
+from .cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
 from .errors import (BranchError, DivergenceError, DivisorError,
                      ReductionError, ResonanceError)
 from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
                    project_traceless, rotation, trace2)
 from .qpcore import FourierSeries, Frequency, ck_norm, dist_to_int
-from .rotnum import rotation_number, rotation_series
+from .rotnum import rotation_series, schrodinger_rotation_grid
 
 __all__ = [
     "KamState",
@@ -60,7 +60,7 @@ _THRESHOLD_CAP = 5e-3
 _PARABOLIC_TOL = 1e-10
 _STOP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-7
-# gap-edge reduction: schedule length and the rotation-number precheck
+# gap-edge reduction: schedule length and the rotation-number admission
 _EDGE_MAX_STEPS = 14
 _EDGE_RHO_TOL = 5e-3
 _EDGE_RHO_ITERATIONS = 20000
@@ -176,14 +176,6 @@ def _perturbation_norm(f: FourierSeries) -> float:
 
 class _EntryGateError(DivergenceError, ValueError):
     """Start-norm gate failure; also a ValueError for direct engine callers."""
-
-
-def _check_entry_gate(f: FourierSeries, what: str) -> None:
-    norm0 = _perturbation_norm(f)
-    if norm0 > _START_NORM:
-        raise _EntryGateError(
-            f"{what} norm {norm0:.3e} exceeds the reducibility entry gate "
-            f"{_START_NORM:.0e}")
 
 
 def _require_sl2_series(f: FourierSeries, what: str) -> None:
@@ -335,17 +327,16 @@ def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
 # pointwise conjugation helpers
 
 
-def _conjugate_pointwise(A_target: np.ndarray, A_source: np.ndarray,
-                         f: FourierSeries, Y: FourierSeries,
+def _conjugate_pointwise(A: np.ndarray, f: FourierSeries, Y: FourierSeries,
                          freq: Frequency, out_radius: int) -> FourierSeries:
-    """log(A_tgt^{-1} e^{-Y(theta+alpha)} A_src e^{f} e^{Y}) as a series."""
+    """log(A^{-1} e^{-Y(theta+alpha)} A e^{f} e^{Y}) as a series."""
     band = max(Y.support_radius(), f.support_radius(), 1)
     g = _pow2_at_least(2 * (3 * band + 2) + 2)
     y_here = _real_grid(_sample(Y, g))
     y_next = _real_grid(_sample(Y.shifted(freq.vec), g))
     f_vals = _real_grid(_sample(f, g))
-    prod = exp_sl2(-y_next) @ A_source @ exp_sl2(f_vals) @ exp_sl2(y_here)
-    logs = log_sl2(inv2(np.asarray(A_target, dtype=float)) @ prod)
+    prod = exp_sl2(-y_next) @ A @ exp_sl2(f_vals) @ exp_sl2(y_here)
+    logs = log_sl2(inv2(np.asarray(A, dtype=float)) @ prod)
     noise = 1e-14 * (1.0 + float(np.max(np.abs(prod))))
     return _extract_series(logs, f.dim, out_radius, period=1, noise=noise)
 
@@ -471,8 +462,7 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
         A_cur, f_cur = _absorb_average(A_cur, f_cur)
         Y = _solve_homological(A_cur, f_cur, band, state.freq)
         out_radius = 2 * max(f_cur.support_radius(), Y.support_radius(), 1)
-        f_cur = _conjugate_pointwise(A_cur, A_cur, f_cur, Y, state.freq,
-                                     out_radius)
+        f_cur = _conjugate_pointwise(A_cur, f_cur, Y, state.freq, out_radius)
         step = _exp_series(Y)
         conj = step if conj is None else _series_product(conj, step)
         cur = _perturbation_norm(f_cur)
@@ -609,7 +599,7 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     star_size = max(abs(v) for v in n_star)
     out_radius = max(2 * max(f_rot.support_radius(), Y.support_radius(), 1),
                      star_size + 1)
-    f_kept = _conjugate_pointwise(R, R, f_rot, Y, state.freq, out_radius)
+    f_kept = _conjugate_pointwise(R, f_rot, Y, state.freq, out_radius)
 
     # half-angle twist: moves the resonant line to frequency zero and
     # shifts the constant rotation by <n*, alpha>/2
@@ -685,8 +675,13 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     support so nothing is ever discarded; the resonance window and
     threshold follow the measured perturbation norm.  Divergence (two
     consecutive non-contracting steps) raises with the ledger attached.
+    A non-finite f, or one above the entry gate, raises before any step.
     """
-    _check_entry_gate(f, "starting perturbation")
+    finite = all(np.isfinite(c).all() for c in f.coeffs.values())
+    norm0 = _perturbation_norm(f) if finite else math.nan
+    if not norm0 <= _START_NORM:
+        raise _EntryGateError(f"starting perturbation norm {norm0:.3e} is "
+                              f"outside the entry gate {_START_NORM:.0e}")
     state = initial_state(A, f, freq, residual_tol)
     worse = 0
     for j in range(1, max_steps + 1):
@@ -752,9 +747,15 @@ def _triangularize_nilpotent(h: np.ndarray) -> tuple:
     return P, -c
 
 
+def _gap_label(m, freq: Frequency) -> tuple:
+    m = tuple(int(v) for v in np.atleast_1d(m))
+    if len(m) != freq.dim:
+        raise ValueError("label dimension does not match the frequency")
+    return m
+
+
 def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
-                        m, *, check_inputs: bool = True,
-                        parabolic_tol: float = 1e-6) -> dict:
+                        m, *, parabolic_tol: float = 1e-6) -> dict:
     """Conjugate a gap-edge cocycle to sign * [[1, zeta], [0, 1]].
 
     Runs the reduction schedule, demands that the accumulated degree
@@ -764,15 +765,7 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
     extracts zeta by triangularizing its logarithm.  zeta < 0 marks a
     left gap edge, zeta > 0 a right edge, zeta = 0 a collapsed gap.
     """
-    if isinstance(m, (int, np.integer)):
-        m = (int(m),)
-    m = tuple(int(v) for v in m)
-    if len(m) != freq.dim:
-        raise ValueError("label dimension does not match the frequency")
-
-    if check_inputs:
-        _check_edge_inputs(A, f, freq, m)
-
+    m = _gap_label(m, freq)
     state = almost_reducibility_run(A, f, freq, max_steps=_EDGE_MAX_STEPS)
     if state.norm() > 10.0 * _STOP_TOL:
         raise ReductionError(
@@ -818,23 +811,24 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
     }
 
 
-def _check_edge_inputs(A, f, freq, m) -> None:
-    band = max(f.support_radius(), 1)
-    g = _pow2_at_least(2 * (2 * band + 2) + 2)
-    vals = np.asarray(A, dtype=float) @ exp_sl2(_real_grid(_sample(f, g)))
-    series = _extract_series(vals, freq.dim, 2 * band, period=1)
-    c = Cocycle(freq, series)
-    verdict = uniform_hyperbolicity_test(c, phases=8, orbit=2000)
+def _admit_edge(V: FourierSeries, freq: Frequency, m, energy) -> None:
+    """Admit the exact transfer cocycle at a gap-edge energy, or raise.
+
+    The cone test must not certify uniform hyperbolicity, and the fibered
+    rotation number must satisfy 2 rho = <m, alpha> mod Z.
+    """
+    verdict = uniform_hyperbolicity_test(
+        schrodinger_cocycle(V, energy, freq), phases=8, orbit=2000)
     if verdict.verdict == "uniformly_hyperbolic":
         raise ReductionError(
             "cocycle is uniformly hyperbolic: the energy sits inside a gap, "
             "not at an edge")
-    est = rotation_number(c, 0.0, _EDGE_RHO_ITERATIONS)
+    rho = float(schrodinger_rotation_grid(
+        V, freq, [energy], n_iters=_EDGE_RHO_ITERATIONS)[0][0])
     bracket = float(np.dot(m, freq.vec))
-    # orientation of the projective winding is not pinned for a general
-    # cocycle, so the label is only determined up to sign
-    defect = min(float(dist_to_int(2.0 * est.rho - bracket)),
-                 float(dist_to_int(2.0 * est.rho + bracket)))
+    # the folded rotation number fixes the label only up to sign
+    defect = min(float(dist_to_int(2.0 * rho - bracket)),
+                 float(dist_to_int(2.0 * rho + bracket)))
     if defect > _EDGE_RHO_TOL:
         raise ReductionError(
             f"measured rotation number defect {defect:.3e} against the "
@@ -1030,14 +1024,16 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     edge is the resolved right edge of the gap labelled m, to accuracy
     window.  The transfer cocycle is taken one window into the gap,
     which keeps the rotation number locked while the trace defect stays
-    within the relaxed parabolic slack max(1e-6, 20 window); it is
-    written as R_rho e^{f} around the elliptic normal form of its
-    average and reduced to the parabolic normal form.  delta defaults
+    within the relaxed parabolic slack max(1e-6, 20 window).  That exact
+    cocycle must pass the cone test and match m by its rotation number;
+    it is then written as R_rho e^{f} around the elliptic normal form of
+    its average and reduced to the parabolic normal form.  delta defaults
     to half the smaller of the contraction guard and zeta^(17/18).
 
     Returns {"zeta", "delta", "mp", "bound"}: the edge datum, the step
     size, the MoserPoschelData of that step and its gap_edge_bound.
     """
+    m = _gap_label(m, freq)
     e_reduce = edge - window
     mean_v = float(V.coeffs.get((0,) * V.dim, 0.0).real) if V.coeffs else 0.0
     const = np.array([[e_reduce - mean_v, -1.0], [1.0, 0.0]])
@@ -1046,6 +1042,7 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
         raise ReductionError(
             "averaged transfer matrix at the gap edge is not elliptic; "
             "no rotation normal form to expand around")
+    _admit_edge(V, freq, m, e_reduce)
     Q = _elliptic_conjugator(const, info["rho"])
     A = rotation(info["rho"])
     band = max(V.support_radius(), 1)
@@ -1058,7 +1055,6 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     shape = (g,) * freq.dim + (2, 2)
     logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q)).reshape(shape)
     f = _extract_series(logs, freq.dim, 4 * band, period=1)
-    _check_entry_gate(f, "edge perturbation")
 
     reduced = reduce_to_parabolic(A, f, freq, m,
                                   parabolic_tol=max(1e-6, 20.0 * window))

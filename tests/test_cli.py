@@ -162,6 +162,21 @@ def test_kam_seeded_run(tmp_path):
     assert all(r["kind"] == "nonresonant" for r in rows)
 
 
+def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
+    # unset run options fall back to almost_reducibility_run's defaults
+    pert = {"scale": 2.5e-4, "radius": 3, "seed": 11}
+    spelled = {"rho0": 0.17, "perturbation": pert, "M": 10, "sigma": 0.1,
+               "stop_tol": 1e-12, "max_steps": 12, "residual_tol": 1e-7}
+    texts = []
+    for name, section in (("bare", {"rho0": 0.17, "perturbation": pert}),
+                          ("spelled", spelled)):
+        out = tmp_path / name
+        cfg = _write(tmp_path, _base_config(out, kam=section), f"{name}.json")
+        assert main(["kam", "--config", cfg]) == 0
+        texts.append((out / "kam.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_kam_seeded_run_two_frequencies(tmp_path):
     cfg = _write(tmp_path, _base_config(
         tmp_path,
@@ -248,6 +263,19 @@ def test_edge_unknown_label_exits_4(tmp_path, capsys):
     cfg["edge"] = {"gaps_file": str(inv), "label": [7]}
     assert main(["edge", "--config", _write(tmp_path, cfg)]) == 4
     assert "(7,)" in capsys.readouterr().err
+
+
+def test_edge_json_inventory_rows_are_checked(tmp_path, capsys):
+    inv = tmp_path / "gaps.json"
+    row = {"m": [1], "E_minus": 0.722, "E_plus": 0.728, "length": 0.006}
+    cfg = _base_config(tmp_path)
+    cfg["edge"] = {"gaps_file": str(inv), "label": [7]}
+    inv.write_text(json.dumps([row]))
+    assert main(["edge", "--config", _write(tmp_path, cfg)]) == 4
+    assert "(7,)" in capsys.readouterr().err
+    inv.write_text(json.dumps([dict(row, E_minus=0.73)]))
+    assert main(["edge", "--config", _write(tmp_path, cfg)]) == 4
+    assert "unreadable" in capsys.readouterr().err
 
 
 def test_kam_start_gate_exits_5(tmp_path):
@@ -386,6 +414,10 @@ def test_cli_names_no_private_kam_attribute():
 
 _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
                         "1,0.722,0.006,0.618,1e-05\n")
+_NAN_EDGE_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
+                       "1,nan,0.728,0.006,0.618,1e-05\n")
+_SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
+                      "1,0.728,0.722,0.006,0.618,1e-05\n")
 
 
 @pytest.mark.parametrize("command,section,inventory,code,needle", [
@@ -420,10 +452,28 @@ _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
      "numerics.rotation_iterations"),
     ("homog", {"numerics": {"homog_eps": [0.0, 0.01]}}, None, 2,
      "numerics.homog_eps"),
+    ("scan", {"numerics": {"resolution": math.nan}}, None, 2,
+     "numerics.resolution"),
+    ("rotation", {"numerics": {"energy": {"min": -2.5, "max": math.inf,
+                                          "points": 11}}}, None, 2,
+     "numerics.energy.max"),
+    ("scan", {"potential": {"family": "amo", "coupling": math.nan}}, None, 2,
+     "potential.coupling"),
+    ("homog", {"numerics": {"homog_eps": [math.nan]}}, None, 2,
+     "numerics.homog_eps"),
+    ("ids", {"frequency": {"components": [GOLDEN], "gamma": math.nan}}, None,
+     2, "frequency.gamma"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "scale": math.nan, "radius": 1, "seed": 1}}}, None, 2,
+     "kam.perturbation.scale"),
+    ("edge", {"edge": {"label": [1]}}, _NAN_EDGE_INVENTORY, 4, "unreadable"),
+    ("edge", {"edge": {"label": [1]}}, _SWAPPED_INVENTORY, 4, "unreadable"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
-        "rotation_iterations", "homog_eps"])
+        "rotation_iterations", "homog_eps", "resolution_nan",
+        "energy_max_infinite", "coupling_nan", "homog_eps_nan", "gamma_nan",
+        "scale_nan", "inventory_nan_edge", "inventory_edges_swapped"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):

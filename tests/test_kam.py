@@ -320,6 +320,14 @@ def test_modewise_solve_has_one_owner():
 # full runs
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_entry_gate_rejects_non_finite(freq, bad):
+    c = np.array([[0.0, bad], [0.0, 0.0]], dtype=complex)
+    f = FourierSeries(1, 1, {(1,): c, (-1,): c}, 1)
+    with pytest.raises(kam._EntryGateError, match="entry gate"):
+        almost_reducibility_run(rotation(0.17), f, freq)
+
+
 def test_run_zero_perturbation_stops_immediately(freq):
     out = almost_reducibility_run(rotation(0.17), _zero_f(), freq)
     assert out.ledger == ()
@@ -411,7 +419,7 @@ def test_reduce_constant_parabolic_identity_conjugacy(freq):
 def test_reduce_twisted_edge_recovers_jump(freq):
     base, f = _twist_edge_perturbation(freq, 0.004)
     assert kam._perturbation_norm(f) < 1e-2
-    out = reduce_to_parabolic(base, f, freq, 1, check_inputs=True)
+    out = reduce_to_parabolic(base, f, freq, 1)
     assert abs(out["zeta"] - 0.004) < 1e-8
     assert tuple(out["state"].deg_accum) == (1,)
     assert out["residual"] < 1e-10
@@ -425,27 +433,61 @@ def test_reduce_left_edge_sign_flips(freq):
 
 
 def test_reduce_precheck_rejects_wrong_label(freq):
-    base, f = _twist_edge_perturbation(freq, 0.004)
-    with pytest.raises(ReductionError):
-        reduce_to_parabolic(base, f, freq, 2, check_inputs=True)
+    from qpspec.qpcore import amo_potential
+
+    # the right edge of the label-1 gap of the gap_edge benchmark config,
+    # claimed for label 2: the rotation number there says otherwise
+    with pytest.raises(ReductionError, match="rotation number defect"):
+        kam.gap_edge_step(amo_potential(0.004), freq, (2,), 0.728833,
+                          4.0 / 6000)
 
 
 def test_reduce_precheck_rejects_hyperbolic(freq):
-    A = np.array([[3.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(ReductionError):
-        reduce_to_parabolic(A, _zero_f(), freq, 0, check_inputs=True)
+    from qpspec.qpcore import cosine_polynomial
+
+    # the free cocycle at E = 3 lies above the spectrum [-2, 2]
+    free = cosine_polynomial({0: 0.0})
+    with pytest.raises(ReductionError, match="uniformly hyperbolic"):
+        kam._admit_edge(free, freq, (0,), 3.0)
+
+
+def test_edge_admission_accepts_a_true_edge(freq):
+    from qpspec.qpcore import amo_potential
+
+    kam._admit_edge(amo_potential(0.004), freq, (1,), 0.728833 - 4.0 / 6000)
+    kam._admit_edge(amo_potential(0.004), freq, (-1,), 0.728833 - 4.0 / 6000)
 
 
 def test_reduce_degree_mismatch_without_precheck(freq):
     base, f = _twist_edge_perturbation(freq, 0.004)
     with pytest.raises(ReductionError):
-        reduce_to_parabolic(base, f, freq, 0, check_inputs=False)
+        reduce_to_parabolic(base, f, freq, 0)
 
 
 def test_reduce_elliptic_interior_is_not_parabolic(freq):
     with pytest.raises(ReductionError):
-        reduce_to_parabolic(rotation(0.17), _zero_f(), freq, 0,
-                            check_inputs=False)
+        reduce_to_parabolic(rotation(0.17), _zero_f(), freq, 0)
+
+
+def test_kam_builds_no_general_cocycle():
+    # edge admission runs on the exact Schrodinger cocycle, so kam needs
+    # neither a general Cocycle nor the one-orbit rotation number, and
+    # reduce_to_parabolic carries no precheck switch
+    tree = ast.parse(Path(kam.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"Cocycle", "rotation_number"}
+    reduce_fn = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "reduce_to_parabolic")
+    params = reduce_fn.args.args + reduce_fn.args.kwonlyargs
+    assert "check_inputs" not in {a.arg for a in params}
 
 
 # ---------------------------------------------------------------------------
