@@ -46,7 +46,7 @@ from .qpcore import (
     diophantine_check,
 )
 from .rotnum import schrodinger_rotation_grid
-from .spectrum import ids, ids_curve, spectrum_scan
+from .spectrum import TruncatedOperator, ids_curve, spectrum_scan
 
 _FLOAT_FMT = "%.17g"
 
@@ -200,8 +200,8 @@ def numerics_of(cfg: dict) -> dict:
     grid = out["energy"]
     for key, kind in _ENERGY_TYPES.items():
         grid[key] = _typed(f"numerics.energy.{key}", grid[key], kind)
-    if not isinstance(out["homog_eps"], list):
-        raise ConfigError("numerics.homog_eps must be a list")
+    if not isinstance(out["homog_eps"], list) or not out["homog_eps"]:
+        raise ConfigError("numerics.homog_eps must be a nonempty list")
     out["homog_eps"] = [_typed("numerics.homog_eps", e, float)
                         for e in out["homog_eps"]]
 
@@ -220,6 +220,8 @@ def numerics_of(cfg: dict) -> dict:
         raise ConfigError("numerics.rotation_iterations must be at least 2")
     if any(e <= 0 for e in out["homog_eps"]):
         raise ConfigError("numerics.homog_eps must be positive")
+    if out["homog_samples"] < 0:
+        raise ConfigError("numerics.homog_samples must be nonnegative")
     degenerate = grid["min"] == grid["max"] and grid["points"] == 1
     if not degenerate and (grid["min"] >= grid["max"] or grid["points"] < 1):
         raise ConfigError("numerics.energy grid must be sorted and nonempty")
@@ -305,13 +307,61 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs,
 # shared pipeline stages
 
 
-def _scan_and_label(V, freq, num):
-    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
-    records, boundary = detect_gaps(
-        scan, lambda E: ids(V, freq, float(E), num["L"], num["phases"]),
-        num["min_gap_length"])
+def _scan_digest(V, freq, num) -> str:
+    """sha256 over every admitted value that decides the scan intervals."""
+    coeffs = [[list(k), [c.real, c.imag]] for k, c in V.coeffs.items()]
+    return config_digest({
+        "potential": [V.dim, V.radius, V.period, coeffs],
+        "frequency": freq.vec.tolist(),
+        "L": num["L"], "phases": num["phases"],
+        "resolution": num["resolution"],
+        "version": __version__,
+    })
+
+
+def _stored_scan(out_dir: Path, digest: str):
+    """Intervals of the scan recorded in out_dir, or None.
+
+    They are read back only when the scan manifest carries this digest and
+    the data file still hashes as the manifest recorded; %.17g and JSON
+    floats round-trip, so they equal the intervals the scan computed.
+    """
+    try:
+        manifest = json.loads((out_dir / "scan_manifest.json").read_text())
+        summary = manifest["summary"]
+        name, = manifest["outputs"]
+        if (summary["spectral_digest"] != digest
+                or name not in ("scan.csv", "scan.json")):
+            return None
+        data = (out_dir / name).read_bytes()
+        if hashlib.sha256(data).hexdigest() != summary["scan_sha256"]:
+            return None
+        rows = _parse_rows(data.decode(), Path(name).suffix)
+        return [(float(r["E_lo"]), float(r["E_hi"])) for r in rows]
+    except (OSError, LookupError, TypeError, ValueError):
+        return None
+
+
+def _scan_intervals(V, freq, num, out_dir: Path):
+    """Scan intervals, reused from out_dir when current, and their provenance
+    for the manifest summary."""
+    digest = _scan_digest(V, freq, num)
+    scan = _stored_scan(out_dir, digest)
+    source = "reused"
+    if scan is None:
+        scan = spectrum_scan(V, freq, num["L"], num["phases"],
+                             num["resolution"])
+        source = "computed"
+    return scan, {"scan": source, "spectral_digest": digest}
+
+
+def _scan_and_label(V, freq, num, out_dir: Path):
+    scan, provenance = _scan_intervals(V, freq, num, out_dir)
+    H = TruncatedOperator.sampled(V, freq, num["L"], num["phases"])
+    records, boundary = detect_gaps(scan, lambda E: float(H.ids(E)[0]),
+                                    num["min_gap_length"])
     labelled = label_all(records, freq, num["M_max"], num["label_tol"])
-    return scan, labelled, boundary
+    return labelled, boundary, provenance
 
 
 def _gap_rows(labelled):
@@ -341,17 +391,20 @@ def cmd_ids(cfg, V, freq, num, out_dir, fmt):
 
 
 def cmd_scan(cfg, V, freq, num, out_dir, fmt):
-    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
+    scan, provenance = _scan_intervals(V, freq, num, out_dir)
     rows = [{"E_lo": a, "E_hi": b} for a, b in scan]
-    return [emit_rows(rows, ["E_lo", "E_hi"], out_dir, "scan", fmt)], {
-        "intervals": len(rows)}
+    name = emit_rows(rows, ["E_lo", "E_hi"], out_dir, "scan", fmt)
+    sha = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    return [name], {"intervals": len(rows), "scan_sha256": sha,
+                    **provenance}
 
 
 def cmd_gaps(cfg, V, freq, num, out_dir, fmt):
-    _, labelled, boundary = _scan_and_label(V, freq, num)
+    labelled, boundary, provenance = _scan_and_label(V, freq, num, out_dir)
     rows = _gap_rows(labelled)
     name = emit_rows(rows, _GAP_COLUMNS, out_dir, "gaps", fmt)
-    return [name], {"gaps": len(rows), "boundary": list(boundary)}
+    return [name], {"gaps": len(rows), "boundary": list(boundary),
+                    **provenance}
 
 
 def cmd_decay(cfg, V, freq, num, out_dir, fmt):
@@ -361,7 +414,7 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     eps, k, modes = _ck_spec(spec)
     unit_profile = cosine_polynomial({n: float(n) ** (-k) for n in modes})
     c_norm = ck_norm(unit_profile, k).upper
-    _, labelled, _ = _scan_and_label(V, freq, num)
+    labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
                            eps * c_norm, k)
     name = emit_rows(report["rows"],
@@ -370,19 +423,23 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     summary = {"all_pass": report["all_pass"],
                "log_slope": report["log_slope"],
                "eps": eps, "k": k, "c_norm_upper": c_norm,
-               "effective_eps": eps * c_norm}
+               "effective_eps": eps * c_norm, **provenance}
     return [name], summary
 
 
 def cmd_homog(cfg, V, freq, num, out_dir, fmt):
-    scan = spectrum_scan(V, freq, num["L"], num["phases"], num["resolution"])
-    profile = homogeneity_profile(scan, np.asarray(num["homog_eps"]),
-                                  num["homog_samples"])
+    scan, provenance = _scan_intervals(V, freq, num, out_dir)
+    try:
+        profile = homogeneity_profile(scan, np.asarray(num["homog_eps"]),
+                                      num["homog_samples"])
+    except ValueError as exc:
+        # every eps must lie below the diameter of this scan
+        raise ConfigError(f"numerics.homog_eps: {exc}") from exc
     rows = [{"eps": float(e), "mu": float(m), "attaining_E": float(a)}
             for e, m, a in zip(profile.eps, profile.mu, profile.attaining_E)]
     name = emit_rows(rows, ["eps", "mu", "attaining_E"], out_dir, "homog",
                      fmt)
-    return [name], {"min_mu": profile.min_mu()}
+    return [name], {"min_mu": profile.min_mu(), **provenance}
 
 
 def cmd_rotation(cfg, V, freq, num, out_dir, fmt):
@@ -478,15 +535,18 @@ def _load_gap_inventory(path: Path):
             f"gap inventory {path} is unreadable: {exc!r}") from exc
 
 
+def _parse_rows(text: str, suffix: str) -> list:
+    """Rows of an emitted data file: JSON objects, or CSV cells by header."""
+    if suffix == ".json":
+        return json.loads(text)
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
 def _read_gap_inventory(path: Path):
-    if path.suffix == ".json":
-        records = json.loads(path.read_text())
-    else:
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        records = [dict(zip(header, line.split(","))) for line in lines[1:]]
     rows = []
-    for r in records:
+    for r in _parse_rows(path.read_text(), path.suffix):
         m = r["m"].split(";") if isinstance(r["m"], str) else r["m"]
         row = (tuple(int(x) for x in np.atleast_1d(m)), float(r["E_minus"]),
                float(r["E_plus"]), float(r["length"]))
@@ -580,17 +640,32 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _output_of(cfg: dict, args):
+    """(format, created output directory); the flags override the config."""
+    section = cfg.get("output", {})
+    if not isinstance(section, dict):
+        raise ConfigError("output section must be an object")
+    fmt = args.format or section.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format '{fmt}'")
+    out = args.out or section.get("dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output.dir must be a path string, got {out!r}")
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir} cannot be created: "
+                          f"{exc.strerror}") from exc
+    return fmt, out_dir
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         t0 = time.perf_counter()
         cfg = load_config(args.config)
-        output_cfg = cfg.get("output", {})
-        fmt = args.format or output_cfg.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format '{fmt}'")
-        out_dir = Path(args.out or output_cfg.get("dir", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        fmt, out_dir = _output_of(cfg, args)
         V = build_potential(cfg["potential"])
         freq = build_frequency(cfg["frequency"])
         num = numerics_of(cfg)

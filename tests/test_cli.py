@@ -363,6 +363,90 @@ def test_threads_and_seed_do_not_change_values(tmp_path):
     assert (d1 / "ids.csv").read_bytes() == (d2 / "ids.csv").read_bytes()
 
 
+def test_output_path_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _write(tmp_path, _base_config(taken))
+    assert main(["ids", "--config", cfg, "--out", str(taken)]) == 2
+    assert main(["ids", "--config", cfg]) == 2
+    assert capsys.readouterr().err.count(str(taken)) == 2
+
+
+# ---------------------------------------------------------------------------
+# scan reuse from the output directory
+
+_SCAN_USERS = ("gaps", "decay", "homog")
+
+
+def _run(cfg_path, commands, out_dir, fmt="csv"):
+    """Run commands into out_dir; the scan path each manifest reports."""
+    for command in commands:
+        assert main([command, "--config", cfg_path, "--out", str(out_dir),
+                     "--format", fmt]) == 0
+    return {c: _manifest(out_dir, c)["summary"]["scan"] for c in commands}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_reuse_keeps_data_files_byte_identical(tmp_path, fmt):
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        potential={"family": "ck", "epsilon": 0.01, "k": 6,
+                   "modes": [1, 2, 3, 4, 5, 6, 7, 8]},
+        numerics={"L": 1000, "resolution": 4e-3, "min_gap_length": 8e-3}))
+    with_scan, alone = tmp_path / "with_scan", tmp_path / "alone"
+    assert _run(cfg, ("scan",) + _SCAN_USERS, with_scan, fmt) == {
+        "scan": "computed", "gaps": "reused", "decay": "reused",
+        "homog": "reused"}
+    assert _run(cfg, _SCAN_USERS, alone, fmt) == dict.fromkeys(
+        _SCAN_USERS, "computed")
+    for command in _SCAN_USERS:
+        assert ((with_scan / f"{command}.{fmt}").read_bytes()
+                == (alone / f"{command}.{fmt}").read_bytes())
+    assert _manifest(alone, "gaps")["summary"]["gaps"] > 0
+    # a rerun of scan reads its own file back and rewrites the same bytes
+    scan = (with_scan / f"scan.{fmt}").read_bytes()
+    assert _run(cfg, ("scan",), with_scan, fmt) == {"scan": "reused"}
+    assert (with_scan / f"scan.{fmt}").read_bytes() == scan
+
+
+def _drop_last_row(out_dir):
+    path = out_dir / "scan.csv"
+    path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+
+
+@pytest.mark.parametrize("change,scan_fmt,mutate,expected", [
+    ({}, "csv", None, "reused"),
+    ({}, "json", None, "reused"),
+    ({"numerics": {"L": 600}}, "csv", None, "computed"),
+    ({"numerics": {"resolution": 3e-3}}, "csv", None, "computed"),
+    ({"potential": {"coupling": 0.31}}, "csv", None, "computed"),
+    ({}, "csv", _drop_last_row, "computed"),
+    ({}, "csv", lambda d: (d / "scan.csv").unlink(), "computed"),
+    ({}, "csv", lambda d: (d / "scan_manifest.json").unlink(), "computed"),
+    ({}, "csv", lambda d: (d / "scan_manifest.json").write_text("{"),
+     "computed"),
+    ({}, "csv", lambda d: (d / "scan_manifest.json").write_text("[]"),
+     "computed"),
+], ids=["same_config", "scan_in_json", "other_L", "other_resolution",
+        "other_coupling", "scan_edited", "scan_missing", "manifest_missing",
+        "manifest_unparsable", "manifest_not_object"])
+def test_scan_reuse_needs_a_current_scan(tmp_path, change, scan_fmt, mutate,
+                                         expected):
+    out = tmp_path / "out"
+    cfg = _amo_gaps_config(out)
+    assert _run(_write(tmp_path, cfg, "first.json"), ("scan",), out,
+                scan_fmt) == {"scan": "computed"}
+    if mutate is not None:
+        mutate(out)
+    for key, val in change.items():
+        cfg[key].update(val)
+    cfg = _write(tmp_path, cfg, "second.json")
+    assert _run(cfg, ("homog",), out) == {"homog": expected}
+    assert _run(cfg, ("homog",), tmp_path / "fresh") == {"homog": "computed"}
+    assert ((out / "homog.csv").read_bytes()
+            == (tmp_path / "fresh" / "homog.csv").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # numerics typing and gap-labelling failures
 
@@ -461,6 +545,14 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      "potential.coupling"),
     ("homog", {"numerics": {"homog_eps": [math.nan]}}, None, 2,
      "numerics.homog_eps"),
+    ("homog", {"numerics": {"homog_eps": []}}, None, 2,
+     "numerics.homog_eps"),
+    ("homog", {"numerics": {"homog_eps": [10.0]}}, None, 2,
+     "numerics.homog_eps"),
+    ("homog", {"numerics": {"homog_samples": -1}}, None, 2,
+     "numerics.homog_samples"),
+    ("ids", {"output": []}, None, 2, "output section"),
+    ("ids", {"output": {"dir": 5}}, None, 2, "output.dir"),
     ("ids", {"frequency": {"components": [GOLDEN], "gamma": math.nan}}, None,
      2, "frequency.gamma"),
     ("kam", {"kam": {"rho0": 0.17, "perturbation": {
@@ -472,7 +564,9 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
         "rotation_iterations", "homog_eps", "resolution_nan",
-        "energy_max_infinite", "coupling_nan", "homog_eps_nan", "gamma_nan",
+        "energy_max_infinite", "coupling_nan", "homog_eps_nan",
+        "homog_eps_empty", "homog_eps_above_diam", "homog_samples_negative",
+        "output_not_object", "output_dir_not_path", "gamma_nan",
         "scale_nan", "inventory_nan_edge", "inventory_edges_swapped"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,

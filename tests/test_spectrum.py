@@ -257,6 +257,13 @@ def test_sturm_counting_has_one_owner():
     users = sorted(path.name for path in src.glob("*.py")
                    if "_pivot_counts" in path.read_text())
     assert users == ["spectrum.py"]
+    # the CLI scans in one place, the helper that may reuse a stored scan
+    cli_tree = ast.parse((src / "cli.py").read_text())
+    scans = [node for node in ast.walk(cli_tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "spectrum_scan"]
+    assert len(scans) == 1
 
 
 def _pivot_counts_floored(diags, energies):
