@@ -28,6 +28,7 @@ from .errors import (
     LabelError,
     ReductionError,
     StaleArtifactError,
+    StepSizeError,
 )
 from .gaps import (
     GapRecord,
@@ -567,6 +568,10 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
             raise ConfigError(f"edge section needs a '{field}' field")
     label = tuple(_typed("edge.label", x, int)
                   for x in np.atleast_1d(spec["label"]))
+    # 0 (the default) lets the step pick delta inside its guard
+    delta = _typed("edge.delta", spec.get("delta", 0.0), float)
+    if delta < 0.0:
+        raise ConfigError(f"edge.delta must be nonnegative, got {delta!r}")
     inventory = _load_gap_inventory(Path(spec["gaps_file"]))
     match = [row for row in inventory if row[0] == label]
     if not match:
@@ -584,9 +589,11 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
         raise StaleArtifactError(
             f"gap {label} from {spec['gaps_file']} vanished on "
             "re-measurement; the inventory is stale")
-    step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
-                             delta=_typed("edge.delta", spec.get("delta", 0.0),
-                                          float) or None)
+    try:
+        step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
+                                 delta=delta or None)
+    except StepSizeError as exc:
+        raise ConfigError(f"edge.delta: {exc}") from exc
     mp, bound = step["mp"], step["bound"]
     row = {
         "m": label,

@@ -80,6 +80,11 @@ class DivergenceError(QpspecError):
         super().__init__(message)
 
 
+class StepSizeError(QpspecError, ValueError):
+    """A perturbation step size lies outside its contraction guard; the
+    guard depends on the computed conjugacy, so it is known only then."""
+
+
 class ReductionError(QpspecError):
     """Reduction to the parabolic normal form failed a structural check
     (label mismatch, non-parabolic limit, null-vector degeneracy)."""

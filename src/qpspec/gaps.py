@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from .errors import AmbiguousLabelError, LabelError
-from .qpcore import FourierSeries, Frequency, dist_to_int
+from .qpcore import FourierSeries, Frequency, dist_to_int, integer_ball
 from .spectrum import IdsCurve, TruncatedOperator
 
 __all__ = [
@@ -80,35 +79,30 @@ def detect_gaps(scan, ids_curve, min_length: float):
     return records, boundary
 
 
-def _label_candidates(dim: int, M_max: int):
-    ranges = [range(-M_max, M_max + 1)] * dim
-    return list(product(*ranges))
-
-
 def label_gap(N_plateau: float, freq: Frequency, M_max: int,
               tol: float) -> tuple:
     """Unique m with |m| <= M_max and N = <m, alpha> mod Z within tol."""
     if M_max < 1:
         raise ValueError("M_max >= 1 required")
-    cands = _label_candidates(freq.dim, M_max)
-    brackets = np.array([float(np.dot(m, freq.vec)) for m in cands])
-    defects = dist_to_int(N_plateau - brackets)
+    cands = integer_ball(freq.dim, M_max)
+    defects = dist_to_int(N_plateau - cands @ freq.vec)
     order = np.argsort(defects)
     best, runner = order[0], order[1]
+    m_best, m_runner = (tuple(cands[i].tolist()) for i in (best, runner))
     if defects[best] > tol:
         raise LabelError(
             f"no label within tol={tol:.1e}: best candidate "
-            f"m={cands[best]} has defect {defects[best]:.3e}")
+            f"m={m_best} has defect {defects[best]:.3e}")
     if defects[runner] <= tol:
         raise AmbiguousLabelError(
-            f"labels {cands[best]} and {cands[runner]} both match plateau "
+            f"labels {m_best} and {m_runner} both match plateau "
             f"{N_plateau:.6f} within {tol:.1e}")
     separation = freq.gamma / float(2 * M_max) ** freq.tau - tol
     if defects[runner] < separation:
         raise AmbiguousLabelError(
             f"runner-up defect {defects[runner]:.3e} below the Diophantine "
             f"separation {separation:.3e}")
-    return tuple(int(x) for x in cands[best])
+    return m_best
 
 
 def label_all(records, freq: Frequency, M_max: int, tol: float):

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from .cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
 from .errors import (BranchError, DivergenceError, DivisorError,
-                     ReductionError, ResonanceError)
+                     ReductionError, ResonanceError, StepSizeError)
 from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
                    project_traceless, rotation, trace2)
-from .qpcore import FourierSeries, Frequency, ck_norm, dist_to_int
+from .qpcore import (FourierSeries, Frequency, ck_norm, dist_to_int,
+                     integer_ball, torus_mesh)
 from .rotnum import rotation_series, schrodinger_rotation_grid
 
 __all__ = [
@@ -82,21 +82,17 @@ def _pow2_at_least(n: int, minimum: int = 32) -> int:
     return g
 
 
-def _mesh_points(dim: int, g: int, period: int) -> np.ndarray:
-    axis = np.arange(g) * (period / g)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-
 def _sample(series: FourierSeries, g: int) -> np.ndarray:
     # scatter modes into a periodic buffer and synthesize by inverse FFT;
-    # accumulation reproduces the aliased sum that pointwise evaluation
-    # yields on this mesh, so the result is exact for any support
+    # accumulation (in key order) reproduces the aliased sum that pointwise
+    # evaluation yields on this mesh, so the result is exact for any support
     shape = (g,) * series.dim
     tail = (2, 2) if series.is_matrix else ()
     buf = np.zeros(shape + tail, dtype=complex)
-    for k, c in series.coeffs.items():
-        buf[tuple(np.mod(k, g))] += c
+    modes = np.array(list(series.coeffs), dtype=int).reshape(-1, series.dim)
+    coeffs = np.array(list(series.coeffs.values()),
+                      dtype=complex).reshape((-1,) + tail)
+    np.add.at(buf, tuple(np.mod(modes, g).T), coeffs)
     axes = tuple(range(series.dim))
     return np.fft.ifftn(buf, axes=axes) * float(g ** series.dim)
 
@@ -129,11 +125,10 @@ def _extract_series(vals: np.ndarray, dim: int, radius: int,
     spec = np.fft.fftn(vals, axes=tuple(range(dim))) / float(g ** dim)
     ref = float(np.max(np.abs(spec))) if spec.size else 0.0
     keep = max(1e-13 * max(ref, 1e-300), noise)
-    coeffs = {}
-    for n in product(range(-radius, radius + 1), repeat=dim):
-        c = spec[tuple(np.mod(n, g))]
-        if np.max(np.abs(c)) >= keep:
-            coeffs[n] = c
+    modes = integer_ball(dim, radius)
+    table = spec[tuple(np.mod(modes, g).T)]
+    kept = np.abs(table).reshape(len(modes), -1).max(axis=1) >= keep
+    coeffs = dict(zip(map(tuple, modes[kept].tolist()), table[kept]))
     if not coeffs and vals.ndim == dim + 2:
         return _zero_sl2_series(dim, period)
     return FourierSeries(dim, radius, coeffs, period).symmetrized()
@@ -192,10 +187,10 @@ def seeded_sl2_series(scale: float, radius: int, seed: int,
     """Reproducible random traceless perturbation with the given band."""
     rng = np.random.default_rng(seed)
     coeffs = {}
-    for n in product(range(-radius, radius + 1), repeat=dim):
+    for n in integer_ball(dim, radius).tolist():
         m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
         m = m - 0.5 * np.trace(m) * np.eye(2)
-        coeffs[n] = m
+        coeffs[tuple(n)] = m
     return FourierSeries(dim, radius, coeffs, 1).symmetrized()
 
 
@@ -219,13 +214,6 @@ def eigen_rho(A: np.ndarray) -> dict:
     return {"kind": "hyperbolic", "rho": math.acosh(abs(t) / 2.0) / _TWO_PI}
 
 
-def _integer_ball(dim: int, N: int) -> np.ndarray:
-    axes = [np.arange(-N, N + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, dim)
-    return pts[np.any(pts != 0, axis=1)]
-
-
 def detect_resonance(rho: float, freq: Frequency, N: int, threshold: float):
     """The unique site n*, 0 < |n| <= N, with 2 rho ~ <n, alpha> mod Z.
 
@@ -237,18 +225,18 @@ def detect_resonance(rho: float, freq: Frequency, N: int, threshold: float):
         raise ValueError("threshold must be positive")
     if N < 1:
         raise ValueError("window must be >= 1")
-    cands = _integer_ball(freq.dim, min(N, _WINDOW_CAP[freq.dim]))
+    cands = integer_ball(freq.dim, min(N, _WINDOW_CAP[freq.dim]))
+    cands = cands[cands.any(axis=1)]
     defects = dist_to_int(2.0 * rho - cands @ freq.vec)
     order = np.argsort(defects)
-    best = order[0]
-    if defects[best] >= threshold:
+    best, runner = (tuple(cands[i].tolist()) for i in order[:2])
+    if defects[order[0]] >= threshold:
         return None
     if defects[order[1]] < threshold:
         raise ResonanceError(
-            f"two resonant sites {tuple(cands[best])} and "
-            f"{tuple(cands[order[1]])} below threshold {threshold:.2e}; "
-            "window too large for the Diophantine constants")
-    return tuple(int(v) for v in cands[best])
+            f"two resonant sites {best} and {runner} below threshold "
+            f"{threshold:.2e}; window too large for the Diophantine constants")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +276,7 @@ class KamState:
     def residual(self) -> float:
         """Max defect of the defining conjugation identity on the grid."""
         per = _RESIDUAL_POINTS[self.freq.dim]
-        pts = _mesh_points(self.freq.dim, per, 2)
+        pts = torus_mesh(self.freq.dim, per, 2)
         alpha = self.freq.vec
         b_here = _real_grid(self.B_accum.evaluate_complex(pts))
         b_next = _real_grid(
@@ -299,12 +287,14 @@ class KamState:
         rhs = self.A @ exp_sl2(f_vals)
         return float(np.max(norm2(lhs - rhs)))
 
-    def check_residual(self) -> None:
+    def check_residual(self) -> float:
+        """The residual, or ReductionError when it exceeds the tolerance."""
         bound = self.residual_tol * (1.0 + self.conjugacy_norm() ** 2)
         defect = self.residual()
         if defect > bound:
             raise ReductionError(
                 f"conjugation residual {defect:.3e} exceeds {bound:.3e}")
+        return defect
 
 
 def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
@@ -480,8 +470,7 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
            "inner_passes": passes}
     out = replace(state, A=A_cur, f=f_cur, B_accum=B_new,
                   ledger=state.ledger + (row,))
-    out.check_residual()
-    row["residual"] = out.residual()
+    row["residual"] = out.check_residual()
     return out
 
 
@@ -608,7 +597,7 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     A_mid = rotation(rho - shift)
     band = f_kept.support_radius() + star_size
     g = _pow2_at_least(2 * (2 * band + 2) + 2)
-    pts = _mesh_points(state.freq.dim, g, 1)
+    pts = torus_mesh(state.freq.dim, g, 1)
     z_here = _real_grid(twist.evaluate_complex(pts))
     z_next = _real_grid(twist.shifted(state.freq.vec).evaluate_complex(pts))
     f_vals = _real_grid(f_kept.evaluate_complex(pts))
@@ -635,8 +624,7 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
         deg_accum=tuple(d + v for d, v in zip(state.deg_accum, n_star)),
         resonant_sites=state.resonant_sites + (n_star,),
         ledger=state.ledger + (row,))
-    out.check_residual()
-    row["residual"] = out.residual()
+    row["residual"] = out.check_residual()
     return out
 
 
@@ -932,7 +920,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     x_norm = ck_norm(X, 0).upper
     guard = _delta_guard(x_norm, freq)
     if not 0.0 < delta < guard:
-        raise ValueError(
+        raise StepSizeError(
             f"delta = {delta:.3e} outside the contraction guard "
             f"(0, {guard:.3e})")
 
@@ -940,7 +928,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     # double cover, so the plain-torus grid resolves them
     radius = max(X.support_radius(), 1)
     g = _pow2_at_least(2 * (2 * radius + 2) + 2, minimum=64)
-    pts = _mesh_points(freq.dim, g, 1)
+    pts = torus_mesh(freq.dim, g, 1)
     vals = _real_grid(X.evaluate_complex(pts))
     x11 = vals[..., 0, 0]
     x12 = vals[..., 0, 1]
@@ -1047,7 +1035,7 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     A = rotation(info["rho"])
     band = max(V.support_radius(), 1)
     g = _pow2_at_least(8 * band + 2)
-    v_vals = V.evaluate(_mesh_points(freq.dim, g, 1))
+    v_vals = V.evaluate(torus_mesh(freq.dim, g, 1))
     cocycle_vals = np.zeros(v_vals.shape + (2, 2))
     cocycle_vals[..., 0, 0] = e_reduce - v_vals
     cocycle_vals[..., 0, 1] = -1.0

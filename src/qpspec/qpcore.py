@@ -20,7 +20,6 @@ Theorem-style comparisons always consume the upper bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,20 +41,27 @@ def dist_to_int(x):
     return d
 
 
-def _sup_ball(dim: int, cutoff: int):
-    """Nonzero integer vectors with |n|_inf <= cutoff, one per {n, -n} pair.
+def integer_ball(dim: int, radius: int) -> np.ndarray:
+    """Every n in Z^dim with |n|_inf <= radius, shape (count, dim).
 
-    Deterministic order: by sup-norm shell, then lexicographic; the canonical
-    representative has a positive first nonzero component.
+    Rows come in lexicographic order, the order of itertools.product over
+    range(-radius, radius + 1).  The one enumerator of the sup-norm ball:
+    Diophantine scan, gap labels, resonance sites and KAM mode tables.
     """
-    for r in range(1, cutoff + 1):
-        for n in itertools.product(range(-r, r + 1), repeat=dim):
-            if max(abs(v) for v in n) != r:
-                continue
-            first = next(v for v in n if v != 0)
-            if first < 0:
-                continue
-            yield n
+    axis = np.arange(-radius, radius + 1)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, dim)
+
+
+def torus_mesh(dim: int, points: int, period: float) -> np.ndarray:
+    """The points^dim equispaced mesh on [0, period)^dim, shape (count, dim).
+
+    The first coordinate varies slowest (meshgrid "ij" order), so the rows
+    reshape to a (points,) * dim grid.
+    """
+    axis = np.arange(points) * (period / points)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,18 @@ def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency
         raise ValueError("gamma and tau must be positive")
     if cutoff < 1:
         raise ValueError("check cutoff must be >= 1")
-    avec = np.asarray(alpha)
-    for n in _sup_ball(d, cutoff):
-        x = float(np.dot(n, avec))
-        dist = dist_to_int(x)
-        required = gamma / float(max(abs(v) for v in n)) ** tau
-        if dist < required:
-            raise DiophantineRejection(n, dist, required)
+    ball = integer_ball(d, cutoff)
+    first = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)]
+    ball = ball[first > 0]
+    size = np.abs(ball).max(axis=1)
+    order = np.argsort(size, kind="stable")
+    ball, size = ball[order], size[order]
+    dist = dist_to_int(ball @ np.asarray(alpha))
+    required = gamma / size.astype(float) ** tau
+    bad = np.flatnonzero(dist < required)
+    if bad.size:
+        i = bad[0]
+        raise DiophantineRejection(ball[i], dist[i], required[i])
     return Frequency(alpha=alpha, gamma=float(gamma), tau=float(tau),
                      cutoff=int(cutoff))
 
@@ -248,10 +259,7 @@ class FourierSeries:
 
     def grid_points(self) -> np.ndarray:
         """Fixed evaluation grid: 4*radius + 1 points per dimension."""
-        m = 4 * max(self.radius, 1) + 1
-        axes = [np.arange(m) * (self.period / m) for _ in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        return torus_mesh(self.dim, 4 * max(self.radius, 1) + 1, self.period)
 
     def sup_norm(self) -> float:
         """Grid sup of |f| (scalar) or the spectral norm (matrix)."""
@@ -381,13 +389,6 @@ class CkNorm:
     upper: float
 
 
-def _multi_indices(dim: int, k: int):
-    for total in range(k + 1):
-        for j in itertools.product(range(total + 1), repeat=dim):
-            if sum(j) == total:
-                yield j
-
-
 def ck_norm(f: FourierSeries, k: int) -> CkNorm:
     """Grid lower bound and coefficient upper bound for the C^k norm."""
     if k < 0:
@@ -402,9 +403,13 @@ def ck_norm(f: FourierSeries, k: int) -> CkNorm:
         coeff_norm = np.linalg.svd(values, compute_uv=False)[..., 0]
     else:
         coeff_norm = np.abs(values)
+    # multi-indices j >= 0 with |j|_1 <= k, by order, then lexicographic
+    js = integer_ball(f.dim, k)
+    js = js[(js >= 0).all(axis=1) & (js.sum(axis=1) <= k)]
+    js = js[np.argsort(js.sum(axis=1), kind="stable")]
     lower = 0.0
     upper = 0.0
-    for j in _multi_indices(f.dim, k):
+    for j in js.tolist():
         deriv_mag = np.ones(modes.shape[0])
         deriv_fac = np.ones(modes.shape[0], dtype=complex)
         for axis, power in enumerate(j):

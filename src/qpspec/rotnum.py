@@ -153,10 +153,10 @@ def _rescale(cols):
 
 
 def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
-                              theta0=0.0, n_iters: int = 20000):
+                              n_iters: int = 20000):
     """Folded rotation numbers for a grid of energies via lane tracking.
 
-    The potential is sampled once along the orbit, which is cut into up
+    The potential is sampled once along the orbit of phase 0, cut into up
     to _SEGMENTS contiguous segments (n_iters // 2 is a cut); every
     (segment, energy) pair is one lane, so a pass takes about
     n_iters / _SEGMENTS steps.  Pass 1 carries both columns of each
@@ -169,7 +169,7 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     if n_iters < 2:
         raise ValueError("n_iters >= 2 required")
     energies = np.asarray(energies, dtype=float)
-    v_orbit = V.evaluate(freq.orbit(theta0, np.arange(n_iters)))
+    v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n_iters)))
     cuts = np.array(_segment_cuts(n_iters))
     starts, lengths = cuts[:-1, None], np.diff(cuts)[:, None]
     n_steps = int(lengths.max())
@@ -274,14 +274,14 @@ def conjugated_rotation(rho_in: float, B_degree, freq: Frequency) -> float:
 
 
 def rotation_perturbation_bound_check(A: FourierSeries, phi: float,
-                                      freq: Frequency, n_iters: int = 100000,
-                                      theta0=0.0) -> dict:
+                                      freq: Frequency,
+                                      n_iters: int = 100000) -> dict:
     """Measure |rho(A) - phi| against the sup distance of A from R_phi.
 
     A need not have exactly unit determinant (perturbations of a rotation
     are accepted), but the projective action must preserve orientation.
     """
-    mats = A.evaluate(freq.orbit(theta0, np.arange(n_iters)))
+    mats = A.evaluate(freq.orbit(0.0, np.arange(n_iters)))
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     if dets.min() <= 0:
         raise ValueError("orientation-reversing map has no rotation number")

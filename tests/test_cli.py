@@ -162,6 +162,21 @@ def test_kam_seeded_run(tmp_path):
     assert all(r["kind"] == "nonresonant" for r in rows)
 
 
+def test_kam_explicit_terms_run(tmp_path):
+    terms = {"1": [[1e-4, 2e-4], [-3e-4, -1e-4]],
+             "2": [[0.0, 5e-5], [5e-5, 0.0]]}
+    cfg = _write(tmp_path, _base_config(
+        tmp_path, kam={"rho0": 0.17, "perturbation": {"terms": terms}}))
+    assert main(["kam", "--config", cfg]) == 0
+    summary = _manifest(tmp_path, "kam")["summary"]
+    assert summary["final_norm"] == 0.0
+    assert summary["degree"] == [0]
+    assert summary["residual"] <= 1e-9
+    _, rows = _read_csv(tmp_path / "kam.csv")
+    assert len(rows) == summary["steps"] == 2
+    assert all(r["kind"] == "nonresonant" for r in rows)
+
+
 def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
     # unset run options fall back to almost_reducibility_run's defaults
     pert = {"scale": 2.5e-4, "radius": 3, "seed": 11}
@@ -190,7 +205,7 @@ def test_kam_seeded_run_two_frequencies(tmp_path):
     assert summary["degree"] == [0, 0]
 
 
-def test_gaps_then_edge_pipeline(tmp_path):
+def test_gaps_then_edge_pipeline(tmp_path, capsys):
     base = _base_config(
         tmp_path,
         potential={"family": "amo", "coupling": 0.004},
@@ -212,6 +227,15 @@ def test_gaps_then_edge_pipeline(tmp_path):
     assert float(row["delta"]) > 0.0
     assert float(row["predicted_gap_upper"]) > 0.0
     assert float(row["measured_length"]) >= 4e-3
+
+    # a step size beyond the contraction guard is a config error, not a
+    # traceback, and it leaves the earlier edge.csv in place
+    base["edge"]["delta"] = 1.0
+    before = (tmp_path / "edge.csv").read_text()
+    capsys.readouterr()
+    assert main(["edge", "--config", _write(tmp_path, base, "big.json")]) == 2
+    assert "edge.delta" in capsys.readouterr().err
+    assert (tmp_path / "edge.csv").read_text() == before
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +584,8 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      "kam.perturbation.scale"),
     ("edge", {"edge": {"label": [1]}}, _NAN_EDGE_INVENTORY, 4, "unreadable"),
     ("edge", {"edge": {"label": [1]}}, _SWAPPED_INVENTORY, 4, "unreadable"),
+    ("edge", {"edge": {"label": [1], "delta": -1.0}}, _NO_E_PLUS_INVENTORY,
+     2, "edge.delta"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
@@ -567,7 +593,8 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "energy_max_infinite", "coupling_nan", "homog_eps_nan",
         "homog_eps_empty", "homog_eps_above_diam", "homog_samples_negative",
         "output_not_object", "output_dir_not_path", "gamma_nan",
-        "scale_nan", "inventory_nan_edge", "inventory_edges_swapped"])
+        "scale_nan", "inventory_nan_edge", "inventory_edges_swapped",
+        "delta_negative"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):

@@ -27,7 +27,8 @@ from qpspec.kam import (
     resonant_step,
 )
 from qpspec.mat2 import exp_sl2, log_sl2, norm2, rotation
-from qpspec.qpcore import FourierSeries, diophantine_check, dist_to_int
+from qpspec.qpcore import (FourierSeries, diophantine_check, dist_to_int,
+                           torus_mesh)
 from qpspec.rotnum import conjugated_rotation, rotation_series
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -132,22 +133,35 @@ def test_window_size_example():
 def test_sample_matches_pointwise_matrix():
     s = _rand_sl2_series(1.0, 4, seed=3)
     g = 32
-    direct = s.evaluate_complex(kam._mesh_points(1, g, 1)).reshape(g, 2, 2)
+    direct = s.evaluate_complex(torus_mesh(1, g, 1)).reshape(g, 2, 2)
     assert float(np.max(np.abs(direct - kam._sample(s, g)))) < 1e-12
 
 
 def test_sample_matches_pointwise_period_two():
     s = FourierSeries(1, 3, {(-3,): 0.5 + 0j, (3,): 0.5 + 0j,
                              (1,): 1j, (-1,): -1j}, 2)
-    direct = s.evaluate_complex(kam._mesh_points(1, 16, 2)).reshape(16)
+    direct = s.evaluate_complex(torus_mesh(1, 16, 2)).reshape(16)
     assert float(np.max(np.abs(direct - kam._sample(s, 16)))) < 1e-12
 
 
 def test_sample_aliases_like_pointwise():
     # support beyond half the grid folds onto the same mesh values
     s = FourierSeries(1, 9, {(9,): 1.0 + 0j, (-9,): 1.0 + 0j}, 1)
-    direct = s.evaluate_complex(kam._mesh_points(1, 8, 1)).reshape(8)
+    direct = s.evaluate_complex(torus_mesh(1, 8, 1)).reshape(8)
     assert float(np.max(np.abs(direct - kam._sample(s, 8)))) < 1e-12
+
+
+@pytest.mark.parametrize("dim,g", [(1, 8), (1, 16), (2, 8), (2, 16)])
+def test_sample_scatter_matches_the_keywise_loop(dim, g):
+    # aliased modes must sum in key order, as the one-key-at-a-time
+    # scatter did, so the buffer agrees bit for bit
+    s = kam.seeded_sl2_series(1.0, 9 if dim == 1 else 5, seed=dim + g,
+                              dim=dim)
+    buf = np.zeros((g,) * dim + (2, 2), dtype=complex)
+    for k, c in s.coeffs.items():
+        buf[tuple(np.mod(k, g))] += c
+    ref = np.fft.ifftn(buf, axes=tuple(range(dim))) * float(g ** dim)
+    assert np.array_equal(kam._sample(s, g), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +360,7 @@ def test_run_nonresonant_schedule(freq):
     assert out.norm() <= 1e-12
     assert out.residual() <= 1e-9
     assert out.deg_accum == (0,)
-    assert out.check_residual() is None
+    assert out.check_residual() == out.residual()
 
 
 def test_run_resonant_start(freq):
@@ -360,6 +374,17 @@ def test_run_resonant_start(freq):
     assert sites == [(1,)]
     assert out.deg_accum == (1,)
     assert out.norm() <= 1e-12
+
+
+def test_nonresonant_step_refines_inside_one_step(freq):
+    # the second step's first pass more than halves the norm but stays
+    # above its square, so the inner refinement runs a second solve
+    out = almost_reducibility_run(rotation(0.23),
+                                  kam.seeded_sl2_series(2.5e-4, 3, 4), freq)
+    assert [row["kind"] for row in out.ledger] == ["nonresonant"] * 2
+    assert [row["inner_passes"] for row in out.ledger] == [1, 2]
+    assert out.norm() == 0.0
+    assert out.ledger[-1]["residual"] == out.residual() <= 1e-9
 
 
 def test_run_rotation_number_bookkeeping(freq):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +253,89 @@ def test_frequency_orbit_scalar_phase_in_two_dimensions():
     steps = np.arange(3)
     assert np.array_equal(f.orbit(0.0, steps), steps[:, None] * f.vec)
     assert np.array_equal(f.orbit(0.3, 2), 0.3 + 2 * f.vec)
+
+
+# ---------------------------------------------------------------------------
+# the sup-norm ball and the torus mesh have one owner each
+
+
+def _shell_scan(alpha, gamma, tau, cutoff):
+    """The shell-by-shell scan that diophantine_check replaced, kept as the
+    reference: first violating (n, distance, required), or None."""
+    avec = np.asarray(alpha, dtype=float)
+    for r in range(1, cutoff + 1):
+        for n in itertools.product(range(-r, r + 1), repeat=len(avec)):
+            if max(abs(v) for v in n) != r or next(v for v in n if v) < 0:
+                continue
+            dist = qc.dist_to_int(float(np.dot(n, avec)))
+            required = gamma / float(r) ** tau
+            if dist < required:
+                return n, dist, required
+    return None
+
+
+@pytest.mark.parametrize("alpha,gamma,tau,cutoff", [
+    ((GOLDEN,), 0.2, 1.5, 100),
+    ((0.5,), 0.2, 1.5, 2),
+    ((0.3001,), 0.05, 1.5, 40),
+    ((GOLDEN, SQRT2M1), 0.03, 2.5, 30),
+    ((GOLDEN, SQRT2M1), 0.05, 2.5, 30),
+    ((0.25, 0.7), 0.01, 2.0, 12),
+    ((0.3, 0.3), 0.1, 2.0, 5),
+    ((GOLDEN, SQRT2M1, math.sqrt(3.0) - 1.0), 1e-3, 3.5, 8),
+    ((GOLDEN, SQRT2M1, math.sqrt(3.0) - 1.0), 0.02, 3.5, 8),
+    ((0.1, 0.55, 0.35), 0.01, 3.0, 6),
+])
+def test_diophantine_check_matches_the_shell_scan(alpha, gamma, tau, cutoff):
+    ref = _shell_scan(alpha, gamma, tau, cutoff)
+    if ref is None:
+        assert qc.diophantine_check(alpha, gamma, tau, cutoff).alpha == alpha
+        return
+    with pytest.raises(DiophantineRejection) as info:
+        qc.diophantine_check(alpha, gamma, tau, cutoff)
+    err = info.value
+    # <n, alpha> may be summed in another order: a few ulps of d * cutoff
+    ulps = 8.0 * np.finfo(float).eps * len(alpha) * cutoff
+    assert (err.n, err.required) == (ref[0], ref[2])
+    assert err.distance == pytest.approx(ref[1], rel=0.0, abs=ulps)
+
+
+def test_integer_ball_is_the_product_order():
+    for dim in (1, 2, 3):
+        for radius in (0, 1, 3):
+            rows = [tuple(n) for n in qc.integer_ball(dim, radius).tolist()]
+            axis = range(-radius, radius + 1)
+            assert rows == list(itertools.product(axis, repeat=dim))
+
+
+def test_torus_mesh_is_the_ij_grid():
+    pts = qc.torus_mesh(2, 3, 2)
+    assert pts.shape == (9, 2)
+    assert pts[:3].tolist() == [[0.0, 0.0], [0.0, 2.0 / 3.0],
+                                [0.0, 4.0 / 3.0]]
+    assert np.array_equal(qc.FourierSeries(2, 2, {}).grid_points(),
+                          qc.torus_mesh(2, 9, 1))
+
+
+def test_ball_and_mesh_have_one_owner():
+    src = Path(qc.__file__).parent
+    itertools_users, meshgrid_callers, defined = [], set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                itertools_users += [path.stem for a in node.names
+                                    if a.name == "itertools"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                itertools_users.append(path.stem)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+                if any(getattr(call.func, "attr", None) == "meshgrid"
+                       for call in ast.walk(node)
+                       if isinstance(call, ast.Call)):
+                    meshgrid_callers.add(f"{path.stem}.{node.name}")
+    assert itertools_users == []
+    assert meshgrid_callers == {"qpcore.integer_ball", "qpcore.torus_mesh"}
+    gone = {"_sup_ball", "_multi_indices", "_label_candidates",
+            "_integer_ball", "_mesh_points"}
+    assert defined & gone == set()
