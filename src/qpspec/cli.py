@@ -43,6 +43,7 @@ from .qpcore import (
     FourierSeries,
     amo_potential,
     ck_norm,
+    ck_potential,
     cosine_polynomial,
     diophantine_check,
 )
@@ -51,34 +52,42 @@ from .spectrum import TruncatedOperator, ids_curve, spectrum_scan
 
 _FLOAT_FMT = "%.17g"
 
-_DEFAULT_NUMERICS = {
-    "L": 3000,
-    "phases": 8,
-    "resolution": 2e-3,
-    "energy": {"min": -2.5, "max": 2.5, "points": 201},
-    "min_gap_length": None,
-    "M_max": 20,
-    "label_tol": 1e-3,
-    "rotation_iterations": 20000,
-    "homog_eps": [1e-3, 3e-3, 1e-2, 3e-2, 1e-1],
-    "homog_samples": 200,
+# every numerics field as (type, default); a nested table is a subsection.
+# min_gap_length defaults to twice the resolution
+_NUMERICS = {
+    "L": (int, 3000),
+    "phases": (int, 8),
+    "resolution": (float, 2e-3),
+    "energy": {"min": (float, -2.5), "max": (float, 2.5),
+               "points": (int, 201)},
+    "min_gap_length": (float, None),
+    "M_max": (int, 20),
+    "label_tol": (float, 1e-3),
+    "rotation_iterations": (int, 20000),
+    "homog_eps": ([float], [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]),
+    "homog_samples": (int, 200),
 }
-
-# the type every numerics field is converted to once, at admission
-_NUMERICS_TYPES = {
-    "L": int,
-    "phases": int,
-    "resolution": float,
-    "min_gap_length": float,
-    "M_max": int,
-    "label_tol": float,
-    "rotation_iterations": int,
-    "homog_samples": int,
-}
-_ENERGY_TYPES = {"min": float, "max": float, "points": int}
 # run options of the kam section; unset ones keep the engine's defaults
 _KAM_OPTION_TYPES = {"M": int, "sigma": float, "stop_tol": float,
                      "max_steps": int, "residual_tol": float}
+# lower bound of a field as (bound, whether the bound itself is admitted)
+_LOWER_BOUNDS = {
+    "numerics.L": (100, True),
+    "numerics.phases": (1, True),
+    "numerics.resolution": (0.0, False),
+    "numerics.label_tol": (0.0, False),
+    "numerics.M_max": (1, True),
+    # the half-orbit error estimate divides by n // 2
+    "numerics.rotation_iterations": (2, True),
+    "numerics.homog_eps": (0.0, False),
+    "numerics.homog_samples": (0, True),
+    "kam.M": (1, True),
+    # the run stops once the perturbation norm is at most stop_tol
+    "kam.stop_tol": (0.0, True),
+    # 0 (the default) lets the edge step pick delta inside its guard
+    "edge.delta": (0.0, True),
+}
+_REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -90,68 +99,32 @@ def load_config(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = _object("config", json.loads(p.read_text()))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    for field in ("potential", "frequency"):
-        if field not in cfg:
-            raise ConfigError(f"config is missing the '{field}' section")
+    for name in ("potential", "frequency"):
+        _field(cfg, "", name, dict)
     return cfg
 
 
-def build_potential(spec) -> FourierSeries:
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError("potential section needs a 'family' field")
-    family = spec["family"]
-    if family == "free":
-        return cosine_polynomial({0: 0.0})
-    if family == "amo":
-        if "coupling" not in spec:
-            raise ConfigError("amo potential needs a 'coupling' field")
-        return amo_potential(_typed("potential.coupling", spec["coupling"],
-                                    float))
-    if family == "ck":
-        for field in ("epsilon", "k", "modes"):
-            if field not in spec:
-                raise ConfigError(f"ck potential needs a '{field}' field")
-        eps, k, modes = _ck_spec(spec)
-        if eps <= 0:
-            raise ConfigError("ck potential needs epsilon > 0")
-        return cosine_polynomial({n: eps * float(n) ** (-k) for n in modes})
-    if family == "cosine":
-        if "terms" not in spec:
-            raise ConfigError("cosine potential needs a 'terms' field")
-        if not isinstance(spec["terms"], dict):
-            raise ConfigError("potential.terms must be an object")
-        terms = {}
-        for key, amp in spec["terms"].items():
-            parts = _mode_key("potential.terms", key)
-            terms[parts if len(parts) > 1 else parts[0]] = _typed(
-                f"potential.terms.{key}", amp, float)
-        return cosine_polynomial(
-            terms, dim=_typed("potential.dim", spec.get("dim", 1), int))
-    raise ConfigError(f"unknown potential family '{family}'")
-
-
-def build_frequency(spec):
-    if not isinstance(spec, dict) or "components" not in spec:
-        raise ConfigError("frequency section needs a 'components' field")
-    comps = tuple(_typed("frequency.components", x, float)
-                  for x in _listed("frequency.components",
-                                   spec["components"]))
-    gamma = _typed("frequency.gamma", spec.get("gamma", 0.1), float)
-    tau = _typed("frequency.tau", spec.get("tau", 1.5), float)
-    cutoff = _typed("frequency.cutoff", spec.get("cutoff", 60), int)
-    if gamma <= 0 or tau <= 0 or cutoff < 1:
-        raise ConfigError("frequency gamma, tau, cutoff must be positive")
-    return diophantine_check(comps, gamma=gamma, tau=tau, cutoff=cutoff)
+def _object(name: str, val) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name} section must be an object, got {val!r}")
+    return val
 
 
 def _typed(name: str, val, kind):
-    """kind(val), finite if a float, or a ConfigError naming the field."""
+    """kind(val), finite if a float, or a ConfigError naming the field.
+
+    A one-element list [t] is a list of t; str admits only strings.
+    """
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{name} must be a list, got {val!r}")
+        return [_typed(name, x, kind[0]) for x in val]
     try:
+        if kind is str and not isinstance(val, str):
+            raise TypeError(val)
         out = kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
@@ -161,10 +134,77 @@ def _typed(name: str, val, kind):
     return out
 
 
-def _listed(name: str, val) -> list:
-    if not isinstance(val, list):
-        raise ConfigError(f"{name} must be a list, got {val!r}")
+def _field(spec: dict, section: str, name: str, kind,
+           default=_REQUIRED):
+    """spec[name] converted by _typed (an object if kind is dict), or
+    default when absent.
+
+    section is the dotted path of spec ("" for the config root).  A
+    ConfigError names section and field when the field is required and
+    absent, or below its _LOWER_BOUNDS entry.
+    """
+    path = f"{section}.{name}".lstrip(".")
+    if name not in spec:
+        if default is _REQUIRED:
+            raise ConfigError(f"{section or 'config'} needs a '{name}' field")
+        return default
+    if kind is dict:
+        return _object(path, spec[name])
+    val = _typed(path, spec[name], kind)
+    if path in _LOWER_BOUNDS:
+        bound, closed = _LOWER_BOUNDS[path]
+        for x in val if isinstance(val, list) else [val]:
+            if x < bound or x == bound and not closed:
+                raise ConfigError(f"{path} must be {'>=' if closed else '>'}"
+                                  f" {bound}, got {x!r}")
     return val
+
+
+def _fields(spec: dict, section: str, table: dict) -> dict:
+    """Every field of table read from spec; a nested table is a subsection."""
+    return {name: _fields(_field(spec, section, name, dict, {}),
+                          f"{section}.{name}", entry)
+            if isinstance(entry, dict) else _field(spec, section, name, *entry)
+            for name, entry in table.items()}
+
+
+def _admitted(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs); the ValueError of a library constructor
+    that rejects a value becomes a ConfigError naming the section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def build_potential(spec) -> FourierSeries:
+    spec = _object("potential", spec)
+    family = _field(spec, "potential", "family", str)
+    if family == "free":
+        return cosine_polynomial({0: 0.0})
+    if family == "amo":
+        return amo_potential(_field(spec, "potential", "coupling", float))
+    if family == "ck":
+        return _admitted("potential", ck_potential, *_ck_spec(spec))
+    if family == "cosine":
+        terms = {}
+        for key, amp in _field(spec, "potential", "terms", dict).items():
+            parts = _mode_key("potential.terms", key)
+            terms[parts if len(parts) > 1 else parts[0]] = _typed(
+                f"potential.terms.{key}", amp, float)
+        return _admitted("potential", cosine_polynomial, terms,
+                         dim=_field(spec, "potential", "dim", int, 1))
+    raise ConfigError(f"unknown potential family '{family}'")
+
+
+def build_frequency(spec):
+    spec = _object("frequency", spec)
+    return _admitted(
+        "frequency", diophantine_check,
+        _field(spec, "frequency", "components", [float]),
+        gamma=_field(spec, "frequency", "gamma", float, 0.1),
+        tau=_field(spec, "frequency", "tau", float, 1.5),
+        cutoff=_field(spec, "frequency", "cutoff", int, 60))
 
 
 def _mode_key(name: str, key) -> tuple:
@@ -174,55 +214,20 @@ def _mode_key(name: str, key) -> tuple:
 
 def _ck_spec(spec: dict):
     """(epsilon, k, modes) of a ck potential section, typed."""
-    return (_typed("potential.epsilon", spec["epsilon"], float),
-            _typed("potential.k", spec["k"], int),
-            [_typed("potential.modes", n, int)
-             for n in _listed("potential.modes", spec["modes"])])
+    return (_field(spec, "potential", "epsilon", float),
+            _field(spec, "potential", "k", int),
+            _field(spec, "potential", "modes", [int]))
 
 
 def numerics_of(cfg: dict) -> dict:
     """Numerics with defaults filled in, each field converted to its type."""
-    out = json.loads(json.dumps(_DEFAULT_NUMERICS))
-    user = cfg.get("numerics", {})
-    if not isinstance(user, dict):
-        raise ConfigError("numerics section must be an object")
-    for key, val in user.items():
-        if key == "energy":
-            if not isinstance(val, dict):
-                raise ConfigError("numerics.energy must be an object")
-            out["energy"].update(val)
-        else:
-            out[key] = val
+    out = _fields(_field(cfg, "", "numerics", dict, {}), "numerics",
+                  _NUMERICS)
     if out["min_gap_length"] is None:
-        out["min_gap_length"] = 2.0 * _typed("numerics.resolution",
-                                             out["resolution"], float)
-    for key, kind in _NUMERICS_TYPES.items():
-        out[key] = _typed(f"numerics.{key}", out[key], kind)
-    grid = out["energy"]
-    for key, kind in _ENERGY_TYPES.items():
-        grid[key] = _typed(f"numerics.energy.{key}", grid[key], kind)
-    if not isinstance(out["homog_eps"], list) or not out["homog_eps"]:
+        out["min_gap_length"] = 2.0 * out["resolution"]
+    if not out["homog_eps"]:
         raise ConfigError("numerics.homog_eps must be a nonempty list")
-    out["homog_eps"] = [_typed("numerics.homog_eps", e, float)
-                        for e in out["homog_eps"]]
-
-    if out["L"] < 100:
-        raise ConfigError("numerics.L must be at least 100")
-    if out["phases"] < 1:
-        raise ConfigError("numerics.phases must be positive")
-    if out["resolution"] <= 0:
-        raise ConfigError("numerics.resolution must be positive")
-    if out["label_tol"] <= 0:
-        raise ConfigError("numerics.label_tol must be positive")
-    if out["M_max"] < 1:
-        raise ConfigError("numerics.M_max must be at least 1")
-    # the half-orbit error estimate divides by n // 2
-    if out["rotation_iterations"] < 2:
-        raise ConfigError("numerics.rotation_iterations must be at least 2")
-    if any(e <= 0 for e in out["homog_eps"]):
-        raise ConfigError("numerics.homog_eps must be positive")
-    if out["homog_samples"] < 0:
-        raise ConfigError("numerics.homog_samples must be nonnegative")
+    grid = out["energy"]
     degenerate = grid["min"] == grid["max"] and grid["points"] == 1
     if not degenerate and (grid["min"] >= grid["max"] or grid["points"] < 1):
         raise ConfigError("numerics.energy grid must be sorted and nonempty")
@@ -413,8 +418,7 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     if spec.get("family") != "ck":
         raise ConfigError("decay command needs the 'ck' potential family")
     eps, k, modes = _ck_spec(spec)
-    unit_profile = cosine_polynomial({n: float(n) ** (-k) for n in modes})
-    c_norm = ck_norm(unit_profile, k).upper
+    c_norm = ck_norm(ck_potential(1.0, k, modes), k).upper
     labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
                            eps * c_norm, k)
@@ -456,30 +460,20 @@ def cmd_rotation(cfg, V, freq, num, out_dir, fmt):
 
 
 def cmd_kam(cfg, V, freq, num, out_dir, fmt):
-    spec = cfg.get("kam")
-    if not isinstance(spec, dict):
-        raise ConfigError("kam command needs a 'kam' config section")
-    if "rho0" not in spec:
-        raise ConfigError("kam section needs a 'rho0' field")
-    A = rotation(_typed("kam.rho0", spec["rho0"], float))
-    pert = spec.get("perturbation")
-    if not isinstance(pert, dict):
-        raise ConfigError("kam section needs a 'perturbation' object")
+    spec = _field(cfg, "", "kam", dict)
+    A = rotation(_field(spec, "kam", "rho0", float))
+    pert = _field(spec, "kam", "perturbation", dict)
     if "terms" in pert:
-        f = _explicit_sl2_series(pert["terms"], freq.dim)
+        f = _explicit_sl2_series(
+            _field(pert, "kam.perturbation", "terms", dict), freq.dim)
     else:
-        for field in ("scale", "radius", "seed"):
-            if field not in pert:
-                raise ConfigError(f"kam perturbation needs a '{field}' field")
-        f = kam.seeded_sl2_series(
-            _typed("kam.perturbation.scale", pert["scale"], float),
-            _typed("kam.perturbation.radius", pert["radius"], int),
-            _typed("kam.perturbation.seed", pert["seed"], int),
-            dim=freq.dim)
-    options = {key: _typed(f"kam.{key}", spec[key], kind)
+        f = _admitted("kam.perturbation", kam.seeded_sl2_series,
+                      _field(pert, "kam.perturbation", "scale", float),
+                      _field(pert, "kam.perturbation", "radius", int),
+                      _field(pert, "kam.perturbation", "seed", int),
+                      dim=freq.dim)
+    options = {key: _field(spec, "kam", key, kind)
                for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
-    if options.get("M", 1) < 1:
-        raise ConfigError(f"kam.M must be at least 1, got {options['M']}")
     state = kam.almost_reducibility_run(A, f, freq, **options)
     columns = ["step", "kind", "norm_before", "norm_after", "rho",
                "window", "threshold", "band", "n_star", "inner_passes",
@@ -501,7 +495,7 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
 def _explicit_sl2_series(terms, dim: int) -> FourierSeries:
     coeffs = {}
     radius = 0
-    if not isinstance(terms, dict) or not terms:
+    if not terms:
         raise ConfigError("kam.perturbation.terms must be a nonempty object")
     for key, entries in terms.items():
         parts = _mode_key("kam.perturbation.terms", key)
@@ -560,34 +554,28 @@ def _read_gap_inventory(path: Path):
 
 
 def cmd_edge(cfg, V, freq, num, out_dir, fmt):
-    spec = cfg.get("edge")
-    if not isinstance(spec, dict):
-        raise ConfigError("edge command needs an 'edge' config section")
-    for field in ("gaps_file", "label"):
-        if field not in spec:
-            raise ConfigError(f"edge section needs a '{field}' field")
-    label = tuple(_typed("edge.label", x, int)
-                  for x in np.atleast_1d(spec["label"]))
-    # 0 (the default) lets the step pick delta inside its guard
-    delta = _typed("edge.delta", spec.get("delta", 0.0), float)
-    if delta < 0.0:
-        raise ConfigError(f"edge.delta must be nonnegative, got {delta!r}")
-    inventory = _load_gap_inventory(Path(spec["gaps_file"]))
+    spec = _field(cfg, "", "edge", dict)
+    gaps_file = _field(spec, "edge", "gaps_file", str)
+    label = tuple(_field(spec, "edge", "label", [int]))
+    if len(label) != freq.dim:
+        raise ConfigError(f"edge.label {list(label)} needs {freq.dim} "
+                          "components, one per frequency")
+    delta = _field(spec, "edge", "delta", float, 0.0)
+    window = max(_field(spec, "edge", "edge_tol", float, 1e-6), 4.0 / num["L"])
+    inventory = _load_gap_inventory(Path(gaps_file))
     match = [row for row in inventory if row[0] == label]
     if not match:
         raise StaleArtifactError(
-            f"gap label {label} not present in {spec['gaps_file']}")
+            f"gap label {label} not present in {gaps_file}")
     _, e_minus, e_plus, coarse_length = match[0]
 
-    # re-resolve both edges: the inventory carries scan-cell estimates,
-    # and the parabolic gate needs the edge to window accuracy
-    window = max(_typed("edge.edge_tol", spec.get("edge_tol", 1e-6), float),
-                 4.0 / num["L"])
+    # re-resolve both edges to window accuracy: the inventory carries
+    # scan-cell estimates, and the parabolic gate needs the edge
     gap = GapRecord(label, e_minus, e_plus, e_plus - e_minus, 0.0, None)
     refined = refine_gap_edges(V, freq, gap, num["L"], window, num["phases"])
     if refined.length == 0.0:
         raise StaleArtifactError(
-            f"gap {label} from {spec['gaps_file']} vanished on "
+            f"gap {label} from {gaps_file} vanished on "
             "re-measurement; the inventory is stale")
     try:
         step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
@@ -649,16 +637,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _output_of(cfg: dict, args):
     """(format, created output directory); the flags override the config."""
-    section = cfg.get("output", {})
-    if not isinstance(section, dict):
-        raise ConfigError("output section must be an object")
-    fmt = args.format or section.get("format", "csv")
+    section = _field(cfg, "", "output", dict, {})
+    fmt = args.format or _field(section, "output", "format", str, "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")
-    out = args.out or section.get("dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"output.dir must be a path string, got {out!r}")
-    out_dir = Path(out)
+    out_dir = Path(args.out or _field(section, "output", "dir", str, "."))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -675,6 +658,10 @@ def main(argv=None) -> int:
         fmt, out_dir = _output_of(cfg, args)
         V = build_potential(cfg["potential"])
         freq = build_frequency(cfg["frequency"])
+        # kam reads no potential; every other command samples V along freq
+        if args.command != "kam" and V.dim != freq.dim:
+            raise ConfigError(f"potential dim {V.dim} differs from the "
+                              f"frequency dimension {freq.dim}")
         num = numerics_of(cfg)
         t1 = time.perf_counter()
         outputs, summary = _COMMANDS[args.command](cfg, V, freq, num,

@@ -75,9 +75,11 @@ _D_TAU = 8.0 * (math.pi ** 2 / 6.0) / (4.0 * math.pi ** 2)
 # grid pipeline
 
 
-def _pow2_at_least(n: int, minimum: int = 32) -> int:
+def _grid(radius: int, minimum: int = 32) -> int:
+    """Points per axis that resolve the modes |n| <= radius: the least
+    power of two >= max(minimum, 2 radius + 2)."""
     g = minimum
-    while g < n:
+    while g < 2 * radius + 2:
         g *= 2
     return g
 
@@ -97,6 +99,11 @@ def _sample(series: FourierSeries, g: int) -> np.ndarray:
     return np.fft.ifftn(buf, axes=axes) * float(g ** series.dim)
 
 
+def _real_samples(g: int, *series: FourierSeries) -> list:
+    """Real values of each series on the g^d grid of its period."""
+    return [_real_grid(_sample(s, g)) for s in series]
+
+
 def _real_grid(vals: np.ndarray) -> np.ndarray:
     scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
     worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
@@ -112,18 +119,21 @@ def _zero_sl2_series(dim: int, period: int = 1) -> FourierSeries:
 
 
 def _extract_series(vals: np.ndarray, dim: int, radius: int,
-                    period: int, noise: float = 0.0) -> FourierSeries:
+                    period: int, scale: np.ndarray = None) -> FourierSeries:
     """Band-limited series from equispaced samples (one FFT, then gather).
 
-    noise is the absolute rounding floor of the upstream computation;
-    the sampled values can be far smaller than the matrices that made
-    them, so a purely relative cutoff would keep a flat sea of junk
-    keys and inflate the support without bound.
+    scale holds the matrices the samples were computed from; their
+    rounding, 1e-14 (1 + max |scale|), is an absolute floor.  The sampled
+    values can be far smaller than those matrices, so a purely relative
+    cutoff would keep a flat sea of junk keys and inflate the support
+    without bound.
     """
     g = vals.shape[0]
     radius = min(radius, g // 2 - 1)
     spec = np.fft.fftn(vals, axes=tuple(range(dim))) / float(g ** dim)
     ref = float(np.max(np.abs(spec))) if spec.size else 0.0
+    noise = (0.0 if scale is None
+             else 1e-14 * (1.0 + float(np.max(np.abs(scale)))))
     keep = max(1e-13 * max(ref, 1e-300), noise)
     modes = integer_ball(dim, radius)
     table = spec[tuple(np.mod(modes, g).T)]
@@ -138,10 +148,9 @@ def _series_product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     if (a.dim, a.period) != (b.dim, b.period):
         raise ValueError("series product needs matching dim and period")
     ra, rb = a.support_radius(), b.support_radius()
-    g = _pow2_at_least(2 * (ra + rb) + 2)
+    g = _grid(ra + rb)
     vals = _sample(a, g) @ _sample(b, g)
-    noise = 1e-14 * (1.0 + float(np.max(np.abs(vals))))
-    return _extract_series(vals, a.dim, ra + rb, a.period, noise=noise)
+    return _extract_series(vals, a.dim, ra + rb, a.period, scale=vals)
 
 
 def _lift_double(series: FourierSeries) -> FourierSeries:
@@ -321,22 +330,17 @@ def _conjugate_pointwise(A: np.ndarray, f: FourierSeries, Y: FourierSeries,
                          freq: Frequency, out_radius: int) -> FourierSeries:
     """log(A^{-1} e^{-Y(theta+alpha)} A e^{f} e^{Y}) as a series."""
     band = max(Y.support_radius(), f.support_radius(), 1)
-    g = _pow2_at_least(2 * (3 * band + 2) + 2)
-    y_here = _real_grid(_sample(Y, g))
-    y_next = _real_grid(_sample(Y.shifted(freq.vec), g))
-    f_vals = _real_grid(_sample(f, g))
+    y_here, y_next, f_vals = _real_samples(_grid(3 * band + 2), Y,
+                                           Y.shifted(freq.vec), f)
     prod = exp_sl2(-y_next) @ A @ exp_sl2(f_vals) @ exp_sl2(y_here)
     logs = log_sl2(inv2(np.asarray(A, dtype=float)) @ prod)
-    noise = 1e-14 * (1.0 + float(np.max(np.abs(prod))))
-    return _extract_series(logs, f.dim, out_radius, period=1, noise=noise)
+    return _extract_series(logs, f.dim, out_radius, period=1, scale=prod)
 
 
 def _exp_series(Y: FourierSeries) -> FourierSeries:
     band = max(Y.support_radius(), 1)
-    g = _pow2_at_least(2 * (3 * band + 2) + 2)
-    vals = exp_sl2(_real_grid(_sample(Y, g)))
-    noise = 1e-14 * (1.0 + float(np.max(np.abs(vals))))
-    return _extract_series(vals, Y.dim, 3 * band + 2, Y.period, noise=noise)
+    vals = exp_sl2(*_real_samples(_grid(3 * band + 2), Y))
+    return _extract_series(vals, Y.dim, 3 * band + 2, Y.period, scale=vals)
 
 
 def _absorb_average(A: np.ndarray, f: FourierSeries) -> tuple:
@@ -350,12 +354,9 @@ def _absorb_average(A: np.ndarray, f: FourierSeries) -> tuple:
         return A, f
     A_new = A @ exp_sl2(avg)
     band = max(f.support_radius(), 1)
-    g = _pow2_at_least(2 * (2 * band + 2) + 2)
-    vals = exp_sl2(-avg) @ exp_sl2(_real_grid(_sample(f, g)))
-    noise = 1e-14 * (1.0 + float(np.max(np.abs(vals))))
-    f_new = _extract_series(log_sl2(vals), f.dim, 2 * band, period=1,
-                            noise=noise)
-    return A_new, f_new
+    vals = exp_sl2(-avg) @ exp_sl2(*_real_samples(_grid(2 * band + 2), f))
+    return A_new, _extract_series(log_sl2(vals), f.dim, 2 * band, period=1,
+                                  scale=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +370,30 @@ def _check_divisors(modes: list, smallest, what: str) -> None:
         raise DivisorError(modes[worst], float(smallest[worst]), what)
 
 
-def _modewise_solve(modes: list, rhs: list, mats: np.ndarray, radius: int,
-                    what: str) -> FourierSeries:
-    """Solve mats[i] vec(y_n) = rhs[i] for every mode n = modes[i].
+def _modewise_solve(f: FourierSeries, freq: Frequency, band, system,
+                    what: str, rhs=lambda c: c) -> FourierSeries:
+    """Solve system(phases)[i] vec(y_n) = vec(rhs(c_n)) for every mode
+    0 < |n| <= band of f, where phases[i] = e^{2 pi i <n, alpha>}.
 
-    The smallest singular value of each 4x4 system is its divisor; the
-    floor check runs before one batched solve, and the solution is
-    projected onto the real subspace.
+    band None solves every nonzero mode and gives the solution the radius
+    of the largest one.  The smallest singular value of each 4x4 system
+    is its divisor; the floor check runs before one batched solve, and
+    the solution is projected onto the real subspace.
     """
+    sizes = {k: max(map(abs, k)) for k in f.coeffs}
+    modes = [k for k, size in sizes.items()
+             if size > 0 and (band is None or size <= band)]
+    if not modes:
+        return _zero_sl2_series(f.dim)
+    phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
+    mats = system(phases)
     _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
                     what)
-    sol = np.linalg.solve(mats, np.array(rhs)[..., None])[..., 0]
+    vecs = np.array([np.asarray(rhs(f.coeffs[k])).reshape(4) for k in modes])
+    sol = np.linalg.solve(mats, vecs[..., None])[..., 0]
     coeffs = {k: sol[i].reshape(2, 2) for i, k in enumerate(modes)}
-    return FourierSeries(len(modes[0]), radius, coeffs,
-                         period=1).symmetrized()
+    radius = band if band is not None else max(sizes[k] for k in modes)
+    return FourierSeries(f.dim, radius, coeffs, period=1).symmetrized()
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +409,10 @@ def _solve_homological(A: np.ndarray, f: FourierSeries, band: int,
     Y -> A^{-1} Y A has the 4x4 matrix kron(A^{-1}, A^T).
     """
     kron = np.kron(inv2(np.asarray(A, dtype=float)), np.asarray(A).T)
-    modes = []
-    rhs = []
-    for k, c in f.coeffs.items():
-        size = max(abs(v) for v in k) if any(k) else 0
-        if size == 0 or size > band:
-            continue
-        modes.append(k)
-        rhs.append(np.asarray(c).reshape(4))
-    if not modes:
-        return _zero_sl2_series(f.dim)
-    phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
-    mats = phases[:, None, None] * kron[None] - np.eye(4)[None]
-    return _modewise_solve(modes, rhs, mats, band,
-                           "homological divisor under the safety floor; "
-                           "a resonance was missed upstream")
+    return _modewise_solve(
+        f, freq, band, lambda ph: ph[:, None, None] * kron - np.eye(4),
+        "homological divisor under the safety floor; a resonance was "
+        "missed upstream")
 
 
 def nonresonant_step(state: KamState, window: int, threshold: float,
@@ -596,7 +596,7 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     shift = 0.5 * float(np.dot(n_star, state.freq.vec))
     A_mid = rotation(rho - shift)
     band = f_kept.support_radius() + star_size
-    g = _pow2_at_least(2 * (2 * band + 2) + 2)
+    g = _grid(2 * band + 2)
     pts = torus_mesh(state.freq.dim, g, 1)
     z_here = _real_grid(twist.evaluate_complex(pts))
     z_next = _real_grid(twist.shifted(state.freq.vec).evaluate_complex(pts))
@@ -604,9 +604,8 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     prod = inv2(z_next) @ (R @ exp_sl2(f_vals)) @ z_here
     logs = log_sl2(inv2(A_mid) @ prod)
     shape = (g,) * state.freq.dim + (2, 2)
-    noise = 1e-14 * (1.0 + float(np.max(np.abs(prod))))
     f_mid = _extract_series(logs.reshape(shape), state.freq.dim, band,
-                            period=1, noise=noise)
+                            period=1, scale=prod)
     A_new, f_new = _absorb_average(A_mid, f_mid)
 
     step = _series_product(_lift_double(_series_product(
@@ -887,21 +886,11 @@ def mp_brackets(zeta: float, x11_sq: float, x11_x12: float,
 def _solve_parabolic_cohomological(B: np.ndarray, G: FourierSeries,
                                    freq: Frequency) -> FourierSeries:
     """Modewise solve of -Y(theta+alpha) B + B Y(theta) = B (G - [G])."""
-    modes = []
-    rhs = []
-    for k, c in G.coeffs.items():
-        if not any(k):
-            continue
-        modes.append(k)
-        rhs.append((B @ np.asarray(c)).reshape(4))
-    if not modes:
-        return _zero_sl2_series(G.dim)
-    phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
-    left = np.kron(B, np.eye(2))[None] \
-        - phases[:, None, None] * np.kron(np.eye(2), B.T)[None]
-    radius = max(max(abs(v) for v in k) for k in modes)
-    return _modewise_solve(modes, rhs, left, radius,
-                           "parabolic cohomological divisor under the floor")
+    left, right = np.kron(B, np.eye(2)), np.kron(np.eye(2), B.T)
+    return _modewise_solve(
+        G, freq, None, lambda ph: left - ph[:, None, None] * right,
+        "parabolic cohomological divisor under the floor",
+        rhs=lambda c: B @ np.asarray(c))
 
 
 def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
@@ -927,7 +916,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     # quadratic entries are genuinely periodic even when X lives on the
     # double cover, so the plain-torus grid resolves them
     radius = max(X.support_radius(), 1)
-    g = _pow2_at_least(2 * (2 * radius + 2) + 2, minimum=64)
+    g = _grid(2 * radius + 2, minimum=64)
     pts = torus_mesh(freq.dim, g, 1)
     vals = _real_grid(X.evaluate_complex(pts))
     x11 = vals[..., 0, 0]
@@ -1034,7 +1023,7 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     Q = _elliptic_conjugator(const, info["rho"])
     A = rotation(info["rho"])
     band = max(V.support_radius(), 1)
-    g = _pow2_at_least(8 * band + 2)
+    g = _grid(4 * band)
     v_vals = V.evaluate(torus_mesh(freq.dim, g, 1))
     cocycle_vals = np.zeros(v_vals.shape + (2, 2))
     cocycle_vals[..., 0, 0] = e_reduce - v_vals

@@ -100,12 +100,18 @@ class Frequency:
         return theta.reshape(lead) + steps[..., None] * self.vec
 
 
+# largest sup-norm ball diophantine_check builds; the scan peaks at 40-50
+# bytes a row, so about 100 MB at the cap
+_BALL_ROWS_CAP = 2 ** 21
+
+
 def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency:
     """Scan the sup-norm ball and return a validated Frequency.
 
     Raises DiophantineRejection carrying the first violating n (shell order,
     lexicographic, canonical sign) together with the observed distance and
-    the required bound.
+    the required bound; ValueError for inadmissible inputs, including a
+    ball of more than 2^21 rows, before the ball is built.
     """
     alpha = tuple(float(a) for a in np.atleast_1d(np.asarray(alpha, dtype=float)))
     d = len(alpha)
@@ -117,6 +123,10 @@ def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency
         raise ValueError("gamma and tau must be positive")
     if cutoff < 1:
         raise ValueError("check cutoff must be >= 1")
+    rows = (2 * cutoff + 1) ** d
+    if rows > _BALL_ROWS_CAP:
+        raise ValueError(f"check cutoff {cutoff} needs {rows} ball rows in "
+                         f"{d}-D, above the cap {_BALL_ROWS_CAP}")
     ball = integer_ball(d, cutoff)
     first = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)]
     ball = ball[first > 0]
@@ -367,6 +377,14 @@ def cosine_polynomial(terms, dim: int = 1) -> FourierSeries:
             coeffs[mk] = coeffs.get(mk, 0j) + amp / 2.0
         radius = max(radius, max(abs(v) for v in k))
     return FourierSeries(dim, radius, coeffs)
+
+
+def ck_potential(eps: float, k: int, modes) -> FourierSeries:
+    """C^k profile sum_n eps n^-k cos(2 pi n theta) over the given modes."""
+    if not eps > 0.0 or k < 0 or any(n < 1 for n in modes):
+        raise ValueError("ck potential needs epsilon > 0, k >= 0 and every "
+                         f"mode >= 1, got {eps!r}, {k!r}, {list(modes)!r}")
+    return cosine_polynomial({n: eps * float(n) ** (-k) for n in modes})
 
 
 def amo_potential(coupling: float) -> FourierSeries:

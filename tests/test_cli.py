@@ -524,6 +524,8 @@ _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"
                         "1,0.722,0.006,0.618,1e-05\n")
 _NAN_EDGE_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
                        "1,nan,0.728,0.006,0.618,1e-05\n")
+_TWO_D_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
+                    "1;0,0.722,0.728,0.006,0.618,1e-05\n")
 _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
                       "1,0.728,0.722,0.006,0.618,1e-05\n")
 
@@ -586,6 +588,34 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
     ("edge", {"edge": {"label": [1]}}, _SWAPPED_INVENTORY, 4, "unreadable"),
     ("edge", {"edge": {"label": [1], "delta": -1.0}}, _NO_E_PLUS_INVENTORY,
      2, "edge.delta"),
+    # values the library constructors reject while the CLI builds a section
+    ("ids", {"frequency": {"components": []}}, None, 2, "frequency"),
+    ("ids", {"frequency": {"components": [1.5]}}, None, 2, "frequency"),
+    ("ids", {"potential": {"family": "cosine", "dim": 4,
+                           "terms": {"1": 0.1}}}, None, 2, "potential"),
+    ("ids", {"potential": {"family": "cosine", "terms": {"1,1": 0.1}}}, None,
+     2, "potential"),
+    ("ids", {"potential": {"family": "cosine", "dim": 2,
+                           "terms": {"1,0": 0.1}}}, None, 2,
+     "frequency dimension"),
+    ("ids", {"potential": {"family": "ck", "epsilon": 0.01, "k": 6,
+                           "modes": [0, 1]}}, None, 2, "potential"),
+    ("decay", {"potential": {"family": "ck", "epsilon": 0.01, "k": 6,
+                             "modes": [0, 1]}}, None, 2, "potential"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "scale": 1e-4, "radius": -1, "seed": 1}}}, None, 2,
+     "kam.perturbation"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": -1}}}, None, 2,
+     "kam.perturbation"),
+    ("kam", {"kam": {"rho0": 0.17, "stop_tol": -1, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.stop_tol"),
+    ("edge", {"edge": {"gaps_file": 5, "label": [1]}}, None, 2,
+     "edge.gaps_file"),
+    ("edge", {"edge": {"label": [1, 0]}}, _TWO_D_INVENTORY, 2, "edge.label"),
+    ("ids", {"frequency": {"components": [GOLDEN, math.sqrt(2.0) - 1.0,
+                                          math.sqrt(3.0) - 1.0],
+                           "cutoff": 64}}, None, 2, "frequency"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
@@ -594,7 +624,12 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "homog_eps_empty", "homog_eps_above_diam", "homog_samples_negative",
         "output_not_object", "output_dir_not_path", "gamma_nan",
         "scale_nan", "inventory_nan_edge", "inventory_edges_swapped",
-        "delta_negative"])
+        "delta_negative", "components_empty", "component_above_one",
+        "dim_four", "term_dimension", "dim_not_the_frequency_dim",
+        "ck_mode_zero", "ck_mode_zero_decay", "radius_negative",
+        "seed_negative", "stop_tol_negative", "gaps_file_not_a_string",
+        "label_not_the_frequency_dim",
+        "cutoff_ball_too_big"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
@@ -605,6 +640,99 @@ def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
         cfg["edge"]["gaps_file"] = str(inv)
     assert main([command, "--config", _write(tmp_path, cfg)]) == code
     assert needle in capsys.readouterr().err
+
+
+_SWEEP_VALUES = [None, True, -1, 0, 2.5, math.nan, math.inf, "x", [], {},
+                 [-1], [0.5, 2.0]]
+_SWEEP_POTENTIALS = {
+    "amo": {"family": "amo", "coupling": 0.3},
+    "ck": {"family": "ck", "epsilon": 0.01, "k": 6, "modes": [1, 2, 3]},
+    "cosine": {"family": "cosine", "dim": 1, "terms": {"1": 0.3}},
+}
+# (command, potential of the base config, dotted fields set one at a time)
+_SWEEP = [
+    ("ids", "amo", "potential potential.family potential.coupling "
+                   "frequency frequency.components frequency.gamma "
+                   "frequency.tau frequency.cutoff output output.dir "
+                   "output.format"),
+    ("decay", "ck", "potential.epsilon potential.k potential.modes"),
+    ("ids", "cosine", "potential.dim potential.terms"),
+    ("gaps", "amo", "numerics numerics.L numerics.phases "
+                    "numerics.resolution numerics.min_gap_length "
+                    "numerics.M_max numerics.label_tol"),
+    ("rotation", "amo", "numerics.rotation_iterations numerics.energy "
+                        "numerics.energy.min numerics.energy.max "
+                        "numerics.energy.points"),
+    ("homog", "amo", "numerics.homog_eps numerics.homog_samples"),
+    ("kam", "amo", "kam kam.rho0 kam.perturbation kam.M kam.sigma "
+                   "kam.stop_tol kam.max_steps kam.residual_tol "
+                   "kam.perturbation.scale kam.perturbation.radius "
+                   "kam.perturbation.seed kam.perturbation.terms"),
+    ("edge", "amo", "edge edge.gaps_file edge.label edge.delta "
+                    "edge.edge_tol"),
+]
+
+
+def _sweep_base(potential: str) -> dict:
+    return {
+        "potential": dict(_SWEEP_POTENTIALS[potential]),
+        "frequency": {"components": [GOLDEN], "gamma": 0.1, "tau": 1.5,
+                      "cutoff": 20},
+        "numerics": {"L": 100, "phases": 1, "resolution": 0.05,
+                     "energy": {"min": -2.5, "max": 2.5, "points": 3},
+                     "rotation_iterations": 100, "homog_samples": 5},
+        "kam": {"rho0": 0.17,
+                "perturbation": {"scale": 2.5e-4, "radius": 2, "seed": 11}},
+        "edge": {"gaps_file": "gaps.csv", "label": [1]},
+        "output": {"dir": "out", "format": "csv"},
+    }
+
+
+@pytest.mark.parametrize("command,potential,field", [
+    (command, potential, field) for command, potential, fields in _SWEEP
+    for field in fields.split()])
+def test_malformed_values_exit_in_contract(tmp_path, monkeypatch, capsys,
+                                           command, potential, field):
+    # every value, in place of one field of a cheap valid config, ends in
+    # a contract exit code and never in a traceback
+    monkeypatch.chdir(tmp_path)
+    Path("gaps.csv").write_text(
+        "m,E_minus,E_plus,length,N_plateau,label_defect\n"
+        "1,0.4637,1.055,0.5913,0.618,1e-05\n")
+    *parents, name = field.split(".")
+    codes = []
+    for value in _SWEEP_VALUES:
+        cfg = node = _sweep_base(potential)
+        for key in parents:
+            node = node[key]
+        node[name] = value
+        Path("config.json").write_text(json.dumps(cfg))
+        codes.append(main([command, "--config", "config.json"]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3, 4, 5, 6}, codes
+
+
+def test_ck_profile_has_one_owner():
+    import ast
+
+    import qpspec.cli
+    from qpspec.qpcore import ck_potential, cosine_polynomial
+
+    tree = ast.parse(Path(qpspec.cli.__file__).read_text())
+    powers = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert powers == []
+
+    def bits(series):
+        return [(k, complex(v).real.hex(), complex(v).imag.hex())
+                for k, v in series.coeffs.items()]
+
+    for eps, k, modes in ((0.01, 6, range(1, 9)), (0.3, 0, [1]),
+                          (2e-3, 3, [1, 2, 3, 5, 8, 40]), (1.0, 2, [3, 1, 3])):
+        old = cosine_polynomial({n: eps * float(n) ** (-k) for n in modes})
+        assert bits(ck_potential(eps, k, modes)) == bits(old)
+        unit = cosine_polynomial({n: float(n) ** (-k) for n in modes})
+        assert bits(ck_potential(1.0, k, modes)) == bits(unit)
 
 
 def test_cli_import_loads_every_layer():

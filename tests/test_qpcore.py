@@ -300,6 +300,33 @@ def test_diophantine_check_matches_the_shell_scan(alpha, gamma, tau, cutoff):
     assert err.distance == pytest.approx(ref[1], rel=0.0, abs=ulps)
 
 
+def test_diophantine_check_gates_the_ball_before_building_it():
+    import tracemalloc
+
+    alpha = (GOLDEN, SQRT2M1, math.sqrt(3.0) - 1.0)
+    tracemalloc.start()
+    try:
+        # 129^3 rows would take about 100 MB
+        with pytest.raises(ValueError, match="2146689 ball rows"):
+            qc.diophantine_check(alpha, 1e-3, 3.5, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the default cutoff 60 stays admitted in every dimension
+    for dim in (1, 2, 3):
+        assert (2 * 60 + 1) ** dim <= qc._BALL_ROWS_CAP
+
+
+@pytest.mark.parametrize("eps,k,modes", [
+    (0.0, 6, [1, 2]), (-0.01, 6, [1]), (math.nan, 6, [1]), (0.01, -1, [1]),
+    (0.01, 6, [0, 1]), (0.01, 6, [2, -1]),
+])
+def test_ck_potential_rejects_what_is_not_a_ck_profile(eps, k, modes):
+    with pytest.raises(ValueError, match="ck potential"):
+        qc.ck_potential(eps, k, modes)
+
+
 def test_integer_ball_is_the_product_order():
     for dim in (1, 2, 3):
         for radius in (0, 1, 3):
