@@ -42,6 +42,7 @@ from .mat2 import rotation
 from .qpcore import (
     FourierSeries,
     amo_potential,
+    ball_rows,
     ck_norm,
     ck_potential,
     cosine_polynomial,
@@ -348,24 +349,25 @@ def _stored_scan(out_dir: Path, digest: str):
         return None
 
 
-def _scan_intervals(V, freq, num, out_dir: Path):
+def _scan_intervals(V, freq, num, out_dir: Path, operator=None):
     """Scan intervals, reused from out_dir when current, and their provenance
-    for the manifest summary."""
+    for the manifest summary.  A computed scan counts on operator, the
+    sampled truncation, when the caller passes it."""
     digest = _scan_digest(V, freq, num)
     scan = _stored_scan(out_dir, digest)
     source = "reused"
     if scan is None:
         scan = spectrum_scan(V, freq, num["L"], num["phases"],
-                             num["resolution"])
+                             num["resolution"], operator=operator)
         source = "computed"
     return scan, {"scan": source, "spectral_digest": digest}
 
 
 def _scan_and_label(V, freq, num, out_dir: Path):
-    scan, provenance = _scan_intervals(V, freq, num, out_dir)
+    # one sampled truncation serves the scan and the plateau recount
     H = TruncatedOperator.sampled(V, freq, num["L"], num["phases"])
-    records, boundary = detect_gaps(scan, lambda E: float(H.ids(E)[0]),
-                                    num["min_gap_length"])
+    scan, provenance = _scan_intervals(V, freq, num, out_dir, operator=H)
+    records, boundary = detect_gaps(scan, H.ids, num["min_gap_length"])
     labelled = label_all(records, freq, num["M_max"], num["label_tol"])
     return labelled, boundary, provenance
 
@@ -418,7 +420,9 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     if spec.get("family") != "ck":
         raise ConfigError("decay command needs the 'ck' potential family")
     eps, k, modes = _ck_spec(spec)
-    c_norm = ck_norm(ck_potential(1.0, k, modes), k).upper
+    # the C^k norm sums over the multi-index ball of radius k
+    c_norm = _admitted("potential.k", ck_norm, ck_potential(1.0, k, modes),
+                       k).upper
     labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
                            eps * c_norm, k)
@@ -663,6 +667,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"potential dim {V.dim} differs from the "
                               f"frequency dimension {freq.dim}")
         num = numerics_of(cfg)
+        # gap labels search the ball |m| <= M_max in the frequency's dim
+        _admitted("numerics.M_max", ball_rows, freq.dim, num["M_max"])
         t1 = time.perf_counter()
         outputs, summary = _COMMANDS[args.command](cfg, V, freq, num,
                                                    out_dir, fmt)

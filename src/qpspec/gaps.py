@@ -60,32 +60,32 @@ class GapRecord:
 def detect_gaps(scan, ids_curve, min_length: float):
     """Bounded complement intervals of the scan, with IDS plateaus.
 
-    Returns (records, (E_min, E_max)): the unlabelled gap records of length
-    at least min_length, and the outer spectrum boundary for the label-0
-    unbounded components.
+    ids_curve receives the array of every gap midpoint at once and returns
+    the IDS there (a scalar holds at every midpoint), so the plateaus are
+    recounted in one pass.  Returns (records, (E_min, E_max)): the
+    unlabelled gap records of length at least min_length, and the outer
+    spectrum boundary for the label-0 unbounded components.
     """
     if not scan:
         raise ValueError("empty scan")
     intervals = sorted((float(a), float(b)) for a, b in scan)
+    gaps = [(hi, lo) for (_, hi), (lo, _) in zip(intervals, intervals[1:])
+            if lo - hi >= min_length]
     records = []
-    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
-        length = lo - hi
-        if length < min_length:
-            continue
-        mid = 0.5 * (hi + lo)
-        plateau = float(ids_curve(mid))
-        records.append(GapRecord(None, hi, lo, length, plateau, None))
+    if gaps:
+        mids = np.array([0.5 * (hi + lo) for hi, lo in gaps])
+        plateaus = np.broadcast_to(np.asarray(ids_curve(mids), dtype=float),
+                                   mids.shape).tolist()
+        records = [GapRecord(None, hi, lo, lo - hi, plateau, None)
+                   for (hi, lo), plateau in zip(gaps, plateaus)]
     boundary = (intervals[0][0], intervals[-1][1])
     return records, boundary
 
 
-def label_gap(N_plateau: float, freq: Frequency, M_max: int,
-              tol: float) -> tuple:
-    """Unique m with |m| <= M_max and N = <m, alpha> mod Z within tol."""
-    if M_max < 1:
-        raise ValueError("M_max >= 1 required")
-    cands = integer_ball(freq.dim, M_max)
-    defects = dist_to_int(N_plateau - cands @ freq.vec)
+def _label(N_plateau: float, cands: np.ndarray, pairing: np.ndarray,
+           freq: Frequency, M_max: int, tol: float) -> tuple:
+    """label_gap against the ball cands and its pairing cands @ freq.vec."""
+    defects = dist_to_int(N_plateau - pairing)
     order = np.argsort(defects)
     best, runner = order[0], order[1]
     m_best, m_runner = (tuple(cands[i].tolist()) for i in (best, runner))
@@ -105,12 +105,30 @@ def label_gap(N_plateau: float, freq: Frequency, M_max: int,
     return m_best
 
 
+def _label_ball(freq: Frequency, M_max: int):
+    """The candidate labels |m| <= M_max and their pairing with alpha."""
+    if M_max < 1:
+        raise ValueError("M_max >= 1 required")
+    cands = integer_ball(freq.dim, M_max)
+    return cands, cands @ freq.vec
+
+
+def label_gap(N_plateau: float, freq: Frequency, M_max: int,
+              tol: float) -> tuple:
+    """Unique m with |m| <= M_max and N = <m, alpha> mod Z within tol."""
+    return _label(N_plateau, *_label_ball(freq, M_max), freq, M_max, tol)
+
+
 def label_all(records, freq: Frequency, M_max: int, tol: float):
-    """Label every record; distinct gaps must get distinct labels."""
+    """Label every record; distinct gaps must get distinct labels.
+
+    The candidate ball and its pairing are built once for all records.
+    """
+    cands, pairing = _label_ball(freq, M_max)
     labelled = []
     seen = {}
     for rec in records:
-        m = label_gap(rec.N_plateau, freq, M_max, tol)
+        m = _label(rec.N_plateau, cands, pairing, freq, M_max, tol)
         if m in seen:
             raise AmbiguousLabelError(
                 f"label {m} assigned to two gaps (midpoints "

@@ -64,8 +64,9 @@ _RESIDUAL_TOL = 1e-7
 _EDGE_MAX_STEPS = 14
 _EDGE_RHO_TOL = 5e-3
 _EDGE_RHO_ITERATIONS = 20000
-# largest resonance-scan ball per dimension that stays cheap to enumerate
-_WINDOW_CAP = {1: 100000, 2: 1200, 3: 60}
+# largest resonance-scan ball per dimension that stays cheap to enumerate,
+# each within the integer_ball cap
+_WINDOW_CAP = {1: 100000, 2: 723, 3: 60}
 _RESIDUAL_POINTS = {1: 256, 2: 16, 3: 7}
 # quadratic-tail constant: exponent-2 instance of 8 * sum_m (2 pi m)^-p
 _D_TAU = 8.0 * (math.pi ** 2 / 6.0) / (4.0 * math.pi ** 2)
@@ -194,12 +195,12 @@ def _require_sl2_series(f: FourierSeries, what: str) -> None:
 def seeded_sl2_series(scale: float, radius: int, seed: int,
                       dim: int = 1) -> FourierSeries:
     """Reproducible random traceless perturbation with the given band."""
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for n in integer_ball(dim, radius).tolist():
-        m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
-        m = m - 0.5 * np.trace(m) * np.eye(2)
-        coeffs[tuple(n)] = m
+    modes = integer_ball(dim, radius)
+    # one draw in ball order: per mode the real, then the imaginary 2x2 part
+    draw = np.random.default_rng(seed).normal(size=(len(modes), 2, 2, 2))
+    m = (draw[:, 0] + 1j * draw[:, 1]) * scale
+    m = m - (0.5 * (m[:, 0, 0] + m[:, 1, 1]))[:, None, None] * np.eye(2)
+    coeffs = dict(zip(map(tuple, modes.tolist()), m))
     return FourierSeries(dim, radius, coeffs, 1).symmetrized()
 
 

@@ -41,13 +41,30 @@ def dist_to_int(x):
     return d
 
 
+# largest sup-norm ball integer_ball builds; the Diophantine scan peaks at
+# 40-50 bytes a row, so about 100 MB at the cap
+_BALL_ROWS_CAP = 2 ** 21
+
+
+def ball_rows(dim: int, radius: int) -> int:
+    """Rows of integer_ball(dim, radius), or ValueError above the cap."""
+    rows = max(2 * int(radius) + 1, 0) ** dim
+    if rows > _BALL_ROWS_CAP:
+        raise ValueError(f"sup-norm radius {radius} needs {rows} ball rows "
+                         f"in {dim}-D, above the cap {_BALL_ROWS_CAP}")
+    return rows
+
+
 def integer_ball(dim: int, radius: int) -> np.ndarray:
     """Every n in Z^dim with |n|_inf <= radius, shape (count, dim).
 
     Rows come in lexicographic order, the order of itertools.product over
     range(-radius, radius + 1).  The one enumerator of the sup-norm ball:
     Diophantine scan, gap labels, resonance sites and KAM mode tables.
+    Raises ValueError (ball_rows), before anything is allocated, for a
+    ball of more than _BALL_ROWS_CAP rows.
     """
+    ball_rows(dim, radius)
     axis = np.arange(-radius, radius + 1)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim)
@@ -100,18 +117,13 @@ class Frequency:
         return theta.reshape(lead) + steps[..., None] * self.vec
 
 
-# largest sup-norm ball diophantine_check builds; the scan peaks at 40-50
-# bytes a row, so about 100 MB at the cap
-_BALL_ROWS_CAP = 2 ** 21
-
-
 def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency:
     """Scan the sup-norm ball and return a validated Frequency.
 
     Raises DiophantineRejection carrying the first violating n (shell order,
     lexicographic, canonical sign) together with the observed distance and
     the required bound; ValueError for inadmissible inputs, including a
-    ball of more than 2^21 rows, before the ball is built.
+    ball over the integer_ball cap, before the ball is built.
     """
     alpha = tuple(float(a) for a in np.atleast_1d(np.asarray(alpha, dtype=float)))
     d = len(alpha)
@@ -123,10 +135,6 @@ def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency
         raise ValueError("gamma and tau must be positive")
     if cutoff < 1:
         raise ValueError("check cutoff must be >= 1")
-    rows = (2 * cutoff + 1) ** d
-    if rows > _BALL_ROWS_CAP:
-        raise ValueError(f"check cutoff {cutoff} needs {rows} ball rows in "
-                         f"{d}-D, above the cap {_BALL_ROWS_CAP}")
     ball = integer_ball(d, cutoff)
     first = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)]
     ball = ball[first > 0]

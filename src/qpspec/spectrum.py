@@ -30,6 +30,8 @@ __all__ = [
 _SHIFT_EPS = 2.0 ** -50
 # pivots held per block of rows in the Sturm kernel (1 MB of floats)
 _BLOCK_CELLS = 1 << 17
+# mesh edges per coarse cell of the pruned wide scan
+_SCAN_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -184,25 +186,62 @@ def ids_curve(V: FourierSeries, freq: Frequency, energies, L: int,
     return IdsCurve(energies, H.ids(energies), L, phases)
 
 
+def _pruned_present(H: TruncatedOperator, edges) -> np.ndarray:
+    """H.present(edges), from two passes that skip the empty stretches.
+
+    The computed Sturm count is monotone in E under IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3 (1995)), so a coarse cell
+    across which some phase's count does not rise holds no eigenvalue at
+    that phase: none of its fine cells is present.  Pass 1 counts every
+    _SCAN_STRIDE-th edge and the last; pass 2 counts the remaining edges
+    of the live coarse cells, those where every phase's count rises.  A
+    count does not depend on the energies sharing its pass, so the mask
+    equals the one-pass present(edges).
+    """
+    n = edges.size
+    coarse = np.append(np.arange(0, n - 1, _SCAN_STRIDE), n - 1)
+    coarse_counts = H._counts(edges[coarse])
+    live = (np.diff(coarse_counts, axis=0) >= 1).all(axis=1)
+    counts = np.zeros((n, coarse_counts.shape[1]), dtype=np.int64)
+    counts[coarse] = coarse_counts
+    # coarse cell of every fine cell: coarse edges are multiples of the
+    # stride, apart from the last edge
+    cells = np.arange(n - 1)
+    live_cell = live[cells // _SCAN_STRIDE]
+    fine = np.flatnonzero(live_cell & (cells % _SCAN_STRIDE > 0))
+    if fine.size:
+        counts[fine] = H._counts(edges[fine])
+    return live_cell & (np.diff(counts, axis=0) >= 1).all(axis=1)
+
+
 def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
-                  resolution: float):
+                  resolution: float,
+                  operator: TruncatedOperator | None = None):
     """Spectral intervals on a fixed energy mesh.
 
     A mesh cell counts as spectrum when every sampled phase contributes an
     eigenvalue to it: truncation produces spurious boundary eigenvalues
     inside gaps, but those depend on the phase while bulk eigenvalues do
     not, so requiring presence at every phase suppresses them.  Adjacent
-    present cells merge into maximal intervals.
+    present cells merge into maximal intervals.  The mesh is counted
+    coarse to fine (_pruned_present), so the stretches outside the hull and
+    inside wide gaps cost one count per _SCAN_STRIDE cells.
+
+    operator is TruncatedOperator.sampled(V, freq, L, phases) when the
+    caller has built it already, to count on it again.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    H = TruncatedOperator.sampled(V, freq, L, phases)
+    H = operator if operator is not None else TruncatedOperator.sampled(
+        V, freq, L, phases)
+    if H.diag.shape != (phases, 2 * L + 1):
+        raise ValueError("operator must be the (phases, 2L+1) sampled one")
     sup_v = float(V.sup_norm())
     lo = -2.0 - sup_v - 2.0 * resolution
     hi = 2.0 + sup_v + 2.0 * resolution
     n_cells = int(math.ceil((hi - lo) / resolution))
     edges = lo + resolution * np.arange(n_cells + 1)
-    present = H.present(edges)
+    present = _pruned_present(H, edges)
 
     intervals = []
     start = None

@@ -22,7 +22,7 @@ from qpspec.mat2 import rotation
 from qpspec.qpcore import (FourierSeries, ck_norm, cosine_polynomial,
                            diophantine_check, dist_to_int)
 from qpspec.rotnum import schrodinger_rotation_grid
-from qpspec.spectrum import ids, ids_curve, spectrum_scan
+from qpspec.spectrum import TruncatedOperator, ids_curve, spectrum_scan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,10 +36,10 @@ def golden():
 def amo_labelled(golden):
     """AMO at coupling 0.3: scan, labelled gaps, spectrum boundary."""
     V = cosine_polynomial({1: 0.6})
-    scan = spectrum_scan(V, golden, L=6000, phases=8, resolution=2e-3)
-    records, boundary = detect_gaps(
-        scan, lambda E: ids(V, golden, float(E), 6000, 8),
-        min_length=4e-3)
+    H = TruncatedOperator.sampled(V, golden, 6000, 8)
+    scan = spectrum_scan(V, golden, L=6000, phases=8, resolution=2e-3,
+                         operator=H)
+    records, boundary = detect_gaps(scan, H.ids, min_length=4e-3)
     labelled = label_all(records, golden, 20, 1e-3)
     return V, labelled, boundary
 
@@ -106,10 +106,10 @@ def test_criterion_04_gap_decay_bound(golden):
     V = cosine_polynomial({n: eps * float(n) ** -k for n in range(1, 9)})
     unit = cosine_polynomial({n: float(n) ** -k for n in range(1, 9)})
     c_norm = ck_norm(unit, k).upper
-    scan = spectrum_scan(V, golden, L=6000, phases=8, resolution=2e-3)
-    records, _ = detect_gaps(
-        scan, lambda E: ids(V, golden, float(E), 6000, 8),
-        min_length=4e-3)
+    H = TruncatedOperator.sampled(V, golden, 6000, 8)
+    scan = spectrum_scan(V, golden, L=6000, phases=8, resolution=2e-3,
+                         operator=H)
+    records, _ = detect_gaps(scan, H.ids, min_length=4e-3)
     labelled = label_all(records, golden, 20, 1e-3)
     small = [g for g in labelled if g.abs_label() <= k]
     assert small

@@ -503,6 +503,46 @@ def test_non_numeric_numerics_exit_2(tmp_path, capsys):
 # library/CLI seam
 
 
+_THREE_D = {"components": [GOLDEN, math.sqrt(2.0) - 1.0,
+                            math.sqrt(3.0) - 1.0],
+            "gamma": 1e-3, "tau": 3.5, "cutoff": 10}
+
+
+def test_three_d_label_ball_exits_2_before_the_scan(tmp_path, capsys,
+                                                    monkeypatch):
+    import qpspec.cli
+
+    scans = []
+    monkeypatch.setattr(qpspec.cli, "spectrum_scan",
+                        lambda *args, **kwargs: scans.append(args))
+    cfg = _base_config(
+        tmp_path, frequency=_THREE_D, numerics={"M_max": 1000},
+        potential={"family": "cosine", "dim": 3, "terms": {"1,0,0": 0.2}})
+    assert main(["gaps", "--config", _write(tmp_path, cfg)]) == 2
+    assert "numerics.M_max" in capsys.readouterr().err
+    assert scans == []
+
+
+def test_three_d_perturbation_ball_exits_2_at_once(tmp_path, capsys):
+    import time
+
+    cfg = _base_config(tmp_path, frequency=_THREE_D, kam={
+        "rho0": 0.17, "perturbation": {"scale": 1e-4, "radius": 64,
+                                       "seed": 1}})
+    t0 = time.perf_counter()
+    assert main(["kam", "--config", _write(tmp_path, cfg)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "kam.perturbation: sup-norm radius 64" in capsys.readouterr().err
+
+
+def test_decay_order_beyond_the_ball_cap_exits_2(tmp_path, capsys):
+    # the C^k norm of order k sums over the multi-index ball of radius k
+    cfg = _base_config(tmp_path, potential={
+        "family": "ck", "epsilon": 0.01, "k": 2 ** 21, "modes": [1, 2]})
+    assert main(["decay", "--config", _write(tmp_path, cfg)]) == 2
+    assert "potential.k" in capsys.readouterr().err
+
+
 def test_cli_names_no_private_kam_attribute():
     import ast
 

@@ -11,7 +11,8 @@ from qpspec.gaps import (GapRecord, HomogeneityProfile, decay_profile,
                          holder_modulus, homogeneity_profile, label_all,
                          label_gap, refine_band_edge, refine_gap_edges)
 from qpspec.qpcore import Frequency, cosine_polynomial, diophantine_check
-from qpspec.spectrum import IdsCurve, ids_curve, spectrum_scan
+from qpspec.spectrum import (IdsCurve, TruncatedOperator, ids_curve,
+                             spectrum_scan)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -53,6 +54,24 @@ def test_detect_min_length_filter():
     recs, _ = detect_gaps(scan, lambda E: 0.3, min_length=0.01)
     assert len(recs) == 1
     assert recs[0].E_minus == 2.0
+
+
+def test_batched_plateaus_equal_the_scalar_recounts(golden):
+    V = cosine_polynomial({1: 0.6})
+    H = TruncatedOperator.sampled(V, golden, 1500, 8)
+    scan = spectrum_scan(V, golden, 1500, 8, 5e-3, operator=H)
+    asked = []
+
+    def recount(E):
+        asked.append(np.shape(E))
+        return H.ids(E)
+
+    recs, _ = detect_gaps(scan, recount, min_length=1e-2)
+    assert len(recs) >= 4
+    # one pass over every midpoint, each plateau bit for bit the scalar one
+    assert asked == [(len(recs),)]
+    for rec in recs:
+        assert rec.N_plateau == float(H.ids(rec.midpoint)[0])
 
 
 def test_detect_empty_scan_raises():
@@ -106,6 +125,27 @@ def test_label_all_distinct_enforced(golden):
     assert out[0].m == (1,)
     assert out[0].label_defect <= 1e-3
     assert label_all([], golden, 20, 1e-3) == []
+
+
+@pytest.mark.parametrize("freq", [
+    diophantine_check((GOLDEN,), 0.1, 1.5, 60),
+    diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), 0.01, 2.5, 20)],
+    ids=["1-D", "2-D"])
+def test_label_all_builds_the_ball_once(freq, monkeypatch):
+    import qpspec.gaps as gaps_module
+
+    plateaus = [float(x) % 1.0 for x in (freq.vec[0], -freq.vec[0],
+                                         2.0 * freq.vec[-1])]
+    recs = [GapRecord(None, float(i), i + 0.5, 0.5, N, None)
+            for i, N in enumerate(plateaus)]
+    want = [label_gap(N, freq, 6, 1e-3) for N in plateaus]
+    radii = []
+    ball = gaps_module.integer_ball
+    monkeypatch.setattr(gaps_module, "integer_ball",
+                        lambda dim, r: radii.append(r) or ball(dim, r))
+    got = label_all(recs, freq, 6, 1e-3)
+    assert radii == [6]
+    assert [g.m for g in got] == want
 
 
 def test_amo_gap_table(golden, amo):

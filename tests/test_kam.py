@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -149,6 +150,50 @@ def test_sample_aliases_like_pointwise():
     s = FourierSeries(1, 9, {(9,): 1.0 + 0j, (-9,): 1.0 + 0j}, 1)
     direct = s.evaluate_complex(torus_mesh(1, 8, 1)).reshape(8)
     assert float(np.max(np.abs(direct - kam._sample(s, 8)))) < 1e-12
+
+
+def _rowwise_sl2_series(scale, radius, seed, dim):
+    """The mode-by-mode draw, in ball order, that seeded_sl2_series makes
+    in one call."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for n in itertools.product(range(-radius, radius + 1), repeat=dim):
+        m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
+        coeffs[n] = m - 0.5 * np.trace(m) * np.eye(2)
+    return FourierSeries(dim, radius, coeffs, 1).symmetrized()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+@pytest.mark.parametrize("radius,dim", [(3, 1), (5, 2), (2, 3), (40, 1)])
+def test_seeded_series_is_the_rowwise_draw(seed, radius, dim):
+    got = kam.seeded_sl2_series(2.5e-4, radius, seed, dim=dim)
+    want = _rowwise_sl2_series(2.5e-4, radius, seed, dim)
+    assert list(got.coeffs) == list(want.coeffs)
+    for key, c in want.coeffs.items():
+        assert got.coeffs[key].tobytes() == c.tobytes()
+
+
+def test_seeded_series_rejects_an_oversized_ball_before_drawing():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2146689 ball rows"):
+            kam.seeded_sl2_series(1e-4, 64, 1, dim=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_resonance_windows_stay_within_the_ball_cap():
+    from qpspec.qpcore import ball_rows
+
+    # ball_rows raises above the cap; 2-D is the tight one
+    for dim, window in kam._WINDOW_CAP.items():
+        ball_rows(dim, window)
+    with pytest.raises(ValueError, match="above the cap"):
+        ball_rows(2, kam._WINDOW_CAP[2] + 1)
 
 
 @pytest.mark.parametrize("dim,g", [(1, 8), (1, 16), (2, 8), (2, 16)])

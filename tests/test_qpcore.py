@@ -335,6 +335,22 @@ def test_integer_ball_is_the_product_order():
             assert rows == list(itertools.product(axis, repeat=dim))
 
 
+def test_integer_ball_gates_its_size_before_building_it():
+    import tracemalloc
+
+    assert qc.ball_rows(3, 63) == 127 ** 3 <= qc._BALL_ROWS_CAP
+    assert qc.ball_rows(1, -1) == 0
+    tracemalloc.start()
+    try:
+        for dim, radius in ((3, 64), (2, 1024), (1, 2 ** 20)):
+            with pytest.raises(ValueError, match="above the cap"):
+                qc.integer_ball(dim, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_torus_mesh_is_the_ij_grid():
     pts = qc.torus_mesh(2, 3, 2)
     assert pts.shape == (9, 2)

@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpspec.qpcore import (amo_potential, cosine_polynomial, diophantine_check,
-                           phase_samples)
+from qpspec import spectrum
+from qpspec.qpcore import (amo_potential, ck_potential, cosine_polynomial,
+                           diophantine_check, phase_samples)
 from qpspec.spectrum import (
     IdsCurve,
     TruncatedOperator,
     _pivot_counts,
+    _pruned_present,
     _shifted,
     ids,
     ids_curve,
@@ -167,6 +169,61 @@ def test_scan_amo_largest_gap_plateau(freq):
     plateau = ids(V, freq, mid, 600, phases=6)
     alpha = freq.alpha[0]
     assert min(abs(plateau - alpha), abs(plateau - (1 - alpha))) <= 5e-3
+
+
+def _scan_operators(freq):
+    """(name, operator) pairs across couplings, families and dimensions."""
+    freq2 = diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), gamma=0.01,
+                              tau=2.5, cutoff=20)
+    cases = [(f"amo {c}", amo_potential(c), freq)
+             for c in (0.004, 0.3, 1.5, 3.0)]
+    cases += [("cosine", cosine_polynomial({1: 0.5, 2: 0.3}), freq),
+              ("ck", ck_potential(0.01, 6, range(1, 9)), freq),
+              ("2-D", cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2),
+               freq2)]
+    for name, V, f in cases:
+        for phases in (1, 8):
+            yield (f"{name}, {phases} phases", V,
+                   TruncatedOperator.sampled(V, f, 400, phases))
+
+
+@pytest.mark.parametrize("edges", [2, 3, 8, 9, 17, 800, 801, 2605])
+def test_pruned_presence_equals_full_presence(freq, edges):
+    # the coarse-to-fine scan marks exactly the cells one wide pass marks,
+    # whatever the mesh length modulo the stride
+    for name, V, H in _scan_operators(freq):
+        reach = 2.1 + float(V.sup_norm())
+        mesh = np.linspace(-reach, reach, edges)
+        assert np.array_equal(_pruned_present(H, mesh), H.present(mesh)), \
+            name
+
+
+def test_scan_counts_few_edges_in_two_passes(freq, monkeypatch):
+    # AMO 0.3: a fifth of the mesh lies outside the hull and a third of the
+    # hull is gap, so the fine pass skips most of both
+    passes = []
+    kernel = spectrum._pivot_counts
+
+    def counted(diags, energies):
+        passes.append(len(energies))
+        return kernel(diags, energies)
+
+    monkeypatch.setattr(spectrum, "_pivot_counts", counted)
+    V, resolution = amo_potential(0.3), 2e-3
+    spectrum_scan(V, freq, 1000, 8, resolution)
+    reach = 2.0 + float(V.sup_norm()) + 2.0 * resolution
+    edges = math.ceil(2.0 * reach / resolution) + 1
+    assert len(passes) == 2
+    assert sum(passes) <= 0.7 * edges
+
+
+def test_scan_counts_on_the_operator_it_is_given(freq):
+    V = amo_potential(0.3)
+    H = TruncatedOperator.sampled(V, freq, 600, 6)
+    assert spectrum_scan(V, freq, 600, 6, 5e-3, operator=H) == \
+        spectrum_scan(V, freq, 600, 6, 5e-3)
+    with pytest.raises(ValueError, match="operator"):
+        spectrum_scan(V, freq, 600, 8, 5e-3, operator=H)
 
 
 # ---------------------------------------------------------------------------
