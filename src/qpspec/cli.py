@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DiophantineRejection,
     DivergenceError,
+    EdgeSearchError,
     LabelError,
     ReductionError,
     StaleArtifactError,
@@ -468,8 +469,11 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     A = rotation(_field(spec, "kam", "rho0", float))
     pert = _field(spec, "kam", "perturbation", dict)
     if "terms" in pert:
-        f = _explicit_sl2_series(
-            _field(pert, "kam.perturbation", "terms", dict), freq.dim)
+        terms = {_mode_key("kam.perturbation.terms", key): entries
+                 for key, entries in _field(pert, "kam.perturbation",
+                                            "terms", dict).items()}
+        f = _admitted("kam.perturbation.terms", kam.explicit_sl2_series,
+                      terms, dim=freq.dim)
     else:
         f = _admitted("kam.perturbation", kam.seeded_sl2_series,
                       _field(pert, "kam.perturbation", "scale", float),
@@ -494,34 +498,6 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
                "residual": state.residual(),
                "conjugacy_norm": state.conjugacy_norm()}
     return [name], summary
-
-
-def _explicit_sl2_series(terms, dim: int) -> FourierSeries:
-    coeffs = {}
-    radius = 0
-    if not terms:
-        raise ConfigError("kam.perturbation.terms must be a nonempty object")
-    for key, entries in terms.items():
-        parts = _mode_key("kam.perturbation.terms", key)
-        if len(parts) != dim:
-            raise ConfigError(f"kam.perturbation.terms key {key!r} needs "
-                              f"{dim} components, one per frequency")
-        try:
-            mat = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("perturbation terms must be 2x2 matrices") \
-                from exc
-        if mat.shape != (2, 2):
-            raise ConfigError("perturbation terms must be 2x2 matrices")
-        if not np.all(np.isfinite(mat)):
-            raise ConfigError(f"kam.perturbation.terms key {key!r} must be "
-                              "finite")
-        if abs(mat[0, 0] + mat[1, 1]) > 1e-9:
-            raise ConfigError(f"kam.perturbation.terms key {key!r} must be "
-                              "traceless")
-        coeffs[parts] = mat.astype(complex)
-        radius = max(radius, max(abs(x) for x in parts))
-    return FourierSeries(dim, radius, coeffs, 1).symmetrized()
 
 
 def _load_gap_inventory(path: Path):
@@ -576,7 +552,13 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     # re-resolve both edges to window accuracy: the inventory carries
     # scan-cell estimates, and the parabolic gate needs the edge
     gap = GapRecord(label, e_minus, e_plus, e_plus - e_minus, 0.0, None)
-    refined = refine_gap_edges(V, freq, gap, num["L"], window, num["phases"])
+    try:
+        refined = refine_gap_edges(V, freq, gap, num["L"], window,
+                                   num["phases"])
+    except EdgeSearchError as exc:
+        raise StaleArtifactError(
+            f"gap {label} from {gaps_file} could not be re-found on "
+            f"re-measurement ({exc}); the inventory is stale") from exc
     if refined.length == 0.0:
         raise StaleArtifactError(
             f"gap {label} from {gaps_file} vanished on "

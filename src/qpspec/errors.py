@@ -85,6 +85,11 @@ class StepSizeError(QpspecError, ValueError):
     guard depends on the computed conjugacy, so it is known only then."""
 
 
+class EdgeSearchError(QpspecError, ValueError):
+    """Edge refinement found no spectrum near a coarse edge, or no flip
+    of presence to bisect; a stale or too-coarse edge estimate."""
+
+
 class ReductionError(QpspecError):
     """Reduction to the parabolic normal form failed a structural check
     (label mismatch, non-parabolic limit, null-vector degeneracy)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousLabelError, LabelError
+from .errors import AmbiguousLabelError, EdgeSearchError, LabelError
 from .qpcore import FourierSeries, Frequency, dist_to_int, integer_ball
 from .spectrum import IdsCurve, TruncatedOperator
 
@@ -27,7 +27,6 @@ __all__ = [
     "label_all",
     "decay_profile",
     "refine_gap_edges",
-    "refine_band_edge",
     "homogeneity_profile",
     "holder_modulus",
     "gap_separation_check",
@@ -286,37 +285,27 @@ def _first(window, x, step: float, want: bool, chunks):
 
 
 def _edge_search(coarse: float, side: str, w: float, tol: float):
-    """Search generator for one edge (see _lockstep)."""
+    """Search generator for one edge (see _lockstep).
+
+    side "upper": coarse is a band top (spectrum below, gap above) and
+    presence asks for an eigenvalue in (x - w, x) at every phase; "lower"
+    mirrors it.  EdgeSearchError when no spectrum is found near coarse
+    or presence never flips.
+    """
     if side == "upper":
         step, window = -w, lambda x: (x - w, x)
-    elif side == "lower":
-        step, window = w, lambda x: (x, x + w)
     else:
-        raise ValueError("side must be 'upper' or 'lower'")
+        step, window = w, lambda x: (x, x + w)
     x_true = yield from _first(window, coarse, step, True, _TRUE_CHUNKS)
     if x_true is None:
-        raise ValueError(f"no spectrum found near {coarse:.6f} to refine")
+        raise EdgeSearchError(
+            f"no spectrum found near {coarse:.6f} to refine")
     x_false = yield from _first(window, x_true - 2.0 * step, -2.0 * step,
                                 False, _FALSE_CHUNKS)
     if x_false is None:
-        raise ValueError(f"presence never flips near {coarse:.6f}")
+        raise EdgeSearchError(f"presence never flips near {coarse:.6f}")
     flip = yield from _bisection(window, x_true, x_false, tol)
     return flip + step
-
-
-def refine_band_edge(V: FourierSeries, freq: Frequency, coarse: float,
-                     side: str, L: int, edge_tol: float,
-                     phases: int = 8) -> float:
-    """Sharpen one spectrum edge by bisecting a windowed presence flip.
-
-    side 'upper': coarse is a band top (spectrum below, gap above); the
-    predicate asks for an eigenvalue in (x - w, x) at every phase.  side
-    'lower' mirrors it.  The window w = max(edge_tol, 4/L) keeps a few
-    mean level spacings inside, so presence is statistically reliable.
-    """
-    H = TruncatedOperator.sampled(V, freq, L, phases)
-    search = _edge_search(coarse, side, max(edge_tol, 4.0 / L), edge_tol)
-    return _lockstep(H, [search])[0]
 
 
 def refine_gap_edges(V: FourierSeries, freq: Frequency, gap: GapRecord,

@@ -49,6 +49,7 @@ __all__ = [
     "gap_edge_step",
     "bch_log_product",
     "seeded_sl2_series",
+    "explicit_sl2_series",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -103,6 +104,13 @@ def _sample(series: FourierSeries, g: int) -> np.ndarray:
 def _real_samples(g: int, *series: FourierSeries) -> list:
     """Real values of each series on the g^d grid of its period."""
     return [_real_grid(_sample(s, g)) for s in series]
+
+
+def _mesh_values(g: int, span: float, *series: FourierSeries) -> list:
+    """Real values of each series at the rows of the g^d mesh of
+    [0, span)^d, by direct evaluation (torus_mesh row order)."""
+    pts = torus_mesh(series[0].dim, g, span)
+    return [_real_grid(s.evaluate_complex(pts)) for s in series]
 
 
 def _real_grid(vals: np.ndarray) -> np.ndarray:
@@ -204,6 +212,31 @@ def seeded_sl2_series(scale: float, radius: int, seed: int,
     return FourierSeries(dim, radius, coeffs, 1).symmetrized()
 
 
+def explicit_sl2_series(terms: dict, dim: int = 1) -> FourierSeries:
+    """Traceless perturbation from explicit modes: terms maps integer
+    mode tuples of length dim to real 2x2 matrices."""
+    if not terms:
+        raise ValueError("perturbation terms must be a nonempty mapping")
+    coeffs = {}
+    for mode, entries in terms.items():
+        if len(mode) != dim:
+            raise ValueError(f"mode {mode} needs {dim} components, one per "
+                             "frequency")
+        try:
+            mat = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"mode {mode} must be a 2x2 matrix") from exc
+        if mat.shape != (2, 2):
+            raise ValueError(f"mode {mode} must be a 2x2 matrix")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"mode {mode} must be finite")
+        if abs(mat[0, 0] + mat[1, 1]) > 1e-9:
+            raise ValueError(f"mode {mode} must be traceless")
+        coeffs[mode] = mat.astype(complex)
+    radius = max(max(map(abs, mode)) for mode in coeffs)
+    return FourierSeries(dim, radius, coeffs, 1).symmetrized()
+
+
 # ---------------------------------------------------------------------------
 # constants: spectral kind and resonances
 
@@ -285,14 +318,9 @@ class KamState:
 
     def residual(self) -> float:
         """Max defect of the defining conjugation identity on the grid."""
-        per = _RESIDUAL_POINTS[self.freq.dim]
-        pts = torus_mesh(self.freq.dim, per, 2)
-        alpha = self.freq.vec
-        b_here = _real_grid(self.B_accum.evaluate_complex(pts))
-        b_next = _real_grid(
-            self.B_accum.shifted(alpha).evaluate_complex(pts))
-        f0_vals = _real_grid(self.f0.evaluate_complex(pts))
-        f_vals = _real_grid(self.f.evaluate_complex(pts))
+        b_here, b_next, f0_vals, f_vals = _mesh_values(
+            _RESIDUAL_POINTS[self.freq.dim], 2, self.B_accum,
+            self.B_accum.shifted(self.freq.vec), self.f0, self.f)
         lhs = inv2(b_next) @ (self.A0 @ exp_sl2(f0_vals)) @ b_here
         rhs = self.A @ exp_sl2(f_vals)
         return float(np.max(norm2(lhs - rhs)))
@@ -598,10 +626,8 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     A_mid = rotation(rho - shift)
     band = f_kept.support_radius() + star_size
     g = _grid(2 * band + 2)
-    pts = torus_mesh(state.freq.dim, g, 1)
-    z_here = _real_grid(twist.evaluate_complex(pts))
-    z_next = _real_grid(twist.shifted(state.freq.vec).evaluate_complex(pts))
-    f_vals = _real_grid(f_kept.evaluate_complex(pts))
+    z_here, z_next, f_vals = _mesh_values(
+        g, 1, twist, twist.shifted(state.freq.vec), f_kept)
     prod = inv2(z_next) @ (R @ exp_sl2(f_vals)) @ z_here
     logs = log_sl2(inv2(A_mid) @ prod)
     shape = (g,) * state.freq.dim + (2, 2)
@@ -645,13 +671,6 @@ def _bch_diagnostic(A_mid: np.ndarray, avg: np.ndarray,
 # the almost-reducibility schedule
 
 
-def _window_size(eps: float, band: int) -> int:
-    gap = 1.0 / band - 1.0 / float(band) ** 2
-    if gap <= 0.0:
-        return 1
-    return max(int(math.ceil(2.0 * abs(math.log(eps)) / gap)), 1)
-
-
 def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
                             freq: Frequency, *, M: int = 10,
                             sigma: float = _SIGMA, stop_tol: float = _STOP_TOL,
@@ -660,9 +679,10 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     """Drive the perturbation below stop_tol on a doubling band schedule.
 
     Step j solves up to band l_j = M^(2^(j-1)), capped by the stored
-    support so nothing is ever discarded; the resonance window and
-    threshold follow the measured perturbation norm.  Divergence (two
-    consecutive non-contracting steps) raises with the ledger attached.
+    support so nothing is ever discarded; the resonance window is that
+    band, capped per dimension, and the threshold follows the measured
+    perturbation norm.  Divergence (two consecutive non-contracting
+    steps) raises with the ledger attached.
     A non-finite f, or one above the entry gate, raises before any step.
     """
     finite = all(np.isfinite(c).all() for c in f.coeffs.values())
@@ -678,10 +698,10 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
             break
         band = int(min(float(M) ** (2 ** (j - 1)), 1e6))
         band = min(band, max(state.f.support_radius(), 1))
-        # the scan protects the divisors of the modes actually solved,
-        # so the analytic window formula is clamped to the solve band
-        # (beyond it the stored series has no content to strip)
-        window = min(_window_size(eps, band), band, _WINDOW_CAP[freq.dim])
+        # the scan protects the divisors of the modes actually solved:
+        # the resonance window is the solve band (beyond it the stored
+        # series has no content to strip), capped per dimension
+        window = min(band, _WINDOW_CAP[freq.dim])
         threshold = min(eps ** sigma, _THRESHOLD_CAP)
         info = eigen_rho(state.A)
         site = None
@@ -918,8 +938,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     # double cover, so the plain-torus grid resolves them
     radius = max(X.support_radius(), 1)
     g = _grid(2 * radius + 2, minimum=64)
-    pts = torus_mesh(freq.dim, g, 1)
-    vals = _real_grid(X.evaluate_complex(pts))
+    vals, = _mesh_values(g, 1, X)
     x11 = vals[..., 0, 0]
     x12 = vals[..., 0, 1]
     a = float(np.mean(x11 * x11))
@@ -940,9 +959,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
                         period=1)
     Y = _solve_parabolic_cohomological(B, G, freq)
 
-    y_here = _real_grid(Y.evaluate_complex(pts)).reshape(-1, 2, 2)
-    y_next = _real_grid(
-        Y.shifted(freq.vec).evaluate_complex(pts)).reshape(-1, 2, 2)
+    y_here, y_next = _mesh_values(g, 1, Y, Y.shifted(freq.vec))
     perturbed = B - delta * P_vals
     conj = inv2(exp_sl2(y_next)) @ perturbed @ exp_sl2(y_here)
     leading = exp_sl2(b0 - delta * b1)

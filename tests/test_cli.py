@@ -302,6 +302,21 @@ def test_edge_json_inventory_rows_are_checked(tmp_path, capsys):
     assert "unreadable" in capsys.readouterr().err
 
 
+def test_edge_that_cannot_be_refound_exits_4(tmp_path, capsys):
+    # at AMO coupling 3 this inventory edge has no spectrum within the
+    # refinement walk; that is a stale inventory, not a traceback
+    inv = tmp_path / "gaps.csv"
+    inv.write_text("m,E_minus,E_plus,length,N_plateau,label_defect\n"
+                   "2,-2.88,-2.59,0.29,0.236,6e-05\n")
+    cfg = _base_config(tmp_path,
+                       potential={"family": "amo", "coupling": 3.0},
+                       numerics={"L": 1000, "phases": 4, "resolution": 5e-3})
+    cfg["edge"] = {"gaps_file": str(inv), "label": [2]}
+    assert main(["edge", "--config", _write(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "(2,)" in err and "no spectrum found near -2.880000" in err
+
+
 def test_kam_start_gate_exits_5(tmp_path):
     cfg = _base_config(
         tmp_path,
@@ -558,6 +573,23 @@ def test_cli_names_no_private_kam_attribute():
         if isinstance(node, ast.ImportFrom) and node.module == "kam":
             private += [a.name for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_cli_builds_no_series():
+    import ast
+
+    import qpspec.cli
+
+    # every series is built by a library constructor (kam owns the
+    # perturbation constructors); the CLI only parses and names sections
+    tree = ast.parse(Path(qpspec.cli.__file__).read_text())
+    calls = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("FourierSeries")]
+    assert calls == []
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    assert "_explicit_sl2_series" not in names
 
 
 _NO_E_PLUS_INVENTORY = ("m,E_minus,length,N_plateau,label_defect\n"

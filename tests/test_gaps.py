@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qpspec.errors import AmbiguousLabelError, LabelError
-from qpspec.gaps import (GapRecord, HomogeneityProfile, decay_profile,
-                         detect_gaps, gap_separation_check,
-                         holder_modulus, homogeneity_profile, label_all,
-                         label_gap, refine_band_edge, refine_gap_edges)
+from qpspec.errors import AmbiguousLabelError, EdgeSearchError, LabelError
+from qpspec.gaps import (GapRecord, HomogeneityProfile, _edge_search,
+                         _lockstep, decay_profile, detect_gaps,
+                         gap_separation_check, holder_modulus,
+                         homogeneity_profile, label_all, label_gap,
+                         refine_gap_edges)
 from qpspec.qpcore import Frequency, cosine_polynomial, diophantine_check
 from qpspec.spectrum import (IdsCurve, TruncatedOperator, ids_curve,
                              spectrum_scan)
@@ -214,23 +215,32 @@ def test_decay_skips_zero_label_and_requires_labels():
 # edge refinement
 
 
+def _band_edge(V, freq, coarse, side, L, edge_tol, phases=8):
+    """One edge search on its own: the window max(edge_tol, 4/L) keeps a
+    few mean level spacings inside, bisected down to edge_tol."""
+    H = TruncatedOperator.sampled(V, freq, L, phases)
+    search = _edge_search(coarse, side, max(edge_tol, 4.0 / L), edge_tol)
+    return _lockstep(H, [search])[0]
+
+
 def test_refine_free_band_edges(golden):
     V0 = cosine_polynomial({0: 0.0})
-    up = refine_band_edge(V0, golden, 2.01, "upper", L=2000,
-                          edge_tol=1e-4, phases=4)
-    lo = refine_band_edge(V0, golden, -2.01, "lower", L=2000,
-                          edge_tol=1e-4, phases=4)
+    up = _band_edge(V0, golden, 2.01, "upper", L=2000, edge_tol=1e-4,
+                    phases=4)
+    lo = _band_edge(V0, golden, -2.01, "lower", L=2000, edge_tol=1e-4,
+                    phases=4)
     assert up == pytest.approx(2.0, abs=1e-4)
     assert lo == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_refine_band_edge_rejects_bad_input(golden):
     V0 = cosine_polynomial({0: 0.0})
-    with pytest.raises(ValueError):
-        refine_band_edge(V0, golden, 2.0, "sideways", L=300, edge_tol=1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(EdgeSearchError, match="no spectrum found"):
         # far above the spectrum: no presence within the walk budget
-        refine_band_edge(V0, golden, 5.0, "upper", L=300, edge_tol=1e-3)
+        _band_edge(V0, golden, 5.0, "upper", L=300, edge_tol=1e-3)
+    with pytest.raises(EdgeSearchError, match="never flips"):
+        # deep inside the band [-2, 2]: no gap within the walk budget
+        _band_edge(V0, golden, -1.9, "upper", L=300, edge_tol=1e-3)
 
 
 def test_refine_amo_gap_contained_and_stable(golden, amo):
@@ -282,8 +292,8 @@ def test_refine_amo_gap_pass_budget_and_pinned_edges(golden, amo,
 def test_refine_band_edge_pinned(golden, monkeypatch, coarse, side, want):
     V0 = cosine_polynomial({0: 0.0})
     passes = _counting_kernel(monkeypatch)
-    got = refine_band_edge(V0, golden, coarse, side, L=800, edge_tol=1e-4,
-                           phases=4)
+    got = _band_edge(V0, golden, coarse, side, L=800, edge_tol=1e-4,
+                     phases=4)
     assert got.hex() == want
     assert len(passes) <= 6
 

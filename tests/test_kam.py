@@ -123,10 +123,6 @@ def test_detect_resonance_bad_arguments(freq):
         detect_resonance(0.1, freq, 10, 0.0)
 
 
-def test_window_size_example():
-    assert kam._window_size(1e-3, 10) == 154
-
-
 # ---------------------------------------------------------------------------
 # grid sampling agrees with pointwise evaluation
 
@@ -184,6 +180,115 @@ def test_seeded_series_rejects_an_oversized_ball_before_drawing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+_TERMS = {(1,): [[1e-4, 2e-4], [-3e-4, -1e-4]],
+          (-3,): [[0.0, 5e-5], [5e-5, 0.0]]}
+
+
+@pytest.mark.parametrize("terms,dim", [
+    (_TERMS, 1),
+    ({(1, 0): [[1e-4, 0.0], [2e-5, -1e-4]],
+      (0, -2): [[0.0, 1e-5], [0.0, 0.0]]}, 2),
+])
+def test_explicit_series_is_the_symmetrized_input(terms, dim):
+    got = kam.explicit_sl2_series(terms, dim)
+    radius = max(max(map(abs, n)) for n in terms)
+    want = FourierSeries(
+        dim, radius,
+        {n: np.asarray(m, dtype=float).astype(complex)
+         for n, m in terms.items()}, 1).symmetrized()
+    assert got.radius == want.radius
+    assert list(got.coeffs) == list(want.coeffs)
+    for key, c in want.coeffs.items():
+        assert [z.hex() for z in got.coeffs[key].view(float).ravel()] == \
+            [z.hex() for z in c.view(float).ravel()]
+
+
+@pytest.mark.parametrize("terms,dim,match", [
+    ({}, 1, "nonempty"),
+    ({(1,): "x"}, 1, "2x2"),
+    ({(1,): [[1e-4, 0.0]]}, 1, "2x2"),
+    ({(1,): [[0.0, [1.0]], [0.0, 0.0]]}, 1, "2x2"),
+    ({(1,): [[0.0, math.inf], [0.0, 0.0]]}, 1, "finite"),
+    ({(1,): [[math.nan, 0.0], [0.0, 0.0]]}, 1, "finite"),
+    ({(1,): [[1e-4, 0.0], [0.0, 1e-4]]}, 1, "traceless"),
+    ({(1, 0): [[0.0, 1e-4], [0.0, 0.0]]}, 1, "needs 1 components"),
+    ({(1,): [[0.0, 1e-4], [0.0, 0.0]]}, 2, "needs 2 components"),
+])
+def test_explicit_series_rejects_what_is_not_sl2(terms, dim, match):
+    with pytest.raises(ValueError, match=match):
+        kam.explicit_sl2_series(terms, dim)
+
+
+def test_mesh_sampling_has_one_owner():
+    # direct evaluation on a mesh goes through _mesh_values; _sample
+    # stays the FFT sampler on a series' own period
+    tree = ast.parse(Path(kam.__file__).read_text())
+    owners = {fn.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute)
+              and node.attr == "evaluate_complex"}
+    assert owners == {"_mesh_values"}
+    assert not hasattr(kam, "_window_size")
+
+
+def _logged_schedule(monkeypatch):
+    """Log every resonance scan window and every step of a run."""
+    log = []
+    scan = kam.detect_resonance
+
+    def scanned(rho, freq, N, threshold):
+        log.append(("scan", N))
+        return scan(rho, freq, N, threshold)
+
+    monkeypatch.setattr(kam, "detect_resonance", scanned)
+    for name in ("nonresonant_step", "resonant_step"):
+        step = getattr(kam, name)
+
+        def stepped(state, *args, _step=step, **kwargs):
+            radius = max(state.f.support_radius(), 1)
+            out = _step(state, *args, **kwargs)
+            log.append(("step", radius))
+            return out
+
+        monkeypatch.setattr(kam, name, stepped)
+    return log
+
+
+@pytest.mark.parametrize("case", ["1-D", "2-D", "resonant"])
+def test_run_window_is_the_capped_solve_band(freq, monkeypatch, case):
+    if case == "2-D":
+        freq = diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), gamma=0.01,
+                                 tau=2.5, cutoff=10)
+        A, f = rotation(0.23), kam.seeded_sl2_series(2.5e-4, 2, 3, dim=2)
+    elif case == "resonant":
+        A, f = rotation(GOLDEN / 2.0 + 1e-3), _rand_sl2_series(3e-5, 2, 5)
+    else:
+        A, f = rotation(0.17), kam.seeded_sl2_series(2.5e-4, 3, 11)
+    M, cap = 10, kam._WINDOW_CAP[freq.dim]
+    log = _logged_schedule(monkeypatch)
+    out = almost_reducibility_run(A, f, freq, M=M)
+    assert out.norm() <= 1e-12
+    kinds = {row["kind"] for row in out.ledger}
+    assert kinds == ({"resonant", "nonresonant"} if case == "resonant"
+                     else {"nonresonant"})
+    for row in out.ledger:
+        if row["kind"] == "nonresonant":
+            assert row["window"] == min(row["band"], cap)
+    # every scan of step j (the run's and the step's own) uses the band
+    # min(M^(2^(j-1)), support radius at the start of step j), capped
+    j, windows = 0, []
+    for what, value in log:
+        if what == "scan":
+            windows.append(value)
+            continue
+        j += 1
+        band = min(int(min(float(M) ** (2 ** (j - 1)), 1e6)), value)
+        assert windows and set(windows) == {min(band, cap)}
+        windows = []
+    assert j == len(out.ledger)
 
 
 def test_resonance_windows_stay_within_the_ball_cap():
