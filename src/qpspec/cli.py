@@ -10,6 +10,7 @@ but the config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -118,16 +119,19 @@ def _object(name: str, val) -> dict:
 def _typed(name: str, val, kind):
     """kind(val), finite if a float, or a ConfigError naming the field.
 
-    A one-element list [t] is a list of t; str admits only strings.
+    A one-element list [t] is a list of t; str admits only strings, int
+    and float admit no bool, and int admits only an integral number.
     """
     if isinstance(kind, list):
         if not isinstance(val, list):
             raise ConfigError(f"{name} must be a list, got {val!r}")
         return [_typed(name, x, kind[0]) for x in val]
     try:
-        if kind is str and not isinstance(val, str):
+        if kind is str and not isinstance(val, str) or isinstance(val, bool):
             raise TypeError(val)
         out = kind(val)
+        if kind is int and isinstance(val, float) and out != val:
+            raise ValueError(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"{name} must be {kind.__name__}, got {val!r}") from exc
@@ -189,11 +193,8 @@ def build_potential(spec) -> FourierSeries:
     if family == "ck":
         return _admitted("potential", ck_potential, *_ck_spec(spec))
     if family == "cosine":
-        terms = {}
-        for key, amp in _field(spec, "potential", "terms", dict).items():
-            parts = _mode_key("potential.terms", key)
-            terms[parts if len(parts) > 1 else parts[0]] = _typed(
-                f"potential.terms.{key}", amp, float)
+        terms = {mode if len(mode) > 1 else mode[0]: amp for mode, amp
+                 in _mode_table(spec, "potential", "terms", float).items()}
         return _admitted("potential", cosine_polynomial, terms,
                          dim=_field(spec, "potential", "dim", int, 1))
     raise ConfigError(f"unknown potential family '{family}'")
@@ -209,9 +210,19 @@ def build_frequency(spec):
         cutoff=_field(spec, "frequency", "cutoff", int, 60))
 
 
-def _mode_key(name: str, key) -> tuple:
-    """Integer mode vector from a "n" or "n1,n2" key."""
-    return tuple(_typed(name, tok, int) for tok in str(key).split(","))
+def _mode_table(spec: dict, section: str, name: str, kind=None) -> dict:
+    """spec[name] keyed by the mode vectors of its "n" or "n1,n2" keys, each
+    value _typed when kind is given; two keys for one mode: ConfigError."""
+    path = f"{section}.{name}"
+    table = {}
+    for key, val in _field(spec, section, name, dict).items():
+        mode = tuple(_typed(path, tok, int) for tok in key.split(","))
+        if mode in table:
+            raise ConfigError(f"{path}: key {key!r} repeats the mode "
+                              f"{list(mode)}")
+        table[mode] = val if kind is None else _typed(f"{path}.{key}", val,
+                                                      kind)
+    return table
 
 
 def _ck_spec(spec: dict):
@@ -373,21 +384,6 @@ def _scan_and_label(V, freq, num, out_dir: Path):
     return labelled, boundary, provenance
 
 
-def _gap_rows(labelled):
-    return [{
-        "m": rec.m,
-        "E_minus": rec.E_minus,
-        "E_plus": rec.E_plus,
-        "length": rec.length,
-        "N_plateau": rec.N_plateau,
-        "label_defect": rec.label_defect,
-    } for rec in labelled]
-
-
-_GAP_COLUMNS = ["m", "E_minus", "E_plus", "length", "N_plateau",
-                "label_defect"]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -410,8 +406,9 @@ def cmd_scan(cfg, V, freq, num, out_dir, fmt):
 
 def cmd_gaps(cfg, V, freq, num, out_dir, fmt):
     labelled, boundary, provenance = _scan_and_label(V, freq, num, out_dir)
-    rows = _gap_rows(labelled)
-    name = emit_rows(rows, _GAP_COLUMNS, out_dir, "gaps", fmt)
+    rows = [dataclasses.asdict(rec) for rec in labelled]
+    name = emit_rows(rows, [f.name for f in dataclasses.fields(GapRecord)],
+                     out_dir, "gaps", fmt)
     return [name], {"gaps": len(rows), "boundary": list(boundary),
                     **provenance}
 
@@ -469,11 +466,9 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     A = rotation(_field(spec, "kam", "rho0", float))
     pert = _field(spec, "kam", "perturbation", dict)
     if "terms" in pert:
-        terms = {_mode_key("kam.perturbation.terms", key): entries
-                 for key, entries in _field(pert, "kam.perturbation",
-                                            "terms", dict).items()}
         f = _admitted("kam.perturbation.terms", kam.explicit_sl2_series,
-                      terms, dim=freq.dim)
+                      _mode_table(pert, "kam.perturbation", "terms"),
+                      dim=freq.dim)
     else:
         f = _admitted("kam.perturbation", kam.seeded_sl2_series,
                       _field(pert, "kam.perturbation", "scale", float),

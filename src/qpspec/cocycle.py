@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mat2
 from .qpcore import FourierSeries, Frequency, phase_samples
-from .rotnum import matrix_step, projective_walk
+from .rotnum import matrix_step, orbit_product, projective_walk
 
 __all__ = [
     "Cocycle",
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-9
-_RENORM_EVERY = 64
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -95,22 +94,18 @@ def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
     return Cocycle(freq, series, is_schrodinger=True)
 
 
-def _ordered_product(mats):
+def _product(mats):
     """Product mats[n-1] ... mats[0] of an (n, [lanes,] 2, 2) stack.
 
-    Returns (P, log_scale) with the product P * exp(log_scale): P is
-    renormalized to unit norm every _RENORM_EVERY steps and at the end.
+    Returns (P, e, log_norm): the product P * 2**e and its log spectral
+    norm.  For det 1 a step's sum of |entries| bounds the row sums of the
+    step and of its inverse, the adjugate, so it is orbit_product's grow.
     """
-    n = mats.shape[0]
-    prod = np.broadcast_to(np.eye(2), mats.shape[1:]).copy()
-    log_scale = np.zeros(mats.shape[1:-2])
-    for k in range(n):
-        prod = mats[k] @ prod
-        if (k + 1) % _RENORM_EVERY == 0 or k == n - 1:
-            scale = mat2.norm2(prod)
-            prod = prod / scale[..., None, None]
-            log_scale += np.log(scale)
-    return prod, log_scale
+    grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
+    P, e = orbit_product(lambda k, P: mats[k] @ P,
+                         np.broadcast_to(np.eye(2), mats.shape[1:]),
+                         mats.shape[0], grow)
+    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0)
 
 
 def iterate(c: Cocycle, theta, n: int):
@@ -129,11 +124,11 @@ def iterate(c: Cocycle, theta, n: int):
         mats = c.orbit_matrices(theta, n)
     else:  # step k applies A(theta - (k + 1) alpha)^-1
         mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
-    prod, log_scale = _ordered_product(mats)
-    if not log_scale <= _LOG_MAX:
-        raise OverflowError(f"iterate n={n}: log-norm {float(log_scale):.4g} "
+    prod, e, log_norm = _product(mats)
+    if not log_norm <= _LOG_MAX:
+        raise OverflowError(f"iterate n={n}: log-norm {float(log_norm):.4g} "
                             "exceeds the float range")
-    return prod * math.exp(log_scale)
+    return np.ldexp(prod, e)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +186,8 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int,
     mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
     winding = projective_walk(matrix_step(mats), np.ones(phases),
                               np.zeros(phases), orbit, None)[0]
-    prod, log_scale = _ordered_product(mats)
-    growth = float(np.min(log_scale) / orbit)
+    prod, _, log_norm = _product(mats)
+    growth = float(np.min(log_norm) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
 
     if cone_margin >= _CONE_MARGIN:

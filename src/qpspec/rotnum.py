@@ -24,6 +24,7 @@ __all__ = [
     "rotation_from_orbit",
     "projective_walk",
     "matrix_step",
+    "orbit_product",
     "schrodinger_rotation_grid",
     "rotation_series",
     "degree",
@@ -143,13 +144,26 @@ def _segment_cuts(n: int) -> list:
     return cuts
 
 
-def _rescale(cols):
-    """Scale each lane by the power of two that brings its largest entry
-    into [1/2, 1); exact, so when it runs never changes a bit."""
-    biggest = np.maximum(np.maximum(abs(cols[0]), abs(cols[1])),
-                         np.maximum(abs(cols[2]), abs(cols[3])))
-    shift = -np.frexp(biggest)[1]
-    return [np.ldexp(x, shift) for x in cols]
+def orbit_product(step, P0, n: int, grow: float, axes=(-2, -1)):
+    """Ordered product of n orbit steps as (P, e): the product is P * 2**e.
+
+    P0 is a stack of matrices whose matrix axes are axes; step(k, P)
+    returns the product after step k, as an array or as the sequence of
+    its first-axis slices.  e holds one integer per lane.  A step moves a
+    lane's largest entry by a factor within [1/grow, grow], grow > 1, so
+    every max(1, int(600 ln 2 / ln grow)) steps each lane is scaled by the
+    power of two that brings that entry into [1/2, 1): exact, so when it
+    runs never changes a bit; entries stay within 2**-601 .. 2**600.
+    """
+    interval = max(1, int(600.0 * math.log(2.0) / math.log(grow)))
+    P, e = P0, np.zeros(np.delete(np.shape(P0), axes), dtype=int)
+    for k in range(n):
+        P = step(k, P)
+        if (k + 1) % interval == 0:
+            shift = np.frexp(np.abs(P).max(axis=axes))[1]
+            P = np.ldexp(P, -np.expand_dims(shift, axes))
+            e = e + shift
+    return np.asarray(P), e
 
 
 def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
@@ -187,20 +201,14 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
             return w0, v0
         return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
 
-    # pass 1: columns (a, c) and (b, d) of every segment's product; a step
-    # scales a lane's largest entry by a factor within [1/grow, grow], so
-    # rescaling every interval steps keeps it within 2**-601 .. 2**600
+    # pass 1: every segment's product, matrix axes first: the column step
+    # advances both columns at once, the rows (a, b) and (c, d) as (v0, v1)
     grow = float(np.abs(energies).max(initial=0.0) + np.abs(v_orbit).max()
                  + 2.0)
-    interval = max(1, int(600.0 * math.log(2.0) / math.log(grow)))
     shape = (len(lengths), len(energies))
-    cols = [np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)]
-    for k in range(n_steps):
-        a, c, b, d = cols
-        cols = [*step(k, a, c), *step(k, b, d)]
-        if (k + 1) % interval == 0:
-            cols = _rescale(cols)
-    a, c, b, d = cols
+    eye = np.eye(2)[:, :, None, None] * np.ones(shape)
+    (a, b), (c, d) = orbit_product(lambda k, P: step(k, *P), eye,
+                                   n_steps, grow, axes=(0, 1))[0]
     # the stitch: each segment starts where the orbit left the last one
     u0, u1 = np.empty(shape), np.empty(shape)
     w0, w1 = np.ones(len(energies)), np.zeros(len(energies))

@@ -688,6 +688,29 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
     ("ids", {"frequency": {"components": [GOLDEN, math.sqrt(2.0) - 1.0,
                                           math.sqrt(3.0) - 1.0],
                            "cutoff": 64}}, None, 2, "frequency"),
+    # two spellings of one mode, which JSON keeps as two keys
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {"terms": {
+        "1": [[1e-4, 0.0], [0.0, -1e-4]], "01": [[0.0, 2e-4], [0.0, 0.0]]}}}},
+     None, 2, "kam.perturbation.terms: key '01' repeats the mode [1]"),
+    ("ids", {"potential": {"family": "cosine", "terms": {"1": 0.3,
+                                                         "01": 0.5}}},
+     None, 2, "potential.terms: key '01' repeats the mode [1]"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {"terms": {
+        "1,0": [[0.0, 1e-4], [0.0, 0.0]],
+        "1, 0": [[0.0, 0.0], [1e-4, 0.0]]}}}},
+     None, 2, "kam.perturbation.terms: key '1, 0' repeats the mode [1, 0]"),
+    # JSON booleans and fractional numbers are not ints or floats
+    ("ids", {"numerics": {"L": 300.9}}, None, 2,
+     "numerics.L must be int, got 300.9"),
+    ("ids", {"numerics": {"phases": 2.9}}, None, 2,
+     "numerics.phases must be int, got 2.9"),
+    ("ids", {"numerics": {"energy": {"min": -2.5, "max": 2.5,
+                                     "points": 3.7}}}, None, 2,
+     "numerics.energy.points must be int, got 3.7"),
+    ("ids", {"potential": {"family": "amo", "coupling": True}}, None, 2,
+     "potential.coupling must be float, got True"),
+    ("ids", {"numerics": {"phases": True}}, None, 2,
+     "numerics.phases must be int, got True"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
@@ -701,7 +724,10 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "ck_mode_zero", "ck_mode_zero_decay", "radius_negative",
         "seed_negative", "stop_tol_negative", "gaps_file_not_a_string",
         "label_not_the_frequency_dim",
-        "cutoff_ball_too_big"])
+        "cutoff_ball_too_big", "terms_duplicate_mode",
+        "cosine_duplicate_mode", "terms_duplicate_mode_spaced", "L_fraction",
+        "phases_fraction", "points_fraction", "coupling_bool",
+        "phases_bool"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
@@ -712,6 +738,18 @@ def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
         cfg["edge"]["gaps_file"] = str(inv)
     assert main([command, "--config", _write(tmp_path, cfg)]) == code
     assert needle in capsys.readouterr().err
+
+
+def test_integral_float_is_an_int(tmp_path):
+    # 500.0 is the int 500: the same data file as the plain int
+    files = []
+    for L in (500, 500.0):
+        out = tmp_path / str(L)
+        assert main(["ids", "--config",
+                     _write(tmp_path, _base_config(out, numerics={"L": L}))]) \
+            == 0
+        files.append((out / "ids.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 _SWEEP_VALUES = [None, True, -1, 0, 2.5, math.nan, math.inf, "x", [], {},

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpspec import mat2
+from qpspec import cocycle, mat2, rotnum
 from qpspec.cocycle import Cocycle, rotation_cocycle, schrodinger_cocycle
 from qpspec.errors import DegreeError
 from qpspec.qpcore import (
@@ -23,6 +23,7 @@ from qpspec.rotnum import (
     conjugated_rotation,
     degree,
     matrix_step,
+    orbit_product,
     projective_walk,
     rotation_from_orbit,
     rotation_number,
@@ -192,6 +193,127 @@ def test_grid_memory_stays_small(freq):
         tracemalloc.stop()
     # a materialized (n, lanes, 2, 2) product stack would take ~640 MB
     assert peak <= 16 * 2**20
+
+
+def _column_pass(V, freq, energies, n_iters):
+    """The grid's pass 1 as an inline loop over the columns (a, c) and
+    (b, d), kept as a reference: returns [[a, b], [c, d]] per lane."""
+    v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n_iters)))
+    cuts = np.array(rotnum._segment_cuts(n_iters))
+    starts, lengths = cuts[:-1, None], np.diff(cuts)[:, None]
+    n_steps = int(lengths.max())
+    steps = np.arange(n_steps)
+    v_table = v_orbit[np.minimum(starts + steps, n_iters - 1)].T[..., None]
+    active = (steps < lengths).T[..., None]
+
+    def step(k, v0, v1):
+        w0 = (energies - v_table[k]) * v0 - v1
+        return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
+
+    grow = float(np.abs(energies).max() + np.abs(v_orbit).max() + 2.0)
+    interval = max(1, int(600.0 * math.log(2.0) / math.log(grow)))
+    shape = (len(lengths), len(energies))
+    cols = [np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)]
+    for k in range(n_steps):
+        a, c, b, d = cols
+        cols = [*step(k, a, c), *step(k, b, d)]
+        if (k + 1) % interval == 0:
+            biggest = np.maximum(np.maximum(abs(cols[0]), abs(cols[1])),
+                                 np.maximum(abs(cols[2]), abs(cols[3])))
+            cols = [np.ldexp(x, -np.frexp(biggest)[1]) for x in cols]
+    a, c, b, d = cols
+    return np.array([[a, b], [c, d]])
+
+
+@pytest.mark.parametrize("V,energies,n,rescaled", [
+    (_duality_potential(), DUALITY_GRID, 10001, False),
+    (amo_potential(0.3), np.array([-1e12, -1e6, 0.5, 1e6, 1e12]), 20000,
+     True),
+], ids=["duality", "far_outside"])
+def test_grid_pass_one_is_the_column_loop(freq, monkeypatch, V, energies, n,
+                                          rescaled):
+    # the grid's pass 1 runs through orbit_product, bit for bit the loop
+    # over columns it replaced, and its exponents come back with it; on
+    # the duality grid a segment (about 200 steps) ends before the first
+    # rescale (about 250 steps)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(orbit_product(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(rotnum, "orbit_product", spy)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        schrodinger_rotation_grid(V, freq, energies, n_iters=n)
+        want = _column_pass(V, freq, energies, n)
+    (P, e), = calls
+    assert P.shape == want.shape and P.tobytes() == want.tobytes()
+    assert e.shape == P.shape[2:] and e.dtype.kind == "i"
+    assert bool(np.any(e != 0)) == rescaled
+
+
+def _renormalized_product(mats):
+    """Product of an (n, [lanes,] 2, 2) stack renormalized by its norm
+    every 64 steps and at the end, kept as a reference: (P, log-norm)."""
+    n = mats.shape[0]
+    prod = np.broadcast_to(np.eye(2), mats.shape[1:]).copy()
+    log_scale = np.zeros(mats.shape[1:-2])
+    for k in range(n):
+        prod = mats[k] @ prod
+        if (k + 1) % 64 == 0 or k == n - 1:
+            scale = mat2.norm2(prod)
+            prod = prod / scale[..., None, None]
+            log_scale += np.log(scale)
+    return prod, log_scale
+
+
+def _phase_stack(c, phases, n):
+    theta = np.linspace(0.0, 1.0, phases, endpoint=False)
+    theta = np.stack([theta] * c.freq.dim, axis=-1)
+    return np.moveaxis(c.orbit_matrices(theta, n), 1, 0)
+
+
+@pytest.mark.parametrize("case", ["amo_near_overflow", "amo_lanes",
+                                  "amo_hyperbolic_lanes", "free_elliptic",
+                                  "two_d_lanes", "rotation",
+                                  "rotation_lanes"])
+def test_stack_product_matches_the_renormalized_loop(freq, case):
+    f2 = diophantine_check((GOLDEN, math.sqrt(2) - 1), 0.03, 2.5, 40)
+    V2 = cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2)
+    amo = amo_potential(0.3)
+    mats = {
+        "amo_near_overflow": lambda: schrodinger_cocycle(
+            amo, 5.0, freq).orbit_matrices(0.37, 440),
+        "amo_lanes": lambda: _phase_stack(
+            schrodinger_cocycle(amo, 0.8, freq), 8, 2000),
+        "amo_hyperbolic_lanes": lambda: _phase_stack(
+            schrodinger_cocycle(amo, 3.2, freq), 8, 2000),
+        "free_elliptic": lambda: schrodinger_cocycle(
+            _zero_potential(), 1.0, freq).orbit_matrices(0.3, 2000),
+        "two_d_lanes": lambda: _phase_stack(
+            schrodinger_cocycle(V2, 0.7, f2), 8, 2000),
+        "rotation": lambda: rotation_cocycle(freq, 0.17).orbit_matrices(
+            0.0, 2000),
+        "rotation_lanes": lambda: _phase_stack(
+            rotation_cocycle(freq, 0.31), 8, 2000),
+    }[case]()
+    P, e, log_norm = cocycle._product(mats)
+    want, want_log = _renormalized_product(mats)
+    assert P.shape == want.shape and np.shape(e) == np.shape(want_log)
+
+    # directions compared scale-free: each side divided by its largest
+    # entry, which is exact for P
+    def direction(A):
+        return A / np.abs(A).max(axis=(-2, -1))[..., None, None]
+
+    assert np.abs(direction(P) - direction(want)).max() <= 1e-14
+    # mat2.norm2 of a matrix with two equal singular values, a rotation,
+    # is good to about 1e-8 only, and the reference sums 32 of them
+    tol = 1e-14 * np.maximum(1.0, np.abs(want_log))
+    if case.startswith("rotation"):
+        tol = 32 * 1e-8
+        assert np.abs(log_norm).max() <= 1e-8
+    assert np.all(np.abs(log_norm - want_log) <= tol)
 
 
 def test_monotone_in_energy(freq):
@@ -364,3 +486,27 @@ def test_orbit_walk_has_one_owner():
     assert owners == {"rotnum.projective_walk", "rotnum.degree"}
     assert nested == []
     assert private == []
+
+
+def test_orbit_product_has_one_owner():
+    src = Path(rotation_number.__code__.co_filename).parent
+    frexp, step_loops, defined = set(), [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "frexp":
+                    frexp.add(f"{path.stem}.{fn.name}")
+                if (path.stem == "cocycle" and isinstance(node, ast.For)
+                        and isinstance(node.iter, ast.Call)
+                        and getattr(node.iter.func, "id", None) == "range"):
+                    step_loops.append(f"cocycle.{fn.name}")
+        names = {getattr(node, "name", getattr(node, "id", None))
+                 for node in ast.walk(tree)}
+        defined += sorted(names & {"_RENORM_EVERY", "_rescale"})
+    assert frexp == {"mat2.norm2", "rotnum.orbit_product"}
+    assert step_loops == []
+    assert defined == []
+    assert "orbit_product" in rotnum.__all__
