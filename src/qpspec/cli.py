@@ -102,12 +102,23 @@ def load_config(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = _object("config", json.loads(p.read_text()))
+        cfg = _object("config", json.loads(p.read_text(),
+                                           object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     for name in ("potential", "frequency"):
         _field(cfg, "", name, dict)
     return cfg
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object's pairs as a dict, or a ConfigError naming a repeated
+    key (plain json silently keeps the last value)."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise ConfigError(f"config repeats the key {key!r} in one object")
+    return dict(pairs)
 
 
 def _object(name: str, val) -> dict:

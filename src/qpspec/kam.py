@@ -30,7 +30,7 @@ from .errors import (BranchError, DivergenceError, DivisorError,
 from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
                    project_traceless, rotation, trace2)
 from .qpcore import (FourierSeries, Frequency, ck_norm, dist_to_int,
-                     integer_ball, torus_mesh)
+                     integer_ball)
 from .rotnum import rotation_series, schrodinger_rotation_grid
 
 __all__ = [
@@ -101,24 +101,21 @@ def _sample(series: FourierSeries, g: int) -> np.ndarray:
     return np.fft.ifftn(buf, axes=axes) * float(g ** series.dim)
 
 
-def _real_samples(g: int, *series: FourierSeries) -> list:
-    """Real values of each series on the g^d grid of its period."""
-    return [_real_grid(_sample(s, g)) for s in series]
-
-
-def _mesh_values(g: int, span: float, *series: FourierSeries) -> list:
-    """Real values of each series at the rows of the g^d mesh of
-    [0, span)^d, by direct evaluation (torus_mesh row order)."""
-    pts = torus_mesh(series[0].dim, g, span)
-    return [_real_grid(s.evaluate_complex(pts)) for s in series]
-
-
-def _real_grid(vals: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
-    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if worst > 1e-8 * scale:
-        raise ValueError(f"grid values carry imaginary residue {worst:.3e}")
-    return vals.real
+def _mesh_values(g: int, span: int, *series: FourierSeries) -> list:
+    """Real values of each series on the g^d mesh of [0, span)^d, shaped
+    (g,) * d plus the value shape, synthesized by _sample.  A plain-torus
+    series on the double-cover mesh is lifted first; a double-cover series
+    on the plain-torus mesh is synthesized at 2g points per axis and cut
+    to the first g."""
+    out = []
+    for s in series:
+        s = _lift_double(s) if span == 2 else s
+        vals = _sample(s, g * s.period // span)[(slice(g),) * s.dim]
+        worst = float(np.max(np.abs(vals.imag)))
+        if worst > 1e-8 * (1.0 + float(np.max(np.abs(vals)))):
+            raise ValueError(f"grid values carry imaginary residue {worst:.3e}")
+        out.append(vals.real)
+    return out
 
 
 def _zero_sl2_series(dim: int, period: int = 1) -> FourierSeries:
@@ -157,8 +154,8 @@ def _series_product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     if (a.dim, a.period) != (b.dim, b.period):
         raise ValueError("series product needs matching dim and period")
     ra, rb = a.support_radius(), b.support_radius()
-    g = _grid(ra + rb)
-    vals = _sample(a, g) @ _sample(b, g)
+    a_vals, b_vals = _mesh_values(_grid(ra + rb), a.period, a, b)
+    vals = a_vals @ b_vals
     return _extract_series(vals, a.dim, ra + rb, a.period, scale=vals)
 
 
@@ -359,8 +356,8 @@ def _conjugate_pointwise(A: np.ndarray, f: FourierSeries, Y: FourierSeries,
                          freq: Frequency, out_radius: int) -> FourierSeries:
     """log(A^{-1} e^{-Y(theta+alpha)} A e^{f} e^{Y}) as a series."""
     band = max(Y.support_radius(), f.support_radius(), 1)
-    y_here, y_next, f_vals = _real_samples(_grid(3 * band + 2), Y,
-                                           Y.shifted(freq.vec), f)
+    y_here, y_next, f_vals = _mesh_values(_grid(3 * band + 2), 1, Y,
+                                          Y.shifted(freq.vec), f)
     prod = exp_sl2(-y_next) @ A @ exp_sl2(f_vals) @ exp_sl2(y_here)
     logs = log_sl2(inv2(np.asarray(A, dtype=float)) @ prod)
     return _extract_series(logs, f.dim, out_radius, period=1, scale=prod)
@@ -368,7 +365,7 @@ def _conjugate_pointwise(A: np.ndarray, f: FourierSeries, Y: FourierSeries,
 
 def _exp_series(Y: FourierSeries) -> FourierSeries:
     band = max(Y.support_radius(), 1)
-    vals = exp_sl2(*_real_samples(_grid(3 * band + 2), Y))
+    vals = exp_sl2(*_mesh_values(_grid(3 * band + 2), Y.period, Y))
     return _extract_series(vals, Y.dim, 3 * band + 2, Y.period, scale=vals)
 
 
@@ -383,7 +380,7 @@ def _absorb_average(A: np.ndarray, f: FourierSeries) -> tuple:
         return A, f
     A_new = A @ exp_sl2(avg)
     band = max(f.support_radius(), 1)
-    vals = exp_sl2(-avg) @ exp_sl2(*_real_samples(_grid(2 * band + 2), f))
+    vals = exp_sl2(-avg) @ exp_sl2(*_mesh_values(_grid(2 * band + 2), 1, f))
     return A_new, _extract_series(log_sl2(vals), f.dim, 2 * band, period=1,
                                   scale=vals)
 
@@ -625,14 +622,11 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     shift = 0.5 * float(np.dot(n_star, state.freq.vec))
     A_mid = rotation(rho - shift)
     band = f_kept.support_radius() + star_size
-    g = _grid(2 * band + 2)
     z_here, z_next, f_vals = _mesh_values(
-        g, 1, twist, twist.shifted(state.freq.vec), f_kept)
+        _grid(2 * band + 2), 1, twist, twist.shifted(state.freq.vec), f_kept)
     prod = inv2(z_next) @ (R @ exp_sl2(f_vals)) @ z_here
     logs = log_sl2(inv2(A_mid) @ prod)
-    shape = (g,) * state.freq.dim + (2, 2)
-    f_mid = _extract_series(logs.reshape(shape), state.freq.dim, band,
-                            period=1, scale=prod)
+    f_mid = _extract_series(logs, state.freq.dim, band, period=1, scale=prod)
     A_new, f_new = _absorb_average(A_mid, f_mid)
 
     step = _series_product(_lift_double(_series_product(
@@ -946,17 +940,14 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     c = float(np.mean(x12 * x12))
     b0, b1 = mp_brackets(zeta, a, b, c)
 
-    n_pts = x11.shape[0]
-    P_vals = np.empty((n_pts, 2, 2))
-    P_vals[:, 0, 0] = x11 * x12 - zeta * x11 * x11
-    P_vals[:, 0, 1] = -zeta * x11 * x12 + x12 * x12
-    P_vals[:, 1, 0] = -x11 * x11
-    P_vals[:, 1, 1] = -x11 * x12
+    P_vals = np.empty(x11.shape + (2, 2))
+    P_vals[..., 0, 0] = x11 * x12 - zeta * x11 * x11
+    P_vals[..., 0, 1] = -zeta * x11 * x12 + x12 * x12
+    P_vals[..., 1, 0] = -x11 * x11
+    P_vals[..., 1, 1] = -x11 * x12
     B = np.array([[1.0, zeta], [0.0, 1.0]])
     G_vals = -delta * (inv2(B) @ P_vals)
-    shape = (g,) * freq.dim + (2, 2)
-    G = _extract_series(G_vals.reshape(shape), freq.dim, 2 * radius,
-                        period=1)
+    G = _extract_series(G_vals, freq.dim, 2 * radius, period=1)
     Y = _solve_parabolic_cohomological(B, G, freq)
 
     y_here, y_next = _mesh_values(g, 1, Y, Y.shifted(freq.vec))
@@ -1041,14 +1032,12 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     Q = _elliptic_conjugator(const, info["rho"])
     A = rotation(info["rho"])
     band = max(V.support_radius(), 1)
-    g = _grid(4 * band)
-    v_vals = V.evaluate(torus_mesh(freq.dim, g, 1))
+    v_vals, = _mesh_values(_grid(4 * band), 1, V)
     cocycle_vals = np.zeros(v_vals.shape + (2, 2))
     cocycle_vals[..., 0, 0] = e_reduce - v_vals
     cocycle_vals[..., 0, 1] = -1.0
     cocycle_vals[..., 1, 0] = 1.0
-    shape = (g,) * freq.dim + (2, 2)
-    logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q)).reshape(shape)
+    logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q))
     f = _extract_series(logs, freq.dim, 4 * band, period=1)
 
     reduced = reduce_to_parabolic(A, f, freq, m,

@@ -44,19 +44,19 @@ def inv2(a: np.ndarray) -> np.ndarray:
 def norm2(a: np.ndarray) -> np.ndarray:
     """Spectral norm of (..., 2, 2) real or complex arrays, closed form.
 
-    For a 2x2 matrix the singular values satisfy
-    s1^2 + s2^2 = ||a||_F^2 and s1 s2 = |det a|.  The formula is quartic in
-    the entries, so each matrix is first scaled by a power of two that
-    brings its largest |entry| into [1/2, 1); that scaling is exact, and
-    undoing it keeps in-range results bit for bit.
+    The squared singular values are the eigenvalues of H = a a*, so
+    s1^2 = (h11 + h22 + hypot(h11 - h22, 2 |h12|)) / 2, which does not
+    cancel when they are close.  Each matrix is first scaled by a power
+    of two that brings its largest |entry| into [1/2, 1); that scaling is
+    exact, and undoing it keeps in-range results bit for bit.
     """
     _, e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
     e = np.clip(e, -1021, 1021)
     a = a * np.ldexp(1.0, -e)[..., None, None]
-    fro2 = np.sum(np.abs(a) ** 2, axis=(-2, -1))
-    d = np.abs(det2(a))
-    gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * d * d, 0.0))
-    return np.ldexp(np.sqrt((fro2 + gap) / 2.0), e)
+    h11, h22 = np.moveaxis(np.sum(np.abs(a) ** 2, axis=-1), -1, 0)
+    h12 = np.abs(np.sum(a[..., 0, :] * np.conj(a[..., 1, :]), axis=-1))
+    gap = np.hypot(h11 - h22, 2.0 * h12)
+    return np.ldexp(np.sqrt((h11 + h22 + gap) / 2.0), e)
 
 
 def rotation(phi) -> np.ndarray:

@@ -426,7 +426,7 @@ def ck_norm(f: FourierSeries, k: int) -> CkNorm:
     phase = np.exp((_TWO_PI * 1j / f.period) * (pts @ modes.T))
     scale = _TWO_PI / f.period
     if f.is_matrix:
-        coeff_norm = np.linalg.svd(values, compute_uv=False)[..., 0]
+        coeff_norm = norm2(values)
     else:
         coeff_norm = np.abs(values)
     # multi-indices j >= 0 with |j|_1 <= k, by order, then lexicographic

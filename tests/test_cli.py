@@ -22,11 +22,22 @@ def _base_config(out_dir, **over):
         "output": {"dir": str(out_dir), "format": "csv"},
     }
     for key, val in over.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+        if type(val) is dict and isinstance(cfg.get(key), dict):
             cfg[key].update(val)
         else:
             cfg[key] = val
     return cfg
+
+
+class _Pairs(dict):
+    """A JSON object written pair by pair, so it can repeat a key."""
+
+    def __init__(self, *pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -711,6 +722,14 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      "potential.coupling must be float, got True"),
     ("ids", {"numerics": {"phases": True}}, None, 2,
      "numerics.phases must be int, got True"),
+    # one key written twice, which plain JSON collapses to the last value
+    ("ids", {"potential": {"family": "cosine",
+                           "terms": _Pairs(("1", 0.3), ("1", 0.5))}},
+     None, 2, "config repeats the key '1'"),
+    ("ids", {"numerics": _Pairs(("L", 500), ("L", 300), ("phases", 4))},
+     None, 2, "config repeats the key 'L'"),
+    ("ids", _Pairs(("potential", {"family": "amo", "coupling": 0.3})),
+     None, 2, "config repeats the key 'potential'"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
@@ -727,11 +746,16 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "cutoff_ball_too_big", "terms_duplicate_mode",
         "cosine_duplicate_mode", "terms_duplicate_mode_spaced", "L_fraction",
         "phases_fraction", "points_fraction", "coupling_bool",
-        "phases_bool"])
+        "phases_bool", "cosine_repeated_key", "numerics_repeated_key",
+        "top_level_repeated_key"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
-    cfg = _base_config(tmp_path, **section)
+    if isinstance(section, _Pairs):
+        # pairs appended to the top level, after the base sections
+        cfg = _Pairs(*_base_config(tmp_path).items(), *section.pairs)
+    else:
+        cfg = _base_config(tmp_path, **section)
     if inventory is not None:
         inv = tmp_path / "gaps.csv"
         inv.write_text(inventory)

@@ -222,16 +222,50 @@ def test_explicit_series_rejects_what_is_not_sl2(terms, dim, match):
 
 
 def test_mesh_sampling_has_one_owner():
-    # direct evaluation on a mesh goes through _mesh_values; _sample
-    # stays the FFT sampler on a series' own period
+    # every kam mesh comes from _mesh_values, and _sample, its FFT
+    # synthesis, has no other caller
     tree = ast.parse(Path(kam.__file__).read_text())
-    owners = {fn.name for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef)
-              for node in ast.walk(fn)
-              if isinstance(node, ast.Attribute)
-              and node.attr == "evaluate_complex"}
-    assert owners == {"_mesh_values"}
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    names = {getattr(node, field) for node in ast.walk(tree)
+             for kind, field in ((ast.Attribute, "attr"), (ast.Name, "id"),
+                                 (ast.alias, "name"))
+             if isinstance(node, kind)}
+    assert not names & {"evaluate_complex", "torus_mesh"}
+    callers = {fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)
+               and node.func.id == "_sample"}
+    assert callers == {"_mesh_values"}
+    assert "_real_samples" not in {fn.name for fn in functions}
     assert not hasattr(kam, "_window_size")
+
+
+def _direct_mesh_values(g, span, s):
+    """The direct-evaluation reference: every mesh row through
+    evaluate_complex, reshaped to the grid."""
+    tail = (2, 2) if s.is_matrix else ()
+    vals = s.evaluate_complex(torus_mesh(s.dim, g, span)).real
+    return vals.reshape((g,) * s.dim + tail)
+
+
+@pytest.mark.parametrize("dim,g", [(1, 256), (1, 32), (2, 16), (2, 10),
+                                   (3, 7), (3, 8)])
+@pytest.mark.parametrize("period,span", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("radius", ["inside", "past_half"])
+def test_mesh_values_match_direct_evaluation(dim, g, period, span, radius):
+    # residual meshes are g = 256, 16 and 7; a support past g/2 aliases
+    r = g // 2 + 1 if radius == "past_half" else max(1, g // 4 - 1)
+    mats = kam.seeded_sl2_series(1.0, r, seed=dim * 100 + g + period, dim=dim)
+    s = FourierSeries(dim, r, mats.coeffs, period)
+    scalar = FourierSeries(dim, r, {k: c[0, 1] + c[1, 0]
+                                    for k, c in s.coeffs.items()},
+                           period).symmetrized()
+    for series in (s, scalar):
+        got, = kam._mesh_values(g, span, series)
+        want = _direct_mesh_values(g, span, series)
+        assert got.shape == want.shape
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= tol
 
 
 def _logged_schedule(monkeypatch):
@@ -698,6 +732,30 @@ def test_mp_step_oscillating_conjugacy(freq):
     assert mp.x11_sq > 0.0
     assert mp.cauchy_schwarz_slack() >= -1e-12
     assert abs(mp.det_identity_defect(5e-5)) < 1e-14
+    assert np.isfinite(mp.P1_norm_bound)
+
+
+def test_mp_step_two_dimensional_means_are_the_direct_ones():
+    # grid-shaped samples in 2-D: the three averages are the means of
+    # the direct evaluation on the plain-torus mesh of the step
+    freq2 = diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), gamma=0.01,
+                              tau=2.5, cutoff=10)
+    off = np.array([[0.05, 0.02], [0.01, -0.05]], dtype=complex)
+    X = FourierSeries(2, 1, {(0, 0): np.eye(2, dtype=complex),
+                             (1, 0): off, (-1, 0): off,
+                             (0, 1): 0.5j * off.T, (0, -1): -0.5j * off.T,
+                             (1, -1): 0.3 * off, (-1, 1): 0.3 * off},
+                      2).symmetrized()
+    mp = moser_poschel_step(X, 0.02, 1e-8, freq2)
+    # the step's plain-torus mesh for support radius 1 has 64 points a side
+    vals = _direct_mesh_values(64, 1, X)
+    x11, x12 = vals[..., 0, 0], vals[..., 0, 1]
+    assert x11.ndim == 2
+    for got, want in ((mp.x11_sq, np.mean(x11 * x11)),
+                      (mp.x11_x12, np.mean(x11 * x12)),
+                      (mp.x12_sq, np.mean(x12 * x12))):
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+    assert mp.x11_x12 != 0.0
     assert np.isfinite(mp.P1_norm_bound)
 
 

@@ -26,12 +26,32 @@ def test_norm2_matches_svd():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def _norm2_quartic(a):
-    """The unscaled closed form, for the bitwise comparison below."""
-    fro2 = np.sum(np.abs(a) ** 2, axis=(-2, -1))
-    d = np.abs(mat2.det2(a))
-    gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * d * d, 0.0))
-    return np.sqrt((fro2 + gap) / 2.0)
+def _norm2_unscaled(a):
+    """The closed form without the power-of-two prescale, for the bitwise
+    comparison below."""
+    h11, h22 = np.moveaxis(np.sum(np.abs(a) ** 2, axis=-1), -1, 0)
+    h12 = np.abs(np.sum(a[..., 0, :] * np.conj(a[..., 1, :]), axis=-1))
+    return np.sqrt((h11 + h22 + np.hypot(h11 - h22, 2.0 * h12)) / 2.0)
+
+
+@pytest.mark.parametrize("family", ["near_rotation", "near_unitary",
+                                    "gaussian"])
+def test_norm2_is_exact_when_singular_values_are_close(family):
+    # the singular-value gap is taken from the entries of a a*, so it does
+    # not cancel near a multiple of a rotation or a unitary
+    rng = np.random.default_rng(2024)
+    n = 20000
+    if family == "near_rotation":
+        a = mat2.rotation(rng.uniform(0.0, 1.0, n)) * rng.uniform(
+            0.1, 10.0, (n, 1, 1)) + 1e-9 * rng.standard_normal((n, 2, 2))
+    elif family == "near_unitary":
+        z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        a = np.linalg.qr(z)[0] + 1e-9 * (rng.standard_normal((n, 2, 2))
+                                         + 1j * rng.standard_normal((n, 2, 2)))
+    else:
+        a = rng.standard_normal((n, 2, 2))
+    want = np.linalg.norm(a, ord=2, axis=(-2, -1))
+    assert float(np.max(np.abs(mat2.norm2(a) - want) / want)) <= 2e-15
 
 
 def test_norm2_huge_and_tiny_matrices():
@@ -53,7 +73,7 @@ def test_norm2_in_range_bitwise_unchanged():
         1e-3, 1e3, size=(10000, 1, 1))
     cplx = real + 1j * rng.standard_normal((10000, 2, 2))
     for a in (real, cplx):
-        assert np.array_equal(mat2.norm2(a), _norm2_quartic(a))
+        assert np.array_equal(mat2.norm2(a), _norm2_unscaled(a))
 
 
 def test_rotation_matrix():

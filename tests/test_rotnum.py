@@ -307,12 +307,10 @@ def test_stack_product_matches_the_renormalized_loop(freq, case):
         return A / np.abs(A).max(axis=(-2, -1))[..., None, None]
 
     assert np.abs(direction(P) - direction(want)).max() <= 1e-14
-    # mat2.norm2 of a matrix with two equal singular values, a rotation,
-    # is good to about 1e-8 only, and the reference sums 32 of them
     tol = 1e-14 * np.maximum(1.0, np.abs(want_log))
     if case.startswith("rotation"):
-        tol = 32 * 1e-8
-        assert np.abs(log_norm).max() <= 1e-8
+        # a product of rotations has norm exactly 1
+        assert np.abs(log_norm).max() <= 1e-12
     assert np.all(np.abs(log_norm - want_log) <= tol)
 
 
