@@ -21,7 +21,6 @@ from .qpcore import (
     CkNorm,
     diophantine_check,
     ck_norm,
-    smooth_truncate,
     cosine_polynomial,
 )
 from .errors import (
@@ -42,7 +41,6 @@ __all__ = [
     "CkNorm",
     "diophantine_check",
     "ck_norm",
-    "smooth_truncate",
     "cosine_polynomial",
     "DiophantineRejection",
     "BranchError",

@@ -87,6 +87,8 @@ _LOWER_BOUNDS = {
     "kam.M": (1, True),
     # the run stops once the perturbation norm is at most stop_tol
     "kam.stop_tol": (0.0, True),
+    "kam.max_steps": (1, True),
+    "kam.residual_tol": (0.0, False),
     # 0 (the default) lets the edge step pick delta inside its guard
     "edge.delta": (0.0, True),
 }

@@ -21,7 +21,6 @@ __all__ = [
     "Cocycle",
     "HyperbolicityVerdict",
     "constant_cocycle",
-    "rotation_cocycle",
     "schrodinger_cocycle",
     "iterate",
     "uniform_hyperbolicity_test",
@@ -66,10 +65,6 @@ def constant_cocycle(freq: Frequency, a) -> Cocycle:
     a = np.asarray(a, dtype=float)
     zero = tuple([0] * freq.dim)
     return Cocycle(freq, FourierSeries(freq.dim, 0, {zero: a.astype(complex)}))
-
-
-def rotation_cocycle(freq: Frequency, phi: float) -> Cocycle:
-    return constant_cocycle(freq, mat2.rotation(phi))
 
 
 def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:

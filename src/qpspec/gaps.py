@@ -23,7 +23,6 @@ __all__ = [
     "GapRecord",
     "HomogeneityProfile",
     "detect_gaps",
-    "label_gap",
     "label_all",
     "decay_profile",
     "refine_gap_edges",
@@ -83,7 +82,8 @@ def detect_gaps(scan, ids_curve, min_length: float):
 
 def _label(N_plateau: float, cands: np.ndarray, pairing: np.ndarray,
            freq: Frequency, M_max: int, tol: float) -> tuple:
-    """label_gap against the ball cands and its pairing cands @ freq.vec."""
+    """Unique m in the ball cands with N = <m, alpha> mod Z within tol;
+    pairing is cands @ freq.vec."""
     defects = dist_to_int(N_plateau - pairing)
     order = np.argsort(defects)
     best, runner = order[0], order[1]
@@ -110,12 +110,6 @@ def _label_ball(freq: Frequency, M_max: int):
         raise ValueError("M_max >= 1 required")
     cands = integer_ball(freq.dim, M_max)
     return cands, cands @ freq.vec
-
-
-def label_gap(N_plateau: float, freq: Frequency, M_max: int,
-              tol: float) -> tuple:
-    """Unique m with |m| <= M_max and N = <m, alpha> mod Z within tol."""
-    return _label(N_plateau, *_label_ball(freq, M_max), freq, M_max, tol)
 
 
 def label_all(records, freq: Frequency, M_max: int, tol: float):

@@ -649,14 +649,15 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
 
 
 def _bch_diagnostic(A_mid: np.ndarray, avg: np.ndarray,
-                    A_new: np.ndarray) -> float:
-    """Distance of the exact constant recombination from truncated BCH."""
+                    A_new: np.ndarray) -> float | None:
+    """Distance of the exact constant recombination from truncated BCH;
+    None where the truncated series is undefined."""
     try:
         S = log_sl2(A_mid)
     except BranchError:
-        return float("nan")
+        return None
     if float(norm2(S)) + float(norm2(avg)) > 0.5:
-        return float("nan")
+        return None
     approx = exp_sl2(bch_log_product(S, avg, order=3))
     return float(norm2(approx - A_new))
 

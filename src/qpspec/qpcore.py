@@ -1,4 +1,4 @@
-"""Frequencies, truncated Fourier series, and smoothing on the torus.
+"""Frequencies and truncated Fourier series on the torus.
 
 A sampling function V: T^d -> R (or a 2x2-matrix-valued map) is stored as a
 truncated Fourier series
@@ -318,23 +318,6 @@ class FourierSeries:
 
     # ---- algebra ---------------------------------------------------------
 
-    def _binary(self, other: "FourierSeries", sign: float) -> "FourierSeries":
-        if (self.dim, self.period, self.is_matrix) != (
-                other.dim, other.period, other.is_matrix):
-            raise ValueError("incompatible series")
-        out = dict(self.coeffs)
-        zero = np.zeros((2, 2), dtype=complex) if self.is_matrix else 0j
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, zero) + sign * v
-        return FourierSeries(self.dim, max(self.radius, other.radius), out,
-                             self.period)
-
-    def __add__(self, other):
-        return self._binary(other, +1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
     def shifted(self, delta) -> "FourierSeries":
         """Series of theta -> f(theta + delta)."""
         delta = np.asarray(delta, dtype=float).reshape(self.dim)
@@ -451,20 +434,3 @@ def ck_norm(f: FourierSeries, k: int) -> CkNorm:
             grid_vals = phase @ (deriv_fac * values)
             lower = max(lower, float(np.max(np.abs(grid_vals))))
     return CkNorm(k=k, lower=lower, upper=upper)
-
-
-def smooth_truncate(f: FourierSeries, j: int) -> FourierSeries:
-    """Band projection onto |n|_inf <= j.
-
-    The projection is idempotent, acts as the identity whenever the support
-    already fits inside the band, and for coefficients with C^k-type decay
-    the discarded tail obeys || f_j - f ||_0 <= sum_{|n| > j} |c_n| and
-    || f_{j+1} - f_j || <= C j^{-k} ||f||_k.
-    """
-    if j < 0:
-        raise ValueError("truncation radius must be >= 0")
-    if j >= f.radius:
-        return f
-    kept = {k: v for k, v in f.coeffs.items()
-            if max((abs(x) for x in k), default=0) <= j}
-    return FourierSeries(f.dim, j, kept, f.period)

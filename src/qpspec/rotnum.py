@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mat2
 from .errors import DegreeError
 from .qpcore import FourierSeries, Frequency, dist_to_int
 
@@ -29,7 +28,6 @@ __all__ = [
     "rotation_series",
     "degree",
     "conjugated_rotation",
-    "rotation_perturbation_bound_check",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -279,33 +277,3 @@ def conjugated_rotation(rho_in: float, B_degree, freq: Frequency) -> float:
     shift = 0.5 * float(np.dot(np.atleast_1d(B_degree),
                                np.asarray(freq.vec)))
     return (rho_in - shift) % 1.0
-
-
-def rotation_perturbation_bound_check(A: FourierSeries, phi: float,
-                                      freq: Frequency,
-                                      n_iters: int = 100000) -> dict:
-    """Measure |rho(A) - phi| against the sup distance of A from R_phi.
-
-    A need not have exactly unit determinant (perturbations of a rotation
-    are accepted), but the projective action must preserve orientation.
-    """
-    mats = A.evaluate(freq.orbit(0.0, np.arange(n_iters)))
-    dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    if dets.min() <= 0:
-        raise ValueError("orientation-reversing map has no rotation number")
-    est = rotation_from_orbit(mats, schrodinger=False)
-
-    grid = A.grid_points()
-    diff = A.evaluate(grid) - mat2.rotation(phi)
-    sup = float(mat2.norm2(diff).max())
-    lhs = float(dist_to_int(est.rho - phi))
-    return {
-        "rho": est.rho,
-        "phi": phi,
-        "lhs": lhs,
-        "rhs": sup,
-        "slack": sup - lhs,
-        "holds": bool(lhs <= sup + 1e-9),
-        "iterations": n_iters,
-        "rho_error": est.error,
-    }

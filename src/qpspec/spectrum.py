@@ -1,4 +1,4 @@
-"""Truncated-operator eigenvalue counting, the IDS, and its duality check.
+"""Truncated-operator eigenvalue counting, the IDS, and the spectral scan.
 
 The operator acts on two-sided sequences by (Hu)_n = u_{n+1} + u_{n-1}
 + V(theta + n alpha) u_n; truncation to [-L, L] with zero boundary
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpcore import FourierSeries, Frequency, dist_to_int, phase_samples
-from .rotnum import schrodinger_rotation_grid
+from .qpcore import FourierSeries, Frequency, phase_samples
 
 __all__ = [
     "TruncatedOperator",
     "IdsCurve",
-    "ids",
     "ids_curve",
     "spectrum_scan",
-    "ids_rotation_consistency",
 ]
 
 # upward nudge so "x <= E" is the closed inequality even at exact hits
@@ -149,12 +146,6 @@ def _pivot_counts(diags, energies):
     return count.T
 
 
-def ids(V: FourierSeries, freq: Frequency, E: float, L: int,
-        phases: int) -> float:
-    """Phase-averaged eigenvalue counting function at one energy."""
-    return float(TruncatedOperator.sampled(V, freq, L, phases).ids(E)[0])
-
-
 @dataclass(frozen=True)
 class IdsCurve:
     energies: np.ndarray
@@ -254,21 +245,3 @@ def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
     if start is not None:
         intervals.append((float(start), float(edges[-1])))
     return intervals
-
-
-def ids_rotation_consistency(V: FourierSeries, freq: Frequency, E: float,
-                             L: int, iters: int, phases: int = 8) -> dict:
-    """Cross-check N(E) = 1 - 2 rho(E) mod Z with independent estimators."""
-    n_val = ids(V, freq, E, L, phases)
-    rho, rho_err = schrodinger_rotation_grid(V, freq, np.array([float(E)]),
-                                             n_iters=iters)
-    rho = float(rho[0])
-    defect = float(dist_to_int(n_val - (1.0 - 2.0 * rho)))
-    return {
-        "N": n_val,
-        "rho": rho,
-        "defect": defect,
-        "L": L,
-        "iterations": iters,
-        "rho_error": float(rho_err[0]),
-    }

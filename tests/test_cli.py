@@ -188,6 +188,43 @@ def test_kam_explicit_terms_run(tmp_path):
     assert all(r["kind"] == "nonresonant" for r in rows)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities, as strict parsers do."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("rho0,n_star", [(0.19198300562505261, -1),
+                                         (0.3100169943749474, 1)],
+                         ids=["n_star_minus", "n_star_plus"])
+def test_kam_resonant_run_writes_no_nan(tmp_path, rho0, n_star):
+    # 2 rho0 lies within 1e-3 of -+alpha mod 1: step 0 is the resonant
+    # step at n* = -+1, whose truncated-BCH comparison is undefined at
+    # n* = -1; step 1 is non-resonant
+    terms = {"1": [[1e-3, 2e-3], [5e-4, -1e-3]]}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        cfg = _write(tmp_path, _base_config(
+            out, kam={"rho0": rho0, "perturbation": {"terms": terms}},
+            output={"dir": str(out), "format": fmt}), f"{fmt}.json")
+        assert main(["kam", "--config", cfg]) == 0
+        if fmt == "csv":
+            _, rows = _read_csv(out / "kam.csv")
+            cells = {cell.lower() for row in rows for cell in row.values()}
+            assert not cells & {"nan", "inf", "-inf"}
+            assert rows[0]["n_star"] == str(n_star)
+        else:
+            rows = _strict_json((out / "kam.json").read_text())
+            assert rows[0]["n_star"] == [n_star]
+        assert [r["kind"] for r in rows] == ["resonant", "nonresonant"]
+        bch = rows[0]["bch_defect"]
+        if n_star == -1:
+            assert bch in ("", None)
+        else:
+            assert 0.0 < float(bch) < 1e-12
+
+
 def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
     # unset run options fall back to almost_reducibility_run's defaults
     pert = {"scale": 2.5e-4, "radius": 3, "seed": 11}
@@ -730,6 +767,12 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      None, 2, "config repeats the key 'L'"),
     ("ids", _Pairs(("potential", {"family": "amo", "coupling": 0.3})),
      None, 2, "config repeats the key 'potential'"),
+    # a run of no step, and a residual bound no run can meet
+    ("kam", {"kam": {"rho0": 0.17, "max_steps": 0, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.max_steps"),
+    ("kam", {"kam": {"rho0": 0.17, "residual_tol": 0.0, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2,
+     "kam.residual_tol"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
         "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
@@ -747,7 +790,7 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "cosine_duplicate_mode", "terms_duplicate_mode_spaced", "L_fraction",
         "phases_fraction", "points_fraction", "coupling_bool",
         "phases_bool", "cosine_repeated_key", "numerics_repeated_key",
-        "top_level_repeated_key"])
+        "top_level_repeated_key", "max_steps_zero", "residual_tol_zero"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
@@ -902,3 +945,64 @@ def test_every_public_name_resolves():
                     if not hasattr(module, name)]
     missing += [name for name in qpspec.__all__ if not hasattr(qpspec, name)]
     assert missing == []
+
+
+# public top-level names of src/qpspec that no library code calls yet, and
+# why each stays; a name leaves the table once library code calls it
+_KEPT = {
+    "degree": "the kam run's conjugacy-degree check (ROADMAP item 5)",
+    "conjugated_rotation": "the kam run's rotation-number invariant "
+                           "(ROADMAP item 5)",
+    "holder_modulus": "the spectrum-as-a-set report (ROADMAP item 9)",
+    "gap_separation_check": "the spectrum-as-a-set report (ROADMAP item 9)",
+    "rotation_number": "perfbench traces it until its span is dropped "
+                       "(ROADMAP item 7); the single-orbit reference the "
+                       "rotation grid is pinned to",
+    "iterate": "the paper's A_n; its tests pin the cocycle identity and "
+               "the exponent range of orbit_product",
+    "constant_cocycle": "the cone-test and rotation tests run on its "
+                        "cocycles",
+}
+
+
+def test_every_public_function_has_a_library_caller():
+    # read with ast alone: a public top-level function or class of a layer
+    # module needs a reference in src/qpspec outside its own definition,
+    # its module's __all__ and the package __init__, or a _KEPT reason
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "qpspec"
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
+
+    def callers(name, module, definition):
+        """Modules that reference module.name outside its definition: by
+        name where it is defined or imported from there, or as module.name."""
+        found = set()
+        for stem, tree in trees.items():
+            nodes = list(ast.walk(tree))
+            bound = stem == module or any(
+                isinstance(node, ast.ImportFrom) and node.module == module
+                and any(alias.name == name for alias in node.names)
+                for node in nodes)
+            for node in nodes:
+                if stem == module and definition.lineno <= getattr(
+                        node, "lineno", 0) <= definition.end_lineno:
+                    continue
+                if (bound and isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == name
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == module):
+                    found.add(stem)
+        return found
+
+    public = {node.name: callers(node.name, stem, node)
+              for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    uncalled = {name for name, found in public.items() if not found}
+    assert uncalled - set(_KEPT) == set(), "public names no library code calls"
+    assert {name: sorted(public[name]) for name in _KEPT
+            if public.get(name)} == {}, "_KEPT names that now have callers"
+    assert set(_KEPT) <= set(public), "_KEPT names that are gone"

@@ -11,7 +11,6 @@ from qpspec import mat2
 from qpspec.cocycle import (
     constant_cocycle,
     iterate,
-    rotation_cocycle,
     schrodinger_cocycle,
     uniform_hyperbolicity_test,
 )
@@ -166,7 +165,7 @@ def test_verdict_amo_in_spectrum(freq):
 
 
 def test_rotation_cocycle_winding(freq):
-    c = rotation_cocycle(freq, 0.17)
+    c = constant_cocycle(freq, mat2.rotation(0.17))
     v = uniform_hyperbolicity_test(c, phases=2, orbit=50)
     assert v.verdict == "not_uniform"
     assert v.growth_exponent == pytest.approx(0.0, abs=1e-12)

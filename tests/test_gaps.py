@@ -9,8 +9,7 @@ from qpspec.errors import AmbiguousLabelError, EdgeSearchError, LabelError
 from qpspec.gaps import (GapRecord, HomogeneityProfile, _edge_search,
                          _lockstep, decay_profile, detect_gaps,
                          gap_separation_check, holder_modulus,
-                         homogeneity_profile, label_all, label_gap,
-                         refine_gap_edges)
+                         homogeneity_profile, label_all, refine_gap_edges)
 from qpspec.qpcore import Frequency, cosine_polynomial, diophantine_check
 from qpspec.spectrum import (IdsCurve, TruncatedOperator, ids_curve,
                              spectrum_scan)
@@ -89,24 +88,30 @@ def test_gap_record_ordering_enforced():
 # labelling
 
 
+def _lone_label(N_plateau, freq, M_max, tol):
+    """The label label_all gives a lone gap with this plateau."""
+    rec = GapRecord(None, 0.0, 1.0, 1.0, N_plateau, None)
+    return label_all([rec], freq, M_max, tol)[0].m
+
+
 def test_label_golden_basic(golden):
-    assert label_gap(0.618034, golden, 20, 1e-3) == (1,)
-    assert label_gap(0.236068, golden, 20, 1e-3) == (2,)
-    assert label_gap(0.0, golden, 20, 1e-3) == (0,)
+    assert _lone_label(0.618034, golden, 20, 1e-3) == (1,)
+    assert _lone_label(0.236068, golden, 20, 1e-3) == (2,)
+    assert _lone_label(0.0, golden, 20, 1e-3) == (0,)
     # complement plateau picks up the opposite sign
-    assert label_gap(1.0 - 0.618034, golden, 20, 1e-3) == (-1,)
+    assert _lone_label(1.0 - 0.618034, golden, 20, 1e-3) == (-1,)
 
 
 def test_label_no_candidate(golden):
     with pytest.raises(LabelError):
-        label_gap(0.27, golden, 1, 1e-2)
+        _lone_label(0.27, golden, 1, 1e-2)
 
 
 def test_label_ambiguous_tie(golden):
     # brackets come in reflection pairs around 1/2, so N = 0.5 ties the
     # two best candidates exactly; a fat tolerance accepts both
     with pytest.raises(AmbiguousLabelError):
-        label_gap(0.5, golden, 20, 0.04)
+        _lone_label(0.5, golden, 20, 0.04)
 
 
 def test_label_separation_guard():
@@ -114,7 +119,7 @@ def test_label_separation_guard():
     # even a clean best match must be refused
     fake = Frequency(alpha=(GOLDEN,), gamma=2.0, tau=0.1, cutoff=5)
     with pytest.raises(AmbiguousLabelError):
-        label_gap(0.618034, fake, 3, 1e-3)
+        _lone_label(0.618034, fake, 3, 1e-3)
 
 
 def test_label_all_distinct_enforced(golden):
@@ -139,7 +144,7 @@ def test_label_all_builds_the_ball_once(freq, monkeypatch):
                                          2.0 * freq.vec[-1])]
     recs = [GapRecord(None, float(i), i + 0.5, 0.5, N, None)
             for i, N in enumerate(plateaus)]
-    want = [label_gap(N, freq, 6, 1e-3) for N in plateaus]
+    want = [_lone_label(N, freq, 6, 1e-3) for N in plateaus]
     radii = []
     ball = gaps_module.integer_ball
     monkeypatch.setattr(gaps_module, "integer_ball",

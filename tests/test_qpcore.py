@@ -1,4 +1,4 @@
-"""Frequency validation, Fourier series, norms, and band truncation."""
+"""Frequency validation, Fourier series, and norms."""
 
 from __future__ import annotations
 
@@ -174,63 +174,6 @@ def test_ck_norm_two_dim():
     n = qc.ck_norm(f, 2)
     assert n.lower <= n.upper
     assert n.upper > 0
-
-
-# ---------------------------------------------------------------------------
-# band truncation
-
-
-def _power_series(kmax=64, p=6.0):
-    return qc.cosine_polynomial({n: float(n) ** -p for n in range(1, kmax + 1)})
-
-
-def test_truncate_identity_when_band_fits():
-    f = qc.cosine_polynomial({1: 1.0, 3: 0.5})
-    assert qc.smooth_truncate(f, 5) == f
-    assert qc.smooth_truncate(f, 3) == f
-
-
-def test_truncate_identity_at_full_radius():
-    f = _power_series()
-    assert qc.smooth_truncate(f, f.radius) == f
-
-
-def test_truncate_idempotent():
-    f = _power_series()
-    f8 = qc.smooth_truncate(f, 8)
-    assert qc.smooth_truncate(f8, 8) == f8
-    assert f8.support_radius() <= 8
-
-
-def test_truncate_tail_bound():
-    # || f_8 - f ||_0 <= 2 * sum_{n=9..64} n^-6 for the C^6-type profile
-    f = _power_series()
-    f8 = qc.smooth_truncate(f, 8)
-    defect = (f - f8).sup_norm()
-    tail = sum(n**-6.0 for n in range(9, 65))
-    assert defect <= 2.0 * tail
-    assert defect > 0.0
-
-
-def test_truncate_step_decay_matches_order():
-    # || f_{j+1} - f_j ||_0 <= C j^-k ||f||_k with a modest fixed C
-    f = _power_series(kmax=64, p=6.0)
-    norm_k = qc.ck_norm(f, 6).upper
-    for j in (8, 12, 16, 24, 32):
-        fj = qc.smooth_truncate(f, j)
-        fj1 = qc.smooth_truncate(f, j + 1)
-        step = (fj1 - fj).sup_norm()
-        assert step <= 5.0 * float(j) ** -6.0 * norm_k
-
-
-def test_truncate_converges_in_ck():
-    f = _power_series(kmax=32, p=8.0)
-    errs = []
-    for j in (4, 8, 16, 32):
-        fj = qc.smooth_truncate(f, j)
-        errs.append(qc.ck_norm(f - fj, 2).upper)
-    assert errs[-1] == 0.0
-    assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
 def test_frequency_orbit_points():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qpspec import cocycle, mat2, rotnum
-from qpspec.cocycle import Cocycle, rotation_cocycle, schrodinger_cocycle
+from qpspec.cocycle import Cocycle, constant_cocycle, schrodinger_cocycle
 from qpspec.errors import DegreeError
 from qpspec.qpcore import (
     FourierSeries,
@@ -27,7 +27,6 @@ from qpspec.rotnum import (
     projective_walk,
     rotation_from_orbit,
     rotation_number,
-    rotation_perturbation_bound_check,
     rotation_series,
     schrodinger_rotation_grid,
 )
@@ -49,7 +48,8 @@ def _zero_potential():
 
 
 def test_constant_rotation(freq):
-    est = rotation_number(rotation_cocycle(freq, 0.17), 0.0, 100000)
+    c = constant_cocycle(freq, mat2.rotation(0.17))
+    est = rotation_number(c, 0.0, 100000)
     assert est.rho == pytest.approx(0.17, abs=1e-6)
     assert est.error >= 0.0
 
@@ -58,7 +58,8 @@ def test_constant_rotation_random_angles(freq):
     # constant rotations advance exactly per step, so short orbits suffice
     rng = np.random.default_rng(23)
     for phi in rng.uniform(0.02, 0.98, size=20):
-        est = rotation_number(rotation_cocycle(freq, float(phi)), 0.0, 2000)
+        c = constant_cocycle(freq, mat2.rotation(float(phi)))
+        est = rotation_number(c, 0.0, 2000)
         assert dist_to_int(est.rho - phi) <= 1e-6, phi
 
 
@@ -292,10 +293,10 @@ def test_stack_product_matches_the_renormalized_loop(freq, case):
             _zero_potential(), 1.0, freq).orbit_matrices(0.3, 2000),
         "two_d_lanes": lambda: _phase_stack(
             schrodinger_cocycle(V2, 0.7, f2), 8, 2000),
-        "rotation": lambda: rotation_cocycle(freq, 0.17).orbit_matrices(
-            0.0, 2000),
+        "rotation": lambda: constant_cocycle(
+            freq, mat2.rotation(0.17)).orbit_matrices(0.0, 2000),
         "rotation_lanes": lambda: _phase_stack(
-            rotation_cocycle(freq, 0.31), 8, 2000),
+            constant_cocycle(freq, mat2.rotation(0.31)), 8, 2000),
     }[case]()
     P, e, log_norm = cocycle._product(mats)
     want, want_log = _renormalized_product(mats)
@@ -408,12 +409,22 @@ def test_conjugation_shift_measured(freq):
 # perturbation bound
 
 
+def _perturbation_bound(a, phi, freq, n_iters):
+    """(|rho(A) - phi| mod Z, sup distance of A from R_phi): the "mean" walk
+    along one orbit of a non-constant cocycle, against the grid sup."""
+    est = rotation_from_orbit(a.evaluate(freq.orbit(0.0, np.arange(n_iters))))
+    lhs = dist_to_int(est.rho - phi)
+    rhs = float(mat2.norm2(a.evaluate(a.grid_points())
+                           - mat2.rotation(phi)).max())
+    return lhs, rhs
+
+
 def test_perturbation_bound_exact_rotation(freq):
     a = FourierSeries(1, 0, {(0,): mat2.rotation(0.2).astype(complex)})
-    rep = rotation_perturbation_bound_check(a, 0.2, freq, n_iters=2000)
-    assert rep["holds"]
-    assert rep["lhs"] == pytest.approx(0.0, abs=1e-9)
-    assert rep["rhs"] == pytest.approx(0.0, abs=1e-12)
+    lhs, rhs = _perturbation_bound(a, 0.2, freq, n_iters=2000)
+    assert lhs <= rhs + 1e-9
+    assert lhs == pytest.approx(0.0, abs=1e-9)
+    assert rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_perturbation_bound_small_cosine(freq):
@@ -422,20 +433,20 @@ def test_perturbation_bound_small_cosine(freq):
     bump = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     coeffs = {(0,): base, (1,): 0.5 * eps * bump, (-1,): 0.5 * eps * bump}
     a = FourierSeries(1, 1, coeffs)
-    rep = rotation_perturbation_bound_check(a, 0.2, freq, n_iters=40000)
-    assert rep["holds"]
-    assert rep["rhs"] == pytest.approx(eps, rel=1e-6)
-    assert rep["lhs"] <= eps
+    lhs, rhs = _perturbation_bound(a, 0.2, freq, n_iters=40000)
+    assert lhs <= rhs + 1e-9
+    assert rhs == pytest.approx(eps, rel=1e-6)
+    assert lhs <= eps
 
 
 def test_perturbation_bound_parabolic(freq):
     zeta = 0.1
     a = FourierSeries(1, 0, {(0,): np.array([[1.0, zeta], [0.0, 1.0]],
                                             dtype=complex)})
-    rep = rotation_perturbation_bound_check(a, 0.0, freq, n_iters=5000)
-    assert rep["holds"]
-    assert rep["lhs"] == pytest.approx(0.0, abs=1e-3)
-    assert rep["rhs"] == pytest.approx(zeta, rel=1e-9)
+    lhs, rhs = _perturbation_bound(a, 0.0, freq, n_iters=5000)
+    assert lhs <= rhs + 1e-9
+    assert lhs == pytest.approx(0.0, abs=1e-3)
+    assert rhs == pytest.approx(zeta, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +457,8 @@ def test_projective_walk_mean_lanes_match_orbits(freq):
     # general cocycles walked as lanes of one (n, lanes, 2, 2) stack
     conj = np.array([[2.0, 0.3], [0.1, 0.6]])
     conj_rot = conj @ mat2.rotation(0.31) @ np.linalg.inv(conj)
-    stacks = [rotation_cocycle(freq, 0.17).orbit_matrices(0.0, 4000),
+    rot = constant_cocycle(freq, mat2.rotation(0.17))
+    stacks = [rot.orbit_matrices(0.0, 4000),
               np.broadcast_to(conj_rot, (4000, 2, 2))]
     for V, E in ((amo_potential(0.3), 0.5), (amo_potential(0.3), -1.2),
                  (_zero_potential(), 3.0)):

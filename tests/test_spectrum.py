@@ -10,16 +10,15 @@ import pytest
 
 from qpspec import spectrum
 from qpspec.qpcore import (amo_potential, ck_potential, cosine_polynomial,
-                           diophantine_check, phase_samples)
+                           diophantine_check, dist_to_int, phase_samples)
+from qpspec.rotnum import schrodinger_rotation_grid
 from qpspec.spectrum import (
     IdsCurve,
     TruncatedOperator,
     _pivot_counts,
     _pruned_present,
     _shifted,
-    ids,
     ids_curve,
-    ids_rotation_consistency,
     spectrum_scan,
 )
 
@@ -90,24 +89,29 @@ def test_count_monotone_and_saturates(freq):
 # IDS
 
 
+def _ids_at(V, freq, E, L, phases):
+    """Phase-averaged eigenvalue counting function at one energy."""
+    return float(TruncatedOperator.sampled(V, freq, L, phases).ids(E)[0])
+
+
 def test_ids_free_midpoint(freq):
-    val = ids(_zero_potential(), freq, 0.0, 2000, phases=2)
+    val = _ids_at(_zero_potential(), freq, 0.0, 2000, phases=2)
     assert val == pytest.approx(0.5, abs=1e-3)
 
 
 def test_ids_free_closed_form(freq):
-    val = ids(_zero_potential(), freq, 1.0, 5000, phases=2)
+    val = _ids_at(_zero_potential(), freq, 1.0, 5000, phases=2)
     assert val == pytest.approx(2.0 / 3.0, abs=2e-3)
 
 
 def test_ids_outside_spectrum(freq):
-    assert ids(_zero_potential(), freq, -2.5, 500, phases=2) == 0.0
-    assert ids(_zero_potential(), freq, 2.5, 500, phases=2) == 1.0
+    assert _ids_at(_zero_potential(), freq, -2.5, 500, phases=2) == 0.0
+    assert _ids_at(_zero_potential(), freq, 2.5, 500, phases=2) == 1.0
 
 
 def test_ids_requires_scale(freq):
     with pytest.raises(ValueError):
-        ids(_zero_potential(), freq, 0.0, 50, phases=2)
+        _ids_at(_zero_potential(), freq, 0.0, 50, phases=2)
 
 
 def test_ids_curve_monotone(freq):
@@ -166,7 +170,7 @@ def test_scan_amo_largest_gap_plateau(freq):
     width, glo, ghi = max(gaps)
     assert width > 0.1
     mid = 0.5 * (glo + ghi)
-    plateau = ids(V, freq, mid, 600, phases=6)
+    plateau = _ids_at(V, freq, mid, 600, phases=6)
     alpha = freq.alpha[0]
     assert min(abs(plateau - alpha), abs(plateau - (1 - alpha))) <= 5e-3
 
@@ -230,27 +234,35 @@ def test_scan_counts_on_the_operator_it_is_given(freq):
 # duality
 
 
+def _duality(V, freq, E, L, iters, phases=8):
+    """(N, rho, dist(N - (1 - 2 rho), Z)) from the two independent
+    estimators: the phase-averaged Sturm count and the rotation grid."""
+    N = _ids_at(V, freq, E, L, phases)
+    rho = float(schrodinger_rotation_grid(V, freq, [E], n_iters=iters)[0][0])
+    return N, rho, dist_to_int(N - (1.0 - 2.0 * rho))
+
+
 def test_duality_free_center(freq):
-    rep = ids_rotation_consistency(_zero_potential(), freq, 0.0, 2000, 20000)
-    assert rep["N"] == pytest.approx(0.5, abs=1e-3)
-    assert rep["rho"] == pytest.approx(0.25, abs=1e-4)
-    assert rep["defect"] <= 2e-3
+    N, rho, defect = _duality(_zero_potential(), freq, 0.0, 2000, 20000)
+    assert N == pytest.approx(0.5, abs=1e-3)
+    assert rho == pytest.approx(0.25, abs=1e-4)
+    assert defect <= 2e-3
 
 
 def test_duality_above_spectrum(freq):
-    rep = ids_rotation_consistency(_zero_potential(), freq, 2.5, 1000, 5000)
-    assert rep["N"] == pytest.approx(1.0, abs=1e-9)
+    N, rho, defect = _duality(_zero_potential(), freq, 2.5, 1000, 5000)
+    assert N == pytest.approx(1.0, abs=1e-9)
     # O(1/n) transient while the tracked vector aligns with the
     # expanding direction
-    assert rep["rho"] == pytest.approx(0.0, abs=1e-4)
-    assert rep["defect"] <= 1e-3
+    assert rho == pytest.approx(0.0, abs=1e-4)
+    assert defect <= 1e-3
 
 
 def test_duality_amo_grid(freq):
     V = amo_potential(0.3)
     for E in (-1.8, -0.7, 0.0, 0.9, 1.6):
-        rep = ids_rotation_consistency(V, freq, E, 800, 30000)
-        assert rep["defect"] <= 5e-3, (E, rep)
+        N, rho, defect = _duality(V, freq, E, 800, 30000)
+        assert defect <= 5e-3, (E, N, rho)
 
 
 # ---------------------------------------------------------------------------
