@@ -25,10 +25,9 @@ from . import kam
 from .errors import (
     ConfigError,
     DiophantineRejection,
-    DivergenceError,
     EdgeSearchError,
     LabelError,
-    ReductionError,
+    QpspecError,
     StaleArtifactError,
     StepSizeError,
 )
@@ -491,15 +490,10 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     options = {key: _field(spec, "kam", key, kind)
                for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
     state = kam.almost_reducibility_run(A, f, freq, **options)
-    columns = ["step", "kind", "norm_before", "norm_after", "rho",
-               "window", "threshold", "band", "n_star", "inner_passes",
-               "residual", "bch_defect"]
-    rows = []
-    for i, row in enumerate(state.ledger):
-        full = {"step": i}
-        full.update(row)
-        rows.append(full)
-    name = emit_rows(rows, columns, out_dir, "kam", fmt)
+    rows = [dataclasses.asdict(row) for row in state.ledger]
+    name = emit_rows(rows, [col.name for col in
+                            dataclasses.fields(kam.LedgerStep)],
+                     out_dir, "kam", fmt)
     summary = {"final_norm": state.norm(),
                "degree": list(state.deg_accum),
                "steps": len(rows),
@@ -591,8 +585,7 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
         "hypotheses_failed": ";".join(bound["failed"]),
     }
     name = emit_rows([row], list(row.keys()), out_dir, "edge", fmt)
-    return [name], {"ratio": (bound["predicted_gap_upper"] / refined.length
-                              if refined.length > 0 else None)}
+    return [name], {"ratio": bound["predicted_gap_upper"] / refined.length}
 
 
 _COMMANDS = {
@@ -679,12 +672,14 @@ def main(argv=None) -> int:
     except StaleArtifactError as exc:
         print(f"stale artifact: {exc}", file=sys.stderr)
         return 4
-    except (DivergenceError, ReductionError) as exc:
-        print(f"reduction failed: {exc}", file=sys.stderr)
-        return 5
     except LabelError as exc:
         print(f"gap labelling failed: {exc}", file=sys.stderr)
         return 6
+    except QpspecError as exc:
+        # every other engine failure: divergence, reduction, resonance
+        # isolation, the divisor floor, a logarithm or degree off its domain
+        print(f"reduction failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .rotnum import rotation_series, schrodinger_rotation_grid
 
 __all__ = [
     "KamState",
+    "LedgerStep",
     "MoserPoschelData",
     "eigen_rho",
     "detect_resonance",
@@ -118,12 +119,6 @@ def _mesh_values(g: int, span: int, *series: FourierSeries) -> list:
     return out
 
 
-def _zero_sl2_series(dim: int, period: int = 1) -> FourierSeries:
-    """Zero matrix series (an explicit 2x2 zero mode keeps it matrix-kind)."""
-    return FourierSeries(dim, 0, {(0,) * dim: np.zeros((2, 2), complex)},
-                         period)
-
-
 def _extract_series(vals: np.ndarray, dim: int, radius: int,
                     period: int, scale: np.ndarray = None) -> FourierSeries:
     """Band-limited series from equispaced samples (one FFT, then gather).
@@ -146,7 +141,7 @@ def _extract_series(vals: np.ndarray, dim: int, radius: int,
     kept = np.abs(table).reshape(len(modes), -1).max(axis=1) >= keep
     coeffs = dict(zip(map(tuple, modes[kept].tolist()), table[kept]))
     if not coeffs and vals.ndim == dim + 2:
-        return _zero_sl2_series(dim, period)
+        return _constant_series(np.zeros((2, 2)), dim, period)
     return FourierSeries(dim, radius, coeffs, period).symmetrized()
 
 
@@ -168,6 +163,8 @@ def _lift_double(series: FourierSeries) -> FourierSeries:
 
 
 def _constant_series(mat: np.ndarray, dim: int, period: int) -> FourierSeries:
+    # a 2x2 zero mat gives the zero series: its explicit zero mode keeps
+    # the series matrix-kind
     return FourierSeries(dim, 0, {(0,) * dim: np.asarray(mat, dtype=complex)},
                          period=period)
 
@@ -284,6 +281,31 @@ def detect_resonance(rho: float, freq: Frequency, N: int, threshold: float):
 
 
 @dataclass(frozen=True)
+class LedgerStep:
+    """One step of a run as recorded in the ledger; the fields, in order,
+    are the kam.csv columns.
+
+    step is the row's index in the ledger.  A non-resonant step fills
+    window, threshold and band; a resonant step fills n_star and
+    bch_defect (None where the truncated BCH series is undefined).
+    residual is the conjugation residual of the state the step returns.
+    """
+
+    step: int
+    kind: str
+    norm_before: float
+    norm_after: float
+    rho: float
+    window: int | None
+    threshold: float | None
+    band: int | None
+    n_star: tuple | None
+    inner_passes: int
+    residual: float
+    bch_defect: float | None
+
+
+@dataclass(frozen=True)
 class KamState:
     """One rung of the reduction: constant part, perturbation, conjugacy.
 
@@ -297,15 +319,11 @@ class KamState:
     f: FourierSeries
     B_accum: FourierSeries
     deg_accum: tuple
-    resonant_sites: tuple
     ledger: tuple
     freq: Frequency
     A0: np.ndarray
     f0: FourierSeries
     residual_tol: float
-
-    def rho(self) -> dict:
-        return eigen_rho(self.A)
 
     def norm(self) -> float:
         return _perturbation_norm(self.f)
@@ -344,8 +362,8 @@ def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
         raise ValueError("perturbation dimension does not match frequency")
     ident = _constant_series(np.eye(2), freq.dim, period=2)
     return KamState(A=A, f=f, B_accum=ident, deg_accum=(0,) * freq.dim,
-                    resonant_sites=(), ledger=(), freq=freq, A0=A.copy(),
-                    f0=f, residual_tol=float(residual_tol))
+                    ledger=(), freq=freq, A0=A.copy(), f0=f,
+                    residual_tol=float(residual_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +428,7 @@ def _modewise_solve(f: FourierSeries, freq: Frequency, band, system,
     modes = [k for k, size in sizes.items()
              if size > 0 and (band is None or size <= band)]
     if not modes:
-        return _zero_sl2_series(f.dim)
+        return _constant_series(np.zeros((2, 2)), f.dim, 1)
     phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
     mats = system(phases)
     _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
@@ -490,14 +508,13 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
     after = _perturbation_norm(f_cur)
     B_new = state.B_accum if conj is None else _series_product(
         state.B_accum, _lift_double(conj))
-    row = {"kind": "nonresonant", "norm_before": before, "norm_after": after,
-           "rho": info["rho"], "window": int(window),
-           "threshold": float(threshold), "band": int(band), "n_star": None,
-           "inner_passes": passes}
-    out = replace(state, A=A_cur, f=f_cur, B_accum=B_new,
-                  ledger=state.ledger + (row,))
-    row["residual"] = out.check_residual()
-    return out
+    out = replace(state, A=A_cur, f=f_cur, B_accum=B_new)
+    row = LedgerStep(
+        step=len(state.ledger), kind="nonresonant", norm_before=before,
+        norm_after=after, rho=info["rho"], window=int(window),
+        threshold=float(threshold), band=int(band), n_star=None,
+        inner_passes=passes, residual=out.check_residual(), bch_defect=None)
+    return replace(out, ledger=state.ledger + (row,))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +587,7 @@ def _solve_resonant_modes(f: FourierSeries, rho: float, n_star: tuple,
         lines.append([(coef, basis, div)
                       for coef, basis, div, solve in parts if solve])
     if not modes:
-        return _zero_sl2_series(f.dim)
+        return _constant_series(np.zeros((2, 2)), f.dim, 1)
     _check_divisors(modes, [min(abs(div) for _, _, div in solved)
                             for solved in lines],
                     "non-resonant line hits the divisor floor")
@@ -634,18 +651,15 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     B_new = _series_product(state.B_accum, step)
 
     after = _perturbation_norm(f_new)
-    row = {"kind": "resonant", "norm_before": before, "norm_after": after,
-           "rho": rho, "rho_after": eigen_rho(A_new)["rho"],
-           "window": None, "threshold": None, "band": None,
-           "n_star": list(n_star), "inner_passes": 1,
-           "bch_defect": _bch_diagnostic(A_mid, _zero_mode(f_mid), A_new)}
     out = replace(
         state, A=A_new, f=f_new, B_accum=B_new,
-        deg_accum=tuple(d + v for d, v in zip(state.deg_accum, n_star)),
-        resonant_sites=state.resonant_sites + (n_star,),
-        ledger=state.ledger + (row,))
-    row["residual"] = out.check_residual()
-    return out
+        deg_accum=tuple(d + v for d, v in zip(state.deg_accum, n_star)))
+    row = LedgerStep(
+        step=len(state.ledger), kind="resonant", norm_before=before,
+        norm_after=after, rho=rho, window=None, threshold=None, band=None,
+        n_star=n_star, inner_passes=1, residual=out.check_residual(),
+        bch_defect=_bch_diagnostic(A_mid, _zero_mode(f_mid), A_new))
+    return replace(out, ledger=state.ledger + (row,))
 
 
 def _bch_diagnostic(A_mid: np.ndarray, avg: np.ndarray,
@@ -719,7 +733,7 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
         else:
             state = resonant_step(state, site)
         rec = state.ledger[-1]
-        if rec["norm_after"] >= rec["norm_before"]:
+        if rec.norm_after >= rec.norm_before:
             worse += 1
             if worse >= 2:
                 raise DivergenceError("perturbation stopped contracting",
@@ -793,7 +807,7 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
 
     final = replace(
         state, A=sign * np.array([[1.0, zeta], [0.0, 1.0]]),
-        f=_zero_sl2_series(freq.dim), B_accum=B)
+        f=_constant_series(np.zeros((2, 2)), freq.dim, 1), B_accum=B)
     residual = final.residual()
     bound = _RESIDUAL_TOL * (1.0 + final.conjugacy_norm() ** 2) \
         + 4.0 * float(norm2(P)) ** 2 * (discarded + parabolic_tol)

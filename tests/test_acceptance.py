@@ -132,8 +132,8 @@ def test_criterion_05_kam_contraction(golden):
     assert len(state.ledger) <= 6
     assert state.norm() <= 1e-12
     for row in state.ledger:
-        assert row["norm_after"] <= row["norm_before"] ** 1.9
-        assert row["residual"] <= 1e-7
+        assert row.norm_after <= row.norm_before ** 1.9
+        assert row.residual <= 1e-7
     assert elapsed <= 5.0
     print(f"criterion 05 (quadratic KAM contraction): PASS "
           f"steps={len(state.ledger)} final={state.norm():.1e} "

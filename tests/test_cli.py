@@ -225,6 +225,43 @@ def test_kam_resonant_run_writes_no_nan(tmp_path, rho0, n_star):
             assert 0.0 < float(bch) < 1e-12
 
 
+def test_kam_json_rows_carry_the_csv_columns(tmp_path):
+    # one schema for both formats: every JSON row has exactly the CSV
+    # header's keys, on a run with a resonant and a non-resonant step
+    terms = {"1": [[1e-3, 2e-3], [5e-4, -1e-3]]}
+    for fmt in ("csv", "json"):
+        cfg = _write(tmp_path, _base_config(
+            tmp_path, kam={"rho0": 0.19198300562505261,
+                           "perturbation": {"terms": terms}}),
+            f"{fmt}.json")
+        assert main(["kam", "--config", cfg, "--format", fmt]) == 0
+    header, _ = _read_csv(tmp_path / "kam.csv")
+    rows = json.loads((tmp_path / "kam.json").read_text())
+    assert [r["kind"] for r in rows] == ["resonant", "nonresonant"]
+    assert [sorted(r) for r in rows] == [sorted(header)] * len(rows)
+    assert [r["step"] for r in rows] == list(range(len(rows)))
+
+
+def test_cmd_kam_names_no_ledger_column():
+    import ast
+    import dataclasses
+    import inspect
+
+    import qpspec.cli
+    from qpspec.kam import LedgerStep
+
+    # kam.LedgerStep alone spells out the kam.csv columns; the manifest
+    # summary's keys are not columns
+    columns = {f.name for f in dataclasses.fields(LedgerStep)}
+    tree = ast.parse(inspect.getsource(qpspec.cli.cmd_kam))
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for k in node.keys}
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in keys
+             and node.value in columns}
+    assert named == set()
+
+
 def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
     # unset run options fall back to almost_reducibility_run's defaults
     pert = {"scale": 2.5e-4, "radius": 3, "seed": 11}
@@ -371,6 +408,60 @@ def test_kam_start_gate_exits_5(tmp_path):
         kam={"rho0": 0.17,
              "perturbation": {"scale": 0.1, "radius": 1, "seed": 1}})
     assert main(["kam", "--config", _write(tmp_path, cfg)]) == 5
+
+
+# 89/144 passes the default Diophantine scan (cutoff 60); a wide band
+# then meets the rational's near-resonances
+@pytest.mark.parametrize("rho0,needle", [
+    (0.3090277777777778, "two resonant sites (-143,) and (1,)"),
+    (0.17, "homological divisor under the safety floor")],
+    ids=["resonance_isolation", "divisor_floor"])
+def test_kam_engine_failures_exit_5(tmp_path, capsys, rho0, needle):
+    cfg = _base_config(
+        tmp_path, frequency={"components": [0.6180555555555556]},
+        kam={"rho0": rho0, "M": 1000,
+             "perturbation": {"scale": 1e-7, "radius": 150, "seed": 1}})
+    assert main(["kam", "--config", _write(tmp_path, cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("reduction failed: ") and needle in err
+    assert "Traceback" not in err
+
+
+def _error_types(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+# placeholder arguments by parameter name; any other one gets a message
+_ERROR_ARGS = {"n": (1,), "distance": 0.0, "required": 1.0, "divisor": 0.0}
+
+
+def test_every_error_type_exits_in_contract(tmp_path, monkeypatch, capsys):
+    import inspect
+
+    import qpspec.cli
+    from qpspec.errors import QpspecError
+
+    # a command that raises any toolkit error ends in an exit code of the
+    # contract, never in a traceback
+    types = sorted(set(_error_types(QpspecError)), key=lambda t: t.__name__)
+    assert len(types) >= 14
+    cfg = _write(tmp_path, _base_config(tmp_path))
+    for err_type in types:
+        params = list(inspect.signature(err_type.__init__).parameters
+                      .values())[1:]
+        args = [_ERROR_ARGS.get(p.name, "placeholder") for p in params
+                if p.default is p.empty
+                and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+        def stub(*_, exc=err_type(*args)):
+            raise exc
+
+        monkeypatch.setitem(qpspec.cli._COMMANDS, "ids", stub)
+        code = main(["ids", "--config", cfg])
+        assert 2 <= code <= 6, (err_type.__name__, code)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -305,12 +306,12 @@ def test_run_window_is_the_capped_solve_band(freq, monkeypatch, case):
     log = _logged_schedule(monkeypatch)
     out = almost_reducibility_run(A, f, freq, M=M)
     assert out.norm() <= 1e-12
-    kinds = {row["kind"] for row in out.ledger}
+    kinds = {row.kind for row in out.ledger}
     assert kinds == ({"resonant", "nonresonant"} if case == "resonant"
                      else {"nonresonant"})
     for row in out.ledger:
-        if row["kind"] == "nonresonant":
-            assert row["window"] == min(row["band"], cap)
+        if row.kind == "nonresonant":
+            assert row.window == min(row.band, cap)
     # every scan of step j (the run's and the step's own) uses the band
     # min(M^(2^(j-1)), support radius at the start of step j), capped
     j, windows = 0, []
@@ -368,7 +369,7 @@ def test_initial_state_fields(freq):
     assert isinstance(st, KamState)
     assert st.deg_accum == (0,)
     assert st.ledger == ()
-    assert st.rho()["kind"] == "elliptic"
+    assert eigen_rho(st.A)["kind"] == "elliptic"
     assert st.residual() < 1e-12
 
 
@@ -381,11 +382,11 @@ def test_nonresonant_step_quadratic_contraction(freq):
     before = st.norm()
     out = nonresonant_step(st, window=12, threshold=5e-3)
     row = out.ledger[-1]
-    assert row["kind"] == "nonresonant"
-    assert row["norm_after"] <= row["norm_before"] ** 1.9
-    assert row["norm_before"] == pytest.approx(before)
-    assert row["n_star"] is None
-    assert row["inner_passes"] >= 1
+    assert row.kind == "nonresonant"
+    assert row.norm_after <= row.norm_before ** 1.9
+    assert row.norm_before == pytest.approx(before)
+    assert row.n_star is None
+    assert row.inner_passes >= 1
     assert out.residual() <= 1e-9
     assert out.deg_accum == (0,)
 
@@ -427,12 +428,11 @@ def test_resonant_step_bookkeeping(freq):
     st = initial_state(rotation(GOLDEN / 2.0), _zero_f(), freq)
     out = resonant_step(st, (1,))
     row = out.ledger[-1]
-    assert row["kind"] == "resonant"
-    assert tuple(row["n_star"]) == (1,)
+    assert row.kind == "resonant"
+    assert row.n_star == (1,)
     assert out.deg_accum == (1,)
-    assert out.resonant_sites == ((1,),)
-    assert out.rho()["kind"] == "parabolic"
-    assert abs(row["rho_after"]) < 1e-10
+    assert eigen_rho(out.A)["kind"] == "parabolic"
+    assert abs(eigen_rho(out.A)["rho"]) < 1e-10
     assert out.residual() < 1e-12
 
 
@@ -441,10 +441,10 @@ def test_resonant_step_degree_additive(freq):
     st = initial_state(rotation(rho0), _zero_f(), freq)
     st = resonant_step(st, (1,))
     assert st.deg_accum == (1,)
-    assert abs(st.rho()["rho"] - 0.072949) < 1e-9
+    assert abs(eigen_rho(st.A)["rho"] - 0.072949) < 1e-9
     st = resonant_step(st, (-3,))
     assert st.deg_accum == (-2,)
-    assert st.rho()["kind"] == "parabolic"
+    assert eigen_rho(st.A)["kind"] == "parabolic"
     assert st.residual() < 1e-10
 
 
@@ -454,7 +454,7 @@ def test_resonant_step_rotation_shift_rule(freq):
                        _rand_sl2_series(3e-5, 2, 5), freq)
     out = resonant_step(st, (1,))
     expected = conjugated_rotation(GOLDEN / 2.0 + 1e-3, (1,), freq)
-    assert dist_to_int(out.rho()["rho"] - expected) < 1e-3
+    assert dist_to_int(eigen_rho(out.A)["rho"] - expected) < 1e-3
     assert out.residual() < 1e-9
 
 
@@ -536,11 +536,11 @@ def test_run_nonresonant_schedule(freq):
     out = almost_reducibility_run(rotation(0.17),
                                   _rand_sl2_series(2.5e-4, 3, 11), freq,
                                   M=10, max_steps=12)
-    kinds = [row["kind"] for row in out.ledger]
+    kinds = [row.kind for row in out.ledger]
     assert kinds and set(kinds) == {"nonresonant"}
     assert len(kinds) <= 6
     for row in out.ledger:
-        assert row["norm_after"] <= max(row["norm_before"] ** 1.9, 1e-15)
+        assert row.norm_after <= max(row.norm_before ** 1.9, 1e-15)
     assert out.norm() <= 1e-12
     assert out.residual() <= 1e-9
     assert out.deg_accum == (0,)
@@ -551,11 +551,13 @@ def test_run_resonant_start(freq):
     out = almost_reducibility_run(rotation(GOLDEN / 2.0 + 1e-3),
                                   _rand_sl2_series(3e-5, 2, 5), freq,
                                   M=10, max_steps=12)
-    kinds = [row["kind"] for row in out.ledger]
+    kinds = [row.kind for row in out.ledger]
     assert kinds[0] == "resonant"
-    sites = [tuple(row["n_star"]) for row in out.ledger
-             if row["kind"] == "resonant"]
+    sites = [row.n_star for row in out.ledger if row.kind == "resonant"]
     assert sites == [(1,)]
+    # each row is built once, with its index in the ledger
+    assert all(isinstance(row, kam.LedgerStep) for row in out.ledger)
+    assert [row.step for row in out.ledger] == list(range(len(kinds)))
     assert out.deg_accum == (1,)
     assert out.norm() <= 1e-12
 
@@ -565,10 +567,10 @@ def test_nonresonant_step_refines_inside_one_step(freq):
     # above its square, so the inner refinement runs a second solve
     out = almost_reducibility_run(rotation(0.23),
                                   kam.seeded_sl2_series(2.5e-4, 3, 4), freq)
-    assert [row["kind"] for row in out.ledger] == ["nonresonant"] * 2
-    assert [row["inner_passes"] for row in out.ledger] == [1, 2]
+    assert [row.kind for row in out.ledger] == ["nonresonant"] * 2
+    assert [row.inner_passes for row in out.ledger] == [1, 2]
     assert out.norm() == 0.0
-    assert out.ledger[-1]["residual"] == out.residual() <= 1e-9
+    assert out.ledger[-1].residual == out.residual() <= 1e-9
 
 
 def test_run_rotation_number_bookkeeping(freq):
@@ -577,7 +579,7 @@ def test_run_rotation_number_bookkeeping(freq):
                                   _rand_sl2_series(3e-5, 2, 5), freq,
                                   M=10, max_steps=12)
     expected = conjugated_rotation(rho0, out.deg_accum, freq)
-    assert dist_to_int(out.rho()["rho"] - expected) < 1e-4
+    assert dist_to_int(eigen_rho(out.A)["rho"] - expected) < 1e-4
 
 
 def test_run_start_guard(freq):
@@ -591,7 +593,7 @@ def test_run_ledger_rows_are_json_ready(freq):
 
     out = almost_reducibility_run(rotation(0.17),
                                   _rand_sl2_series(2.5e-4, 3, 11), freq)
-    dumped = json.dumps(list(out.ledger))
+    dumped = json.dumps([dataclasses.asdict(row) for row in out.ledger])
     assert "nonresonant" in dumped
 
 
