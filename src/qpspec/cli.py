@@ -25,6 +25,7 @@ from . import kam
 from .errors import (
     ConfigError,
     DiophantineRejection,
+    DivergenceError,
     EdgeSearchError,
     LabelError,
     QpspecError,
@@ -470,7 +471,15 @@ def cmd_rotation(cfg, V, freq, num, out_dir, fmt):
             for e, r, x in zip(energies, rho, err)]
     name = emit_rows(rows, ["E", "rho", "error", "N_dual"], out_dir,
                      "rotation", fmt)
-    return [name], None
+    summary = {"iterations": num["rotation_iterations"],
+               "max_error": float(err.max())}
+    return [name], summary
+
+
+def _emit_ledger(ledger, out_dir, fmt):
+    return emit_rows([dataclasses.asdict(row) for row in ledger],
+                     [col.name for col in dataclasses.fields(kam.LedgerStep)],
+                     out_dir, "kam", fmt)
 
 
 def cmd_kam(cfg, V, freq, num, out_dir, fmt):
@@ -489,14 +498,16 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
                       dim=freq.dim)
     options = {key: _field(spec, "kam", key, kind)
                for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
-    state = kam.almost_reducibility_run(A, f, freq, **options)
-    rows = [dataclasses.asdict(row) for row in state.ledger]
-    name = emit_rows(rows, [col.name for col in
-                            dataclasses.fields(kam.LedgerStep)],
-                     out_dir, "kam", fmt)
+    try:
+        state = kam.almost_reducibility_run(A, f, freq, **options)
+    except DivergenceError as exc:
+        # the steps taken before the scheme stopped contracting
+        _emit_ledger(exc.ledger, out_dir, fmt)
+        raise
+    name = _emit_ledger(state.ledger, out_dir, fmt)
     summary = {"final_norm": state.norm(),
                "degree": list(state.deg_accum),
-               "steps": len(rows),
+               "steps": len(state.ledger),
                "residual": state.residual(),
                "conjugacy_norm": state.conjugacy_norm()}
     return [name], summary

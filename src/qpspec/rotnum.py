@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# a transfer step advances a vector's angle by a value in the window
+# (_LIFT_LO, _LIFT_LO + 2 pi]: forward rotation in the elliptic zone, a
+# near-pi flip below the spectrum
+_LIFT_LO = -0.5 * math.pi
 # orbit segments of the energy-grid walk, and the shortest one worth cutting
 _SEGMENTS = 50
 _MIN_SEGMENT = 64
@@ -56,13 +60,12 @@ def projective_walk(step, v0, v1, n: int, lift):
     and v1 are floats for one orbit or arrays for lanes.  Returns (total,
     half_total, half_at): the summed advance and its subtotal after the
     first half_at = n // 2 steps.  Branch of each advance, by lift:
-    "transfer" takes the window (-pi/2, 3pi/2), which transfer matrices
-    never leave (forward rotation in the elliptic zone, a near-pi flip
-    below the spectrum); "mean" unwraps against a running mean advance,
-    for general cocycles whose steps drift by a constant angle; None keeps
-    the principal branch.
+    "transfer" takes the window (_LIFT_LO, _LIFT_LO + 2 pi], which
+    transfer matrices never leave; "mean" unwraps against a running mean
+    advance, for general cocycles whose steps drift by a constant angle;
+    None keeps the principal branch.
     """
-    if np.ndim(v0):  # lanes: emitted grid rotation numbers pin np.arctan2
+    if np.ndim(v0):  # lanes
         atan2, size, rint = np.arctan2, _max_abs, np.rint
     else:  # one orbit: Python-float math beats numpy scalar ufuncs
         atan2, size, rint = math.atan2, math.hypot, round
@@ -73,7 +76,7 @@ def projective_walk(step, v0, v1, n: int, lift):
         w0, w1 = step(k, v0, v1)
         delta = atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
         if lift == "transfer":
-            delta += _TWO_PI * (delta <= -0.5 * math.pi)
+            delta += _TWO_PI * (delta <= _LIFT_LO)
         elif lift == "mean":
             if k < warmup:
                 mean += (delta - mean) / (k + 1)
@@ -164,19 +167,53 @@ def orbit_product(step, P0, n: int, grow: float, axes=(-2, -1)):
     return np.asarray(P), e
 
 
+def _lift(last, x, y):
+    """(principal angle of (x, y), lift): lift marks the lanes where that
+    angle minus last needs one turn up to enter the transfer window.
+
+    The difference never passes the window's top in the grid: a step
+    maps (x, y) to ((E - v) x - y, x), so from the third quadrant it lands
+    in the lower half-plane, and the stitch's differences are c or c - 2 pi
+    with c in [0, pi].
+    """
+    new = np.arctan2(y, x)
+    return new, new - last <= _LIFT_LO
+
+
+def _winding_from(P, angle, turns, u0, u1):
+    """(P u, winding of u under P) per lane, in closed form.
+
+    P = (a, b, c, d) is a product of transfer steps whose column e1 wound
+    angle + 2 pi turns, angle being the principal angle of (a, c).  The
+    lift F of P is increasing with F(t + pi) = F(t) + pi, so with u
+    flipped into the upper half-plane (a sign bit, so arg u is in [0, pi])
+    F(arg u) - F(0) lies in [0, pi]: it is arg(P u) - angle up to the one
+    turn that _lift finds.
+    """
+    a, b, c, d = P
+    flip = np.signbit(u1)
+    u0, u1 = np.where(flip, -u0, u0), np.where(flip, -u1, u1)
+    w0, w1 = a * u0 + b * u1, c * u0 + d * u1
+    arg_w, lift = _lift(angle, w0, w1)
+    return w0, w1, arg_w + _TWO_PI * (turns + lift) - _lift(0.0, u0, u1)[0]
+
+
 def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
                               n_iters: int = 20000):
     """Folded rotation numbers for a grid of energies via lane tracking.
 
     The potential is sampled once along the orbit of phase 0, cut into up
     to _SEGMENTS contiguous segments (n_iters // 2 is a cut); every
-    (segment, energy) pair is one lane, so a pass takes about
-    n_iters / _SEGMENTS steps.  Pass 1 carries both columns of each
-    segment's transfer product; a serial stitch over the segments turns
-    them into each segment's start vector on the one orbit; pass 2 walks
-    the "transfer" winding from those starts.  The "transfer" lift needs
-    no history, so segmenting changes only the rounding of the start
-    vectors.  The per-lane totals are summed in segment order.
+    (segment, energy) pair is one lane, so the one pass takes about
+    n_iters / _SEGMENTS steps.  The pass carries both columns of each
+    segment's transfer product P_s and winds column e1: each step lifts
+    the advance of its principal angle into the "transfer" window, so the
+    winding of e1 is its final angle plus 2 pi per lift (power-of-two
+    rescales leave angles alone).  A serial stitch over the segments then
+    finds each segment's start u_s on the one orbit as P_{s-1} u_{s-1}
+    and corrects e1's winding to the winding from u_s in closed form
+    (_winding_from), with no second walk.  The windings are summed in
+    segment order.
     """
     if n_iters < 2:
         raise ValueError("n_iters >= 2 required")
@@ -199,29 +236,34 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
             return w0, v0
         return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
 
-    # pass 1: every segment's product, matrix axes first: the column step
-    # advances both columns at once, the rows (a, b) and (c, d) as (v0, v1)
+    # the one pass: every segment's product, matrix axes first: the column
+    # step advances both columns at once, the rows (a, b) and (c, d) as
+    # (v0, v1); the winding of column e1 = (a, c) rides along
+    shape = (len(lengths), len(energies))
+    angle, turns = np.zeros(shape), np.zeros(shape, dtype=int)
+
+    def wind(k, P):
+        nonlocal angle, turns
+        rows = step(k, *P)
+        angle, lifts = _lift(angle, rows[0][0], rows[1][0])
+        turns += lifts
+        return rows
+
     grow = float(np.abs(energies).max(initial=0.0) + np.abs(v_orbit).max()
                  + 2.0)
-    shape = (len(lengths), len(energies))
     eye = np.eye(2)[:, :, None, None] * np.ones(shape)
-    (a, b), (c, d) = orbit_product(lambda k, P: step(k, *P), eye,
-                                   n_steps, grow, axes=(0, 1))[0]
+    (a, b), (c, d) = orbit_product(wind, eye, n_steps, grow, axes=(0, 1))[0]
     # the stitch: each segment starts where the orbit left the last one
-    u0, u1 = np.empty(shape), np.empty(shape)
+    total = half_total = 0.0
     w0, w1 = np.ones(len(energies)), np.zeros(len(energies))
     for s in range(shape[0]):
-        u0[s], u1[s] = w0, w1
-        w0, w1 = a[s] * u0[s] + b[s] * u1[s], c[s] * u0[s] + d[s] * u1[s]
-        norm = _max_abs(w0, w1)
-        w0, w1 = w0 / norm, w1 / norm
-    # pass 2: the winding of every lane, summed in segment order
-    seg_total = projective_walk(step, u0, u1, n_steps, "transfer")[0]
-    total = half_total = 0.0
-    for s in range(shape[0]):
-        total = total + seg_total[s]
+        w0, w1, wound = _winding_from((a[s], b[s], c[s], d[s]), angle[s],
+                                      turns[s], w0, w1)
+        total = total + wound
         if cuts[s + 1] == n_iters // 2:
             half_total = total
+        norm = _max_abs(w0, w1)
+        w0, w1 = w0 / norm, w1 / norm
     return _estimate(total, half_total, n_iters // 2, n_iters, True)
 
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: configs, exit codes, emitters, determinism."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -107,6 +108,22 @@ def test_rotation_free(tmp_path):
     for row in rows:
         assert abs(float(row["N_dual"]) -
                    (1.0 - 2.0 * float(row["rho"]))) < 1e-15
+
+
+def test_rotation_manifest_figures(tmp_path):
+    # the manifest reports the orbit length and the largest half-orbit
+    # error; rotation.csv keeps its four columns
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        numerics={"energy": {"min": -2.5, "max": 2.5, "points": 7},
+                  "rotation_iterations": 3001}))
+    assert main(["rotation", "--config", cfg]) == 0
+    header, rows = _read_csv(tmp_path / "rotation.csv")
+    assert header == ["E", "rho", "error", "N_dual"]
+    summary = _manifest(tmp_path, "rotation")["summary"]
+    assert summary["iterations"] == 3001
+    assert summary["max_error"] == max(float(r["error"]) for r in rows)
+    assert summary["max_error"] > 0.0
 
 
 def test_rotation_two_frequency_cosine(tmp_path):
@@ -408,6 +425,34 @@ def test_kam_start_gate_exits_5(tmp_path):
         kam={"rho0": 0.17,
              "perturbation": {"scale": 0.1, "radius": 1, "seed": 1}})
     assert main(["kam", "--config", _write(tmp_path, cfg)]) == 5
+
+
+def test_kam_divergence_writes_the_partial_ledger(tmp_path, monkeypatch,
+                                                 capsys):
+    # a run that stops contracting still records the steps it took
+    from qpspec import kam
+    from qpspec.errors import DivergenceError
+
+    ledger = [kam.LedgerStep(k, "nonresonant", 1e-4 * (k + 1),
+                             2e-4 * (k + 1), 0.17, 8, 1e-3, 4, None, 1,
+                             1e-14, None) for k in range(2)]
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("perturbation stopped contracting",
+                              ledger=ledger)
+
+    monkeypatch.setattr(kam, "almost_reducibility_run", diverge)
+    cfg = _base_config(tmp_path, kam={"rho0": 0.17, "perturbation": {
+        "scale": 1e-6, "radius": 2, "seed": 1}})
+    assert main(["kam", "--config", _write(tmp_path, cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("reduction failed: perturbation stopped")
+    header, rows = _read_csv(tmp_path / "kam.csv")
+    assert header == [f.name for f in dataclasses.fields(kam.LedgerStep)]
+    assert [r["step"] for r in rows] == ["0", "1"]
+    assert [float(r["norm_after"]) for r in rows] == [2e-4, 4e-4]
+    assert rows[0]["n_star"] == "" and rows[1]["bch_defect"] == ""
+    assert not (tmp_path / "kam_manifest.json").exists()
 
 
 # 89/144 passes the default Diophantine scan (cutoff 60); a wide band

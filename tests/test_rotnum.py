@@ -196,9 +196,9 @@ def test_grid_memory_stays_small(freq):
     assert peak <= 16 * 2**20
 
 
-def _column_pass(V, freq, energies, n_iters):
-    """The grid's pass 1 as an inline loop over the columns (a, c) and
-    (b, d), kept as a reference: returns [[a, b], [c, d]] per lane."""
+def _segment_step(V, freq, energies, n_iters):
+    """The grid's segments and masked transfer step, kept as a reference:
+    (cuts, n_steps, step, v_orbit)."""
     v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n_iters)))
     cuts = np.array(rotnum._segment_cuts(n_iters))
     starts, lengths = cuts[:-1, None], np.diff(cuts)[:, None]
@@ -211,9 +211,16 @@ def _column_pass(V, freq, energies, n_iters):
         w0 = (energies - v_table[k]) * v0 - v1
         return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
 
+    return cuts, n_steps, step, v_orbit
+
+
+def _column_pass(V, freq, energies, n_iters):
+    """The grid's pass 1 as an inline loop over the columns (a, c) and
+    (b, d), kept as a reference: returns [[a, b], [c, d]] per lane."""
+    cuts, n_steps, step, v_orbit = _segment_step(V, freq, energies, n_iters)
     grow = float(np.abs(energies).max() + np.abs(v_orbit).max() + 2.0)
     interval = max(1, int(600.0 * math.log(2.0) / math.log(grow)))
-    shape = (len(lengths), len(energies))
+    shape = (len(cuts) - 1, len(energies))
     cols = [np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)]
     for k in range(n_steps):
         a, c, b, d = cols
@@ -251,6 +258,109 @@ def test_grid_pass_one_is_the_column_loop(freq, monkeypatch, V, energies, n,
     assert P.shape == want.shape and P.tobytes() == want.tobytes()
     assert e.shape == P.shape[2:] and e.dtype.kind == "i"
     assert bool(np.any(e != 0)) == rescaled
+
+
+def _two_pass_grid(V, freq, energies, n):
+    """The grid with a second walk, kept as a reference: pass 1 is the
+    column loop, the stitch chains the segment starts, and pass 2 walks
+    the "transfer" winding of every lane from its start."""
+    cuts, n_steps, step, _ = _segment_step(V, freq, energies, n)
+    (a, b), (c, d) = _column_pass(V, freq, energies, n)
+    u0, u1 = np.empty(a.shape), np.empty(a.shape)
+    w0, w1 = np.ones(len(energies)), np.zeros(len(energies))
+    for s in range(a.shape[0]):
+        u0[s], u1[s] = w0, w1
+        w0, w1 = a[s] * u0[s] + b[s] * u1[s], c[s] * u0[s] + d[s] * u1[s]
+        norm = np.maximum(abs(w0), abs(w1))
+        w0, w1 = w0 / norm, w1 / norm
+    seg_total = projective_walk(step, u0, u1, n_steps, "transfer")[0]
+    total = half_total = 0.0
+    for s in range(a.shape[0]):
+        total = total + seg_total[s]
+        if cuts[s + 1] == n // 2:
+            half_total = total
+    rho = (total / (2.0 * math.pi * n)) % 1.0
+    err = dist_to_int(rho - (half_total / (2.0 * math.pi * (n // 2))) % 1.0)
+    return np.minimum(rho, 1.0 - rho), err
+
+
+def _amo_past_the_spectrum(coupling):
+    # the spectrum lies in [-2 - 2 coupling, 2 + 2 coupling]
+    edge = 2.0 + 2.0 * abs(coupling)
+    return amo_potential(coupling), np.linspace(-edge - 1.0, edge + 1.0, 13)
+
+
+_TWO_PASS_CASES = [
+    pytest.param(_duality_potential(), DUALITY_GRID, n, None,
+                 id=f"duality-{n}") for n in (100000, 10001)
+] + [
+    pytest.param(*_amo_past_the_spectrum(lam), n, None, id=f"amo{lam}-{n}")
+    for lam in (0.3, 1.5, 10.0) for n in (2, 3, 64, 1001, 4999)
+] + [
+    pytest.param(cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2),
+                 np.linspace(-2.5, 2.5, 11), 4999, (GOLDEN, math.sqrt(2) - 1),
+                 id="two_frequencies-4999"),
+]
+
+
+@pytest.mark.parametrize("V,energies,n,vec", _TWO_PASS_CASES)
+def test_grid_matches_two_pass_walk(freq, V, energies, n, vec):
+    # the one pass corrects each segment's start in closed form; the walk
+    # from the stitched starts it replaced agrees to rounding
+    if vec is not None:
+        freq = diophantine_check(vec, 0.03, 2.5, 40)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rho, err = schrodinger_rotation_grid(V, freq, energies, n_iters=n)
+        ref_rho, ref_err = _two_pass_grid(V, freq, energies, n)
+    np.testing.assert_allclose(rho, ref_rho, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("E", [0.25, 3.0, 1e6],
+                         ids=["elliptic", "hyperbolic", "far"])
+def test_closed_form_start_correction(freq, E):
+    # on one segment's product, the winding of e1 corrected in closed form
+    # is the transfer walk from every start, either half-plane
+    n = 200
+    v = _duality_potential().evaluate(freq.orbit(0.0, np.arange(n)))
+    mats = np.array([[[E - x, -1.0], [1.0, 0.0]] for x in v])
+    P = orbit_product(lambda k, P: mats[k] @ P, np.eye(2), n,
+                      abs(E) + 3.0)[0]
+    (a, b), (c, d) = P
+    if E == 0.25:
+        assert (a + d) ** 2 < 4.0 * (a * d - b * c)
+    else:
+        assert (a + d) ** 2 > 4.0 * (a * d - b * c)
+    e1 = projective_walk(matrix_step(mats), 1.0, 0.0, n, "transfer")[0]
+    angle = math.atan2(c, a)
+    turns = round((e1 - angle) / (2.0 * math.pi))
+    theta = np.random.default_rng(5).uniform(-math.pi, math.pi, 200)
+    # and the axes, with both zeros: (-1, -0.0) is e1 turned by pi
+    u0 = np.append(np.cos(theta), [1.0, 1.0, -1.0, -1.0, 0.0, -0.0])
+    u1 = np.append(np.sin(theta), [0.0, -0.0, 0.0, -0.0, 1.0, -1.0])
+    want = projective_walk(matrix_step(mats), u0, u1, n, "transfer")[0]
+    w0, w1, got = rotnum._winding_from((a, b, c, d), angle, turns, u0, u1)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    # the image is P u, up to the sign of the flipped start
+    np.testing.assert_array_equal(abs(w0), abs(a * u0 + b * u1))
+    np.testing.assert_array_equal(abs(w1), abs(c * u0 + d * u1))
+
+
+def test_grid_walks_the_orbit_once(freq, monkeypatch):
+    products, walks = [], []
+
+    def spy(*args, **kwargs):
+        products.append(args[2])
+        return orbit_product(*args, **kwargs)
+
+    monkeypatch.setattr(rotnum, "orbit_product", spy)
+    monkeypatch.setattr(rotnum, "projective_walk",
+                        lambda *args, **kwargs: walks.append(args))
+    schrodinger_rotation_grid(_duality_potential(), freq, DUALITY_GRID,
+                              n_iters=10001)
+    # one product of the longest segment's steps, and no second walk
+    assert products == [max(np.diff(rotnum._segment_cuts(10001)))]
+    assert walks == []
 
 
 def _renormalized_product(mats):
@@ -493,7 +603,9 @@ def test_orbit_walk_has_one_owner():
                     if isinstance(node, ast.ImportFrom)
                     for a in node.names if a.name.startswith("_")
                     and not a.name.endswith("__")]
-    assert owners == {"rotnum.projective_walk", "rotnum.degree"}
+    # the rotation grid winds column e1 through _lift
+    assert owners == {"rotnum.projective_walk", "rotnum.degree",
+                      "rotnum._lift"}
     assert nested == []
     assert private == []
 
