@@ -29,6 +29,7 @@ from .errors import (
     EdgeSearchError,
     LabelError,
     QpspecError,
+    SizeError,
     StaleArtifactError,
     StepSizeError,
 )
@@ -44,6 +45,7 @@ from .mat2 import rotation
 from .qpcore import (
     FourierSeries,
     amo_potential,
+    array_elements,
     ball_rows,
     ck_norm,
     ck_potential,
@@ -257,6 +259,12 @@ def numerics_of(cfg: dict) -> dict:
     degenerate = grid["min"] == grid["max"] and grid["points"] == 1
     if not degenerate and (grid["min"] >= grid["max"] or grid["points"] < 1):
         raise ConfigError("numerics.energy grid must be sorted and nonempty")
+    # the fields that are array lengths, before anything runs; sizes that
+    # follow from the other fields are checked where they are derived
+    for name, count in (("energy.points", grid["points"]),
+                        ("rotation_iterations", out["rotation_iterations"]),
+                        ("homog_samples", out["homog_samples"])):
+        array_elements(f"numerics.{name}", count)
     return out
 
 
@@ -674,7 +682,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: wrote {', '.join(outputs)} and {manifest} "
               f"in {out_dir}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, SizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DiophantineRejection as exc:

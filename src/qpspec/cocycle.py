@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mat2
 from .qpcore import FourierSeries, Frequency, phase_samples
-from .rotnum import matrix_step, orbit_product, projective_walk
+from .rotnum import orbit_product, principal_winding
 
 __all__ = [
     "Cocycle",
@@ -92,15 +92,24 @@ def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
 def _product(mats):
     """Product mats[n-1] ... mats[0] of an (n, [lanes,] 2, 2) stack.
 
-    Returns (P, e, log_norm): the product P * 2**e and its log spectral
-    norm.  For det 1 a step's sum of |entries| bounds the row sums of the
-    step and of its inverse, the adjugate, so it is orbit_product's grow.
+    Returns (P, e, log_norm, e1): the product P * 2**e, its log spectral
+    norm, and e1[k], column e1 of the product after k steps up to a
+    power of two, shape (n + 1, [lanes,] 2).  For det 1 a step's sum of
+    |entries| bounds the row sums of the step and of its inverse, the
+    adjugate, so it is orbit_product's grow.
     """
     grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
-    P, e = orbit_product(lambda k, P: mats[k] @ P,
-                         np.broadcast_to(np.eye(2), mats.shape[1:]),
+    e1 = np.zeros((mats.shape[0] + 1,) + mats.shape[1:-1])
+    e1[0, ..., 0] = 1.0
+
+    def step(k, P):
+        P = mats[k] @ P
+        e1[k + 1] = P[..., 0]
+        return P
+
+    P, e = orbit_product(step, np.broadcast_to(np.eye(2), mats.shape[1:]),
                          mats.shape[0], grow)
-    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0)
+    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0), e1
 
 
 def iterate(c: Cocycle, theta, n: int):
@@ -119,7 +128,7 @@ def iterate(c: Cocycle, theta, n: int):
         mats = c.orbit_matrices(theta, n)
     else:  # step k applies A(theta - (k + 1) alpha)^-1
         mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
-    prod, e, log_norm = _product(mats)
+    prod, e, log_norm, _ = _product(mats)
     if not log_norm <= _LOG_MAX:
         raise OverflowError(f"iterate n={n}: log-norm {float(log_norm):.4g} "
                             "exceeds the float range")
@@ -179,9 +188,9 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int,
         raise ValueError("orbit >= 10 required")
     theta = phase_samples(c.freq.dim, phases)
     mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
-    winding = projective_walk(matrix_step(mats), np.ones(phases),
-                              np.zeros(phases), orbit, None)[0]
-    prod, _, log_norm = _product(mats)
+    # the principal-branch winding of e1, from the product's first columns
+    prod, _, log_norm, e1 = _product(mats)
+    winding = principal_winding(e1[..., 0], e1[..., 1])
     growth = float(np.min(log_norm) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
 

@@ -85,6 +85,11 @@ class StepSizeError(QpspecError, ValueError):
     guard depends on the computed conjugacy, so it is known only then."""
 
 
+class SizeError(QpspecError, ValueError):
+    """An input asks for an array above the element cap
+    (qpcore.array_elements); raised before the array is allocated."""
+
+
 class EdgeSearchError(QpspecError, ValueError):
     """Edge refinement found no spectrum near a coarse edge, or no flip
     of presence to bisect; a stale or too-coarse edge estimate."""

@@ -376,7 +376,9 @@ def homogeneity_profile(scan, eps_grid, E_samples: int) -> HomogeneityProfile:
         n_fill = int(round(E_samples * (b - a) / max(total_len, 1e-300)))
         if n_fill > 0:
             pts.extend(np.linspace(a, b, n_fill + 2)[1:-1])
-    centers = np.unique(np.asarray(pts, dtype=float))
+    # sorted and deduplicated; np.unique would import numpy.ma
+    centers = np.sort(np.asarray(pts, dtype=float))
+    centers = centers[np.append(True, centers[1:] != centers[:-1])]
 
     mus = []
     attain = []

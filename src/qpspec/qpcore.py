@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiophantineRejection
+from .errors import DiophantineRejection, SizeError
 from .mat2 import norm2
 
 _TWO_PI = 2.0 * math.pi
@@ -53,6 +53,19 @@ def ball_rows(dim: int, radius: int) -> int:
         raise ValueError(f"sup-norm radius {radius} needs {rows} ball rows "
                          f"in {dim}-D, above the cap {_BALL_ROWS_CAP}")
     return rows
+
+
+# largest array, in elements, that a size taken from a config may ask
+# for: 2**20 float64 values are 8 MB
+_ELEMENT_CAP = 2 ** 20
+
+
+def array_elements(what: str, count) -> None:
+    """SizeError when count, the elements of the array that what needs,
+    exceeds _ELEMENT_CAP; callers check before they allocate."""
+    if count > _ELEMENT_CAP:
+        raise SizeError(f"{what} needs {count:.6g} array elements, above "
+                        f"the cap {_ELEMENT_CAP}")
 
 
 def integer_ball(dim: int, radius: int) -> np.ndarray:
@@ -196,6 +209,9 @@ class FourierSeries:
             raise ValueError("radius must be >= 0")
         if period not in (1, 2):
             raise ValueError("period must be 1 (torus) or 2 (double cover)")
+        # grid_points, which sup_norm and ck_norm evaluate on
+        array_elements(f"modes up to |n| = {radius} in {dim}-D",
+                       (4 * max(radius, 1) + 1) ** dim)
         self.dim = int(dim)
         self.radius = int(radius)
         self.period = int(period)

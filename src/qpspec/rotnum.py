@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeError
-from .qpcore import FourierSeries, Frequency, dist_to_int
+from .qpcore import FourierSeries, Frequency, array_elements, dist_to_int
 
 __all__ = [
     "RotationEstimate",
     "rotation_number",
     "rotation_from_orbit",
-    "projective_walk",
-    "matrix_step",
     "orbit_product",
     "schrodinger_rotation_grid",
     "rotation_series",
+    "principal_winding",
     "degree",
     "conjugated_rotation",
 ]
@@ -47,59 +46,6 @@ class RotationEstimate:
     error: float
 
 
-def _max_abs(w0, w1):
-    """Lane vector size: any positive scale keeps the direction, and this
-    costs a sixth of np.hypot."""
-    return np.maximum(abs(w0), abs(w1))
-
-
-def projective_walk(step, v0, v1, n: int, lift):
-    """Lifted projective angle swept by v = (v0, v1) along n orbit steps.
-
-    step(k, v0, v1) returns the image of v under the k-th orbit matrix; v0
-    and v1 are floats for one orbit or arrays for lanes.  Returns (total,
-    half_total, half_at): the summed advance and its subtotal after the
-    first half_at = n // 2 steps.  Branch of each advance, by lift:
-    "transfer" takes the window (_LIFT_LO, _LIFT_LO + 2 pi], which
-    transfer matrices never leave; "mean" unwraps against a running mean
-    advance, for general cocycles whose steps drift by a constant angle;
-    None keeps the principal branch.
-    """
-    if np.ndim(v0):  # lanes
-        atan2, size, rint = np.arctan2, _max_abs, np.rint
-    else:  # one orbit: Python-float math beats numpy scalar ufuncs
-        atan2, size, rint = math.atan2, math.hypot, round
-    total = half_total = mean = 0.0
-    half_at = n // 2
-    warmup = min(64, n)
-    for k in range(n):
-        w0, w1 = step(k, v0, v1)
-        delta = atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
-        if lift == "transfer":
-            delta += _TWO_PI * (delta <= _LIFT_LO)
-        elif lift == "mean":
-            if k < warmup:
-                mean += (delta - mean) / (k + 1)
-            else:
-                delta += _TWO_PI * rint((mean - delta) / _TWO_PI)
-                mean += 0.02 * (delta - mean)
-        total = total + delta  # a new object, so half_total stays a snapshot
-        norm = size(w0, w1)
-        v0, v1 = w0 / norm, w1 / norm
-        if k + 1 == half_at:
-            half_total = total
-    return total, half_total, half_at
-
-
-def matrix_step(mats):
-    """projective_walk step for orbit matrices (n, 2, 2) or (n, lanes, 2, 2)."""
-    mats = np.asarray(mats, dtype=float)
-    entries = np.moveaxis(mats.reshape(mats.shape[:-2] + (4,)), -1, 0)
-    # one orbit walks on Python floats, read from flat per-entry lists
-    a, b, c, d = entries.tolist() if mats.ndim == 3 else entries
-    return lambda k, v0, v1: (a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1)
-
-
 def _estimate(total, half_total, half_at, n, fold):
     """(rho mod 1, half-orbit error) of a walk; fold maps rho into [0, 1/2]."""
     rho = (total / (_TWO_PI * n)) % 1.0
@@ -111,11 +57,41 @@ def _estimate(total, half_total, half_at, n, fold):
 
 
 def rotation_from_orbit(mats, schrodinger: bool = False) -> RotationEstimate:
-    """Rotation estimate from precomputed orbit matrices of shape (n, 2, 2)."""
+    """Rotation estimate from precomputed orbit matrices of shape (n, 2, 2).
+
+    Walks v = e1 along the orbit and sums the advance of its angle, the
+    principal atan2 of (v x w, v . w) for its image w, with a subtotal
+    after n // 2 steps for the error estimate.  Schrodinger orbits lift
+    each advance into the window (_LIFT_LO, _LIFT_LO + 2 pi], which
+    transfer matrices never leave; general cocycles unwrap it against a
+    running mean advance, as their steps drift by a constant angle.  One
+    orbit walks on Python floats, which beat numpy scalar ufuncs.
+    """
+    mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
-    walk = projective_walk(matrix_step(mats), 1.0, 0.0, n,
-                           "transfer" if schrodinger else "mean")
-    rho, err = _estimate(*walk, n, schrodinger)
+    if n < 2:
+        raise ValueError("an orbit of >= 2 steps required")
+    a, b, c, d = mats.reshape(n, 4).T.tolist()
+    v0, v1 = 1.0, 0.0
+    total = half_total = mean = 0.0
+    half_at = n // 2
+    warmup = min(64, n)
+    for k in range(n):
+        w0, w1 = a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1
+        delta = math.atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
+        if schrodinger:
+            delta += _TWO_PI * (delta <= _LIFT_LO)
+        elif k < warmup:
+            mean += (delta - mean) / (k + 1)
+        else:
+            delta += _TWO_PI * round((mean - delta) / _TWO_PI)
+            mean += 0.02 * (delta - mean)
+        total += delta
+        norm = math.hypot(w0, w1)
+        v0, v1 = w0 / norm, w1 / norm
+        if k + 1 == half_at:
+            half_total = total
+    rho, err = _estimate(total, half_total, half_at, n, schrodinger)
     return RotationEstimate(float(rho), n, float(err))
 
 
@@ -218,8 +194,10 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     if n_iters < 2:
         raise ValueError("n_iters >= 2 required")
     energies = np.asarray(energies, dtype=float)
-    v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n_iters)))
     cuts = np.array(_segment_cuts(n_iters))
+    array_elements(f"{energies.size} energies on {len(cuts) - 1} segments",
+                   energies.size * (len(cuts) - 1))
+    v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n_iters)))
     starts, lengths = cuts[:-1, None], np.diff(cuts)[:, None]
     n_steps = int(lengths.max())
     steps = np.arange(n_steps)
@@ -262,9 +240,21 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
         total = total + wound
         if cuts[s + 1] == n_iters // 2:
             half_total = total
-        norm = _max_abs(w0, w1)
+        # any positive scale keeps the direction; a sixth of np.hypot's cost
+        norm = np.maximum(abs(w0), abs(w1))
         w0, w1 = w0 / norm, w1 / norm
     return _estimate(total, half_total, n_iters // 2, n_iters, True)
+
+
+def principal_winding(x, y):
+    """Winding of the vectors (x[k], y[k]) along the first axis.
+
+    Sums the principal branch, in [-pi, pi), of each difference of
+    consecutive angles arctan2(y, x); a later axis holds lanes.  Exact
+    while every true step turns by less than pi.
+    """
+    steps = np.diff(np.arctan2(y, x), axis=0)
+    return ((steps + math.pi) % _TWO_PI - math.pi).sum(axis=0)
 
 
 def rotation_series(n_vec) -> FourierSeries:
@@ -302,10 +292,7 @@ def degree(B: FourierSeries, freq: Frequency):
         if norms.min() < 1e-8:
             raise DegreeError("first column of the conjugacy degenerates "
                               f"along axis {axis}")
-        ang = np.arctan2(col[:, 1], col[:, 0])
-        dps = np.diff(ang)
-        dps = (dps + math.pi) % (2.0 * math.pi) - math.pi
-        total = dps.sum() * (2.0 / span)
+        total = principal_winding(col[:, 0], col[:, 1]) * (2.0 / span)
         deg = round(total / _TWO_PI)
         if abs(total / _TWO_PI - deg) > 0.25:
             raise DegreeError(f"winding {total / _TWO_PI:.3f} along axis "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpcore import FourierSeries, Frequency, phase_samples
+from .qpcore import FourierSeries, Frequency, array_elements, phase_samples
 
 __all__ = [
     "TruncatedOperator",
@@ -60,6 +60,7 @@ class TruncatedOperator:
             raise ValueError("L >= 100 required")
         if phases < 1:
             raise ValueError("phases >= 1 required")
+        array_elements(f"L = {L} at {phases} phases", phases * (2 * L + 1))
         pts = freq.orbit(phase_samples(freq.dim, phases),
                          np.arange(-L, L + 1))
         flat = pts.reshape(-1, freq.dim)
@@ -84,7 +85,10 @@ class TruncatedOperator:
         if np.isnan(energies).any():
             # the kernel would count a NaN by its sign bit: 0 or every row
             raise ValueError("energies must not be NaN")
-        return _pivot_counts(np.atleast_2d(self.diag), energies)
+        diags = np.atleast_2d(self.diag)
+        array_elements(f"{energies.size} energies at {len(diags)} phases",
+                       energies.size * len(diags))
+        return _pivot_counts(diags, energies)
 
     def ids(self, energies) -> np.ndarray:
         """Phase-averaged counting function per energy, normalized by 2L+1."""
@@ -223,14 +227,18 @@ def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    sup_v = float(V.sup_norm())
+    lo = -2.0 - sup_v - 2.0 * resolution
+    hi = 2.0 + sup_v + 2.0 * resolution
+    cells = (hi - lo) / resolution
+    # every phase counts at every mesh edge
+    array_elements(f"resolution {resolution:g} at {phases} phases",
+                   (cells + 1.0) * phases)
+    n_cells = int(math.ceil(cells))
     H = operator if operator is not None else TruncatedOperator.sampled(
         V, freq, L, phases)
     if H.diag.shape != (phases, 2 * L + 1):
         raise ValueError("operator must be the (phases, 2L+1) sampled one")
-    sup_v = float(V.sup_norm())
-    lo = -2.0 - sup_v - 2.0 * resolution
-    hi = 2.0 + sup_v + 2.0 * resolution
-    n_cells = int(math.ceil((hi - lo) / resolution))
     edges = lo + resolution * np.arange(n_cells + 1)
     present = _pruned_present(H, edges)
 

@@ -1025,6 +1025,59 @@ def test_malformed_values_exit_in_contract(tmp_path, monkeypatch, capsys,
     assert set(codes) <= {0, 2, 3, 4, 5, 6}, codes
 
 
+# one field of a cheap valid config set to a size no array may take:
+# (command, potential, field, value, what the error names)
+_OVERSIZED = [
+    ("ids", "amo", "numerics.L", 10 ** 12, "L = 1000000000000"),
+    ("rotation", "amo", "numerics.rotation_iterations", 10 ** 12,
+     "numerics.rotation_iterations"),
+    ("ids", "amo", "numerics.energy.points", 10 ** 12,
+     "numerics.energy.points"),
+    ("scan", "amo", "numerics.resolution", 1e-12, "resolution 1e-12"),
+    ("homog", "amo", "numerics.homog_samples", 10 ** 12,
+     "numerics.homog_samples"),
+    ("scan", "cosine", "potential.terms", {"1000000000000": 0.3},
+     "potential: modes up to |n| = 1000000000000"),
+    ("kam", "amo", "kam.perturbation",
+     {"terms": {"1000000000000": [[1e-3, 0.0], [0.0, -1e-3]]}},
+     "kam.perturbation.terms: modes up to |n| = 1000000000000"),
+]
+
+
+@pytest.mark.parametrize("command,potential,field,value,needle", _OVERSIZED,
+                         ids=[case[2] for case in _OVERSIZED])
+def test_oversized_sizes_exit_2_before_allocating(tmp_path, command,
+                                                  potential, field, value,
+                                                  needle):
+    # a child under a 1 GB address-space limit, so a size that got past
+    # admission ends at once in a MemoryError traceback
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import qpspec
+
+    cfg = node = _sweep_base(potential)
+    *parents, name = field.split(".")
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    limit = 2 ** 30
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qpspec.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-m", "qpspec.cli", command, "--config",
+         _write(tmp_path, cfg)], env=env, capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert out.returncode == 2, out.stderr
+    assert needle in out.stderr and "above the cap" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_ck_profile_has_one_owner():
     import ast
 

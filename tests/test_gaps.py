@@ -367,6 +367,27 @@ def test_homogeneity_interior_ratio_is_two():
     assert np.all(prof.mu <= 2.0 + 1e-12)
 
 
+def test_homogeneity_leaves_numpy_ma_unimported():
+    # a fresh interpreter: deduplicating the centres (touching intervals
+    # share one) must not import numpy.ma, which costs more than the
+    # profile itself
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qpspec
+
+    code = ("import sys; from qpspec.gaps import homogeneity_profile; "
+            "homogeneity_profile([(0.0, 1.0), (1.0, 2.5)], [0.1], 50); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qpspec.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_homogeneity_eps_validation():
     with pytest.raises(ValueError):
         homogeneity_profile([(0.0, 1.0)], [2.0], E_samples=10)

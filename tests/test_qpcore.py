@@ -294,6 +294,48 @@ def test_integer_ball_gates_its_size_before_building_it():
     assert peak < 1 << 20
 
 
+def test_sizes_above_the_element_cap_raise_before_allocating():
+    import tracemalloc
+
+    from qpspec import kam
+    from qpspec.errors import SizeError
+    from qpspec.rotnum import schrodinger_rotation_grid
+    from qpspec.spectrum import TruncatedOperator, spectrum_scan
+
+    cap = qc._ELEMENT_CAP
+    qc.array_elements("x", cap)
+    assert issubclass(SizeError, ValueError)
+    # the largest series grids admitted: 4 |n| + 1 points per axis
+    for dim, radius in ((1, (cap - 1) // 4), (2, 255), (3, 25)):
+        qc.FourierSeries(dim, radius, {})
+    V = qc.amo_potential(0.3)
+    freq = qc.diophantine_check(GOLDEN, 0.1, 1.5, 20)
+    H = TruncatedOperator.sampled(V, freq, 100, 2)
+    # 2 phases at 2**19 + 1 energies; 30000 energies on 50 segments
+    ids_grid = np.linspace(-3.0, 3.0, cap // 2 + 1)
+    lanes_grid = np.linspace(-3.0, 3.0, 30000)
+    calls = [
+        lambda: qc.array_elements("x", cap + 1),
+        lambda: qc.FourierSeries(3, 26, {}),
+        lambda: qc.cosine_polynomial({10 ** 12: 0.3}),
+        lambda: kam.explicit_sl2_series({(10 ** 12,): [[0.0, 1e-3],
+                                                       [-1e-3, 0.0]]}),
+        lambda: TruncatedOperator.sampled(V, freq, 10 ** 12, 1),
+        lambda: spectrum_scan(V, freq, 100, 1, 1e-12),
+        lambda: H.ids(ids_grid),
+        lambda: schrodinger_rotation_grid(V, freq, lanes_grid, 10000),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(SizeError, match=f"above the cap {cap}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_torus_mesh_is_the_ij_grid():
     pts = qc.torus_mesh(2, 3, 2)
     assert pts.shape == (9, 2)

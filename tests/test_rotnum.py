@@ -22,9 +22,7 @@ from qpspec.qpcore import (
 from qpspec.rotnum import (
     conjugated_rotation,
     degree,
-    matrix_step,
     orbit_product,
-    projective_walk,
     rotation_from_orbit,
     rotation_number,
     rotation_series,
@@ -104,21 +102,40 @@ def _duality_potential():
     return cosine_polynomial({1: 0.6})
 
 
+def _walk(step, v0, v1, n, transfer=True):
+    """The lane walk that the one-pass kernels replaced, kept as the
+    reference they are pinned to: (total, half_total) of the advance of each
+    lane v = (v0, v1) along n steps, half_total after n // 2 of them.
+    Each advance is the principal atan2 of (v x w, v . w) for the image
+    w = step(k, v0, v1); transfer lifts it into (-pi/2, 3 pi/2]."""
+    total = half_total = 0.0
+    for k in range(n):
+        w0, w1 = step(k, v0, v1)
+        delta = np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
+        if transfer:
+            delta += 2.0 * math.pi * (delta <= -0.5 * math.pi)
+        total = total + delta
+        norm = np.maximum(abs(w0), abs(w1))
+        v0, v1 = w0 / norm, w1 / norm
+        if k + 1 == n // 2:
+            half_total = total
+    return total, half_total
+
+
+def _matrix_step(mats):
+    """_walk step for an (n, [lanes,] 2, 2) stack of orbit matrices."""
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    return lambda k, v0, v1: (a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1)
+
+
 def _sequential_grid(V, freq, energies, n):
     """The one-orbit lane walk the segmented grid replaced, kept as a
     reference: every energy walks all n steps from (1, 0)."""
     v_orbit = V.evaluate(freq.orbit(0.0, np.arange(n))).tolist()
-    v0, v1 = np.ones(len(energies)), np.zeros(len(energies))
-    total = half_total = 0.0
-    for k in range(n):
-        w0, w1 = (energies - v_orbit[k]) * v0 - v1, v0
-        delta = np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
-        delta += 2.0 * math.pi * (delta <= -0.5 * math.pi)
-        total = total + delta
-        norm = np.hypot(w0, w1)
-        v0, v1 = w0 / norm, w1 / norm
-        if k + 1 == n // 2:
-            half_total = total
+    total, half_total = _walk(
+        lambda k, v0, v1: ((energies - v_orbit[k]) * v0 - v1, v0),
+        np.ones(len(energies)), np.zeros(len(energies)), n)
     rho = (total / (2.0 * math.pi * n)) % 1.0
     err = dist_to_int(rho - (half_total / (2.0 * math.pi * (n // 2))) % 1.0)
     return np.minimum(rho, 1.0 - rho), err
@@ -273,7 +290,7 @@ def _two_pass_grid(V, freq, energies, n):
         w0, w1 = a[s] * u0[s] + b[s] * u1[s], c[s] * u0[s] + d[s] * u1[s]
         norm = np.maximum(abs(w0), abs(w1))
         w0, w1 = w0 / norm, w1 / norm
-    seg_total = projective_walk(step, u0, u1, n_steps, "transfer")[0]
+    seg_total = _walk(step, u0, u1, n_steps)[0]
     total = half_total = 0.0
     for s in range(a.shape[0]):
         total = total + seg_total[s]
@@ -331,14 +348,14 @@ def test_closed_form_start_correction(freq, E):
         assert (a + d) ** 2 < 4.0 * (a * d - b * c)
     else:
         assert (a + d) ** 2 > 4.0 * (a * d - b * c)
-    e1 = projective_walk(matrix_step(mats), 1.0, 0.0, n, "transfer")[0]
+    e1 = _walk(_matrix_step(mats), np.ones(1), np.zeros(1), n)[0][0]
     angle = math.atan2(c, a)
     turns = round((e1 - angle) / (2.0 * math.pi))
     theta = np.random.default_rng(5).uniform(-math.pi, math.pi, 200)
     # and the axes, with both zeros: (-1, -0.0) is e1 turned by pi
     u0 = np.append(np.cos(theta), [1.0, 1.0, -1.0, -1.0, 0.0, -0.0])
     u1 = np.append(np.sin(theta), [0.0, -0.0, 0.0, -0.0, 1.0, -1.0])
-    want = projective_walk(matrix_step(mats), u0, u1, n, "transfer")[0]
+    want = _walk(_matrix_step(mats), u0, u1, n)[0]
     w0, w1, got = rotnum._winding_from((a, b, c, d), angle, turns, u0, u1)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     # the image is P u, up to the sign of the flipped start
@@ -347,20 +364,17 @@ def test_closed_form_start_correction(freq, E):
 
 
 def test_grid_walks_the_orbit_once(freq, monkeypatch):
-    products, walks = [], []
+    products = []
 
     def spy(*args, **kwargs):
         products.append(args[2])
         return orbit_product(*args, **kwargs)
 
     monkeypatch.setattr(rotnum, "orbit_product", spy)
-    monkeypatch.setattr(rotnum, "projective_walk",
-                        lambda *args, **kwargs: walks.append(args))
     schrodinger_rotation_grid(_duality_potential(), freq, DUALITY_GRID,
                               n_iters=10001)
     # one product of the longest segment's steps, and no second walk
     assert products == [max(np.diff(rotnum._segment_cuts(10001)))]
-    assert walks == []
 
 
 def _renormalized_product(mats):
@@ -408,7 +422,7 @@ def test_stack_product_matches_the_renormalized_loop(freq, case):
         "rotation_lanes": lambda: _phase_stack(
             constant_cocycle(freq, mat2.rotation(0.31)), 8, 2000),
     }[case]()
-    P, e, log_norm = cocycle._product(mats)
+    P, e, log_norm, _ = cocycle._product(mats)
     want, want_log = _renormalized_product(mats)
     assert P.shape == want.shape and np.shape(e) == np.shape(want_log)
 
@@ -563,26 +577,166 @@ def test_perturbation_bound_parabolic(freq):
 # the one orbit kernel
 
 
-def test_projective_walk_mean_lanes_match_orbits(freq):
-    # general cocycles walked as lanes of one (n, lanes, 2, 2) stack
+def _float_walk(mats, schrodinger):
+    """rotation_from_orbit's walk as the shared walker ran it before it
+    moved there, kept as a reference: the Python-float walk, then the
+    half-orbit estimate."""
+    a, b, c, d = np.moveaxis(mats.reshape(-1, 4), -1, 0).tolist()
+    v0, v1 = 1.0, 0.0
+    n = len(a)
+    total = half_total = mean = 0.0
+    for k in range(n):
+        w0, w1 = a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1
+        delta = math.atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
+        if schrodinger:
+            delta += 2.0 * math.pi * (delta <= -0.5 * math.pi)
+        elif k < min(64, n):
+            mean += (delta - mean) / (k + 1)
+        else:
+            delta += 2.0 * math.pi * round((mean - delta) / (2.0 * math.pi))
+            mean += 0.02 * (delta - mean)
+        total = total + delta
+        norm = math.hypot(w0, w1)
+        v0, v1 = w0 / norm, w1 / norm
+        if k + 1 == n // 2:
+            half_total = total
+    rho = (total / (2.0 * math.pi * n)) % 1.0
+    rho_half = (half_total / (2.0 * math.pi * (n // 2))) % 1.0
+    err = dist_to_int(rho - rho_half)
+    if schrodinger:
+        rho = np.minimum(rho, 1.0 - rho)
+    return float(rho), float(err)
+
+
+def _general_orbits(freq):
+    """Constant rotations, two of them conjugated, and transfer series read
+    as general cocycles, 4000 steps each.  The near half-turn and the
+    energy below the spectrum step across the principal branch's cut, so
+    the "mean" lift has to unwrap them."""
     conj = np.array([[2.0, 0.3], [0.1, 0.6]])
-    conj_rot = conj @ mat2.rotation(0.31) @ np.linalg.inv(conj)
     rot = constant_cocycle(freq, mat2.rotation(0.17))
-    stacks = [rot.orbit_matrices(0.0, 4000),
-              np.broadcast_to(conj_rot, (4000, 2, 2))]
+    stacks = [rot.orbit_matrices(0.0, 4000)]
+    for turn in (0.31, 0.48):
+        conj_rot = conj @ mat2.rotation(turn) @ np.linalg.inv(conj)
+        stacks.append(np.broadcast_to(conj_rot, (4000, 2, 2)))
     for V, E in ((amo_potential(0.3), 0.5), (amo_potential(0.3), -1.2),
-                 (_zero_potential(), 3.0)):
+                 (_zero_potential(), 3.0), (amo_potential(0.3), -3.0)):
         series = schrodinger_cocycle(V, E, freq).map_series
         stacks.append(Cocycle(freq, series).orbit_matrices(0.2, 4000))
-    lanes = np.stack(stacks, axis=1)
-    n, count = lanes.shape[:2]
-    total, half_total, half_at = projective_walk(
-        matrix_step(lanes), np.ones(count), np.zeros(count), n, "mean")
-    assert half_at == n // 2
-    rho = (total / (2.0 * math.pi * n)) % 1.0
-    for j in range(count):
-        est = rotation_from_orbit(lanes[:, j])
-        assert dist_to_int(rho[j] - est.rho) <= 1e-12, j
+    return stacks
+
+
+@pytest.mark.parametrize("schrodinger", [False, True],
+                         ids=["mean", "transfer"])
+def test_rotation_from_orbit_is_the_float_walk(freq, schrodinger):
+    # the walk moved into rotation_from_orbit keeps every float operation
+    for j, mats in enumerate(_general_orbits(freq)):
+        est = rotation_from_orbit(mats, schrodinger=schrodinger)
+        assert est.iterations == 4000
+        assert (est.rho, est.error) == _float_walk(mats, schrodinger), j
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_rotation_from_orbit_rejects_short_orbits(n):
+    # the half-orbit error estimate divides by n // 2
+    with pytest.raises(ValueError, match=">= 2 steps"):
+        rotation_from_orbit(np.broadcast_to(np.eye(2), (n, 2, 2)))
+
+
+_CONE_CASES = [
+    pytest.param(_zero_potential(), sign * E, 4, 300, id=f"free{sign * E:g}")
+    for E in (0.0, 0.5, 1.0, 1.5, 1.9, 2.6, 3.0, 4.0, 6.0, 40.0)
+    for sign in (1.0, -1.0)
+] + [
+    pytest.param(amo_potential(0.3), E, phases, orbit, id=f"amo0.3at{E:g}")
+    for E, phases, orbit in ((3.2, 8, 300), (0.0, 4, 400), (-2.75, 4, 300))
+] + [
+    pytest.param(amo_potential(0.004), 0.724, 8, 2000, id="gap_edge"),
+    pytest.param(None, 0.17, 2, 50, id="rotation"),
+]
+
+
+def _cone_cocycle(freq, V, E):
+    if V is None:
+        return constant_cocycle(freq, mat2.rotation(E))
+    return schrodinger_cocycle(V, E, freq)
+
+
+def test_cone_test_runs_one_product(freq, monkeypatch):
+    # one orbit_product pass, and the winding reads that pass's columns
+    lengths, columns, wound = [], [], []
+
+    def spy(step, *args, **kwargs):
+        lengths.append(args[1])
+
+        def recorded(k, P):
+            P = step(k, P)
+            columns.append(P[..., 0].copy())
+            return P
+
+        return orbit_product(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(cocycle, "orbit_product", spy)
+    monkeypatch.setattr(cocycle, "principal_winding",
+                        lambda x, y: wound.append((x, y)) or np.zeros(4))
+    cocycle.uniform_hyperbolicity_test(
+        schrodinger_cocycle(amo_potential(0.3), 0.0, freq), 4, 400)
+    assert lengths == [400]
+    (x, y), = wound
+    assert x.shape == y.shape == (401, 4)
+    assert np.all(x[0] == 1.0) and np.all(y[0] == 0.0)
+    np.testing.assert_array_equal(np.stack([x[1:], y[1:]], axis=-1),
+                                  np.array(columns))
+
+
+@pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
+def test_cone_test_matches_two_pass_walk(freq, monkeypatch, V, E, phases,
+                                         orbit):
+    # the two-pass cone test ran the product, then a principal-branch walk
+    # of e1; the one pass takes the winding from the product's columns
+    windings = []
+
+    def spy(*args):
+        windings.append(rotnum.principal_winding(*args))
+        return windings[-1]
+
+    monkeypatch.setattr(cocycle, "principal_winding", spy)
+    c = _cone_cocycle(freq, V, E)
+    got = cocycle.uniform_hyperbolicity_test(c, phases, orbit)
+
+    theta = cocycle.phase_samples(c.freq.dim, phases)
+    mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
+    grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
+    P, e = orbit_product(lambda k, P: mats[k] @ P,
+                         np.broadcast_to(np.eye(2), mats.shape[1:]), orbit,
+                         grow)
+    log_norm = np.log(mat2.norm2(P)) + e * math.log(2.0)
+    margin = min(cocycle._cone_image_margin(P[p]) for p in range(phases))
+    advances = []
+    step = _matrix_step(mats)
+
+    def recorded(k, v0, v1):
+        w0, w1 = step(k, v0, v1)
+        advances.append(np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1))
+        return w0, w1
+
+    winding = _walk(recorded, np.ones(phases), np.zeros(phases), orbit,
+                    transfer=False)[0]
+    if margin >= 0.05:
+        verdict = "uniformly_hyperbolic"
+    elif np.abs(winding).max() >= 4.0 * math.pi:
+        verdict = "not_uniform"
+    else:
+        verdict = "inconclusive"
+    assert got == cocycle.HyperbolicityVerdict(
+        verdict, orbit, float(np.min(log_norm) / orbit), margin)
+    # where a step turns by pi up to rounding its principal branch is
+    # rounding's choice: below the spectrum, where the cone decides
+    if math.pi - np.abs(advances).max() > 1e-9:
+        np.testing.assert_allclose(windings[0], winding, rtol=0.0,
+                                   atol=1e-9)
+    else:
+        assert verdict == "uniformly_hyperbolic" and E < -2.0
 
 
 def test_orbit_walk_has_one_owner():
@@ -604,8 +758,8 @@ def test_orbit_walk_has_one_owner():
                     for a in node.names if a.name.startswith("_")
                     and not a.name.endswith("__")]
     # the rotation grid winds column e1 through _lift
-    assert owners == {"rotnum.projective_walk", "rotnum.degree",
-                      "rotnum._lift"}
+    assert owners == {"rotnum.rotation_from_orbit",
+                      "rotnum.principal_winding", "rotnum._lift"}
     assert nested == []
     assert private == []
 
