@@ -147,10 +147,11 @@ def _lift(last, x, y):
     """(principal angle of (x, y), lift): lift marks the lanes where that
     angle minus last needs one turn up to enter the transfer window.
 
-    The difference never passes the window's top in the grid: a step
-    maps (x, y) to ((E - v) x - y, x), so from the third quadrant it lands
-    in the lower half-plane, and the stitch's differences are c or c - 2 pi
-    with c in [0, pi].
+    The grid's one arctan2, run after its pass: it gives the principal
+    angle of each product's column e1 (last unused) and, in _winding_from,
+    the turn of arg(P u) - angle, a difference c or c - 2 pi with c in
+    [0, pi] that never passes the window's top.  The pass itself counts
+    e1's turns from sign bits (schrodinger_rotation_grid).
     """
     new = np.arctan2(y, x)
     return new, new - last <= _LIFT_LO
@@ -182,14 +183,31 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     to _SEGMENTS contiguous segments (n_iters // 2 is a cut); every
     (segment, energy) pair is one lane, so the one pass takes about
     n_iters / _SEGMENTS steps.  The pass carries both columns of each
-    segment's transfer product P_s and winds column e1: each step lifts
-    the advance of its principal angle into the "transfer" window, so the
-    winding of e1 is its final angle plus 2 pi per lift (power-of-two
-    rescales leave angles alone).  A serial stitch over the segments then
-    finds each segment's start u_s on the one orbit as P_{s-1} u_{s-1}
-    and corrects e1's winding to the winding from u_s in closed form
-    (_winding_from), with no second walk.  The windings are summed in
-    segment order.
+    segment's transfer product P_s and counts the turns of column e1;
+    after it, e1's winding is its principal angle (one arctan2 per lane)
+    plus 2 pi per turn.  A serial stitch over the segments then finds each
+    segment's start u_s on the one orbit as P_{s-1} u_{s-1} and corrects
+    e1's winding to the winding from u_s in closed form (_winding_from),
+    with no second walk.  The windings are summed in segment order.
+
+    The turns.  A step maps e1 = (a, c) to ((E - v) a - c, a) and advances
+    its angle within the window (-pi/2, 3 pi/2], so it needs one turn up
+    exactly when its principal difference is at most -pi/2.  arctan2 puts
+    (x, y) in [0, pi] or [-pi, 0] by the sign bit of y, and the image's y
+    is a, so by the sign bits of a and c (the column is never 0):
+    - a's clear: arg e1 in [-pi/2, pi/2] goes to [0, pi], and the edge
+      pair (pi/2, 0) is out, as (+0.0, c > 0) goes to (-c, +0.0) at pi;
+    - a's and c's set: [-pi, -pi/2] goes to [-pi, 0], and (-0.0, c < 0)
+      goes to (-c, -0.0) at -0.0, not to -pi;
+    - a's set and c's clear, the closed second quadrant with (-0.0, c > 0)
+      in it: [pi/2, pi] goes to [-pi, 0), always one turn.
+    So a turn is u_k, the solution in a, changing sign from + to -, the
+    Sturm oscillation behind N = 1 - 2 rho.  Rounding moves an arctan2
+    difference onto the edge only for |E - v| beyond about 1e16, where
+    the sign bits stay exact.  Exact power-of-two rescales keep every sign
+    bit and the final angle.  Segments shorter than the longest take
+    identity steps at the tail, which stand still and never turn, so the
+    count is masked there.
     """
     if n_iters < 2:
         raise ValueError("n_iters >= 2 required")
@@ -207,30 +225,35 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     v_table = v_orbit[np.minimum(starts + steps, n_iters - 1)].T[..., None]
     active = (steps < lengths).T[..., None]
     full = int(lengths.min())
+    shape = (len(lengths), len(energies))
+    ev, prod = np.empty(shape), np.empty((2,) + shape)
 
+    # the new row (a, b) goes over the old row (c, d), which the step
+    # shifts out, so a full step allocates nothing
     def step(k, v0, v1):
-        w0 = (energies - v_table[k]) * v0 - v1
+        np.multiply(np.subtract(energies, v_table[k], out=ev), v0, out=prod)
         if k < full:
-            return w0, v0
+            return np.subtract(prod, v1, out=v1), v0
+        w0 = prod - v1
         return np.where(active[k], w0, v0), np.where(active[k], v0, v1)
 
     # the one pass: every segment's product, matrix axes first: the column
     # step advances both columns at once, the rows (a, b) and (c, d) as
-    # (v0, v1); the winding of column e1 = (a, c) rides along
-    shape = (len(lengths), len(energies))
-    angle, turns = np.zeros(shape), np.zeros(shape, dtype=int)
+    # (v0, v1); column e1 = (a, c) turns once in each step that it starts
+    # in the closed second quadrant, sign bit of a set and of c clear, and
+    # never in the identity steps of the uneven tail
+    turns = np.zeros(shape, dtype=int)
 
     def wind(k, P):
-        nonlocal angle, turns
-        rows = step(k, *P)
-        angle, lifts = _lift(angle, rows[0][0], rows[1][0])
-        turns += lifts
-        return rows
+        up = np.signbit(P[0][0]) > np.signbit(P[1][0])
+        np.add(turns, up if k < full else up & active[k], out=turns)
+        return step(k, *P)
 
     grow = float(np.abs(energies).max(initial=0.0) + np.abs(v_orbit).max()
                  + 2.0)
     eye = np.eye(2)[:, :, None, None] * np.ones(shape)
     (a, b), (c, d) = orbit_product(wind, eye, n_steps, grow, axes=(0, 1))[0]
+    angle = _lift(0.0, a, c)[0]
     # the stitch: each segment starts where the orbit left the last one
     total = half_total = 0.0
     w0, w1 = np.ones(len(energies)), np.zeros(len(energies))

@@ -213,6 +213,60 @@ def test_grid_memory_stays_small(freq):
     assert peak <= 16 * 2**20
 
 
+def test_quadrant_rule_is_the_arctan2_lift():
+    # at every transfer step, the grid's rule (column (a, c) starts in the
+    # closed second quadrant: sign bit of a set, of c clear) marks the
+    # lanes whose principal-angle difference the arctan2 lift turns up
+    rng = np.random.default_rng(29)
+    size = 4000
+    # entries across magnitudes out to a rescale's 2**-601 .. 2**600,
+    # then the four axis directions with both signed zeros
+    a = rng.choice([-1.0, 1.0], size) * 2.0 ** rng.uniform(-601, 600, size)
+    c = rng.choice([-1.0, 1.0], size) * 2.0 ** rng.uniform(-601, 600, size)
+    a = np.append(a, [1.0, 1.0, -1.0, -1.0, 0.0, -0.0, 0.0, -0.0])
+    c = np.append(c, [0.0, -0.0, 0.0, -0.0, 1.0, 1.0, -1.0, -1.0])
+    # E - v exactly 0 (both zeros), inside and outside the spectrum, and
+    # a lane-wise mix out to 1e12
+    spread = rng.uniform(-1.0, 1.0, a.size) * 10.0 ** rng.uniform(-3, 12,
+                                                                 a.size)
+    with np.errstate(over="raise", invalid="raise"):
+        for ev in (0.0, -0.0, 0.5, -1.7, 2.0, -2.0, 2.6, -3.0, 1e6, -1e12,
+                   spread):
+            x, y = a, c
+            for k in range(64):
+                x_new, y_new = ev * x - y, x
+                lift = rotnum._lift(np.arctan2(y, x), x_new, y_new)[1]
+                np.testing.assert_array_equal(
+                    np.signbit(x) & ~np.signbit(y), lift,
+                    err_msg=f"E - v = {ev}, k = {k}")
+                # an exact power-of-two rescale, as orbit_product's
+                shift = np.frexp(np.maximum(abs(x_new), abs(y_new)))[1]
+                x, y = np.ldexp(x_new, -shift), np.ldexp(y_new, -shift)
+
+
+def test_grid_has_no_per_step_arctan2(freq, monkeypatch):
+    # the pass counts turns from sign bits; the arctan2 calls, all through
+    # _lift, come after it, so they do not grow with the orbit
+    calls, lift = [], rotnum._lift
+
+    def spy(last, x, y):
+        calls.append(np.size(x))
+        return lift(last, x, y)
+
+    monkeypatch.setattr(rotnum, "_lift", spy)
+    counts = []
+    for n in (10001, 100000):
+        calls.clear()
+        schrodinger_rotation_grid(_duality_potential(), freq, DUALITY_GRID,
+                                  n_iters=n)
+        counts.append((len(calls), sum(calls)))
+    assert counts[0] == counts[1]
+    # one principal angle per lane, two per segment start in the stitch
+    segments = len(rotnum._segment_cuts(100000)) - 1
+    assert counts[0] == (1 + 2 * segments,
+                         3 * segments * DUALITY_GRID.size)
+
+
 def _segment_step(V, freq, energies, n_iters):
     """The grid's segments and masked transfer step, kept as a reference:
     (cuts, n_steps, step, v_orbit)."""
@@ -317,6 +371,11 @@ _TWO_PASS_CASES = [
     pytest.param(cosine_polynomial({(1, 0): 0.4, (0, 1): 0.3}, dim=2),
                  np.linspace(-2.5, 2.5, 11), 4999, (GOLDEN, math.sqrt(2) - 1),
                  id="two_frequencies-4999"),
+] + [
+    # at E = 0 the free orbit runs through the axes, with -0.0 entries
+    pytest.param(_zero_potential(),
+                 np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 2.1, -2.1]), n,
+                 None, id=f"free-{n}") for n in (3, 4999)
 ]
 
 
