@@ -495,11 +495,13 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     A = rotation(_field(spec, "kam", "rho0", float))
     pert = _field(spec, "kam", "perturbation", dict)
     if "terms" in pert:
-        f = _admitted("kam.perturbation.terms", kam.explicit_sl2_series,
+        section = "kam.perturbation.terms"
+        f = _admitted(section, kam.explicit_sl2_series,
                       _mode_table(pert, "kam.perturbation", "terms"),
                       dim=freq.dim)
     else:
-        f = _admitted("kam.perturbation", kam.seeded_sl2_series,
+        section = "kam.perturbation"
+        f = _admitted(section, kam.seeded_sl2_series,
                       _field(pert, "kam.perturbation", "scale", float),
                       _field(pert, "kam.perturbation", "radius", int),
                       _field(pert, "kam.perturbation", "seed", int),
@@ -508,6 +510,9 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
                for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
     try:
         state = kam.almost_reducibility_run(A, f, freq, **options)
+    except SizeError as exc:
+        # the run's series outgrow the cap from the perturbation's radius
+        raise ConfigError(f"{section}: {exc}") from exc
     except DivergenceError as exc:
         # the steps taken before the scheme stopped contracting
         _emit_ledger(exc.ledger, out_dir, fmt)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mat2
 from .qpcore import FourierSeries, Frequency, phase_samples
-from .rotnum import orbit_product, principal_winding
+from .rotnum import orbit_product
 
 __all__ = [
     "Cocycle",
@@ -92,24 +92,15 @@ def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
 def _product(mats):
     """Product mats[n-1] ... mats[0] of an (n, [lanes,] 2, 2) stack.
 
-    Returns (P, e, log_norm, e1): the product P * 2**e, its log spectral
-    norm, and e1[k], column e1 of the product after k steps up to a
-    power of two, shape (n + 1, [lanes,] 2).  For det 1 a step's sum of
-    |entries| bounds the row sums of the step and of its inverse, the
-    adjugate, so it is orbit_product's grow.
+    Returns (P, e, log_norm): the product P * 2**e and its log spectral
+    norm.  For det 1 a step's sum of |entries| bounds the row sums of the
+    step and of its inverse, the adjugate, so it is orbit_product's grow.
     """
     grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
-    e1 = np.zeros((mats.shape[0] + 1,) + mats.shape[1:-1])
-    e1[0, ..., 0] = 1.0
-
-    def step(k, P):
-        P = mats[k] @ P
-        e1[k + 1] = P[..., 0]
-        return P
-
-    P, e = orbit_product(step, np.broadcast_to(np.eye(2), mats.shape[1:]),
+    P, e = orbit_product(lambda k, P: mats[k] @ P,
+                         np.broadcast_to(np.eye(2), mats.shape[1:]),
                          mats.shape[0], grow)
-    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0), e1
+    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0)
 
 
 def iterate(c: Cocycle, theta, n: int):
@@ -128,7 +119,7 @@ def iterate(c: Cocycle, theta, n: int):
         mats = c.orbit_matrices(theta, n)
     else:  # step k applies A(theta - (k + 1) alpha)^-1
         mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
-    prod, e, log_norm, _ = _product(mats)
+    prod, e, log_norm = _product(mats)
     if not log_norm <= _LOG_MAX:
         raise OverflowError(f"iterate n={n}: log-norm {float(log_norm):.4g} "
                             "exceeds the float range")
@@ -140,12 +131,11 @@ def iterate(c: Cocycle, theta, n: int):
 
 _CONE_SLOPE = 2.0
 _CONE_MARGIN = 0.05
-_WINDING_THRESHOLD = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
-    verdict: str  # uniformly_hyperbolic | not_uniform | inconclusive
+    certified: bool  # cone_margin >= _CONE_MARGIN
     orbit_length: int
     growth_exponent: float
     cone_margin: float
@@ -172,15 +162,16 @@ def _cone_image_margin(prod):
 
 def uniform_hyperbolicity_test(c: Cocycle, phases: int,
                                orbit: int) -> HyperbolicityVerdict:
-    """Cone-field certificate with a projective-winding fallback.
+    """Cone-field certificate of uniform hyperbolicity.
 
     The fixed cone |slope| <= 2 must map strictly inside itself, with the
-    margin 0.05, under the orbit-length product from every sampled phase.
-    Sustained projective rotation instead yields not_uniform.  Everything
-    else is reported as inconclusive; in particular the certificate cannot
-    see hyperbolicity inside gaps whose invariant directions wind around
-    projective space, and energies just past a spectral edge resolve only
-    once the expanding/contracting directions separate beyond the cone.
+    margin 0.05, under the orbit-length product from every sampled phase;
+    one orbit_product pass gives the products, the cone margin and the
+    growth exponent, the least log-norm per step over the phases.  The
+    certificate is sufficient only: it cannot see hyperbolicity inside
+    gaps whose invariant directions wind around projective space, and
+    energies just past a spectral edge certify only once the expanding
+    and contracting directions separate beyond the cone.
     """
     if phases < 1:
         raise ValueError("phases >= 1 required")
@@ -188,16 +179,8 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int,
         raise ValueError("orbit >= 10 required")
     theta = phase_samples(c.freq.dim, phases)
     mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
-    # the principal-branch winding of e1, from the product's first columns
-    prod, _, log_norm, e1 = _product(mats)
-    winding = principal_winding(e1[..., 0], e1[..., 1])
+    prod, _, log_norm = _product(mats)
     growth = float(np.min(log_norm) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
-
-    if cone_margin >= _CONE_MARGIN:
-        verdict = "uniformly_hyperbolic"
-    elif np.abs(winding).max() >= _WINDING_THRESHOLD:
-        verdict = "not_uniform"
-    else:
-        verdict = "inconclusive"
-    return HyperbolicityVerdict(verdict, orbit, growth, cone_margin)
+    return HyperbolicityVerdict(cone_margin >= _CONE_MARGIN, orbit, growth,
+                                cone_margin)

@@ -29,8 +29,8 @@ from .errors import (BranchError, DivergenceError, DivisorError,
                      ReductionError, ResonanceError, StepSizeError)
 from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
                    project_traceless, rotation, trace2)
-from .qpcore import (FourierSeries, Frequency, ck_norm, dist_to_int,
-                     integer_ball)
+from .qpcore import (FourierSeries, Frequency, array_elements, ck_norm,
+                     dist_to_int, integer_ball)
 from .rotnum import rotation_series, schrodinger_rotation_grid
 
 __all__ = [
@@ -70,6 +70,11 @@ _EDGE_RHO_ITERATIONS = 20000
 # each within the integer_ball cap
 _WINDOW_CAP = {1: 100000, 2: 723, 3: 60}
 _RESIDUAL_POINTS = {1: 256, 2: 16, 3: 7}
+# radius, per unit of the start radius r, that one pass of a run's first
+# step reaches: averaging and conjugation each extract at twice the
+# support, the closing average doubles it again, and the residual check
+# lifts that to the double cover (the conjugacy stays within 7 r + 4)
+_FIRST_STEP_REACH = 16
 # quadratic-tail constant: exponent-2 instance of 8 * sum_m (2 pi m)^-p
 _D_TAU = 8.0 * (math.pi ** 2 / 6.0) / (4.0 * math.pi ** 2)
 
@@ -692,8 +697,14 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     band, capped per dimension, and the threshold follows the measured
     perturbation norm.  Divergence (two consecutive non-contracting
     steps) raises with the ledger attached.
-    A non-finite f, or one above the entry gate, raises before any step.
+    A non-finite f, or one above the entry gate, raises before any step,
+    and so does SizeError when a series of the first step, at up to
+    _FIRST_STEP_REACH times the radius of f, would pass the element cap.
     """
+    reach = _FIRST_STEP_REACH * max(f.radius, 1)
+    array_elements(f"modes up to |n| = {f.radius}, which the first step "
+                   f"takes to |n| = {reach} in {f.dim}-D,",
+                   (4 * reach + 1) ** f.dim)
     finite = all(np.isfinite(c).all() for c in f.coeffs.values())
     norm0 = _perturbation_norm(f) if finite else math.nan
     if not norm0 <= _START_NORM:
@@ -831,12 +842,17 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
 def _admit_edge(V: FourierSeries, freq: Frequency, m, energy) -> None:
     """Admit the exact transfer cocycle at a gap-edge energy, or raise.
 
-    The cone test must not certify uniform hyperbolicity, and the fibered
-    rotation number must satisfy 2 rho = <m, alpha> mod Z.
+    The gate is the cone certificate alone: the energy is rejected when
+    the cone test certifies uniform hyperbolicity.  The certificate is
+    sufficient only, and the fixed cone never certifies inside a labelled
+    gap, whose invariant directions wind with the phase; so the gate
+    rejects only energies that the cone resolves, outside the spectrum's
+    hull.  The fibered rotation number must then satisfy
+    2 rho = <m, alpha> mod Z.
     """
     verdict = uniform_hyperbolicity_test(
         schrodinger_cocycle(V, energy, freq), phases=8, orbit=2000)
-    if verdict.verdict == "uniformly_hyperbolic":
+    if verdict.certified:
         raise ReductionError(
             "cocycle is uniformly hyperbolic: the energy sits inside a gap, "
             "not at an edge")
@@ -1023,13 +1039,15 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     """Gap-edge datum zeta and its predicted local gap bound.
 
     edge is the resolved right edge of the gap labelled m, to accuracy
-    window.  The transfer cocycle is taken one window into the gap,
-    which keeps the rotation number locked while the trace defect stays
-    within the relaxed parabolic slack max(1e-6, 20 window).  That exact
-    cocycle must pass the cone test and match m by its rotation number;
-    it is then written as R_rho e^{f} around the elliptic normal form of
-    its average and reduced to the parabolic normal form.  delta defaults
-    to half the smaller of the contraction guard and zeta^(17/18).
+    window.  The transfer cocycle is taken one window into the gap, at
+    edge - window, which keeps the rotation number locked while the trace
+    defect stays within the relaxed parabolic slack max(1e-6, 20 window).
+    That exact cocycle must pass _admit_edge: the cone test must not
+    certify it, which it cannot one window inside a labelled gap, and its
+    rotation number must match m.  It is then written as R_rho e^{f}
+    around the elliptic normal form of its average and reduced to the
+    parabolic normal form.  delta defaults to half the smaller of the
+    contraction guard and zeta^(17/18).
 
     Returns {"zeta", "delta", "mp", "bound"}: the edge datum, the step
     size, the MoserPoschelData of that step and its gap_edge_bound.

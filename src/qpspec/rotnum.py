@@ -24,7 +24,6 @@ __all__ = [
     "orbit_product",
     "schrodinger_rotation_grid",
     "rotation_series",
-    "principal_winding",
     "degree",
     "conjugated_rotation",
 ]
@@ -269,17 +268,6 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
     return _estimate(total, half_total, n_iters // 2, n_iters, True)
 
 
-def principal_winding(x, y):
-    """Winding of the vectors (x[k], y[k]) along the first axis.
-
-    Sums the principal branch, in [-pi, pi), of each difference of
-    consecutive angles arctan2(y, x); a later axis holds lanes.  Exact
-    while every true step turns by less than pi.
-    """
-    steps = np.diff(np.arctan2(y, x), axis=0)
-    return ((steps + math.pi) % _TWO_PI - math.pi).sum(axis=0)
-
-
 def rotation_series(n_vec) -> FourierSeries:
     """Matrix series of theta -> R_{<n, theta>/2} on the doubled torus."""
     n_vec = tuple(int(x) for x in np.atleast_1d(n_vec))
@@ -315,7 +303,10 @@ def degree(B: FourierSeries, freq: Frequency):
         if norms.min() < 1e-8:
             raise DegreeError("first column of the conjugacy degenerates "
                               f"along axis {axis}")
-        total = principal_winding(col[:, 0], col[:, 1]) * (2.0 / span)
+        # principal branch, in [-pi, pi), of each step of the column's
+        # angle; exact while every true step turns by less than pi
+        steps = np.diff(np.arctan2(col[:, 1], col[:, 0]))
+        total = ((steps + math.pi) % _TWO_PI - math.pi).sum() * (2.0 / span)
         deg = round(total / _TWO_PI)
         if abs(total / _TWO_PI - deg) > 0.25:
             raise DegreeError(f"winding {total / _TWO_PI:.3f} along axis "

@@ -1041,6 +1041,12 @@ _OVERSIZED = [
     ("kam", "amo", "kam.perturbation",
      {"terms": {"1000000000000": [[1e-3, 0.0], [0.0, -1e-3]]}},
      "kam.perturbation.terms: modes up to |n| = 1000000000000"),
+    # a kam run's first step reaches 16 times the perturbation's radius
+    ("kam", "amo", "kam.perturbation.terms",
+     {"262143": [[1e-3, 0.0], [0.0, -1e-3]]},
+     "kam.perturbation.terms: modes up to |n| = 262143, which the first"),
+    ("kam", "amo", "kam.perturbation.radius", 16384,
+     "kam.perturbation: modes up to |n| = 16384, which the first"),
 ]
 
 

@@ -121,7 +121,7 @@ def test_det_drift_long_products(freq):
 def test_verdict_free_hyperbolic(freq):
     c = schrodinger_cocycle(_zero_potential(), 3.0, freq)
     v = uniform_hyperbolicity_test(c, phases=8, orbit=200)
-    assert v.verdict == "uniformly_hyperbolic"
+    assert v.certified
     # finite-orbit estimate carries an O(1/orbit) bias from the eigenbasis
     assert v.growth_exponent == pytest.approx(math.log((3 + math.sqrt(5)) / 2),
                                               abs=5e-3)
@@ -131,52 +131,64 @@ def test_verdict_free_hyperbolic(freq):
 def test_verdict_free_elliptic(freq):
     c = schrodinger_cocycle(_zero_potential(), 0.0, freq)
     v = uniform_hyperbolicity_test(c, phases=4, orbit=100)
-    assert v.verdict == "not_uniform"
+    assert not v.certified
 
 
 def test_verdict_free_energy_dichotomy(freq):
     # the fixed-width cone resolves |E| > 2 once the expanding and
     # contracting slopes separate past the cone boundary (|E| >= 2.52 here);
-    # elliptic energies below 2 - margin always wind
+    # elliptic energies are never certified
     for E in (2.6, 3.0, 4.0, 6.0):
         for sign in (1.0, -1.0):
             c = schrodinger_cocycle(_zero_potential(), sign * E, freq)
             v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
-            assert v.verdict == "uniformly_hyperbolic", (sign * E, v)
+            assert v.certified, (sign * E, v)
     for E in (0.0, 0.5, 1.0, 1.5, 1.9):
         for sign in (1.0, -1.0):
             c = schrodinger_cocycle(_zero_potential(), sign * E, freq)
             v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
-            assert v.verdict == "not_uniform", (sign * E, v)
+            assert not v.certified, (sign * E, v)
+
+
+@pytest.mark.parametrize("E", [0.5, 1.5, 1.9, 2.01, 2.1, 2.3, 2.6, 3.0, 4.0,
+                               6.0, 40.0])
+def test_verdict_is_even_in_the_free_energy(freq, E):
+    # A(-E) = -D A(E) D with D = diag(1, -1), so every product at -E is
+    # +-D P D: the same norms and the mirrored cone image, bit for bit
+    up, down = (uniform_hyperbolicity_test(
+        schrodinger_cocycle(_zero_potential(), sign * E, freq), phases=4,
+        orbit=300) for sign in (1.0, -1.0))
+    assert up == down
 
 
 def test_verdict_amo_above_spectrum(freq):
     # spectrum of the coupling-0.3 operator lies inside [-2.6, 2.6]
     c = schrodinger_cocycle(amo_potential(0.3), 3.2, freq)
     v = uniform_hyperbolicity_test(c, phases=8, orbit=300)
-    assert v.verdict == "uniformly_hyperbolic"
+    assert v.certified
     assert v.growth_exponent > 0.1
 
 
 def test_verdict_amo_in_spectrum(freq):
     c = schrodinger_cocycle(amo_potential(0.3), 0.0, freq)
     v = uniform_hyperbolicity_test(c, phases=4, orbit=400)
-    assert v.verdict == "not_uniform"
+    assert not v.certified
 
 
 def test_rotation_cocycle_winding(freq):
     c = constant_cocycle(freq, mat2.rotation(0.17))
     v = uniform_hyperbolicity_test(c, phases=2, orbit=50)
-    assert v.verdict == "not_uniform"
+    assert not v.certified
     assert v.growth_exponent == pytest.approx(0.0, abs=1e-12)
 
 
-def test_verdict_amo_below_spectrum_inconclusive(freq):
-    # the short cone test sees neither a certificate nor 4 pi of principal-
-    # branch winding here; a lifted winding would report not_uniform
+def test_verdict_amo_below_spectrum_not_certified(freq):
+    # outside the hull, yet too close to it for the fixed cone at this
+    # orbit length: the certificate is sufficient only
     c = schrodinger_cocycle(amo_potential(0.3), -2.75, freq)
     v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
-    assert v.verdict == "inconclusive"
+    assert not v.certified
+    assert v.growth_exponent > 0.5
 
 
 @pytest.mark.parametrize("n", [1000, -1000])
@@ -208,6 +220,6 @@ def test_iterate_and_verdict_far_above_spectrum(freq):
     got = iterate(c, 0.3, 100)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
-    assert v.verdict == "uniformly_hyperbolic"
+    assert v.certified
     assert v.growth_exponent == pytest.approx(math.log(20 + math.sqrt(399)),
                                               abs=1e-2)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qpspec import kam
-from qpspec.errors import DivisorError, ReductionError, ResonanceError
+from qpspec.errors import (DivisorError, ReductionError, ResonanceError,
+                           SizeError)
 from qpspec.kam import (
     KamState,
     MoserPoschelData,
@@ -524,6 +525,26 @@ def test_run_entry_gate_rejects_non_finite(freq, bad):
     f = FourierSeries(1, 1, {(1,): c, (-1,): c}, 1)
     with pytest.raises(kam._EntryGateError, match="entry gate"):
         almost_reducibility_run(rotation(0.17), f, freq)
+
+
+@pytest.mark.parametrize("radius,dim", [(16383, 1), (15, 2), (1, 3)])
+def test_run_checks_the_first_step_reach_before_any_step(radius, dim):
+    # the first step reaches 16 times the start radius, a series grid of
+    # (64 radius + 1)^dim points: the largest radius under the element cap
+    # meets the entry gate, and one more raises SizeError before it
+    freq = diophantine_check(
+        [GOLDEN, math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0][:dim], 1e-3,
+        3.5, 10)
+    mode = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def run(r):
+        f = kam.explicit_sl2_series({(r,) + (0,) * (dim - 1): mode}, dim)
+        return almost_reducibility_run(rotation(0.17), f, freq)
+
+    with pytest.raises(kam._EntryGateError, match="entry gate"):
+        run(radius)
+    with pytest.raises(SizeError, match=rf"\|n\| = {16 * (radius + 1)} in"):
+        run(radius + 1)
 
 
 def test_run_zero_perturbation_stops_immediately(freq):

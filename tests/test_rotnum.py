@@ -481,7 +481,7 @@ def test_stack_product_matches_the_renormalized_loop(freq, case):
         "rotation_lanes": lambda: _phase_stack(
             constant_cocycle(freq, mat2.rotation(0.31)), 8, 2000),
     }[case]()
-    P, e, log_norm, _ = cocycle._product(mats)
+    P, e, log_norm = cocycle._product(mats)
     want, want_log = _renormalized_product(mats)
     assert P.shape == want.shape and np.shape(e) == np.shape(want_log)
 
@@ -722,44 +722,26 @@ def _cone_cocycle(freq, V, E):
 
 
 def test_cone_test_runs_one_product(freq, monkeypatch):
-    # one orbit_product pass, and the winding reads that pass's columns
-    lengths, columns, wound = [], [], []
+    # one orbit_product pass, and the cone margin reads that pass's product
+    lengths, products = [], []
 
     def spy(step, *args, **kwargs):
         lengths.append(args[1])
-
-        def recorded(k, P):
-            P = step(k, P)
-            columns.append(P[..., 0].copy())
-            return P
-
-        return orbit_product(recorded, *args, **kwargs)
+        products.append(orbit_product(step, *args, **kwargs))
+        return products[-1]
 
     monkeypatch.setattr(cocycle, "orbit_product", spy)
-    monkeypatch.setattr(cocycle, "principal_winding",
-                        lambda x, y: wound.append((x, y)) or np.zeros(4))
-    cocycle.uniform_hyperbolicity_test(
+    got = cocycle.uniform_hyperbolicity_test(
         schrodinger_cocycle(amo_potential(0.3), 0.0, freq), 4, 400)
     assert lengths == [400]
-    (x, y), = wound
-    assert x.shape == y.shape == (401, 4)
-    assert np.all(x[0] == 1.0) and np.all(y[0] == 0.0)
-    np.testing.assert_array_equal(np.stack([x[1:], y[1:]], axis=-1),
-                                  np.array(columns))
+    (P, _), = products
+    assert got.cone_margin == min(cocycle._cone_image_margin(p) for p in P)
 
 
 @pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
-def test_cone_test_matches_two_pass_walk(freq, monkeypatch, V, E, phases,
-                                         orbit):
-    # the two-pass cone test ran the product, then a principal-branch walk
-    # of e1; the one pass takes the winding from the product's columns
-    windings = []
-
-    def spy(*args):
-        windings.append(rotnum.principal_winding(*args))
-        return windings[-1]
-
-    monkeypatch.setattr(cocycle, "principal_winding", spy)
+def test_cone_test_matches_two_pass_walk(freq, V, E, phases, orbit):
+    # the verdict, margin and growth exponent of the product recomputed
+    # from the orbit matrices with a plain matrix step
     c = _cone_cocycle(freq, V, E)
     got = cocycle.uniform_hyperbolicity_test(c, phases, orbit)
 
@@ -771,31 +753,8 @@ def test_cone_test_matches_two_pass_walk(freq, monkeypatch, V, E, phases,
                          grow)
     log_norm = np.log(mat2.norm2(P)) + e * math.log(2.0)
     margin = min(cocycle._cone_image_margin(P[p]) for p in range(phases))
-    advances = []
-    step = _matrix_step(mats)
-
-    def recorded(k, v0, v1):
-        w0, w1 = step(k, v0, v1)
-        advances.append(np.arctan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1))
-        return w0, w1
-
-    winding = _walk(recorded, np.ones(phases), np.zeros(phases), orbit,
-                    transfer=False)[0]
-    if margin >= 0.05:
-        verdict = "uniformly_hyperbolic"
-    elif np.abs(winding).max() >= 4.0 * math.pi:
-        verdict = "not_uniform"
-    else:
-        verdict = "inconclusive"
     assert got == cocycle.HyperbolicityVerdict(
-        verdict, orbit, float(np.min(log_norm) / orbit), margin)
-    # where a step turns by pi up to rounding its principal branch is
-    # rounding's choice: below the spectrum, where the cone decides
-    if math.pi - np.abs(advances).max() > 1e-9:
-        np.testing.assert_allclose(windings[0], winding, rtol=0.0,
-                                   atol=1e-9)
-    else:
-        assert verdict == "uniformly_hyperbolic" and E < -2.0
+        margin >= 0.05, orbit, float(np.min(log_norm) / orbit), margin)
 
 
 def test_orbit_walk_has_one_owner():
@@ -816,9 +775,10 @@ def test_orbit_walk_has_one_owner():
                     if isinstance(node, ast.ImportFrom)
                     for a in node.names if a.name.startswith("_")
                     and not a.name.endswith("__")]
-    # the rotation grid winds column e1 through _lift
-    assert owners == {"rotnum.rotation_from_orbit",
-                      "rotnum.principal_winding", "rotnum._lift"}
+    # the rotation grid takes column e1's principal angle through _lift,
+    # and degree steps the angle of a conjugacy's first column
+    assert owners == {"rotnum.rotation_from_orbit", "rotnum.degree",
+                      "rotnum._lift"}
     assert nested == []
     assert private == []
 
