@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .qpcore import (
     Frequency,
     FourierSeries,
-    CkNorm,
     diophantine_check,
     ck_norm,
     cosine_polynomial,
@@ -38,7 +37,6 @@ from .errors import (
 __all__ = [
     "Frequency",
     "FourierSeries",
-    "CkNorm",
     "diophantine_check",
     "ck_norm",
     "cosine_polynomial",

@@ -440,8 +440,7 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
         raise ConfigError("decay command needs the 'ck' potential family")
     eps, k, modes = _ck_spec(spec)
     # the C^k norm sums over the multi-index ball of radius k
-    c_norm = _admitted("potential.k", ck_norm, ck_potential(1.0, k, modes),
-                       k).upper
+    c_norm = _admitted("potential.k", ck_norm, ck_potential(1.0, k, modes), k)
     labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
                            eps * c_norm, k)

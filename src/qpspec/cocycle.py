@@ -48,10 +48,6 @@ class Cocycle:
         if defect > _DET_TOL:
             raise ValueError(f"det deviates from 1 by {defect:.3e} on grid")
 
-    def matrix(self, theta):
-        """Evaluate the map at one phase or an array of phases."""
-        return self.map_series.evaluate(theta)
-
     def orbit_matrices(self, theta0, n):
         """Map values along theta0, theta0+alpha, ..., theta0+(n-1)alpha.
 

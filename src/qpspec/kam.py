@@ -181,11 +181,6 @@ def _zero_mode(f: FourierSeries) -> np.ndarray:
     return project_traceless(np.asarray(c).real)
 
 
-def _perturbation_norm(f: FourierSeries) -> float:
-    """Coefficient-sum bound for the sup norm; the engine's step metric."""
-    return ck_norm(f, 0).upper
-
-
 class _EntryGateError(DivergenceError, ValueError):
     """Start-norm gate failure; also a ValueError for direct engine callers."""
 
@@ -331,7 +326,7 @@ class KamState:
     residual_tol: float
 
     def norm(self) -> float:
-        return _perturbation_norm(self.f)
+        return ck_norm(self.f, 0)
 
     def conjugacy_norm(self) -> float:
         return self.B_accum.sup_norm()
@@ -504,13 +499,13 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
         f_cur = _conjugate_pointwise(A_cur, f_cur, Y, state.freq, out_radius)
         step = _exp_series(Y)
         conj = step if conj is None else _series_product(conj, step)
-        cur = _perturbation_norm(f_cur)
+        cur = ck_norm(f_cur, 0)
         if cur <= max(target, 1e-15) or cur > 0.5 * prev:
             break
         prev = cur
     A_cur, f_cur = _absorb_average(A_cur, f_cur)
 
-    after = _perturbation_norm(f_cur)
+    after = ck_norm(f_cur, 0)
     B_new = state.B_accum if conj is None else _series_product(
         state.B_accum, _lift_double(conj))
     out = replace(state, A=A_cur, f=f_cur, B_accum=B_new)
@@ -655,7 +650,7 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
         _constant_series(Q, state.freq.dim, 1), _exp_series(Y))), twist)
     B_new = _series_product(state.B_accum, step)
 
-    after = _perturbation_norm(f_new)
+    after = ck_norm(f_new, 0)
     out = replace(
         state, A=A_new, f=f_new, B_accum=B_new,
         deg_accum=tuple(d + v for d, v in zip(state.deg_accum, n_star)))
@@ -706,7 +701,7 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
                    f"takes to |n| = {reach} in {f.dim}-D,",
                    (4 * reach + 1) ** f.dim)
     finite = all(np.isfinite(c).all() for c in f.coeffs.values())
-    norm0 = _perturbation_norm(f) if finite else math.nan
+    norm0 = ck_norm(f, 0) if finite else math.nan
     if not norm0 <= _START_NORM:
         raise _EntryGateError(f"starting perturbation norm {norm0:.3e} is "
                               f"outside the entry gate {_START_NORM:.0e}")
@@ -952,7 +947,7 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
         raise ValueError("zeta must lie in (0, 1/2)")
     if not X.is_matrix:
         raise ValueError("conjugacy must be matrix-valued")
-    x_norm = ck_norm(X, 0).upper
+    x_norm = ck_norm(X, 0)
     guard = _delta_guard(x_norm, freq)
     if not 0.0 < delta < guard:
         raise StepSizeError(
@@ -1082,7 +1077,7 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
             "step is not defined on this side of the gap")
     B = reduced["B"]
     if delta is None:
-        delta = 0.5 * min(_delta_guard(ck_norm(B, 0).upper, freq),
+        delta = 0.5 * min(_delta_guard(ck_norm(B, 0), freq),
                           zeta ** (17.0 / 18.0))
     mp = moser_poschel_step(B, zeta, delta, freq)
     return {"zeta": zeta, "delta": delta, "mp": mp,

@@ -9,13 +9,12 @@ with |n| the sup-norm on Z^d throughout, p = 1 for functions on T^d and
 p = 2 on the double cover 2T^d (half-integer harmonics).  Reality is the
 pairing c_{-n} = conj(c_n).
 
-The C^k size of f is reported as a two-sided pair: a grid lower bound (sup of
-all partial derivatives up to order k on a fixed evaluation grid) and the
-conservative coefficient upper bound
+The C^k size of f is the coefficient bound (ck_norm)
 
-    max_{|j| <= k} sum_n prod_i |2 pi n_i / p|^{j_i} * |c_n|.
+    max_{|j|_1 <= k} sum_n prod_i |2 pi n_i / p|^{j_i} * |c_n|,
 
-Theorem-style comparisons always consume the upper bound.
+which bounds every partial derivative of order <= k from above; every
+theorem-style comparison reads it.
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ class FourierSeries:
             raise ValueError("radius must be >= 0")
         if period not in (1, 2):
             raise ValueError("period must be 1 (torus) or 2 (double cover)")
-        # grid_points, which sup_norm and ck_norm evaluate on
+        # grid_points, which sup_norm and the Cocycle det check evaluate on
         array_elements(f"modes up to |n| = {radius} in {dim}-D",
                        (4 * max(radius, 1) + 1) ** dim)
         self.dim = int(dim)
@@ -296,11 +295,18 @@ class FourierSeries:
         return torus_mesh(self.dim, 4 * max(self.radius, 1) + 1, self.period)
 
     def sup_norm(self) -> float:
-        """Grid sup of |f| (scalar) or the spectral norm (matrix)."""
-        vals = self.evaluate_complex(self.grid_points())
-        if self.is_matrix:
-            return float(np.max(norm2(vals))) if vals.size else 0.0
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+        """Grid sup of |f| (scalar) or the spectral norm (matrix).
+
+        The grid is evaluated in row chunks whose phase matrix holds at
+        most _ELEMENT_CAP elements.
+        """
+        pts = self.grid_points()
+        rows = max(_ELEMENT_CAP // max(len(self.coeffs), 1), 1)
+        size = norm2 if self.is_matrix else np.abs
+        # np.max over the chunk maxima keeps a NaN, as one dense max does
+        peaks = [np.max(size(self.evaluate_complex(pts[i:i + rows])))
+                 for i in range(0, len(pts), rows)]
+        return float(np.max(peaks))
 
     # ---- structure checks ------------------------------------------------
 
@@ -399,54 +405,21 @@ def amo_potential(coupling: float) -> FourierSeries:
     return cosine_polynomial({1: 2.0 * coupling})
 
 
-@dataclass(frozen=True)
-class CkNorm:
-    """Two-sided report of the C^k size of a series.
-
-    lower: sup over the fixed evaluation grid of all partial derivatives of
-    order <= k (a true lower bound for the C^k norm).
-    upper: coefficient-sum bound (a true upper bound); conservative side used
-    in every theorem-shaped comparison.
-    """
-
-    k: int
-    lower: float
-    upper: float
-
-
-def ck_norm(f: FourierSeries, k: int) -> CkNorm:
-    """Grid lower bound and coefficient upper bound for the C^k norm."""
+def ck_norm(f: FourierSeries, k: int) -> float:
+    """Coefficient bound for the C^k norm of f: the largest, over j >= 0
+    with |j|_1 <= k, of sum_n prod_i |2 pi n_i / p|^{j_i} ||c_n||, where
+    ||c_n|| is the modulus or, for a matrix series, the spectral norm."""
     if k < 0:
         raise ValueError("k must be >= 0")
     modes, values = f._arrays()
-    if values.size == 0:
-        return CkNorm(k=k, lower=0.0, upper=0.0)
-    pts = f.grid_points()
-    phase = np.exp((_TWO_PI * 1j / f.period) * (pts @ modes.T))
     scale = _TWO_PI / f.period
-    if f.is_matrix:
-        coeff_norm = norm2(values)
-    else:
-        coeff_norm = np.abs(values)
-    # multi-indices j >= 0 with |j|_1 <= k, by order, then lexicographic
+    coeff_norm = norm2(values) if f.is_matrix else np.abs(values)
     js = integer_ball(f.dim, k)
-    js = js[(js >= 0).all(axis=1) & (js.sum(axis=1) <= k)]
-    js = js[np.argsort(js.sum(axis=1), kind="stable")]
-    lower = 0.0
-    upper = 0.0
-    for j in js.tolist():
+    bound = 0.0
+    for j in js[(js >= 0).all(axis=1) & (js.sum(axis=1) <= k)].tolist():
         deriv_mag = np.ones(modes.shape[0])
-        deriv_fac = np.ones(modes.shape[0], dtype=complex)
         for axis, power in enumerate(j):
             if power:
                 deriv_mag *= np.abs(scale * modes[:, axis]) ** power
-                deriv_fac *= (1j * scale * modes[:, axis]) ** power
-        upper = max(upper, float(np.sum(deriv_mag * coeff_norm)))
-        if f.is_matrix:
-            grid_vals = np.einsum("pk,kij->pij", phase, deriv_fac[:, None, None]
-                                  * values)
-            lower = max(lower, float(np.max(norm2(grid_vals))))
-        else:
-            grid_vals = phase @ (deriv_fac * values)
-            lower = max(lower, float(np.max(np.abs(grid_vals))))
-    return CkNorm(k=k, lower=lower, upper=upper)
+        bound = max(bound, float(np.sum(deriv_mag * coeff_norm)))
+    return bound

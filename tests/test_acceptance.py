@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from qpspec import kam
 from qpspec.cli import main as cli_main
 from qpspec.gaps import (decay_profile, detect_gaps, gap_separation_check,
                          holder_modulus, homogeneity_profile, label_all)
@@ -105,7 +104,7 @@ def test_criterion_04_gap_decay_bound(golden):
     eps, k = 0.01, 6
     V = cosine_polynomial({n: eps * float(n) ** -k for n in range(1, 9)})
     unit = cosine_polynomial({n: float(n) ** -k for n in range(1, 9)})
-    c_norm = ck_norm(unit, k).upper
+    c_norm = ck_norm(unit, k)
     H = TruncatedOperator.sampled(V, golden, 6000, 8)
     scan = spectrum_scan(V, golden, L=6000, phases=8, resolution=2e-3,
                          operator=H)
@@ -124,7 +123,7 @@ def test_criterion_04_gap_decay_bound(golden):
 def test_criterion_05_kam_contraction(golden):
     t0 = time.perf_counter()
     f0 = seeded_sl2_series(2.5e-4, 3, 11)
-    scale = 1e-3 / kam._perturbation_norm(f0)
+    scale = 1e-3 / ck_norm(f0, 0)
     f = FourierSeries(1, f0.support_radius(),
                       {n: scale * v for n, v in f0.coeffs.items()}, 1)
     state = almost_reducibility_run(rotation(0.17), f, golden)

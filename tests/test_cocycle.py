@@ -30,19 +30,22 @@ def _zero_potential():
 
 def test_schrodinger_matrix_free(freq):
     c = schrodinger_cocycle(_zero_potential(), 0.0, freq)
-    np.testing.assert_allclose(c.matrix(0.37), [[0, -1], [1, 0]], atol=1e-14)
+    np.testing.assert_allclose(c.map_series.evaluate(0.37), [[0, -1], [1, 0]],
+                               atol=1e-14)
     c3 = schrodinger_cocycle(_zero_potential(), 3.0, freq)
-    np.testing.assert_allclose(c3.matrix(0.8), [[3, -1], [1, 0]], atol=1e-14)
+    np.testing.assert_allclose(c3.map_series.evaluate(0.8), [[3, -1], [1, 0]],
+                               atol=1e-14)
 
 
 def test_schrodinger_matrix_amo(freq):
     c = schrodinger_cocycle(amo_potential(0.3), 1.0, freq)
-    np.testing.assert_allclose(c.matrix(0.0), [[0.4, -1], [1, 0]], atol=1e-12)
+    np.testing.assert_allclose(c.map_series.evaluate(0.0), [[0.4, -1], [1, 0]],
+                               atol=1e-12)
 
 
 def test_det_one_on_grid(freq):
     c = schrodinger_cocycle(amo_potential(0.7), 0.3, freq)
-    vals = c.matrix(np.linspace(0, 1, 32)[:, None])
+    vals = c.map_series.evaluate(np.linspace(0, 1, 32)[:, None])
     np.testing.assert_allclose(mat2.det2(vals), 1.0, atol=1e-12)
 
 
@@ -62,7 +65,7 @@ def test_iterate_inverse_identity(freq):
     theta = 0.23
     alpha = freq.alpha[0]
     back = iterate(c, theta, -1)
-    fwd = c.matrix(theta - alpha)
+    fwd = c.map_series.evaluate(theta - alpha)
     np.testing.assert_allclose(back @ fwd, np.eye(2), atol=1e-12)
 
 
@@ -74,7 +77,7 @@ def test_iterate_scalar_phase_on_two_torus():
     theta = np.array([0.2, 0.2])
     want = np.eye(2)
     for k in range(3):
-        want = c.matrix(theta + k * f2.vec) @ want
+        want = c.map_series.evaluate(theta + k * f2.vec) @ want
     np.testing.assert_allclose(iterate(c, 0.2, 3), want, atol=1e-13)
 
 

@@ -30,8 +30,8 @@ from qpspec.kam import (
     resonant_step,
 )
 from qpspec.mat2 import exp_sl2, log_sl2, norm2, rotation
-from qpspec.qpcore import (FourierSeries, diophantine_check, dist_to_int,
-                           torus_mesh)
+from qpspec.qpcore import (FourierSeries, ck_norm, diophantine_check,
+                           dist_to_int, torus_mesh)
 from qpspec.rotnum import conjugated_rotation, rotation_series
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -650,7 +650,7 @@ def test_reduce_constant_parabolic_identity_conjugacy(freq):
 
 def test_reduce_twisted_edge_recovers_jump(freq):
     base, f = _twist_edge_perturbation(freq, 0.004)
-    assert kam._perturbation_norm(f) < 1e-2
+    assert ck_norm(f, 0) < 1e-2
     out = reduce_to_parabolic(base, f, freq, 1)
     assert abs(out["zeta"] - 0.004) < 1e-8
     assert tuple(out["state"].deg_accum) == (1,)

@@ -140,40 +140,97 @@ def test_cosine_polynomial_zero_mode():
 # C^k norms
 
 
+def _grid_sup(f, k):
+    """Sup of |d^j f| (the spectral norm for a matrix series) over every
+    j >= 0 with |j|_1 <= k, each derivative evaluated as the series with
+    coefficients prod_i (2 pi i n_i / p)^{j_i} c_n on the torus_mesh of
+    4 * radius + 1 points per axis; a lower bound for the C^k norm."""
+    mesh = qc.torus_mesh(f.dim, 4 * max(f.radius, 1) + 1, f.period)
+    sup = 0.0
+    for powers in itertools.product(range(k + 1), repeat=f.dim):
+        if sum(powers) > k:
+            continue
+        coeffs = {n: c * math.prod((2j * math.pi * m / f.period) ** p
+                                   for m, p in zip(n, powers))
+                  for n, c in f.coeffs.items()}
+        vals = qc.FourierSeries(f.dim, f.radius, coeffs,
+                                f.period).evaluate(mesh)
+        size = np.linalg.norm(vals, 2, axis=(-2, -1)) if f.is_matrix \
+            else np.abs(vals)
+        sup = max(sup, float(np.max(size)))
+    return sup
+
+
 def test_ck_norm_single_cosine():
     eps = 1e-3
     f = qc.cosine_polynomial({1: eps})
-    n = qc.ck_norm(f, 1)
-    assert n.upper == pytest.approx(2 * math.pi * eps, rel=1e-12)
-    assert n.lower <= n.upper
+    bound = qc.ck_norm(f, 1)
+    assert bound == pytest.approx(2 * math.pi * eps, rel=1e-12)
+    sup = _grid_sup(f, 1)
+    assert sup <= bound
     # derivative eps * 2 pi sin(...) attains 2 pi eps up to grid resolution
-    assert n.lower == pytest.approx(2 * math.pi * eps, rel=0.05)
+    assert sup == pytest.approx(2 * math.pi * eps, rel=0.05)
 
 
 def test_ck_norm_k0_power_series():
     f = qc.cosine_polynomial({n: n**-6.0 for n in range(1, 9)})
-    n = qc.ck_norm(f, 0)
+    bound = qc.ck_norm(f, 0)
     total = sum(k**-6.0 for k in range(1, 9))
-    # f(0) is the maximum; grid contains theta = 0
-    assert n.lower == pytest.approx(total, rel=1e-12)
-    assert n.upper == pytest.approx(total, rel=1e-12)
+    # f(0) is the maximum; the mesh contains theta = 0
+    assert _grid_sup(f, 0) == pytest.approx(total, rel=1e-12)
+    assert bound == pytest.approx(total, rel=1e-12)
 
 
 def test_ck_norm_lower_never_exceeds_upper():
+    # the grid sup of the derivatives is a lower bound, ck_norm the upper
     rng = np.random.default_rng(3)
     for _ in range(10):
         terms = {n: rng.standard_normal() * n**-2.0 for n in range(1, 12)}
         f = qc.cosine_polynomial(terms)
         for k in (0, 1, 2, 6):
-            n = qc.ck_norm(f, k)
-            assert n.lower <= n.upper * (1 + 1e-12)
+            assert _grid_sup(f, k) <= qc.ck_norm(f, k) * (1 + 1e-12)
+    for dim, radius in ((1, 3), (2, 2), (3, 1)):
+        modes = qc.integer_ball(dim, radius)
+        f = qc.FourierSeries(dim, radius, {
+            tuple(n): rng.standard_normal((2, 2)) * 0.5 ** sum(map(abs, n))
+            for n in modes.tolist()}).symmetrized()
+        for k in (0, 1, 2):
+            assert _grid_sup(f, k) <= qc.ck_norm(f, k) * (1 + 1e-12)
 
 
 def test_ck_norm_two_dim():
     f = qc.cosine_polynomial({(1, 0): 1.0, (0, 1): 0.5, (2, 1): 0.25}, dim=2)
-    n = qc.ck_norm(f, 2)
-    assert n.lower <= n.upper
-    assert n.upper > 0
+    bound = qc.ck_norm(f, 2)
+    # j = (2, 0) is largest: (2 pi)^2 (1 * 1 + 2^2 * 0.25)
+    assert bound == pytest.approx(8 * math.pi ** 2, rel=1e-12)
+    assert _grid_sup(f, 2) <= bound
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("matrix", [False, True])
+@pytest.mark.parametrize("period", [1, 2])
+def test_ck_norm_is_the_coefficient_sum(dim, matrix, period):
+    rng = np.random.default_rng(10 * dim + 2 * matrix + period)
+    radius = 2
+    shape = (2, 2) if matrix else ()
+    coeffs = {}
+    for n in qc.integer_ball(dim, radius).tolist():
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[tuple(n)] = c * 10.0 ** rng.integers(-3, 2)
+    f = qc.FourierSeries(dim, radius, coeffs, period)
+    size = {n: np.linalg.norm(c, 2) if matrix else abs(c)
+            for n, c in coeffs.items()}
+    for k in (0, 1, 2, 6):
+        want = max(
+            sum(math.prod(abs(2 * math.pi * m / period) ** p
+                          for m, p in zip(n, powers)) * size[n]
+                for n in coeffs)
+            for powers in itertools.product(range(k + 1), repeat=dim)
+            if sum(powers) <= k)
+        assert qc.ck_norm(f, k) == pytest.approx(want, rel=1e-12)
+    assert qc.ck_norm(qc.FourierSeries(dim, radius, {}), 2) == 0.0
+    with pytest.raises(ValueError):
+        qc.ck_norm(f, -1)
 
 
 def test_frequency_orbit_points():
@@ -334,6 +391,60 @@ def test_sizes_above_the_element_cap_raise_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_sup_norm_chunks_the_phase_matrix(monkeypatch):
+    from qpspec import kam
+    from qpspec.mat2 import norm2
+
+    f = kam.seeded_sl2_series(1e-3, 700, 2)
+    dense = float(np.max(norm2(f.evaluate_complex(f.grid_points()))))
+    rows = []
+    evaluate = qc.FourierSeries.evaluate_complex
+
+    def spy(self, theta):
+        rows.append(len(theta))
+        return evaluate(self, theta)
+
+    monkeypatch.setattr(qc.FourierSeries, "evaluate_complex", spy)
+    # 2801 grid points x 1401 modes: four chunks of at most 2**20 elements
+    assert f.sup_norm() == dense
+    assert sum(rows) == len(f.grid_points()) and len(rows) == 4
+    assert max(rows) * len(f.coeffs) <= qc._ELEMENT_CAP
+    # a grid that fits one chunk is one call
+    rows.clear()
+    qc.amo_potential(0.3).sup_norm()
+    assert rows == [5]
+
+
+@pytest.mark.parametrize("radius,scale,limit,norm", [
+    (16383, 2.5e-4 / 32767, 2 ** 31, "qc.ck_norm(f, 0)"),
+    (2047, 1e-9, 768 * 2 ** 20, "f.sup_norm()"),
+], ids=["ck_norm", "sup_norm"])
+def test_series_norms_fit_an_address_space_limit(radius, scale, limit, norm):
+    # a child under an address-space limit: a dense (grid points x modes)
+    # phase matrix, 16 GiB for ck_norm and 512 MiB for sup_norm here,
+    # ends at once in a MemoryError
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    from qpspec import kam
+
+    code = ("from qpspec import kam, qpcore as qc; "
+            f"f = kam.seeded_sl2_series({scale!r}, {radius}, 1); "
+            f"print(repr({norm}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert out.returncode == 0, out.stderr
+    value = float(out.stdout)
+    bound = qc.ck_norm(kam.seeded_sl2_series(scale, radius, 1), 0)
+    assert 0.0 < value <= bound
 
 
 def test_torus_mesh_is_the_ij_grid():
