@@ -43,7 +43,7 @@ class Cocycle:
             raise ValueError("cocycle map must be matrix-valued")
         if self.map_series.dim != self.freq.dim:
             raise ValueError("frequency and map dimension mismatch")
-        vals = self.map_series.evaluate(self.map_series.grid_points())
+        vals = self.map_series.on_mesh()
         defect = np.abs(mat2.det2(vals) - 1.0).max()
         if defect > _DET_TOL:
             raise ValueError(f"det deviates from 1 by {defect:.3e} on grid")

@@ -92,35 +92,16 @@ def _grid(radius: int, minimum: int = 32) -> int:
     return g
 
 
-def _sample(series: FourierSeries, g: int) -> np.ndarray:
-    # scatter modes into a periodic buffer and synthesize by inverse FFT;
-    # accumulation (in key order) reproduces the aliased sum that pointwise
-    # evaluation yields on this mesh, so the result is exact for any support
-    shape = (g,) * series.dim
-    tail = (2, 2) if series.is_matrix else ()
-    buf = np.zeros(shape + tail, dtype=complex)
-    modes = np.array(list(series.coeffs), dtype=int).reshape(-1, series.dim)
-    coeffs = np.array(list(series.coeffs.values()),
-                      dtype=complex).reshape((-1,) + tail)
-    np.add.at(buf, tuple(np.mod(modes, g).T), coeffs)
-    axes = tuple(range(series.dim))
-    return np.fft.ifftn(buf, axes=axes) * float(g ** series.dim)
-
-
 def _mesh_values(g: int, span: int, *series: FourierSeries) -> list:
     """Real values of each series on the g^d mesh of [0, span)^d, shaped
-    (g,) * d plus the value shape, synthesized by _sample.  A plain-torus
-    series on the double-cover mesh is lifted first; a double-cover series
-    on the plain-torus mesh is synthesized at 2g points per axis and cut
-    to the first g."""
+    (g,) * d plus the value shape, from FourierSeries.on_mesh.  A
+    plain-torus series on the double-cover mesh is lifted first; a
+    double-cover series on the plain-torus mesh is sampled at 2g points
+    per axis and cut to the first g."""
     out = []
     for s in series:
         s = _lift_double(s) if span == 2 else s
-        vals = _sample(s, g * s.period // span)[(slice(g),) * s.dim]
-        worst = float(np.max(np.abs(vals.imag)))
-        if worst > 1e-8 * (1.0 + float(np.max(np.abs(vals)))):
-            raise ValueError(f"grid values carry imaginary residue {worst:.3e}")
-        out.append(vals.real)
+        out.append(s.on_mesh(g * s.period // span)[(slice(g),) * s.dim])
     return out
 
 
@@ -521,14 +502,21 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
 # resonant step
 
 
-def _elliptic_conjugator(A: np.ndarray, rho: float) -> np.ndarray:
-    """Real Q with det 1 and Q^{-1} A Q = R_rho, guarded by the norm bound."""
+def _elliptic_conjugator(A: np.ndarray, rho: float) -> tuple:
+    """(Q, turn): real Q with det 1 and Q^{-1} A Q = R_turn, guarded by the
+    norm bound; turn is rho when A rotates counterclockwise and -rho when
+    it rotates clockwise."""
     evals, evecs = np.linalg.eig(np.asarray(A, dtype=float))
     pick = int(np.argmax(evals.imag))
     if evals.imag[pick] <= 0.0:
         raise ReductionError("constant part is not elliptic")
     u = evecs[:, pick]
-    Q = np.column_stack([u.real, -u.imag])
+    # A [Re u, -Im u] = [Re u, -Im u] R_rho; when that basis has det < 0,
+    # flipping its second column gives det > 0 and turns A into R_{-rho}
+    Q, turn = np.column_stack([u.real, -u.imag]), rho
+    if det2(Q) < 0.0:
+        Q[:, 1] *= -1.0
+        turn = -rho
     d = float(det2(Q))
     if d <= 0.0:
         raise ReductionError("degenerate eigenbasis for the elliptic constant")
@@ -538,10 +526,10 @@ def _elliptic_conjugator(A: np.ndarray, rho: float) -> np.ndarray:
         raise ReductionError(
             f"conjugator norm {float(norm2(Q)):.3e} exceeds the elliptic "
             f"bound {bound:.3e}")
-    defect = float(norm2(inv2(Q) @ A @ Q - rotation(rho)))
+    defect = float(norm2(inv2(Q) @ A @ Q - rotation(turn)))
     if defect > 1e-8 * (1.0 + float(norm2(A))):
         raise ReductionError(f"elliptic normal form defect {defect:.3e}")
-    return Q
+    return Q, turn
 
 
 def _sl2_components(c: np.ndarray) -> tuple:
@@ -607,7 +595,9 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     Normalizes the elliptic constant to a true rotation, removes every
     non-resonant line, conjugates by R_{<n*, theta>/2} so the resonant
     line lands at frequency zero, and absorbs the surviving average
-    into the constant.  The accumulated degree grows by n*.
+    into the constant.  A clockwise constant is R_{-rho}, so its twist
+    site is -n*.  The accumulated degree grows by the twist site, which
+    the ledger row records.
     """
     n_star = tuple(int(v) for v in n_star)
     if len(n_star) != state.freq.dim or not any(n_star):
@@ -619,25 +609,26 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     rho = info["rho"]
     before = state.norm()
 
-    Q = _elliptic_conjugator(state.A, rho)
+    Q, turn = _elliptic_conjugator(state.A, rho)
+    site = n_star if turn > 0.0 else tuple(-v for v in n_star)
     Q_inv = inv2(Q)
     f_rot = FourierSeries(
         state.f.dim, max(state.f.radius, 1),
         {k: Q_inv @ np.asarray(c) @ Q for k, c in state.f.coeffs.items()},
         period=1)
 
-    Y = _solve_resonant_modes(f_rot, rho, n_star, state.freq)
-    R = rotation(rho)
+    Y = _solve_resonant_modes(f_rot, turn, site, state.freq)
+    R = rotation(turn)
     star_size = max(abs(v) for v in n_star)
     out_radius = max(2 * max(f_rot.support_radius(), Y.support_radius(), 1),
                      star_size + 1)
     f_kept = _conjugate_pointwise(R, f_rot, Y, state.freq, out_radius)
 
     # half-angle twist: moves the resonant line to frequency zero and
-    # shifts the constant rotation by <n*, alpha>/2
-    twist = rotation_series(n_star)
-    shift = 0.5 * float(np.dot(n_star, state.freq.vec))
-    A_mid = rotation(rho - shift)
+    # shifts the constant rotation by <site, alpha>/2
+    twist = rotation_series(site)
+    shift = 0.5 * float(np.dot(site, state.freq.vec))
+    A_mid = rotation(turn - shift)
     band = f_kept.support_radius() + star_size
     z_here, z_next, f_vals = _mesh_values(
         _grid(2 * band + 2), 1, twist, twist.shifted(state.freq.vec), f_kept)
@@ -653,11 +644,11 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     after = ck_norm(f_new, 0)
     out = replace(
         state, A=A_new, f=f_new, B_accum=B_new,
-        deg_accum=tuple(d + v for d, v in zip(state.deg_accum, n_star)))
+        deg_accum=tuple(d + v for d, v in zip(state.deg_accum, site)))
     row = LedgerStep(
         step=len(state.ledger), kind="resonant", norm_before=before,
         norm_after=after, rho=rho, window=None, threshold=None, band=None,
-        n_star=n_star, inner_passes=1, residual=out.check_residual(),
+        n_star=site, inner_passes=1, residual=out.check_residual(),
         bch_defect=_bch_diagnostic(A_mid, _zero_mode(f_mid), A_new))
     return replace(out, ledger=state.ledger + (row,))
 
@@ -948,6 +939,8 @@ def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
     if not X.is_matrix:
         raise ValueError("conjugacy must be matrix-valued")
     x_norm = ck_norm(X, 0)
+    if not math.isfinite(x_norm):
+        raise ReductionError(f"conjugacy norm {x_norm} is not finite")
     guard = _delta_guard(x_norm, freq)
     if not 0.0 < delta < guard:
         raise StepSizeError(
@@ -1057,8 +1050,8 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
             "averaged transfer matrix at the gap edge is not elliptic; "
             "no rotation normal form to expand around")
     _admit_edge(V, freq, m, e_reduce)
-    Q = _elliptic_conjugator(const, info["rho"])
-    A = rotation(info["rho"])
+    Q, turn = _elliptic_conjugator(const, info["rho"])
+    A = rotation(turn)
     band = max(V.support_radius(), 1)
     v_vals, = _mesh_values(_grid(4 * band), 1, V)
     cocycle_vals = np.zeros(v_vals.shape + (2, 2))

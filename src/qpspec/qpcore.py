@@ -82,17 +82,6 @@ def integer_ball(dim: int, radius: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
-def torus_mesh(dim: int, points: int, period: float) -> np.ndarray:
-    """The points^dim equispaced mesh on [0, period)^dim, shape (count, dim).
-
-    The first coordinate varies slowest (meshgrid "ij" order), so the rows
-    reshape to a (points,) * dim grid.
-    """
-    axis = np.arange(points) * (period / points)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-
 @dataclass(frozen=True)
 class Frequency:
     """Validated Diophantine frequency vector.
@@ -174,6 +163,16 @@ def phase_samples(dim: int, count: int) -> np.ndarray:
     return (np.arange(count, dtype=float)[:, None] * gens[None, :]) % 1.0
 
 
+def _real(z: np.ndarray) -> np.ndarray:
+    """z.real, or ValueError when the imaginary residue exceeds
+    1e-10 (1 + max |z|): the series breaks the reality pairing."""
+    imag = float(np.max(np.abs(z.imag), initial=0.0))
+    if imag > 1e-10 * (1.0 + float(np.max(np.abs(z), initial=0.0))):
+        raise ValueError(f"imaginary residue {imag:.3e} exceeds tolerance; "
+                         "series violates the reality pairing")
+    return z.real
+
+
 def _as_key(n) -> tuple:
     if isinstance(n, (int, np.integer)):
         return (int(n),)
@@ -208,7 +207,7 @@ class FourierSeries:
             raise ValueError("radius must be >= 0")
         if period not in (1, 2):
             raise ValueError("period must be 1 (torus) or 2 (double cover)")
-        # grid_points, which sup_norm and the Cocycle det check evaluate on
+        # the default on_mesh, which sup_norm and the Cocycle det check read
         array_elements(f"modes up to |n| = {radius} in {dim}-D",
                        (4 * max(radius, 1) + 1) ** dim)
         self.dim = int(dim)
@@ -267,46 +266,45 @@ class FourierSeries:
     # ---- evaluation ------------------------------------------------------
 
     def evaluate_complex(self, theta) -> np.ndarray:
+        """Direct sum at the points theta, shape (..., dim), or (...) when
+        d = 1; the phase matrix is built in row chunks of at most
+        _ELEMENT_CAP elements, so memory stays bounded for any point count."""
         theta = np.asarray(theta, dtype=float)
         if self.dim == 1 and (theta.ndim == 0 or theta.shape[-1] != 1):
             theta = theta[..., None]
         modes, values = self._arrays()
-        phase = np.exp((_TWO_PI * 1j / self.period) * (theta @ modes.T))
-        if self.is_matrix:
-            return np.einsum("...k,kij->...ij", phase, values)
-        return phase @ values
+        flat = theta.reshape(-1, self.dim)
+        rows = max(_ELEMENT_CAP // max(len(modes), 1), 1)
+        parts = []
+        for i in range(0, max(len(flat), 1), rows):
+            phase = np.exp((_TWO_PI * 1j / self.period)
+                           * (flat[i:i + rows] @ modes.T))
+            parts.append(np.einsum("nk,kij->nij", phase, values)
+                         if self.is_matrix else phase @ values)
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return out.reshape(theta.shape[:-1] + values.shape[1:])
 
     def evaluate(self, theta):
-        """Real value(s) at theta; asserts the imaginary residue is tiny."""
-        z = self.evaluate_complex(theta)
-        scale = 1.0 + float(np.max(np.abs(z))) if z.size else 1.0
-        imag = float(np.max(np.abs(z.imag))) if z.size else 0.0
-        if imag > 1e-10 * scale:
-            raise ValueError(
-                f"imaginary residue {imag:.3e} exceeds tolerance; "
-                "series violates the reality pairing")
-        out = z.real
-        if out.ndim == 0:
-            return float(out)
-        return out
+        """Real value(s) at the points theta (evaluate_complex)."""
+        out = _real(self.evaluate_complex(theta))
+        return float(out) if out.ndim == 0 else out
 
-    def grid_points(self) -> np.ndarray:
-        """Fixed evaluation grid: 4*radius + 1 points per dimension."""
-        return torus_mesh(self.dim, 4 * max(self.radius, 1) + 1, self.period)
+    def on_mesh(self, g: int | None = None) -> np.ndarray:
+        """Real values on the g^d equispaced mesh of [0, period)^d, shaped
+        (g,) * d plus the value shape, by one inverse FFT; aliased modes
+        accumulate in key order, so any support gives the direct sum's
+        values.  g defaults to 4 radius + 1 (sup_norm, the det check)."""
+        g = 4 * max(self.radius, 1) + 1 if g is None else int(g)
+        modes, values = self._arrays()
+        buf = np.zeros((g,) * self.dim + values.shape[1:], dtype=complex)
+        np.add.at(buf, tuple(np.mod(modes.astype(int), g).T), values)
+        return _real(np.fft.ifftn(buf, axes=tuple(range(self.dim)))
+                     * float(g ** self.dim))
 
     def sup_norm(self) -> float:
-        """Grid sup of |f| (scalar) or the spectral norm (matrix).
-
-        The grid is evaluated in row chunks whose phase matrix holds at
-        most _ELEMENT_CAP elements.
-        """
-        pts = self.grid_points()
-        rows = max(_ELEMENT_CAP // max(len(self.coeffs), 1), 1)
+        """Mesh sup of |f| (scalar) or the spectral norm (matrix)."""
         size = norm2 if self.is_matrix else np.abs
-        # np.max over the chunk maxima keeps a NaN, as one dense max does
-        peaks = [np.max(size(self.evaluate_complex(pts[i:i + rows])))
-                 for i in range(0, len(pts), rows)]
-        return float(np.max(peaks))
+        return float(np.max(size(self.on_mesh())))
 
     # ---- structure checks ------------------------------------------------
 
@@ -421,5 +419,6 @@ def ck_norm(f: FourierSeries, k: int) -> float:
         for axis, power in enumerate(j):
             if power:
                 deriv_mag *= np.abs(scale * modes[:, axis]) ** power
-        bound = max(bound, float(np.sum(deriv_mag * coeff_norm)))
+        # np.maximum, unlike max, keeps a NaN
+        bound = float(np.maximum(bound, np.sum(deriv_mag * coeff_norm)))
     return bound

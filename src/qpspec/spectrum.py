@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpcore import FourierSeries, Frequency, array_elements, phase_samples
+from .qpcore import (FourierSeries, Frequency, array_elements, ck_norm,
+                     phase_samples)
 
 __all__ = [
     "TruncatedOperator",
@@ -214,20 +215,22 @@ def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
                   operator: TruncatedOperator | None = None):
     """Spectral intervals on a fixed energy mesh.
 
-    A mesh cell counts as spectrum when every sampled phase contributes an
-    eigenvalue to it: truncation produces spurious boundary eigenvalues
-    inside gaps, but those depend on the phase while bulk eigenvalues do
-    not, so requiring presence at every phase suppresses them.  Adjacent
-    present cells merge into maximal intervals.  The mesh is counted
-    coarse to fine (_pruned_present), so the stretches outside the hull and
-    inside wide gaps cost one count per _SCAN_STRIDE cells.
+    The mesh covers [-2, 2] widened by ck_norm(V, 0) >= sup |V|, so it
+    holds every eigenvalue.  A cell counts as spectrum when every sampled
+    phase contributes an eigenvalue to it: truncation produces spurious
+    boundary eigenvalues inside gaps, but those depend on the phase while
+    bulk eigenvalues do not, so requiring presence at every phase
+    suppresses them.  Adjacent present cells merge into maximal intervals.
+    The mesh is counted coarse to fine (_pruned_present), so the stretches
+    outside the hull and inside wide gaps cost one count per _SCAN_STRIDE
+    cells.
 
     operator is TruncatedOperator.sampled(V, freq, L, phases) when the
     caller has built it already, to count on it again.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    sup_v = float(V.sup_norm())
+    sup_v = ck_norm(V, 0)
     lo = -2.0 - sup_v - 2.0 * resolution
     hi = 2.0 + sup_v + 2.0 * resolution
     cells = (hi - lo) / resolution

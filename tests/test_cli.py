@@ -242,6 +242,21 @@ def test_kam_resonant_run_writes_no_nan(tmp_path, rho0, n_star):
             assert 0.0 < float(bch) < 1e-12
 
 
+@pytest.mark.parametrize("mode,steps", [("20", 4), ("50", 3)])
+def test_kam_reduces_through_a_clockwise_constant(tmp_path, mode, steps):
+    # the first resonant step leaves a clockwise constant, near R_{-1/2};
+    # the next one twists it at -n* instead of stopping at exit 5
+    terms = {mode: [[1e-3, 2e-3], [5e-4, -1e-3]]}
+    cfg = _write(tmp_path, _base_config(
+        tmp_path, kam={"rho0": 0.17, "perturbation": {"terms": terms}}))
+    assert main(["kam", "--config", cfg]) == 0
+    _, rows = _read_csv(tmp_path / "kam.csv")
+    assert len(rows) == steps
+    assert [r["kind"] for r in rows][-2:] == ["resonant", "resonant"]
+    assert all(float(r["residual"]) <= 1e-7 for r in rows)
+    assert _manifest(tmp_path, "kam")["summary"]["final_norm"] <= 1e-11
+
+
 def test_kam_json_rows_carry_the_csv_columns(tmp_path):
     # one schema for both formats: every JSON row has exactly the CSV
     # header's keys, on a run with a resonant and a non-resonant step

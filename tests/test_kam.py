@@ -31,7 +31,7 @@ from qpspec.kam import (
 )
 from qpspec.mat2 import exp_sl2, log_sl2, norm2, rotation
 from qpspec.qpcore import (FourierSeries, ck_norm, diophantine_check,
-                           dist_to_int, torus_mesh)
+                           dist_to_int)
 from qpspec.rotnum import conjugated_rotation, rotation_series
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -129,25 +129,33 @@ def test_detect_resonance_bad_arguments(freq):
 # grid sampling agrees with pointwise evaluation
 
 
+def _mesh(dim, g, span):
+    """The g^dim equispaced mesh of [0, span)^dim, shape (g ** dim, dim),
+    first coordinate slowest, so rows reshape to a (g,) * dim grid."""
+    axis = np.arange(g) * (span / g)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, dim)
+
+
 def test_sample_matches_pointwise_matrix():
     s = _rand_sl2_series(1.0, 4, seed=3)
     g = 32
-    direct = s.evaluate_complex(torus_mesh(1, g, 1)).reshape(g, 2, 2)
-    assert float(np.max(np.abs(direct - kam._sample(s, g)))) < 1e-12
+    direct = s.evaluate_complex(_mesh(1, g, 1)).reshape(g, 2, 2)
+    assert float(np.max(np.abs(direct - s.on_mesh(g)))) < 1e-12
 
 
 def test_sample_matches_pointwise_period_two():
     s = FourierSeries(1, 3, {(-3,): 0.5 + 0j, (3,): 0.5 + 0j,
                              (1,): 1j, (-1,): -1j}, 2)
-    direct = s.evaluate_complex(torus_mesh(1, 16, 2)).reshape(16)
-    assert float(np.max(np.abs(direct - kam._sample(s, 16)))) < 1e-12
+    direct = s.evaluate_complex(_mesh(1, 16, 2)).reshape(16)
+    assert float(np.max(np.abs(direct - s.on_mesh(16)))) < 1e-12
 
 
 def test_sample_aliases_like_pointwise():
     # support beyond half the grid folds onto the same mesh values
     s = FourierSeries(1, 9, {(9,): 1.0 + 0j, (-9,): 1.0 + 0j}, 1)
-    direct = s.evaluate_complex(torus_mesh(1, 8, 1)).reshape(8)
-    assert float(np.max(np.abs(direct - kam._sample(s, 8)))) < 1e-12
+    direct = s.evaluate_complex(_mesh(1, 8, 1)).reshape(8)
+    assert float(np.max(np.abs(direct - s.on_mesh(8)))) < 1e-12
 
 
 def _rowwise_sl2_series(scale, radius, seed, dim):
@@ -223,22 +231,61 @@ def test_explicit_series_rejects_what_is_not_sl2(terms, dim, match):
         kam.explicit_sl2_series(terms, dim)
 
 
+def _functions(tree, prefix):
+    """(qualified name, node) of every function in tree, methods as
+    prefix.Class.method."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    out.append((name, child))
+                visit(child, name)
+
+    visit(tree, prefix)
+    return out
+
+
+def _builds_phase_matrix(fn):
+    # an exp of a (points) @ (modes).T product
+    return any(isinstance(call, ast.Call)
+               and getattr(call.func, "attr", None) == "exp"
+               and any(isinstance(op, ast.BinOp)
+                       and isinstance(op.op, ast.MatMult)
+                       and getattr(op.right, "attr", None) == "T"
+                       for arg in call.args for op in ast.walk(arg))
+               for call in ast.walk(fn))
+
+
 def test_mesh_sampling_has_one_owner():
-    # every kam mesh comes from _mesh_values, and _sample, its FFT
-    # synthesis, has no other caller
+    # the package synthesizes series on meshes in FourierSeries.on_mesh
+    # alone and builds a phase matrix in evaluate_complex alone; every kam
+    # mesh comes from _mesh_values, which reaches values through on_mesh
+    src = Path(kam.__file__).parent
+    functions = [item for path in sorted(src.glob("*.py"))
+                 for item in _functions(ast.parse(path.read_text()),
+                                        path.stem)]
+    ifftn = {name for name, fn in functions for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "ifftn"}
+    assert ifftn == {"qpcore.FourierSeries.on_mesh"}
+    assert {name for name, fn in functions if _builds_phase_matrix(fn)} \
+        == {"qpcore.FourierSeries.evaluate_complex"}
     tree = ast.parse(Path(kam.__file__).read_text())
-    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     names = {getattr(node, field) for node in ast.walk(tree)
              for kind, field in ((ast.Attribute, "attr"), (ast.Name, "id"),
                                  (ast.alias, "name"))
              if isinstance(node, kind)}
-    assert not names & {"evaluate_complex", "torus_mesh"}
-    callers = {fn.name for fn in functions for node in ast.walk(fn)
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name)
-               and node.func.id == "_sample"}
-    assert callers == {"_mesh_values"}
-    assert "_real_samples" not in {fn.name for fn in functions}
+    assert not names & {"evaluate_complex", "torus_mesh", "_arrays",
+                        "ifftn", "_sample"}
+    mesh_values, = [fn for name, fn in functions
+                    if name == "kam._mesh_values"]
+    reads = {node.attr for node in ast.walk(mesh_values)
+             if isinstance(node, ast.Attribute)}
+    assert reads & {"on_mesh", "evaluate", "evaluate_complex", "coeffs",
+                    "fft"} == {"on_mesh"}
+    assert "_real_samples" not in {name for name, _ in functions}
     assert not hasattr(kam, "_window_size")
 
 
@@ -246,7 +293,7 @@ def _direct_mesh_values(g, span, s):
     """The direct-evaluation reference: every mesh row through
     evaluate_complex, reshaped to the grid."""
     tail = (2, 2) if s.is_matrix else ()
-    vals = s.evaluate_complex(torus_mesh(s.dim, g, span)).real
+    vals = s.evaluate_complex(_mesh(s.dim, g, span)).real
     return vals.reshape((g,) * s.dim + tail)
 
 
@@ -347,7 +394,7 @@ def test_sample_scatter_matches_the_keywise_loop(dim, g):
     for k, c in s.coeffs.items():
         buf[tuple(np.mod(k, g))] += c
     ref = np.fft.ifftn(buf, axes=tuple(range(dim))) * float(g ** dim)
-    assert np.array_equal(kam._sample(s, g), ref)
+    assert np.array_equal(s.on_mesh(g), ref.real)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +482,31 @@ def test_resonant_step_bookkeeping(freq):
     assert eigen_rho(out.A)["kind"] == "parabolic"
     assert abs(eigen_rho(out.A)["rho"]) < 1e-10
     assert out.residual() < 1e-12
+
+
+def test_resonant_step_twists_a_clockwise_constant_at_minus_n_star(freq):
+    # R_{-rho} resonates at -n*: the twist, the degree and the ledger row
+    # take -n*, and the row keeps eigen_rho's rho
+    st = initial_state(rotation(-GOLDEN / 2.0), _zero_f(), freq)
+    out = resonant_step(st, (1,))
+    row = out.ledger[-1]
+    assert row.n_star == (-1,)
+    assert row.rho == pytest.approx(GOLDEN / 2.0, abs=1e-15)
+    assert out.deg_accum == (-1,)
+    assert eigen_rho(out.A)["kind"] == "parabolic"
+    assert out.residual() < 1e-12
+
+
+@pytest.mark.parametrize("turn", [0.2, -0.2, 0.4999, -0.4999])
+def test_elliptic_conjugator_signs_the_rotation(turn):
+    P = np.array([[2.0, 1.0], [0.0, 0.5]])
+    A = P @ rotation(turn) @ np.linalg.inv(P)
+    rho = eigen_rho(A)["rho"]
+    Q, got = kam._elliptic_conjugator(A, rho)
+    assert got == (rho if turn > 0.0 else -rho)
+    assert got == pytest.approx(turn, abs=1e-12)
+    assert float(np.linalg.det(Q)) == pytest.approx(1.0, abs=1e-12)
+    assert float(norm2(np.linalg.inv(Q) @ A @ Q - rotation(got))) < 1e-12
 
 
 def test_resonant_step_degree_additive(freq):
@@ -806,6 +878,17 @@ def test_mp_step_guards(freq):
         moser_poschel_step(X, 0.01, 0.0, freq)
     with pytest.raises(ValueError):
         moser_poschel_step(X, 0.01, 1.0, freq)
+
+
+def test_mp_step_rejects_a_nonfinite_conjugacy(freq):
+    # a NaN coefficient makes ck_norm NaN: a ReductionError, for any
+    # delta, before the step-size guard
+    bad = np.full((2, 2), math.nan, dtype=complex)
+    X = FourierSeries(1, 1, {(0,): np.eye(2, dtype=complex), (1,): bad,
+                             (-1,): bad}, 2)
+    for delta in (1e-6, 1.0):
+        with pytest.raises(ReductionError, match="not finite"):
+            moser_poschel_step(X, 0.01, delta, freq)
 
 
 def test_mp_data_validation():

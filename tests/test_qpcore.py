@@ -101,6 +101,59 @@ def test_evaluate_rejects_broken_reality():
     assert g.reality_defect() == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("matrix", [False, True])
+def test_both_evaluators_reject_broken_reality(dim, matrix):
+    # e^{2 pi i theta_1} alone: the direct sum and the FFT mesh both see
+    # the imaginary part and raise
+    c = np.eye(2, dtype=complex) if matrix else 1.0 + 0j
+    f = qc.FourierSeries(dim, 1, {(1,) + (0,) * (dim - 1): c})
+    for call in (lambda: f.evaluate(np.full(dim, 0.37)),
+                 lambda: f.on_mesh(8), f.sup_norm):
+        with pytest.raises(ValueError, match="reality"):
+            call()
+
+
+def _dense_sum(f, theta):
+    """The direct sum over the rows of theta, shape (rows, dim), with one
+    phase matrix for all of them."""
+    modes = np.array(list(f.coeffs), dtype=float)
+    values = np.array(list(f.coeffs.values()), dtype=complex)
+    phase = np.exp((2.0 * math.pi * 1j / f.period) * (theta @ modes.T))
+    if f.is_matrix:
+        return np.einsum("nk,kij->nij", phase, values)
+    return phase @ values
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 40), (2, 6), (3, 6)])
+@pytest.mark.parametrize("matrix", [False, True])
+def test_chunked_evaluation_matches_one_dense_call(monkeypatch, dim, radius,
+                                                   matrix):
+    from qpspec import kam
+
+    f = kam.seeded_sl2_series(1.0, radius, seed=dim, dim=dim)
+    if not matrix:
+        f = qc.FourierSeries(dim, radius, {k: c[0, 1] + c[1, 0]
+                                           for k, c in f.coeffs.items()},
+                             period=2).symmetrized()
+    theta = np.random.default_rng(dim).uniform(0.0, 2.0, (7, 60, dim))
+    flat = theta.reshape(-1, dim)
+    want = _dense_sum(f, flat)
+    # 420 rows fit one chunk: the same operations, bit for bit
+    assert np.array_equal(f.evaluate_complex(flat), want)
+    # 53 chunks of at most 8 rows
+    monkeypatch.setattr(qc, "_ELEMENT_CAP", 8 * len(f.coeffs))
+    got = f.evaluate_complex(theta)
+    assert got.shape == theta.shape[:-1] + want.shape[1:]
+    assert float(np.max(np.abs(got.reshape(want.shape) - want))) \
+        <= 1e-15 * float(np.max(np.abs(want)))
+    if dim == 1:
+        assert np.array_equal(f.evaluate_complex(theta[..., 0]), got)
+    else:
+        with pytest.raises(ValueError):
+            f.evaluate_complex(np.zeros((4, dim + 1)))
+
+
 def test_half_period_series_evaluation():
     # e^{pi i theta} harmonic: period 2 in theta
     f = qc.FourierSeries(1, 1, {(1,): 0.5, (-1,): 0.5}, period=2)
@@ -143,9 +196,8 @@ def test_cosine_polynomial_zero_mode():
 def _grid_sup(f, k):
     """Sup of |d^j f| (the spectral norm for a matrix series) over every
     j >= 0 with |j|_1 <= k, each derivative evaluated as the series with
-    coefficients prod_i (2 pi i n_i / p)^{j_i} c_n on the torus_mesh of
-    4 * radius + 1 points per axis; a lower bound for the C^k norm."""
-    mesh = qc.torus_mesh(f.dim, 4 * max(f.radius, 1) + 1, f.period)
+    coefficients prod_i (2 pi i n_i / p)^{j_i} c_n on its default on_mesh
+    of 4 * radius + 1 points per axis; a lower bound for the C^k norm."""
     sup = 0.0
     for powers in itertools.product(range(k + 1), repeat=f.dim):
         if sum(powers) > k:
@@ -154,7 +206,7 @@ def _grid_sup(f, k):
                                    for m, p in zip(n, powers))
                   for n, c in f.coeffs.items()}
         vals = qc.FourierSeries(f.dim, f.radius, coeffs,
-                                f.period).evaluate(mesh)
+                                f.period).on_mesh()
         size = np.linalg.norm(vals, 2, axis=(-2, -1)) if f.is_matrix \
             else np.abs(vals)
         sup = max(sup, float(np.max(size)))
@@ -231,6 +283,12 @@ def test_ck_norm_is_the_coefficient_sum(dim, matrix, period):
     assert qc.ck_norm(qc.FourierSeries(dim, radius, {}), 2) == 0.0
     with pytest.raises(ValueError):
         qc.ck_norm(f, -1)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_ck_norm_keeps_a_nan(k):
+    f = qc.FourierSeries(1, 2, {(1,): math.nan, (0,): 1.0})
+    assert math.isnan(qc.ck_norm(f, k))
 
 
 def test_frequency_orbit_points():
@@ -397,8 +455,10 @@ def test_sup_norm_chunks_the_phase_matrix(monkeypatch):
     from qpspec import kam
     from qpspec.mat2 import norm2
 
+    # sup_norm reads the FFT mesh, so it builds no phase matrix at all;
+    # the direct sum on the same 2801 points x 1401 modes runs in chunks
     f = kam.seeded_sl2_series(1e-3, 700, 2)
-    dense = float(np.max(norm2(f.evaluate_complex(f.grid_points()))))
+    dense = float(np.max(norm2(f.evaluate_complex(np.arange(2801) / 2801))))
     rows = []
     evaluate = qc.FourierSeries.evaluate_complex
 
@@ -407,14 +467,11 @@ def test_sup_norm_chunks_the_phase_matrix(monkeypatch):
         return evaluate(self, theta)
 
     monkeypatch.setattr(qc.FourierSeries, "evaluate_complex", spy)
-    # 2801 grid points x 1401 modes: four chunks of at most 2**20 elements
-    assert f.sup_norm() == dense
-    assert sum(rows) == len(f.grid_points()) and len(rows) == 4
-    assert max(rows) * len(f.coeffs) <= qc._ELEMENT_CAP
-    # a grid that fits one chunk is one call
-    rows.clear()
-    qc.amo_potential(0.3).sup_norm()
-    assert rows == [5]
+    # the direct sum rounds its phases theta * n, here by 4e-14 relative
+    # in the sup; the FFT is within 1e-15 of an exactly reduced sum
+    assert f.sup_norm() == pytest.approx(dense, rel=1e-13, abs=0.0)
+    assert qc.amo_potential(0.3).sup_norm() == pytest.approx(0.6, rel=1e-15)
+    assert rows == []
 
 
 @pytest.mark.parametrize("radius,scale,limit,norm", [
@@ -425,16 +482,23 @@ def test_series_norms_fit_an_address_space_limit(radius, scale, limit, norm):
     # a child under an address-space limit: a dense (grid points x modes)
     # phase matrix, 16 GiB for ck_norm and 512 MiB for sup_norm here,
     # ends at once in a MemoryError
+    from qpspec import kam
+
+    value = _limited_child("from qpspec import kam, qpcore as qc; "
+                           f"f = kam.seeded_sl2_series({scale!r}, {radius}, "
+                           f"1); print(repr({norm}))", limit)
+    bound = qc.ck_norm(kam.seeded_sl2_series(scale, radius, 1), 0)
+    assert 0.0 < value <= bound
+
+
+def _limited_child(code, limit):
+    """The float that code prints, run in a child whose address space is
+    capped at limit bytes."""
     import os
     import resource
     import subprocess
     import sys
 
-    from qpspec import kam
-
-    code = ("from qpspec import kam, qpcore as qc; "
-            f"f = kam.seeded_sl2_series({scale!r}, {radius}, 1); "
-            f"print(repr({norm}))")
     env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parent.parent))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
@@ -442,18 +506,47 @@ def test_series_norms_fit_an_address_space_limit(radius, scale, limit, norm):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (limit, limit)))
     assert out.returncode == 0, out.stderr
-    value = float(out.stdout)
-    bound = qc.ck_norm(kam.seeded_sl2_series(scale, radius, 1), 0)
-    assert 0.0 < value <= bound
+    return float(out.stdout)
+
+
+_CK_2000 = ("from qpspec import qpcore as qc, mat2; "
+            "freq = qc.diophantine_check(0.6180339887498949, 0.1, 1.5, 20); ")
+
+
+def test_sampled_operator_fits_an_address_space_limit():
+    # 8004 points x 4000 modes: one dense phase matrix is 489 MiB complex
+    # plus its real argument, past 768 MiB with the interpreter
+    top = _limited_child(
+        _CK_2000 + "from qpspec.spectrum import TruncatedOperator; "
+        "V = qc.ck_potential(1e-3, 2, range(1, 2001)); "
+        "H = TruncatedOperator.sampled(V, freq, 1000, 4); "
+        "print(repr(float(abs(H.diag).max())))", 768 * 2 ** 20)
+    V = qc.ck_potential(1e-3, 2, range(1, 2001))
+    assert 0.0 < top <= qc.ck_norm(V, 0)
+
+
+def test_cocycle_det_check_fits_an_address_space_limit():
+    # the check's 8189-point mesh x 4095 modes was a 512 MiB phase matrix
+    defect = _limited_child(
+        _CK_2000 + "from qpspec.cocycle import schrodinger_cocycle; "
+        "V = qc.ck_potential(1e-3, 2, range(1, 2048)); "
+        "c = schrodinger_cocycle(V, 0.5, freq); "
+        "print(repr(float(abs(mat2.det2(c.map_series.on_mesh()) - 1).max())))",
+        768 * 2 ** 20)
+    assert defect <= 1e-12
 
 
 def test_torus_mesh_is_the_ij_grid():
-    pts = qc.torus_mesh(2, 3, 2)
-    assert pts.shape == (9, 2)
-    assert pts[:3].tolist() == [[0.0, 0.0], [0.0, 2.0 / 3.0],
-                                [0.0, 4.0 / 3.0]]
-    assert np.array_equal(qc.FourierSeries(2, 2, {}).grid_points(),
-                          qc.torus_mesh(2, 9, 1))
+    # on_mesh's first axis is the first coordinate, spaced period / g
+    f = qc.FourierSeries(2, 1, {(1, 0): 0.5, (-1, 0): 0.5}, period=2)
+    vals = f.on_mesh(3)
+    assert vals.shape == (3, 3)
+    want = np.cos(np.pi * np.array([0.0, 2.0, 4.0]) / 3.0)
+    np.testing.assert_allclose(vals, np.repeat(want[:, None], 3, axis=1),
+                               rtol=0.0, atol=1e-15)
+    assert qc.FourierSeries(2, 2, {}).on_mesh().shape == (9, 9)
+    assert qc.FourierSeries(3, 0, {}).on_mesh().shape == (5, 5, 5)
+    assert not hasattr(qc, "torus_mesh")
 
 
 def test_ball_and_mesh_have_one_owner():
@@ -474,7 +567,8 @@ def test_ball_and_mesh_have_one_owner():
                        if isinstance(call, ast.Call)):
                     meshgrid_callers.add(f"{path.stem}.{node.name}")
     assert itertools_users == []
-    assert meshgrid_callers == {"qpcore.integer_ball", "qpcore.torus_mesh"}
+    assert meshgrid_callers == {"qpcore.integer_ball"}
     gone = {"_sup_ball", "_multi_indices", "_label_candidates",
-            "_integer_ball", "_mesh_points"}
+            "_integer_ball", "_mesh_points", "torus_mesh", "grid_points",
+            "_sample"}
     assert defined & gone == set()

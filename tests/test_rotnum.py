@@ -597,8 +597,7 @@ def _perturbation_bound(a, phi, freq, n_iters):
     along one orbit of a non-constant cocycle, against the grid sup."""
     est = rotation_from_orbit(a.evaluate(freq.orbit(0.0, np.arange(n_iters))))
     lhs = dist_to_int(est.rho - phi)
-    rhs = float(mat2.norm2(a.evaluate(a.grid_points())
-                           - mat2.rotation(phi)).max())
+    rhs = float(mat2.norm2(a.on_mesh() - mat2.rotation(phi)).max())
     return lhs, rhs
 
 

@@ -221,6 +221,26 @@ def test_scan_counts_few_edges_in_two_passes(freq, monkeypatch):
     assert sum(passes) <= 0.7 * edges
 
 
+def test_scan_mesh_spans_every_dense_eigenvalue(freq, monkeypatch):
+    # sup |V| = 45 at theta = 1/2, which the 9-point mesh of sup_norm
+    # misses (39.68); the hull from ck_norm(V, 0) = 45 holds every
+    # eigenvalue, the lowest at -45.03
+    V = cosine_polynomial({1: 30.0, 2: -15.0})
+    seen = []
+    pruned = spectrum._pruned_present
+
+    def spy(H, edges):
+        seen.append((H, edges))
+        return pruned(H, edges)
+
+    monkeypatch.setattr(spectrum, "_pruned_present", spy)
+    spectrum_scan(V, freq, 500, 8, 0.05)
+    (H, edges), = seen
+    for diag in H.diag:
+        evals = np.linalg.eigvalsh(TruncatedOperator(500, diag).dense())
+        assert edges[0] < evals[0] and evals[-1] < edges[-1]
+
+
 def test_scan_counts_on_the_operator_it_is_given(freq):
     V = amo_potential(0.3)
     H = TruncatedOperator.sampled(V, freq, 600, 6)
