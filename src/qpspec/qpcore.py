@@ -9,6 +9,20 @@ with |n| the sup-norm on Z^d throughout, p = 1 for functions on T^d and
 p = 2 on the double cover 2T^d (half-integer harmonics).  Reality is the
 pairing c_{-n} = conj(c_n).
 
+A series has two evaluators, and both return real values.  At points,
+evaluate sums over the half-mode set (n with n > -n, and n = 0) with the
+pair sums S_n = c_n + conj(c_{-n}):
+
+    Re f(theta) = Re c_0 + sum_n (cos phi_n Re S_n - sin phi_n Im S_n),
+
+phi_n = 2 pi <n, theta> / p.  On meshes, on_mesh takes one inverse FFT.
+Both read one reality check on the coefficients, made once per series,
+
+    |Im c_0| + sum_n ||c_n - conj(c_{-n})|| <= 1e-10 (1 + sum_m ||c_m||),
+
+n over the half modes other than 0, m over every mode, ||.|| the largest
+entry modulus; its left side bounds |Im f| at every point of the torus.
+
 The C^k size of f is the coefficient bound (ck_norm)
 
     max_{|j|_1 <= k} sum_n prod_i |2 pi n_i / p|^{j_i} * |c_n|,
@@ -163,14 +177,19 @@ def phase_samples(dim: int, count: int) -> np.ndarray:
     return (np.arange(count, dtype=float)[:, None] * gens[None, :]) % 1.0
 
 
-def _real(z: np.ndarray) -> np.ndarray:
-    """z.real, or ValueError when the imaginary residue exceeds
-    1e-10 (1 + max |z|): the series breaks the reality pairing."""
-    imag = float(np.max(np.abs(z.imag), initial=0.0))
-    if imag > 1e-10 * (1.0 + float(np.max(np.abs(z), initial=0.0))):
-        raise ValueError(f"imaginary residue {imag:.3e} exceeds tolerance; "
-                         "series violates the reality pairing")
-    return z.real
+@dataclass(frozen=True)
+class _HalfModes:
+    """A series as Re c_0 + sum_n (cos phi_n Re S_n - sin phi_n Im S_n)
+    over its half-mode set, n > -n and n = 0, with S_n = c_n +
+    conj(c_{-n}) and S_0 = Re c_0; values are columns, 1 for a scalar
+    series and 4 for the entries of a 2x2 one."""
+
+    modes: np.ndarray  # (half modes, dim)
+    cos: np.ndarray  # Re S_n
+    sin: np.ndarray | None  # Im S_n, None when every Im S_n is 0
+    imag_bound: float  # |Im c_0| + sum_n ||c_n - conj(c_{-n})|| >= |Im f|
+    tolerance: float  # 1e-10 (1 + sum over every n of ||c_n||)
+    worst: float  # largest entry modulus of any c_n - conj(c_{-n})
 
 
 def _as_key(n) -> tuple:
@@ -198,7 +217,7 @@ class FourierSeries:
     """
 
     __slots__ = ("dim", "radius", "period", "coeffs", "_modes", "_values",
-                 "_is_matrix")
+                 "_is_matrix", "_half")
 
     def __init__(self, dim: int, radius: int, coeffs, period: int = 1):
         if not 1 <= dim <= 3:
@@ -236,6 +255,7 @@ class FourierSeries:
         self.coeffs = {k: norm[k] for k in sorted(norm)}
         self._modes = None
         self._values = None
+        self._half = None
         self._is_matrix = bool(is_matrix) if is_matrix is not None else False
 
     # coeffs may be empty; default kind is scalar
@@ -255,6 +275,47 @@ class FourierSeries:
                 self._values = np.zeros(shape, dtype=complex)
         return self._modes, self._values
 
+    def _half_modes(self) -> "_HalfModes":
+        """The series as a real sum over its half-mode set, built once,
+        by vectorized pairing of _arrays() (kam series reach 2^18 keys)."""
+        if self._half is None:
+            modes, values = self._arrays()
+            values = values.reshape(len(values), 4 if self.is_matrix else 1)
+            # the first nonzero coordinate; 0 only for n = 0
+            first = modes[np.arange(len(modes)),
+                          np.argmax(modes != 0, axis=1)]
+            rep = np.where(first[:, None] < 0, -modes, modes)
+            # one sort of lexicographic codes, exact below the mode cap
+            code = (rep + self.radius) @ (2.0 * self.radius + 1.0) ** \
+                np.arange(self.dim - 1, -1, -1)
+            _, index, slot = np.unique(code, return_index=True,
+                                       return_inverse=True)
+            half = rep[index]
+            plus = np.zeros((len(half), values.shape[1]), dtype=complex)
+            minus = np.zeros_like(plus)
+            plus[slot[first >= 0]] = values[first >= 0]
+            minus[slot[first <= 0]] = np.conj(values[first <= 0])
+            # n = 0 is its own partner: halving gives S_0 = Re c_0 and the
+            # defect term |Im c_0|
+            weight = np.where(first[index] == 0, 0.5, 1.0)
+            pair = weight[:, None] * (plus + minus)
+            defect = np.abs(plus - minus).max(axis=1)
+            self._half = _HalfModes(
+                half, pair.real, pair.imag if np.any(pair.imag) else None,
+                float(weight @ defect),
+                1e-10 * (1.0 + float(np.sum(np.abs(values).max(axis=1)))),
+                float(np.max(defect, initial=0.0)))
+        return self._half
+
+    def _real_half_modes(self) -> "_HalfModes":
+        """_half_modes(), or ValueError when the reality check fails."""
+        half = self._half_modes()
+        if half.imag_bound > half.tolerance:
+            raise ValueError(f"imaginary part up to {half.imag_bound:.3e} "
+                             "exceeds tolerance; series violates the "
+                             "reality pairing")
+        return half
+
     def support_radius(self) -> int:
         """Largest |n|_inf carrying a nonzero coefficient."""
         r = 0
@@ -265,28 +326,31 @@ class FourierSeries:
 
     # ---- evaluation ------------------------------------------------------
 
-    def evaluate_complex(self, theta) -> np.ndarray:
-        """Direct sum at the points theta, shape (..., dim), or (...) when
-        d = 1; the phase matrix is built in row chunks of at most
-        _ELEMENT_CAP elements, so memory stays bounded for any point count."""
+    def evaluate(self, theta):
+        """Real value(s) at the points theta, shape (..., dim), or (...)
+        when d = 1: the real sum over the half-mode set.  The phase matrix
+        is built in row chunks of at most _ELEMENT_CAP elements, so memory
+        stays bounded for any point count."""
         theta = np.asarray(theta, dtype=float)
         if self.dim == 1 and (theta.ndim == 0 or theta.shape[-1] != 1):
             theta = theta[..., None]
-        modes, values = self._arrays()
+        half = self._real_half_modes()
         flat = theta.reshape(-1, self.dim)
-        rows = max(_ELEMENT_CAP // max(len(modes), 1), 1)
+        rows = max(_ELEMENT_CAP // max(len(half.modes), 1), 1)
         parts = []
         for i in range(0, max(len(flat), 1), rows):
-            phase = np.exp((_TWO_PI * 1j / self.period)
-                           * (flat[i:i + rows] @ modes.T))
-            parts.append(np.einsum("nk,kij->nij", phase, values)
-                         if self.is_matrix else phase @ values)
+            phase = flat[i:i + rows] @ half.modes.T
+            phase *= _TWO_PI / self.period
+            sin = None if half.sin is None else np.sin(phase)
+            part = np.cos(phase, out=phase) @ half.cos
+            if sin is not None:
+                part -= sin @ half.sin
+            parts.append(part)
+            # free this chunk's matrices before the next chunk is built
+            del phase, sin
         out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out.reshape(theta.shape[:-1] + values.shape[1:])
-
-    def evaluate(self, theta):
-        """Real value(s) at the points theta (evaluate_complex)."""
-        out = _real(self.evaluate_complex(theta))
+        out = out.reshape(theta.shape[:-1] + ((2, 2) if self.is_matrix
+                                              else ()))
         return float(out) if out.ndim == 0 else out
 
     def on_mesh(self, g: int | None = None) -> np.ndarray:
@@ -295,11 +359,12 @@ class FourierSeries:
         accumulate in key order, so any support gives the direct sum's
         values.  g defaults to 4 radius + 1 (sup_norm, the det check)."""
         g = 4 * max(self.radius, 1) + 1 if g is None else int(g)
+        self._real_half_modes()
         modes, values = self._arrays()
         buf = np.zeros((g,) * self.dim + values.shape[1:], dtype=complex)
         np.add.at(buf, tuple(np.mod(modes.astype(int), g).T), values)
-        return _real(np.fft.ifftn(buf, axes=tuple(range(self.dim)))
-                     * float(g ** self.dim))
+        return (np.fft.ifftn(buf, axes=tuple(range(self.dim)))
+                * float(g ** self.dim)).real
 
     def sup_norm(self) -> float:
         """Mesh sup of |f| (scalar) or the spectral norm (matrix)."""
@@ -309,12 +374,8 @@ class FourierSeries:
     # ---- structure checks ------------------------------------------------
 
     def reality_defect(self) -> float:
-        worst = 0.0
-        for k, v in self.coeffs.items():
-            mk = tuple(-x for x in k)
-            w = self.coeffs.get(mk, np.zeros_like(v) if self.is_matrix else 0j)
-            worst = max(worst, float(np.max(np.abs(np.conj(w) - v))))
-        return worst
+        """Largest entry modulus of any c_n - conj(c_{-n})."""
+        return self._half_modes().worst
 
     def traceless_defect(self) -> float:
         if not self.is_matrix:

@@ -140,21 +140,21 @@ def _mesh(dim, g, span):
 def test_sample_matches_pointwise_matrix():
     s = _rand_sl2_series(1.0, 4, seed=3)
     g = 32
-    direct = s.evaluate_complex(_mesh(1, g, 1)).reshape(g, 2, 2)
+    direct = s.evaluate(_mesh(1, g, 1)).reshape(g, 2, 2)
     assert float(np.max(np.abs(direct - s.on_mesh(g)))) < 1e-12
 
 
 def test_sample_matches_pointwise_period_two():
     s = FourierSeries(1, 3, {(-3,): 0.5 + 0j, (3,): 0.5 + 0j,
                              (1,): 1j, (-1,): -1j}, 2)
-    direct = s.evaluate_complex(_mesh(1, 16, 2)).reshape(16)
+    direct = s.evaluate(_mesh(1, 16, 2)).reshape(16)
     assert float(np.max(np.abs(direct - s.on_mesh(16)))) < 1e-12
 
 
 def test_sample_aliases_like_pointwise():
     # support beyond half the grid folds onto the same mesh values
     s = FourierSeries(1, 9, {(9,): 1.0 + 0j, (-9,): 1.0 + 0j}, 1)
-    direct = s.evaluate_complex(_mesh(1, 8, 1)).reshape(8)
+    direct = s.evaluate(_mesh(1, 8, 1)).reshape(8)
     assert float(np.max(np.abs(direct - s.on_mesh(8)))) < 1e-12
 
 
@@ -249,20 +249,29 @@ def _functions(tree, prefix):
 
 
 def _builds_phase_matrix(fn):
-    # an exp of a (points) @ (modes).T product
+    # an exp, cos or sin of a (points) @ (modes).T product, taken directly
+    # or through a name that fn assigns from one
+    def product(node):
+        return any(isinstance(op, ast.BinOp)
+                   and isinstance(op.op, ast.MatMult)
+                   and getattr(op.right, "attr", None) == "T"
+                   for op in ast.walk(node))
+
+    phases = {target.id for node in ast.walk(fn)
+              if isinstance(node, ast.Assign) and product(node.value)
+              for target in node.targets if isinstance(target, ast.Name)}
     return any(isinstance(call, ast.Call)
-               and getattr(call.func, "attr", None) == "exp"
-               and any(isinstance(op, ast.BinOp)
-                       and isinstance(op.op, ast.MatMult)
-                       and getattr(op.right, "attr", None) == "T"
-                       for arg in call.args for op in ast.walk(arg))
+               and getattr(call.func, "attr", None) in ("exp", "cos", "sin")
+               and any(product(arg) or getattr(arg, "id", None) in phases
+                       for arg in call.args)
                for call in ast.walk(fn))
 
 
 def test_mesh_sampling_has_one_owner():
     # the package synthesizes series on meshes in FourierSeries.on_mesh
-    # alone and builds a phase matrix in evaluate_complex alone; every kam
-    # mesh comes from _mesh_values, which reaches values through on_mesh
+    # alone and builds a phase matrix in FourierSeries.evaluate alone, a
+    # real one; every kam mesh comes from _mesh_values, which reaches
+    # values through on_mesh
     src = Path(kam.__file__).parent
     functions = [item for path in sorted(src.glob("*.py"))
                  for item in _functions(ast.parse(path.read_text()),
@@ -271,7 +280,16 @@ def test_mesh_sampling_has_one_owner():
              if isinstance(node, ast.Attribute) and node.attr == "ifftn"}
     assert ifftn == {"qpcore.FourierSeries.on_mesh"}
     assert {name for name, fn in functions if _builds_phase_matrix(fn)} \
-        == {"qpcore.FourierSeries.evaluate_complex"}
+        == {"qpcore.FourierSeries.evaluate"}
+    evaluate, = [fn for name, fn in functions
+                 if name == "qpcore.FourierSeries.evaluate"]
+    complex_makers = [node for node in ast.walk(evaluate)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, complex)
+                      or getattr(node, "attr", getattr(node, "id", None))
+                      in ("complex", "complex128", "exp", "conj", "real",
+                          "imag", "astype")]
+    assert not complex_makers
     tree = ast.parse(Path(kam.__file__).read_text())
     names = {getattr(node, field) for node in ast.walk(tree)
              for kind, field in ((ast.Attribute, "attr"), (ast.Name, "id"),
@@ -291,9 +309,9 @@ def test_mesh_sampling_has_one_owner():
 
 def _direct_mesh_values(g, span, s):
     """The direct-evaluation reference: every mesh row through
-    evaluate_complex, reshaped to the grid."""
+    evaluate, reshaped to the grid."""
     tail = (2, 2) if s.is_matrix else ()
-    vals = s.evaluate_complex(_mesh(s.dim, g, span)).real
+    vals = s.evaluate(_mesh(s.dim, g, span))
     return vals.reshape((g,) * s.dim + tail)
 
 

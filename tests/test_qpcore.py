@@ -115,14 +115,23 @@ def test_both_evaluators_reject_broken_reality(dim, matrix):
 
 
 def _dense_sum(f, theta):
-    """The direct sum over the rows of theta, shape (rows, dim), with one
-    phase matrix for all of them."""
-    modes = np.array(list(f.coeffs), dtype=float)
-    values = np.array(list(f.coeffs.values()), dtype=complex)
+    """The complex direct sum over the rows of theta, shape (rows, dim),
+    with one phase matrix of every mode for all of them."""
+    modes = np.array(list(f.coeffs), dtype=float).reshape(-1, f.dim)
+    values = np.array(list(f.coeffs.values()), dtype=complex).reshape(
+        (-1, 2, 2) if f.is_matrix else -1)
     phase = np.exp((2.0 * math.pi * 1j / f.period) * (theta @ modes.T))
     if f.is_matrix:
         return np.einsum("nk,kij->nij", phase, values)
     return phase @ values
+
+
+def _scalar_part(f, period):
+    """A real scalar series on f's modes: the symmetrized off-diagonal sum
+    of the matrix series f."""
+    return qc.FourierSeries(f.dim, f.radius, {k: c[0, 1] + c[1, 0]
+                                              for k, c in f.coeffs.items()},
+                            period=period).symmetrized()
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 40), (2, 6), (3, 6)])
@@ -133,25 +142,133 @@ def test_chunked_evaluation_matches_one_dense_call(monkeypatch, dim, radius,
 
     f = kam.seeded_sl2_series(1.0, radius, seed=dim, dim=dim)
     if not matrix:
-        f = qc.FourierSeries(dim, radius, {k: c[0, 1] + c[1, 0]
-                                           for k, c in f.coeffs.items()},
-                             period=2).symmetrized()
+        f = _scalar_part(f, 2)
     theta = np.random.default_rng(dim).uniform(0.0, 2.0, (7, 60, dim))
     flat = theta.reshape(-1, dim)
-    want = _dense_sum(f, flat)
-    # 420 rows fit one chunk: the same operations, bit for bit
-    assert np.array_equal(f.evaluate_complex(flat), want)
+    want = _dense_sum(f, flat).real
+    # the real sum over the half modes rounds differently from the complex
+    # sum over all modes: by at most 1.5e-16 of the coefficient sum here
+    # (3.2e-15 of max |f| on the 2197 matrix modes of d = 3)
+    tol = 1e-15 * qc.ck_norm(f, 0)
+    one = f.evaluate(flat)
+    assert float(np.max(np.abs(one - want))) <= tol
     # 53 chunks of at most 8 rows
-    monkeypatch.setattr(qc, "_ELEMENT_CAP", 8 * len(f.coeffs))
-    got = f.evaluate_complex(theta)
+    monkeypatch.setattr(qc, "_ELEMENT_CAP", 8 * (len(f.coeffs) // 2 + 1))
+    got = f.evaluate(theta)
     assert got.shape == theta.shape[:-1] + want.shape[1:]
-    assert float(np.max(np.abs(got.reshape(want.shape) - want))) \
-        <= 1e-15 * float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got.reshape(want.shape) - want))) <= tol
+    assert float(np.max(np.abs(got.reshape(want.shape) - one))) \
+        <= 1e-15 * float(np.max(np.abs(one)))
     if dim == 1:
-        assert np.array_equal(f.evaluate_complex(theta[..., 0]), got)
+        assert np.array_equal(f.evaluate(theta[..., 0]), got)
     else:
         with pytest.raises(ValueError):
-            f.evaluate_complex(np.zeros((4, dim + 1)))
+            f.evaluate(np.zeros((4, dim + 1)))
+
+
+def _seeded(dim, period, matrix):
+    from qpspec import kam
+
+    radius = (4, 2, 1)[dim - 1]
+    f = qc.FourierSeries(dim, radius, kam.seeded_sl2_series(
+        1.0, radius, seed=10 * dim + period, dim=dim).coeffs, period)
+    return f if matrix else _scalar_part(f, period)
+
+
+_REAL_SUM_CASES = {
+    **{f"{'matrix' if m else 'scalar'}-d{d}-p{p}":
+       (lambda d=d, p=p, m=m: _seeded(d, p, m))
+       for m in (False, True) for d in (1, 2, 3) for p in (1, 2)},
+    # c_{+-1} = +-i: S_1 = 2i, the sine half alone, f = -2 sin(2 pi theta)
+    "sine": lambda: qc.FourierSeries(1, 1, {(1,): 1j, (-1,): -1j}),
+    "sine-matrix-d2": lambda: qc.FourierSeries(
+        2, 1, {(0, 1): 0.5j * np.eye(2), (0, -1): -0.5j * np.eye(2)}, 2),
+    "zero-mode": lambda: qc.cosine_polynomial({0: 1.5, 2: 1.0, 3: -0.25}),
+    "zero-mode-only": lambda: qc.FourierSeries(3, 2, {(0, 0, 0): 0.7 + 0j}),
+    "one-sided-keys": lambda: qc.FourierSeries(
+        2, 2, {(1, -2): 0.3 - 0.1j, (-1, 2): 0.3 + 0.1j, (2, 0): 0.5,
+               (-2, 0): 0.5}),
+    "empty": lambda: qc.FourierSeries(2, 3, {}),
+    "zero-matrix": lambda: qc.FourierSeries(1, 2, {(1,): np.zeros((2, 2))}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_SUM_CASES))
+def test_real_sum_matches_the_dense_complex_sum(monkeypatch, case):
+    # the real half-mode sum against Re of the complex sum over every mode,
+    # in one chunk and in chunks of at most 3 rows
+    f = _REAL_SUM_CASES[case]()
+    theta = np.random.default_rng(5).uniform(-2.0, 2.0, (5, 30, f.dim))
+    want = _dense_sum(f, theta.reshape(-1, f.dim)).real
+    want = want.reshape(theta.shape[:-1] + want.shape[1:])
+    tol = 1e-15 * float(np.max(np.abs(want)))
+    got = f.evaluate(theta)
+    assert got.shape == want.shape
+    assert got.dtype == np.float64
+    assert float(np.max(np.abs(got - want))) <= tol
+    monkeypatch.setattr(qc, "_ELEMENT_CAP", 3 * (len(f.coeffs) // 2 + 1))
+    assert float(np.max(np.abs(f.evaluate(theta) - want))) <= tol
+
+
+def test_real_sum_takes_bare_one_dimensional_points():
+    f = _seeded(1, 1, False)
+    theta = np.random.default_rng(6).uniform(0.0, 1.0, (4, 9))
+    got = f.evaluate(theta)
+    assert got.shape == (4, 9)
+    assert np.array_equal(got, f.evaluate(theta[..., None]))
+    want = _dense_sum(f, theta.reshape(-1, 1)).real.reshape(4, 9)
+    assert float(np.max(np.abs(got - want))) \
+        <= 1e-15 * float(np.max(np.abs(want)))
+    value = f.evaluate(theta[1, 2])
+    assert isinstance(value, float)
+    assert abs(value - want[1, 2]) <= 1e-15 * float(np.max(np.abs(want)))
+    assert _seeded(1, 1, True).evaluate(0.3).shape == (2, 2)
+
+
+def test_real_sum_is_exact_on_one_cosine_mode():
+    # S_1 = a: the same cos(2 pi theta) times a as the complex sum
+    V = qc.amo_potential(0.3)
+    theta = np.random.default_rng(2).uniform(0.0, 3000.0, 4001)
+    assert np.array_equal(V.evaluate(theta),
+                          _dense_sum(V, theta[:, None]).real)
+
+
+def test_reality_check_reads_the_coefficients():
+    # c_{+-1} = +-1: f = 2i sin(2 pi theta) is 0 at theta = 0 and 1/2, but
+    # the check sees |c_1 - conj(c_{-1})| = 2 on the coefficients
+    f = qc.FourierSeries(1, 1, {(1,): 1.0 + 0j, (-1,): -1.0 + 0j})
+    for theta in (0.0, 0.5, np.array([0.0, 0.5])):
+        with pytest.raises(ValueError, match="reality"):
+            f.evaluate(theta)
+    assert f.reality_defect() == 2.0
+    # Im c_0 counts once, against 1e-10 (1 + sum of |c_n|) = 3e-10
+    ok = qc.FourierSeries(1, 1, {(0,): 1.0 + 2.9e-10j, (1,): 0.5,
+                                 (-1,): 0.5})
+    assert ok.evaluate(0.0) == 2.0
+    assert ok.on_mesh(4)[0] == pytest.approx(2.0, rel=1e-15)
+    bad = qc.FourierSeries(1, 1, {(0,): 1.0 + 3.1e-10j, (1,): 0.5,
+                                  (-1,): 0.5})
+    for call in (lambda: bad.evaluate(0.0), bad.on_mesh):
+        with pytest.raises(ValueError, match="reality"):
+            call()
+    assert bad.reality_defect() == pytest.approx(6.2e-10, rel=1e-6)
+
+
+def test_real_sum_peak_is_one_chunk():
+    # 4001 points x 2000 half modes with the sine half: dense cos and sin
+    # phase matrices would take 128 MB, one chunk of each 16 MiB
+    import tracemalloc
+
+    V = qc.ck_potential(1e-3, 2, range(1, 2001)).shifted([0.1])
+    theta = np.arange(4001) * 0.618
+    V.evaluate(theta[:2])
+    tracemalloc.start()
+    try:
+        V.evaluate(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * qc._ELEMENT_CAP + (1 << 20)
 
 
 def test_half_period_series_evaluation():
@@ -458,15 +575,15 @@ def test_sup_norm_chunks_the_phase_matrix(monkeypatch):
     # sup_norm reads the FFT mesh, so it builds no phase matrix at all;
     # the direct sum on the same 2801 points x 1401 modes runs in chunks
     f = kam.seeded_sl2_series(1e-3, 700, 2)
-    dense = float(np.max(norm2(f.evaluate_complex(np.arange(2801) / 2801))))
+    dense = float(np.max(norm2(f.evaluate(np.arange(2801) / 2801))))
     rows = []
-    evaluate = qc.FourierSeries.evaluate_complex
+    evaluate = qc.FourierSeries.evaluate
 
     def spy(self, theta):
         rows.append(len(theta))
         return evaluate(self, theta)
 
-    monkeypatch.setattr(qc.FourierSeries, "evaluate_complex", spy)
+    monkeypatch.setattr(qc.FourierSeries, "evaluate", spy)
     # the direct sum rounds its phases theta * n, here by 4e-14 relative
     # in the sup; the FFT is within 1e-15 of an exactly reduced sum
     assert f.sup_norm() == pytest.approx(dense, rel=1e-13, abs=0.0)
@@ -514,15 +631,19 @@ _CK_2000 = ("from qpspec import qpcore as qc, mat2; "
 
 
 def test_sampled_operator_fits_an_address_space_limit():
-    # 8004 points x 4000 modes: one dense phase matrix is 489 MiB complex
-    # plus its real argument, past 768 MiB with the interpreter
+    # 8004 points x 4000 modes: a dense complex phase matrix would be
+    # 489 MiB plus its real argument, past 768 MiB with the interpreter;
+    # test_real_sum_peak_is_one_chunk bounds the real chunks
     top = _limited_child(
         _CK_2000 + "from qpspec.spectrum import TruncatedOperator; "
         "V = qc.ck_potential(1e-3, 2, range(1, 2001)); "
         "H = TruncatedOperator.sampled(V, freq, 1000, 4); "
         "print(repr(float(abs(H.diag).max())))", 768 * 2 ** 20)
     V = qc.ck_potential(1e-3, 2, range(1, 2001))
-    assert 0.0 < top <= qc.ck_norm(V, 0)
+    # max |V| <= ck_norm(V, 0) holds in exact arithmetic; a sum of
+    # len(V.coeffs) terms may round past it by that many units of 2^-53
+    bound = qc.ck_norm(V, 0)
+    assert 0.0 < top <= bound + len(V.coeffs) * 2.0 ** -53 * bound
 
 
 def test_cocycle_det_check_fits_an_address_space_limit():
