@@ -349,7 +349,8 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs,
 
 def _scan_digest(V, freq, num) -> str:
     """sha256 over every admitted value that decides the scan intervals."""
-    coeffs = [[list(k), [c.real, c.imag]] for k, c in V.coeffs.items()]
+    coeffs = [[n, [c.real, c.imag]] for n, c
+              in zip(V.modes.tolist(), V.values.tolist())]
     return config_digest({
         "potential": [V.dim, V.radius, V.period, coeffs],
         "frequency": freq.vec.tolist(),

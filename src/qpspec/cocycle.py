@@ -71,17 +71,17 @@ def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
         raise ValueError("potential and frequency dimension mismatch")
     if V.period != 1:
         raise ValueError("potential must be a full-period series")
-    coeffs = {}
-    for n, c in V.coeffs.items():
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 0] = -c
-        coeffs[n] = m
-    zero = tuple([0] * V.dim)
-    base = coeffs.setdefault(zero, np.zeros((2, 2), dtype=complex))
-    base[0, 0] += E
-    base[0, 1] = -1.0
-    base[1, 0] = 1.0
-    series = FourierSeries(V.dim, max(V.radius, 0), coeffs)
+    modes = V.modes
+    # E and the constant entries sit on the zero mode, stored or added
+    if modes.any(axis=1).all():
+        modes = np.concatenate([modes, np.zeros((1, V.dim), dtype=int)])
+    values = np.zeros((len(modes), 2, 2), dtype=complex)
+    values[:len(V.values), 0, 0] = -V.values
+    zero = ~modes.any(axis=1)
+    values[zero, 0, 0] += E
+    values[zero, 0, 1] = -1.0
+    values[zero, 1, 0] = 1.0
+    series = FourierSeries.from_arrays(V.dim, V.radius, modes, values)
     return Cocycle(freq, series, is_schrodinger=True)
 
 

@@ -125,10 +125,8 @@ def _extract_series(vals: np.ndarray, dim: int, radius: int,
     modes = integer_ball(dim, radius)
     table = spec[tuple(np.mod(modes, g).T)]
     kept = np.abs(table).reshape(len(modes), -1).max(axis=1) >= keep
-    coeffs = dict(zip(map(tuple, modes[kept].tolist()), table[kept]))
-    if not coeffs and vals.ndim == dim + 2:
-        return _constant_series(np.zeros((2, 2)), dim, period)
-    return FourierSeries(dim, radius, coeffs, period).symmetrized()
+    return FourierSeries.from_arrays(dim, radius, modes[kept], table[kept],
+                                     period).symmetrized()
 
 
 def _series_product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
@@ -144,22 +142,17 @@ def _lift_double(series: FourierSeries) -> FourierSeries:
     """Reindex a plain-torus series as a series on the double cover."""
     if series.period == 2:
         return series
-    coeffs = {tuple(2 * v for v in k): c for k, c in series.coeffs.items()}
-    return FourierSeries(series.dim, 2 * series.radius, coeffs, period=2)
+    return FourierSeries.from_arrays(series.dim, 2 * series.radius,
+                                     2 * series.modes, series.values, 2)
 
 
 def _constant_series(mat: np.ndarray, dim: int, period: int) -> FourierSeries:
-    # a 2x2 zero mat gives the zero series: its explicit zero mode keeps
-    # the series matrix-kind
     return FourierSeries(dim, 0, {(0,) * dim: np.asarray(mat, dtype=complex)},
                          period=period)
 
 
 def _zero_mode(f: FourierSeries) -> np.ndarray:
-    c = f.coeffs.get((0,) * f.dim)
-    if c is None:
-        return np.zeros((2, 2))
-    return project_traceless(np.asarray(c).real)
+    return project_traceless(f.mean().real)
 
 
 class _EntryGateError(DivergenceError, ValueError):
@@ -169,7 +162,7 @@ class _EntryGateError(DivergenceError, ValueError):
 def _require_sl2_series(f: FourierSeries, what: str) -> None:
     if not f.is_matrix:
         raise ValueError(f"{what} must be matrix-valued")
-    if f.coeffs and f.traceless_defect() > 1e-9:
+    if f.traceless_defect() > 1e-9:
         raise ValueError(f"{what} must be traceless")
     if f.reality_defect() > 1e-9:
         raise ValueError(f"{what} must satisfy the reality pairing")
@@ -183,8 +176,7 @@ def seeded_sl2_series(scale: float, radius: int, seed: int,
     draw = np.random.default_rng(seed).normal(size=(len(modes), 2, 2, 2))
     m = (draw[:, 0] + 1j * draw[:, 1]) * scale
     m = m - (0.5 * (m[:, 0, 0] + m[:, 1, 1]))[:, None, None] * np.eye(2)
-    coeffs = dict(zip(map(tuple, modes.tolist()), m))
-    return FourierSeries(dim, radius, coeffs, 1).symmetrized()
+    return FourierSeries.from_arrays(dim, radius, modes, m, 1).symmetrized()
 
 
 def explicit_sl2_series(terms: dict, dim: int = 1) -> FourierSeries:
@@ -405,20 +397,22 @@ def _modewise_solve(f: FourierSeries, freq: Frequency, band, system,
     is its divisor; the floor check runs before one batched solve, and
     the solution is projected onto the real subspace.
     """
-    sizes = {k: max(map(abs, k)) for k in f.coeffs}
-    modes = [k for k, size in sizes.items()
-             if size > 0 and (band is None or size <= band)]
-    if not modes:
+    sizes = np.abs(f.modes).max(axis=1)
+    pick = sizes > 0
+    if band is not None:
+        pick &= sizes <= band
+    if not pick.any():
         return _constant_series(np.zeros((2, 2)), f.dim, 1)
-    phases = np.exp(1j * _TWO_PI * (np.array(modes, dtype=float) @ freq.vec))
+    modes = f.modes[pick]
+    phases = np.exp(1j * _TWO_PI * (modes @ freq.vec))
     mats = system(phases)
     _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
                     what)
-    vecs = np.array([np.asarray(rhs(f.coeffs[k])).reshape(4) for k in modes])
+    vecs = rhs(f.values[pick]).reshape(-1, 4)
     sol = np.linalg.solve(mats, vecs[..., None])[..., 0]
-    coeffs = {k: sol[i].reshape(2, 2) for i, k in enumerate(modes)}
-    radius = band if band is not None else max(sizes[k] for k in modes)
-    return FourierSeries(f.dim, radius, coeffs, period=1).symmetrized()
+    radius = band if band is not None else int(sizes[pick].max())
+    return FourierSeries.from_arrays(f.dim, radius, modes,
+                                     sol.reshape(-1, 2, 2), 1).symmetrized()
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +527,12 @@ def _elliptic_conjugator(A: np.ndarray, rho: float) -> tuple:
 
 
 def _sl2_components(c: np.ndarray) -> tuple:
-    """(j, w_plus, w_minus): J coefficient and the two twist eigenlines."""
+    """(j, w_plus, w_minus): J coefficient and the two twist eigenlines of
+    each 2x2 matrix of c, shape (..., 2, 2)."""
     c = np.asarray(c)
-    j = (c[1, 0] - c[0, 1]) / 2.0
-    kk = (c[0, 0] - c[1, 1]) / 2.0
-    s = (c[0, 1] + c[1, 0]) / 2.0
+    j = (c[..., 1, 0] - c[..., 0, 1]) / 2.0
+    kk = (c[..., 0, 0] - c[..., 1, 1]) / 2.0
+    s = (c[..., 0, 1] + c[..., 1, 0]) / 2.0
     return j, kk + 1j * s, kk - 1j * s
 
 
@@ -556,37 +551,28 @@ def _solve_resonant_modes(f: FourierSeries, rho: float, n_star: tuple,
     at n = +-n*, where the divisor is resonantly small by assumption).
     """
     omega = _TWO_PI * rho
-    minus_star = tuple(-v for v in n_star)
-    modes = []
-    lines = []
-    for k, c in f.coeffs.items():
-        if not any(k):
-            continue
-        omega_n = _TWO_PI * float(np.dot(k, freq.vec))
-        j, wp, wm = _sl2_components(c)
-        parts = (
-            (j, _J, np.exp(1j * omega_n) - 1.0, True),
-            (wp, _N_PLUS, np.exp(1j * (omega_n - 2.0 * omega)) - 1.0,
-             k != n_star),
-            (wm, _N_MINUS, np.exp(1j * (omega_n + 2.0 * omega)) - 1.0,
-             k != minus_star),
-        )
-        modes.append(k)
-        lines.append([(coef, basis, div)
-                      for coef, basis, div, solve in parts if solve])
-    if not modes:
+    nonzero = f.modes.any(axis=1)
+    if not nonzero.any():
         return _constant_series(np.zeros((2, 2)), f.dim, 1)
-    _check_divisors(modes, [min(abs(div) for _, _, div in solved)
-                            for solved in lines],
+    modes = f.modes[nonzero]
+    omega_n = _TWO_PI * (modes @ freq.vec)
+    j, wp, wm = _sl2_components(f.values[nonzero])
+    # (coefficient, basis, divisor, modes whose line is solved) per line
+    lines = (
+        (j, _J, np.exp(1j * omega_n) - 1.0, np.ones(len(modes), dtype=bool)),
+        (wp, _N_PLUS, np.exp(1j * (omega_n - 2.0 * omega)) - 1.0,
+         (modes != n_star).any(axis=1)),
+        (wm, _N_MINUS, np.exp(1j * (omega_n + 2.0 * omega)) - 1.0,
+         (modes != np.negative(n_star)).any(axis=1)),
+    )
+    _check_divisors(modes, np.min([np.where(solve, np.abs(div), np.inf)
+                                   for _, _, div, solve in lines], axis=0),
                     "non-resonant line hits the divisor floor")
-    coeffs = {}
-    for k, solved in zip(modes, lines):
-        y = np.zeros((2, 2), dtype=complex)
-        for coef, basis, div in solved:
-            y = y + (coef / div) * basis
-        coeffs[k] = y
-    return FourierSeries(f.dim, max(f.support_radius(), 1), coeffs,
-                         period=1).symmetrized()
+    y = np.zeros((len(modes), 2, 2), dtype=complex)
+    for coef, basis, div, solve in lines:
+        y[solve] += (coef[solve] / div[solve])[:, None, None] * basis
+    return FourierSeries.from_arrays(f.dim, max(f.support_radius(), 1),
+                                     modes, y, 1).symmetrized()
 
 
 def resonant_step(state: KamState, n_star: tuple) -> KamState:
@@ -612,10 +598,9 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     Q, turn = _elliptic_conjugator(state.A, rho)
     site = n_star if turn > 0.0 else tuple(-v for v in n_star)
     Q_inv = inv2(Q)
-    f_rot = FourierSeries(
-        state.f.dim, max(state.f.radius, 1),
-        {k: Q_inv @ np.asarray(c) @ Q for k, c in state.f.coeffs.items()},
-        period=1)
+    f_rot = FourierSeries.from_arrays(state.f.dim, max(state.f.radius, 1),
+                                      state.f.modes,
+                                      Q_inv @ state.f.values @ Q, 1)
 
     Y = _solve_resonant_modes(f_rot, turn, site, state.freq)
     R = rotation(turn)
@@ -691,7 +676,7 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     array_elements(f"modes up to |n| = {f.radius}, which the first step "
                    f"takes to |n| = {reach} in {f.dim}-D,",
                    (4 * reach + 1) ** f.dim)
-    finite = all(np.isfinite(c).all() for c in f.coeffs.values())
+    finite = bool(np.isfinite(f.values).all())
     norm0 = ck_norm(f, 0) if finite else math.nan
     if not norm0 <= _START_NORM:
         raise _EntryGateError(f"starting perturbation norm {norm0:.3e} is "
@@ -1042,7 +1027,7 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     """
     m = _gap_label(m, freq)
     e_reduce = edge - window
-    mean_v = float(V.coeffs.get((0,) * V.dim, 0.0).real) if V.coeffs else 0.0
+    mean_v = float(V.mean().real)
     const = np.array([[e_reduce - mean_v, -1.0], [1.0, 0.0]])
     info = eigen_rho(const)
     if info["kind"] != "elliptic":

@@ -7,7 +7,10 @@ truncated Fourier series
 
 with |n| the sup-norm on Z^d throughout, p = 1 for functions on T^d and
 p = 2 on the double cover 2T^d (half-integer harmonics).  Reality is the
-pairing c_{-n} = conj(c_n).
+pairing c_{-n} = conj(c_n).  The coefficients are two read-only arrays,
+the modes n (rows, d) in lexicographic order and the values c_n, (rows,)
+or (rows, 2, 2); a mapping is stacked into them once, and from_arrays
+takes them as they are.
 
 A series has two evaluators, and both return real values.  At points,
 evaluate sums over the half-mode set (n with n > -n, and n = 0) with the
@@ -193,9 +196,7 @@ class _HalfModes:
 
 
 def _as_key(n) -> tuple:
-    if isinstance(n, (int, np.integer)):
-        return (int(n),)
-    return tuple(int(v) for v in n)
+    return (n,) if np.ndim(n) == 0 else tuple(n)
 
 
 class FourierSeries:
@@ -209,17 +210,41 @@ class FourierSeries:
         Truncation bound N: coefficients live on |n|_inf <= N.
     coeffs : mapping
         Integer vector (tuple, or bare int when d = 1) -> complex scalar or
-        complex 2x2 array.  Keys outside the radius raise.
+        complex 2x2 array, stacked once into the arrays below.
     period : int
         1 for T^d, 2 for the double cover (harmonics e^{pi i <n, theta>}).
 
-    Instances are treated as immutable; operations return new series.
+    The series is stored as two read-only arrays, since the half-mode
+    sums are cached from them: ``modes``, int64 of shape (rows, d) in
+    lexicographic order with no row twice, and ``values``, complex of
+    shape (rows,) or (rows, 2, 2), row i the coefficient of mode i.
+    from_arrays builds a series from such arrays; operations return new
+    series.
     """
 
-    __slots__ = ("dim", "radius", "period", "coeffs", "_modes", "_values",
-                 "_is_matrix", "_half")
+    __slots__ = ("dim", "radius", "period", "modes", "values", "_half")
 
     def __init__(self, dim: int, radius: int, coeffs, period: int = 1):
+        keys = [_as_key(key) for key in coeffs]
+        for k in keys:
+            if len(k) != dim:
+                raise ValueError(f"coefficient index {k} has wrong dimension")
+        self._store(dim, radius,
+                    np.array(keys).reshape(len(keys), dim),
+                    list(coeffs.values()), period)
+
+    @classmethod
+    def from_arrays(cls, dim: int, radius: int, modes, values,
+                    period: int = 1) -> "FourierSeries":
+        """Series with coefficient values[i] at mode modes[i]: modes of
+        shape (rows, dim), values of shape (rows,) or (rows, 2, 2), rows
+        in any order and no mode twice."""
+        series = cls.__new__(cls)
+        series._store(dim, radius, modes, values, period)
+        return series
+
+    def _store(self, dim, radius, modes, values, period) -> None:
+        """The one check and store behind both constructors."""
         if not 1 <= dim <= 3:
             raise ValueError(f"dim must be 1..3, got {dim}")
         if radius < 0:
@@ -229,58 +254,56 @@ class FourierSeries:
         # the default on_mesh, which sup_norm and the Cocycle det check read
         array_elements(f"modes up to |n| = {radius} in {dim}-D",
                        (4 * max(radius, 1) + 1) ** dim)
+        raw, modes = modes, np.asarray(modes).astype(np.int64)
+        if not np.array_equal(modes, raw):
+            raise ValueError("modes must be integers")
+        try:
+            values = np.asarray(values, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("mixed or malformed coefficients: not all "
+                             "scalars or all 2x2") from exc
+        if modes.ndim != 2 or modes.shape[1] != dim:
+            raise ValueError(f"mode rows of shape {modes.shape} have wrong "
+                             f"dimension for {dim}-D")
+        if values.shape[1:] not in ((), (2, 2)) \
+                or values.shape[:1] != modes.shape[:1]:
+            raise ValueError(f"coefficients of shape {values.shape} must be "
+                             f"scalar or 2x2, one per mode of {len(modes)}")
+        outside = (np.abs(modes) > radius).any(axis=1)
+        if outside.any():
+            raise ValueError(f"coefficient index {modes[outside][0].tolist()} "
+                             f"outside radius {radius}")
+        order = np.lexsort(modes.T[::-1])
+        modes, values = modes[order], values[order]
+        twice = (modes[1:] == modes[:-1]).all(axis=1)
+        if twice.any():
+            raise ValueError(f"mode {modes[1:][twice][0].tolist()} appears "
+                             "twice")
         self.dim = int(dim)
         self.radius = int(radius)
         self.period = int(period)
-        norm: dict = {}
-        is_matrix = None
-        for key, val in coeffs.items():
-            k = _as_key(key)
-            if len(k) != self.dim:
-                raise ValueError(f"coefficient index {k} has wrong dimension")
-            if max((abs(v) for v in k), default=0) > self.radius:
-                raise ValueError(f"coefficient index {k} outside radius {radius}")
-            v = np.asarray(val, dtype=complex)
-            if v.shape == ():
-                kind = False
-            elif v.shape == (2, 2):
-                kind = True
-            else:
-                raise ValueError(f"coefficient at {k} must be scalar or 2x2")
-            if is_matrix is None:
-                is_matrix = kind
-            elif is_matrix != kind:
-                raise ValueError("mixed scalar and matrix coefficients")
-            norm[k] = complex(v) if not kind else v
-        self.coeffs = {k: norm[k] for k in sorted(norm)}
-        self._modes = None
-        self._values = None
+        modes.flags.writeable = values.flags.writeable = False
+        self.modes, self.values = modes, values
         self._half = None
-        self._is_matrix = bool(is_matrix) if is_matrix is not None else False
 
-    # coeffs may be empty; default kind is scalar
     @property
     def is_matrix(self) -> bool:
-        return self._is_matrix
+        return self.values.ndim == 3
 
-    def _arrays(self):
-        if self._modes is None:
-            if self.coeffs:
-                self._modes = np.array(list(self.coeffs.keys()), dtype=float)
-                self._values = np.array(list(self.coeffs.values()),
-                                        dtype=complex)
-            else:
-                self._modes = np.zeros((0, self.dim))
-                shape = (0, 2, 2) if self.is_matrix else (0,)
-                self._values = np.zeros(shape, dtype=complex)
-        return self._modes, self._values
+    def mean(self):
+        """The zero-mode coefficient c_0 (0 when the series has none)."""
+        zero = ~self.modes.any(axis=1)
+        if zero.any():
+            return self.values[zero][0]
+        return np.zeros(self.values.shape[1:], dtype=complex)
 
     def _half_modes(self) -> "_HalfModes":
-        """The series as a real sum over its half-mode set, built once,
-        by vectorized pairing of _arrays() (kam series reach 2^18 keys)."""
+        """The series as a real sum over its half-mode set, built once by
+        vectorized pairing of the coefficient rows."""
         if self._half is None:
-            modes, values = self._arrays()
-            values = values.reshape(len(values), 4 if self.is_matrix else 1)
+            modes = self.modes
+            values = self.values.reshape(len(modes), 4 if self.is_matrix
+                                         else 1)
             # the first nonzero coordinate; 0 only for n = 0
             first = modes[np.arange(len(modes)),
                           np.argmax(modes != 0, axis=1)]
@@ -290,7 +313,7 @@ class FourierSeries:
                 np.arange(self.dim - 1, -1, -1)
             _, index, slot = np.unique(code, return_index=True,
                                        return_inverse=True)
-            half = rep[index]
+            half = rep[index].astype(float)
             plus = np.zeros((len(half), values.shape[1]), dtype=complex)
             minus = np.zeros_like(plus)
             plus[slot[first >= 0]] = values[first >= 0]
@@ -318,11 +341,9 @@ class FourierSeries:
 
     def support_radius(self) -> int:
         """Largest |n|_inf carrying a nonzero coefficient."""
-        r = 0
-        for k, v in self.coeffs.items():
-            if np.any(np.abs(v) > 0.0):
-                r = max(r, max(abs(x) for x in k))
-        return r
+        nonzero = (np.abs(self.values) > 0.0).any(
+            axis=tuple(range(1, self.values.ndim)))
+        return int(np.abs(self.modes[nonzero]).max(initial=0))
 
     # ---- evaluation ------------------------------------------------------
 
@@ -356,13 +377,13 @@ class FourierSeries:
     def on_mesh(self, g: int | None = None) -> np.ndarray:
         """Real values on the g^d equispaced mesh of [0, period)^d, shaped
         (g,) * d plus the value shape, by one inverse FFT; aliased modes
-        accumulate in key order, so any support gives the direct sum's
+        accumulate in row order, so any support gives the direct sum's
         values.  g defaults to 4 radius + 1 (sup_norm, the det check)."""
         g = 4 * max(self.radius, 1) + 1 if g is None else int(g)
         self._real_half_modes()
-        modes, values = self._arrays()
-        buf = np.zeros((g,) * self.dim + values.shape[1:], dtype=complex)
-        np.add.at(buf, tuple(np.mod(modes.astype(int), g).T), values)
+        buf = np.zeros((g,) * self.dim + self.values.shape[1:],
+                       dtype=complex)
+        np.add.at(buf, tuple(np.mod(self.modes, g).T), self.values)
         return (np.fft.ifftn(buf, axes=tuple(range(self.dim)))
                 * float(g ** self.dim)).real
 
@@ -380,52 +401,41 @@ class FourierSeries:
     def traceless_defect(self) -> float:
         if not self.is_matrix:
             raise ValueError("trace defect is defined for matrix series")
-        worst = 0.0
-        for v in self.coeffs.values():
-            worst = max(worst, abs(complex(v[0, 0] + v[1, 1])))
-        return worst
+        return float(np.max(np.abs(self.values[:, 0, 0]
+                                   + self.values[:, 1, 1]), initial=0.0))
 
     def symmetrized(self) -> "FourierSeries":
-        """Project onto the real subspace: c_n <- (c_n + conj(c_{-n})) / 2."""
-        out = {}
-        zero = np.zeros((2, 2), dtype=complex) if self.is_matrix else 0j
-        keys = set(self.coeffs)
-        keys |= {tuple(-x for x in k) for k in keys}
-        for k in keys:
-            a = self.coeffs.get(k, zero)
-            b = self.coeffs.get(tuple(-x for x in k), zero)
-            out[k] = (a + np.conj(b)) / 2.0
-        return FourierSeries(self.dim, self.radius, out, self.period)
+        """Project onto the real subspace: c_n <- (c_n + conj(c_{-n})) / 2,
+        on the union of the modes n and -n."""
+        rows = len(self.modes)
+        both = np.concatenate([self.modes, -self.modes])
+        order = np.lexsort(both.T[::-1])
+        both = both[order]
+        first = np.ones(len(both), dtype=bool)
+        first[1:] = (both[1:] != both[:-1]).any(axis=1)
+        # slot[i] is the union row of sorted row i; a row of modes holds
+        # c_n at n, a row of -modes holds c_n at -n, whose partner it is
+        slot = np.cumsum(first) - 1
+        own, partner = order < rows, order >= rows
+        c = np.zeros((int(first.sum()),) + self.values.shape[1:],
+                     dtype=complex)
+        c_minus = np.zeros_like(c)
+        c[slot[own]] = self.values[order[own]]
+        c_minus[slot[partner]] = self.values[order[partner] - rows]
+        return FourierSeries.from_arrays(
+            self.dim, self.radius, both[first], (c + np.conj(c_minus)) / 2.0,
+            self.period)
 
     # ---- algebra ---------------------------------------------------------
 
     def shifted(self, delta) -> "FourierSeries":
         """Series of theta -> f(theta + delta)."""
         delta = np.asarray(delta, dtype=float).reshape(self.dim)
-        out = {}
-        for k, v in self.coeffs.items():
-            ph = np.exp((_TWO_PI * 1j / self.period) * float(np.dot(k, delta)))
-            out[k] = ph * v
-        return FourierSeries(self.dim, self.radius, out, self.period)
-
-    def __eq__(self, other):
-        if not isinstance(other, FourierSeries):
-            return NotImplemented
-        if (self.dim, self.period, self.is_matrix) != (
-                other.dim, other.period, other.is_matrix):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = np.zeros((2, 2), dtype=complex) if self.is_matrix else 0j
-        for k in keys:
-            a = self.coeffs.get(k, zero)
-            b = other.coeffs.get(k, zero)
-            if np.any(a != b):
-                return False
-        return True
-
-    def __hash__(self):  # content equality makes instances unhashable
-        raise TypeError("FourierSeries is not hashable")
-
+        phase = np.exp((_TWO_PI * 1j / self.period) * (self.modes @ delta))
+        return FourierSeries.from_arrays(
+            self.dim, self.radius, self.modes,
+            phase.reshape((-1,) + (1,) * (self.values.ndim - 1))
+            * self.values, self.period)
 
 
 def cosine_polynomial(terms, dim: int = 1) -> FourierSeries:
@@ -470,7 +480,7 @@ def ck_norm(f: FourierSeries, k: int) -> float:
     ||c_n|| is the modulus or, for a matrix series, the spectral norm."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    modes, values = f._arrays()
+    modes, values = f.modes, f.values
     scale = _TWO_PI / f.period
     coeff_norm = norm2(values) if f.is_matrix else np.abs(values)
     js = integer_ball(f.dim, k)

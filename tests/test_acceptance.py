@@ -124,8 +124,8 @@ def test_criterion_05_kam_contraction(golden):
     t0 = time.perf_counter()
     f0 = seeded_sl2_series(2.5e-4, 3, 11)
     scale = 1e-3 / ck_norm(f0, 0)
-    f = FourierSeries(1, f0.support_radius(),
-                      {n: scale * v for n, v in f0.coeffs.items()}, 1)
+    f = FourierSeries.from_arrays(1, f0.support_radius(), f0.modes,
+                                  scale * f0.values, 1)
     state = almost_reducibility_run(rotation(0.17), f, golden)
     elapsed = time.perf_counter() - t0
     assert len(state.ledger) <= 6

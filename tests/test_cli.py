@@ -647,6 +647,27 @@ def test_scan_reuse_keeps_data_files_byte_identical(tmp_path, fmt):
     assert (with_scan / f"scan.{fmt}").read_bytes() == scan
 
 
+@pytest.mark.parametrize("potential,frequency,digest", [
+    ({"family": "cosine", "dim": 2,
+      "terms": {"0,0": 0.25, "1,0": 0.3, "1,-2": -0.125}},
+     {"components": [(math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0],
+      "gamma": 0.01, "tau": 2.5, "cutoff": 20},
+     "38e408b504456f099e26080a3ea15f292f1169abdd7a500f8051c94554c4ba6d"),
+    ({"family": "ck", "epsilon": 0.01, "k": 6, "modes": [1, 2, 3, 5, 8]},
+     {"components": [(math.sqrt(5.0) - 1.0) / 2.0]},
+     "e1d2a19a69f6dfef8292382024ecb1b0cdfc225867e856db566a04f475d0c1a1"),
+], ids=["cosine-2d", "ck"])
+def test_scan_digest_is_pinned(potential, frequency, digest):
+    # the stored-scan reuse of gaps/decay/homog keys on this digest, so a
+    # change to how a series stores its coefficients must not move it
+    from qpspec import cli
+
+    V = cli.build_potential(potential)
+    freq = cli.build_frequency(frequency)
+    num = {"L": 1000, "phases": 4, "resolution": 4e-3}
+    assert cli._scan_digest(V, freq, num) == digest
+
+
 def _drop_last_row(out_dir):
     path = out_dir / "scan.csv"
     path.write_text("".join(path.read_text().splitlines(True)[:-1]))
@@ -1111,8 +1132,8 @@ def test_ck_profile_has_one_owner():
     assert powers == []
 
     def bits(series):
-        return [(k, complex(v).real.hex(), complex(v).imag.hex())
-                for k, v in series.coeffs.items()]
+        return [(k, v.real.hex(), v.imag.hex()) for k, v
+                in zip(series.modes.tolist(), series.values.tolist())]
 
     for eps, k, modes in ((0.01, 6, range(1, 9)), (0.3, 0, [1]),
                           (2e-3, 3, [1, 2, 3, 5, 8, 40]), (1.0, 2, [3, 1, 3])):
@@ -1184,13 +1205,26 @@ _KEPT = {
                                             "identity with it",
 }
 
+# public members (as Class.member) whose name another class of src/qpspec
+# also defines, so that a read of that name on a receiver other than self
+# may belong to either class, and why each is known to be called
+_SHARED = {
+    "Frequency.dim": "FourierSeries.dim is a slot; kam.detect_resonance and "
+                     "kam.resonant_step read freq.dim on a Frequency",
+    "KamState.residual": "LedgerStep.residual is a field; "
+                         "KamState.check_residual calls self.residual()",
+}
+
 
 def test_every_public_function_has_a_library_caller():
     # read with ast alone: a public top-level function or class of a layer
     # module needs a reference in src/qpspec outside its own definition,
     # its module's __all__ and the package __init__, or a _KEPT reason; so
-    # does a public member of a public class, where any attribute of that
-    # name counts, since ast does not know the receiver's class
+    # does a public member of a public class.  A self. or cls. read inside
+    # a class that defines the name is that class's member; any other
+    # attribute of the name counts for every class that defines it, since
+    # ast does not know the receiver's class, and such shared names are
+    # listed in _SHARED
     import ast
 
     src = Path(__file__).resolve().parents[1] / "src" / "qpspec"
@@ -1219,22 +1253,70 @@ def test_every_public_function_has_a_library_caller():
                     found.add(stem)
         return found
 
-    def member_callers(name, module, definition):
-        """Modules with an attribute name outside the member's definition."""
-        return {stem for stem, tree in trees.items() for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == name
-                and not (stem == module and definition.lineno <= node.lineno
-                         <= definition.end_lineno)}
+    def defined(cls):
+        """Names a class defines: methods, class-level fields, __slots__
+        entries and attributes assigned on self."""
+        names = set()
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.AnnAssign):
+                names.add(item.target.id)
+            elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in item.targets):
+                names |= {elt.value for elt in item.value.elts}
+        names |= {node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"}
+        return names
+
+    classes = {id(node): (node, defined(node)) for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    # the class around each node, for reads on self and cls
+    around = {id(sub): node for node, _ in classes.values()
+              for sub in ast.walk(node)}
+
+    def member_callers(name, module, definition, cls):
+        """Modules that read the attribute name outside the member's
+        definition, leaving out self. and cls. reads inside another class
+        that defines the name itself."""
+        found = set()
+        for stem, tree in trees.items():
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Attribute) and node.attr == name
+                        and isinstance(node.ctx, ast.Load)):
+                    continue
+                if stem == module and definition.lineno <= node.lineno \
+                        <= definition.end_lineno:
+                    continue
+                owner = around.get(id(node))
+                if (isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls")
+                        and owner is not None and owner is not cls
+                        and name in classes[id(owner)][1]):
+                    continue
+                found.add(stem)
+        return found
 
     tops = [(stem, node) for stem, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
     public = {node.name: callers(node.name, stem, node) for stem, node in tops}
+    members = [(stem, node, item) for stem, node in tops
+               if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")]
     public.update({
-        f"{node.name}.{item.name}": member_callers(item.name, stem, item)
-        for stem, node in tops if isinstance(node, ast.ClassDef)
-        for item in node.body if isinstance(item, ast.FunctionDef)
-        and not item.name.startswith("_")})
+        f"{node.name}.{item.name}": member_callers(item.name, stem, item,
+                                                   node)
+        for stem, node, item in members})
+    shared = {f"{node.name}.{item.name}" for _, node, item in members
+              if any(other is not node and item.name in names
+                     for other, names in classes.values())}
+    assert shared == set(_SHARED), "member names another class shares"
     uncalled = {name for name, found in public.items() if not found}
     assert uncalled - set(_KEPT) == set(), "public names no library code calls"
     assert {name: sorted(public[name]) for name in _KEPT

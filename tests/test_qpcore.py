@@ -77,6 +77,140 @@ def _direct_sum(coeffs, theta, period=1):
     return total
 
 
+# each rejected input as (dim, radius, coefficient mapping, period) and the
+# words of its ValueError
+_REJECTED = {
+    "key-of-wrong-length": ((2, 1, {(1,): 1.0}, 1), "dimension"),
+    "key-outside-radius": ((1, 1, {(2,): 1.0}, 1), "outside radius"),
+    "non-integer-key": ((1, 2, {(1.5,): 1.0}, 1), "integers"),
+    "vector-value": ((1, 1, {(1,): np.ones(3)}, 1), "scalar or 2x2"),
+    "3x3-value": ((1, 1, {(1,): np.eye(3)}, 1), "scalar or 2x2"),
+    "mixed-kinds": ((1, 1, {(0,): 1.0, (1,): np.eye(2)}, 1), "mixed"),
+    "dim-0": ((0, 1, {}, 1), "dim"),
+    "dim-4": ((4, 1, {}, 1), "dim"),
+    "radius-negative": ((1, -1, {}, 1), "radius"),
+    "period-3": ((1, 1, {}, 3), "period"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_mapping_constructor_rejects(case):
+    (dim, radius, coeffs, period), words = _REJECTED[case]
+    with pytest.raises(ValueError, match=words):
+        qc.FourierSeries(dim, radius, coeffs, period)
+
+
+# rejections that only arrays can carry
+_REJECTED_ROWS = {
+    "mode-twice": ((2, 1, [[1, 0], [0, 1], [1, 0]], [1.0, 2.0, 3.0], 1),
+                   "twice"),
+    "fewer-values-than-modes": ((1, 1, [[0], [1]], [1.0], 1),
+                                "one per mode"),
+    "non-integer-mode": ((1, 2, [[1.0], [-1.2]], [1.0, 1.0], 1),
+                         "integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED) + sorted(_REJECTED_ROWS))
+def test_from_arrays_rejects(case):
+    if case in _REJECTED:
+        (dim, radius, coeffs, period), words = _REJECTED[case]
+        modes, values = [list(k) for k in coeffs], list(coeffs.values())
+    else:
+        (dim, radius, modes, values, period), words = _REJECTED_ROWS[case]
+    with pytest.raises(ValueError, match=words):
+        qc.FourierSeries.from_arrays(dim, radius, modes, values, period)
+
+
+def test_from_arrays_sorts_and_freezes_the_rows():
+    modes = np.array([[1, 0], [-1, 2], [0, 0], [-1, -2]])
+    values = np.arange(4) + 0.5j
+    f = qc.FourierSeries.from_arrays(2, 2, modes, values)
+    order = sorted(range(4), key=lambda i: tuple(modes[i]))
+    assert f.modes.tolist() == modes[order].tolist()
+    assert f.values.tolist() == values[order].tolist()
+    assert f.modes.dtype == np.int64 and f.values.dtype == complex
+    assert not f.modes.flags.writeable and not f.values.flags.writeable
+    g = qc.FourierSeries(2, 2, dict(zip(map(tuple, modes.tolist()), values)))
+    assert np.array_equal(g.modes, f.modes)
+    assert g.values.tobytes() == f.values.tobytes()
+    empty = qc.FourierSeries(3, 1, {})
+    assert empty.modes.shape == (0, 3) and empty.values.shape == (0,)
+    assert not empty.is_matrix
+    assert qc.FourierSeries.from_arrays(1, 0, np.zeros((0, 1)),
+                                        np.zeros((0, 2, 2))).is_matrix
+
+
+def test_series_holds_only_its_arrays():
+    import tracemalloc
+
+    from qpspec import kam
+
+    kam.seeded_sl2_series(1e-3, 2, 1, dim=2)
+    tracemalloc.start()
+    try:
+        f = kam.seeded_sl2_series(1e-3, 60, 1, dim=2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(f.modes) == 121 ** 2
+    assert held <= 2 * (f.modes.nbytes + f.values.nbytes)
+
+
+def _one_sided(dim, matrix, seed):
+    """A series on a random half of the ball of radius 3 - dim // 2 (keys
+    n without -n included), coefficients complex normal."""
+    rng = np.random.default_rng(seed)
+    ball = qc.integer_ball(dim, 3 - dim // 2)
+    ball = ball[rng.random(len(ball)) < 0.5]
+    shape = (len(ball),) + ((2, 2) if matrix else ())
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return qc.FourierSeries.from_arrays(dim, 3 - dim // 2, ball, values,
+                                        1 + seed % 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("matrix", [False, True])
+def test_symmetrized_is_the_keywise_pairing(dim, matrix):
+    # (c_n + conj(c_-n)) / 2 on the union of n and -n, a missing key read
+    # as 0, key by key, bit for bit
+    for seed in range(5):
+        f = _one_sided(dim, matrix, seed)
+        coeffs = dict(zip(map(tuple, f.modes.tolist()), f.values))
+        zero = np.zeros((2, 2), dtype=complex) if matrix else 0j
+        keys = sorted(set(coeffs) | {tuple(-v for v in k) for k in coeffs})
+        want = [(coeffs.get(k, zero)
+                 + np.conj(coeffs.get(tuple(-v for v in k), zero))) / 2.0
+                for k in keys]
+        got = f.symmetrized()
+        assert got.modes.tolist() == [list(k) for k in keys]
+        assert got.values.tobytes() == np.array(want, dtype=complex).tobytes()
+        assert (got.dim, got.radius, got.period) == (f.dim, f.radius,
+                                                     f.period)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("matrix", [False, True])
+def test_shifted_is_the_keywise_phase(dim, matrix):
+    # c_n e^{2 pi i <n, delta> / p} key by key: bit for bit for a 1-D
+    # matrix series; otherwise the phase <n, delta> (a matmul) and the
+    # scalar products may round differently, by ulps of the phase
+    for seed in range(5):
+        f = _one_sided(dim, matrix, seed)
+        delta = np.random.default_rng(seed).uniform(-3.0, 3.0, dim)
+        phase = [(2.0 * math.pi / f.period) * float(np.dot(k, delta))
+                 for k in f.modes.tolist()]
+        want = np.array([np.exp(1j * ph) * c
+                         for ph, c in zip(phase, f.values)])
+        got = f.shifted(delta)
+        assert np.array_equal(got.modes, f.modes)
+        if dim == 1 and matrix:
+            assert got.values.tobytes() == want.tobytes()
+        tol = 1e-15 * (1.0 + max(map(abs, phase), default=0.0)) \
+            * float(np.max(np.abs(f.values), initial=0.0))
+        assert float(np.max(np.abs(got.values - want), initial=0.0)) <= tol
+
+
 def test_evaluate_matches_direct_sum():
     rng = np.random.default_rng(7)
     coeffs = {}
@@ -117,9 +251,7 @@ def test_both_evaluators_reject_broken_reality(dim, matrix):
 def _dense_sum(f, theta):
     """The complex direct sum over the rows of theta, shape (rows, dim),
     with one phase matrix of every mode for all of them."""
-    modes = np.array(list(f.coeffs), dtype=float).reshape(-1, f.dim)
-    values = np.array(list(f.coeffs.values()), dtype=complex).reshape(
-        (-1, 2, 2) if f.is_matrix else -1)
+    modes, values = f.modes.astype(float), f.values
     phase = np.exp((2.0 * math.pi * 1j / f.period) * (theta @ modes.T))
     if f.is_matrix:
         return np.einsum("nk,kij->nij", phase, values)
@@ -129,9 +261,9 @@ def _dense_sum(f, theta):
 def _scalar_part(f, period):
     """A real scalar series on f's modes: the symmetrized off-diagonal sum
     of the matrix series f."""
-    return qc.FourierSeries(f.dim, f.radius, {k: c[0, 1] + c[1, 0]
-                                              for k, c in f.coeffs.items()},
-                            period=period).symmetrized()
+    return qc.FourierSeries.from_arrays(
+        f.dim, f.radius, f.modes, f.values[:, 0, 1] + f.values[:, 1, 0],
+        period).symmetrized()
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 40), (2, 6), (3, 6)])
@@ -153,7 +285,7 @@ def test_chunked_evaluation_matches_one_dense_call(monkeypatch, dim, radius,
     one = f.evaluate(flat)
     assert float(np.max(np.abs(one - want))) <= tol
     # 53 chunks of at most 8 rows
-    monkeypatch.setattr(qc, "_ELEMENT_CAP", 8 * (len(f.coeffs) // 2 + 1))
+    monkeypatch.setattr(qc, "_ELEMENT_CAP", 8 * (len(f.modes) // 2 + 1))
     got = f.evaluate(theta)
     assert got.shape == theta.shape[:-1] + want.shape[1:]
     assert float(np.max(np.abs(got.reshape(want.shape) - want))) <= tol
@@ -170,8 +302,8 @@ def _seeded(dim, period, matrix):
     from qpspec import kam
 
     radius = (4, 2, 1)[dim - 1]
-    f = qc.FourierSeries(dim, radius, kam.seeded_sl2_series(
-        1.0, radius, seed=10 * dim + period, dim=dim).coeffs, period)
+    s = kam.seeded_sl2_series(1.0, radius, seed=10 * dim + period, dim=dim)
+    f = qc.FourierSeries.from_arrays(dim, radius, s.modes, s.values, period)
     return f if matrix else _scalar_part(f, period)
 
 
@@ -206,7 +338,7 @@ def test_real_sum_matches_the_dense_complex_sum(monkeypatch, case):
     assert got.shape == want.shape
     assert got.dtype == np.float64
     assert float(np.max(np.abs(got - want))) <= tol
-    monkeypatch.setattr(qc, "_ELEMENT_CAP", 3 * (len(f.coeffs) // 2 + 1))
+    monkeypatch.setattr(qc, "_ELEMENT_CAP", 3 * (len(f.modes) // 2 + 1))
     assert float(np.max(np.abs(f.evaluate(theta) - want))) <= tol
 
 
@@ -319,9 +451,9 @@ def _grid_sup(f, k):
     for powers in itertools.product(range(k + 1), repeat=f.dim):
         if sum(powers) > k:
             continue
-        coeffs = {n: c * math.prod((2j * math.pi * m / f.period) ** p
+        coeffs = {tuple(n): c * math.prod((2j * math.pi * m / f.period) ** p
                                    for m, p in zip(n, powers))
-                  for n, c in f.coeffs.items()}
+                  for n, c in zip(f.modes.tolist(), f.values)}
         vals = qc.FourierSeries(f.dim, f.radius, coeffs,
                                 f.period).on_mesh()
         size = np.linalg.norm(vals, 2, axis=(-2, -1)) if f.is_matrix \
@@ -641,9 +773,9 @@ def test_sampled_operator_fits_an_address_space_limit():
         "print(repr(float(abs(H.diag).max())))", 768 * 2 ** 20)
     V = qc.ck_potential(1e-3, 2, range(1, 2001))
     # max |V| <= ck_norm(V, 0) holds in exact arithmetic; a sum of
-    # len(V.coeffs) terms may round past it by that many units of 2^-53
+    # len(V.modes) terms may round past it by that many units of 2^-53
     bound = qc.ck_norm(V, 0)
-    assert 0.0 < top <= bound + len(V.coeffs) * 2.0 ** -53 * bound
+    assert 0.0 < top <= bound + len(V.modes) * 2.0 ** -53 * bound
 
 
 def test_cocycle_det_check_fits_an_address_space_limit():

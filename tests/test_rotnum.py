@@ -531,8 +531,8 @@ def test_degree_half_rotation(freq):
 def test_degree_with_constant_conjugation(freq):
     c = np.array([[2.0, 0.3], [0.1, 0.6]], dtype=complex)
     base = rotation_series((1,))
-    coeffs = {n: c @ v for n, v in base.coeffs.items()}
-    b = FourierSeries(1, base.radius, coeffs, period=2)
+    b = FourierSeries.from_arrays(1, base.radius, base.modes,
+                                  c @ base.values, period=2)
     assert degree(b, freq) == (1,)
 
 
