@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
-from .errors import (BranchError, DivergenceError, DivisorError,
-                     ReductionError, ResonanceError, StepSizeError)
-from .mat2 import (commutator, det2, exp_sl2, inv2, log_sl2, norm2,
-                   project_traceless, rotation, trace2)
+from .errors import (DivergenceError, DivisorError, ReductionError,
+                     ResonanceError, StepSizeError)
+from .mat2 import (det2, exp_sl2, inv2, log_sl2, norm2, project_traceless,
+                   rotation, trace2)
 from .qpcore import (FourierSeries, Frequency, array_elements, ck_norm,
                      dist_to_int, integer_ball)
 from .rotnum import rotation_series, schrodinger_rotation_grid
@@ -48,7 +48,6 @@ __all__ = [
     "mp_brackets",
     "gap_edge_bound",
     "gap_edge_step",
-    "bch_log_product",
     "seeded_sl2_series",
     "explicit_sl2_series",
 ]
@@ -259,8 +258,7 @@ class LedgerStep:
     are the kam.csv columns.
 
     step is the row's index in the ledger.  A non-resonant step fills
-    window, threshold and band; a resonant step fills n_star and
-    bch_defect (None where the truncated BCH series is undefined).
+    window, threshold and band; a resonant step fills n_star.
     residual is the conjugation residual of the state the step returns.
     """
 
@@ -275,7 +273,6 @@ class LedgerStep:
     n_star: tuple | None
     inner_passes: int
     residual: float
-    bch_defect: float | None
 
 
 @dataclass(frozen=True)
@@ -488,7 +485,7 @@ def nonresonant_step(state: KamState, window: int, threshold: float,
         step=len(state.ledger), kind="nonresonant", norm_before=before,
         norm_after=after, rho=info["rho"], window=int(window),
         threshold=float(threshold), band=int(band), n_star=None,
-        inner_passes=passes, residual=out.check_residual(), bch_defect=None)
+        inner_passes=passes, residual=out.check_residual())
     return replace(out, ledger=state.ledger + (row,))
 
 
@@ -633,23 +630,8 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
     row = LedgerStep(
         step=len(state.ledger), kind="resonant", norm_before=before,
         norm_after=after, rho=rho, window=None, threshold=None, band=None,
-        n_star=site, inner_passes=1, residual=out.check_residual(),
-        bch_defect=_bch_diagnostic(A_mid, _zero_mode(f_mid), A_new))
+        n_star=site, inner_passes=1, residual=out.check_residual())
     return replace(out, ledger=state.ledger + (row,))
-
-
-def _bch_diagnostic(A_mid: np.ndarray, avg: np.ndarray,
-                    A_new: np.ndarray) -> float | None:
-    """Distance of the exact constant recombination from truncated BCH;
-    None where the truncated series is undefined."""
-    try:
-        S = log_sl2(A_mid)
-    except BranchError:
-        return None
-    if float(norm2(S)) + float(norm2(avg)) > 0.5:
-        return None
-    approx = exp_sl2(bch_log_product(S, avg, order=3))
-    return float(norm2(approx - A_new))
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +955,9 @@ def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
     Each hypothesis of the perturbed-rotation argument is evaluated
     and reported; failures are diagnostics, not errors, because
     practical conjugacies often sit outside the argument's constants
-    while the mechanism still works.
+    while the mechanism still works.  They cannot all hold in double
+    precision: norm_gate needs ||X|| zeta^(1/36) <= 1/4 with ||X|| >= 1
+    (X is SL(2,R)-valued), so zeta <= 4^-36 ~ 2e-22; "failed" is never empty.
     """
     if zeta < 0.0:
         raise ValueError("gap edge bound needs zeta >= 0")
@@ -1060,24 +1044,3 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     mp = moser_poschel_step(B, zeta, delta, freq)
     return {"zeta": zeta, "delta": delta, "mp": mp,
             "bound": gap_edge_bound(mp, zeta)}
-
-
-# ---------------------------------------------------------------------------
-# truncated Baker-Campbell-Hausdorff
-
-
-def bch_log_product(S: np.ndarray, L: np.ndarray, order: int = 3):
-    """log(e^S e^L) truncated at the displayed bracket order (2 or 3)."""
-    S = np.asarray(S, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
-    total = float(norm2(S)) + float(norm2(L))
-    if total > 0.5:
-        raise ValueError(
-            f"combined norm {total:.3f} exceeds the BCH guard 0.5")
-    out = S + L + 0.5 * commutator(S, L)
-    if order == 3:
-        out = out + (commutator(S, commutator(S, L))
-                     + commutator(L, commutator(L, S))) / 12.0
-    return out

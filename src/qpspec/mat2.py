@@ -81,10 +81,6 @@ def project_traceless(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
-
-
 def _cs_coefficients(q: np.ndarray):
     """C(q), S(q) with the analytic continuation across q = 0.
 

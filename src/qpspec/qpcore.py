@@ -251,7 +251,7 @@ class FourierSeries:
             raise ValueError("radius must be >= 0")
         if period not in (1, 2):
             raise ValueError("period must be 1 (torus) or 2 (double cover)")
-        # the default on_mesh, which sup_norm and the Cocycle det check read
+        # the default on_mesh (the det check), no smaller than sup_norm's mesh
         array_elements(f"modes up to |n| = {radius} in {dim}-D",
                        (4 * max(radius, 1) + 1) ** dim)
         raw, modes = modes, np.asarray(modes).astype(np.int64)
@@ -378,7 +378,7 @@ class FourierSeries:
         """Real values on the g^d equispaced mesh of [0, period)^d, shaped
         (g,) * d plus the value shape, by one inverse FFT; aliased modes
         accumulate in row order, so any support gives the direct sum's
-        values.  g defaults to 4 radius + 1 (sup_norm, the det check)."""
+        values.  g defaults to 4 radius + 1 (the Cocycle det check)."""
         g = 4 * max(self.radius, 1) + 1 if g is None else int(g)
         self._real_half_modes()
         buf = np.zeros((g,) * self.dim + self.values.shape[1:],
@@ -388,9 +388,11 @@ class FourierSeries:
                 * float(g ** self.dim)).real
 
     def sup_norm(self) -> float:
-        """Mesh sup of |f| (scalar) or the spectral norm (matrix)."""
+        """Max of |f| (scalar) or the spectral norm (matrix) on the mesh of
+        4 support_radius + 1 points per axis, which no nonzero mode aliases."""
         size = norm2 if self.is_matrix else np.abs
-        return float(np.max(size(self.on_mesh())))
+        g = 4 * max(self.support_radius(), 1) + 1
+        return float(np.max(size(self.on_mesh(g))))
 
     # ---- structure checks ------------------------------------------------
 

@@ -217,8 +217,7 @@ def _strict_json(text):
                          ids=["n_star_minus", "n_star_plus"])
 def test_kam_resonant_run_writes_no_nan(tmp_path, rho0, n_star):
     # 2 rho0 lies within 1e-3 of -+alpha mod 1: step 0 is the resonant
-    # step at n* = -+1, whose truncated-BCH comparison is undefined at
-    # n* = -1; step 1 is non-resonant
+    # step at n* = -+1; step 1 is non-resonant
     terms = {"1": [[1e-3, 2e-3], [5e-4, -1e-3]]}
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
@@ -235,11 +234,8 @@ def test_kam_resonant_run_writes_no_nan(tmp_path, rho0, n_star):
             rows = _strict_json((out / "kam.json").read_text())
             assert rows[0]["n_star"] == [n_star]
         assert [r["kind"] for r in rows] == ["resonant", "nonresonant"]
-        bch = rows[0]["bch_defect"]
-        if n_star == -1:
-            assert bch in ("", None)
-        else:
-            assert 0.0 < float(bch) < 1e-12
+        # the resonant step's conjugation identity holds on its grid
+        assert float(rows[0]["residual"]) <= 1e-7
 
 
 @pytest.mark.parametrize("mode,steps", [("20", 4), ("50", 3)])
@@ -292,6 +288,21 @@ def test_cmd_kam_names_no_ledger_column():
              if isinstance(node, ast.Constant) and id(node) not in keys
              and node.value in columns}
     assert named == set()
+
+
+def test_readme_lists_the_kam_columns():
+    import re
+
+    from qpspec.kam import LedgerStep
+
+    # the README's kam.csv column list is the LedgerStep field list
+    text = " ".join((Path(__file__).parent.parent / "README.md")
+                    .read_text().split())
+    listed = re.search(r"whose fields in order are the columns \(([^)]*)\)",
+                       text)
+    assert listed is not None
+    assert (re.findall(r"`(\w+)`", listed.group(1))
+            == [f.name for f in dataclasses.fields(LedgerStep)])
 
 
 def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
@@ -450,7 +461,7 @@ def test_kam_divergence_writes_the_partial_ledger(tmp_path, monkeypatch,
 
     ledger = [kam.LedgerStep(k, "nonresonant", 1e-4 * (k + 1),
                              2e-4 * (k + 1), 0.17, 8, 1e-3, 4, None, 1,
-                             1e-14, None) for k in range(2)]
+                             1e-14) for k in range(2)]
 
     def diverge(*args, **kwargs):
         raise DivergenceError("perturbation stopped contracting",
@@ -466,7 +477,7 @@ def test_kam_divergence_writes_the_partial_ledger(tmp_path, monkeypatch,
     assert header == [f.name for f in dataclasses.fields(kam.LedgerStep)]
     assert [r["step"] for r in rows] == ["0", "1"]
     assert [float(r["norm_after"]) for r in rows] == [2e-4, 4e-4]
-    assert rows[0]["n_star"] == "" and rows[1]["bch_defect"] == ""
+    assert rows[0]["n_star"] == "" and rows[1]["n_star"] == ""
     assert not (tmp_path / "kam_manifest.json").exists()
 
 

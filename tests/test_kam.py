@@ -18,7 +18,6 @@ from qpspec.kam import (
     KamState,
     MoserPoschelData,
     almost_reducibility_run,
-    bch_log_product,
     detect_resonance,
     eigen_rho,
     gap_edge_bound,
@@ -960,41 +959,6 @@ def test_gap_edge_bound_collapsed_edge():
     assert out["hypotheses"] == {}
     with pytest.raises(ValueError):
         gap_edge_bound(mp, -1e-6)
-
-
-# ---------------------------------------------------------------------------
-# truncated log-product expansion
-
-
-def test_bch_commuting_is_exact():
-    S = np.diag([0.1, -0.1])
-    L = np.diag([0.2, -0.2])
-    assert np.allclose(bch_log_product(S, L, order=3), S + L, atol=1e-14)
-
-
-def test_bch_orders_against_exact_log():
-    S = np.array([[0.0, -0.01], [0.01, 0.0]])
-    L = np.array([[0.0, 0.01], [0.0, 0.0]])
-    exact = log_sl2(exp_sl2(S) @ exp_sl2(L))
-    low = float(norm2(bch_log_product(S, L, order=2) - exact))
-    high = float(norm2(bch_log_product(S, L, order=3) - exact))
-    assert low < 1e-6
-    assert high < 1e-8
-    assert high < low
-
-
-def test_bch_zero_factor():
-    S = np.array([[0.0, -0.01], [0.01, 0.0]])
-    assert np.allclose(bch_log_product(S, np.zeros((2, 2)), order=3), S)
-
-
-def test_bch_guards():
-    big = np.diag([0.3, -0.3])
-    with pytest.raises(ValueError):
-        bch_log_product(big, big, order=2)
-    small = np.diag([0.01, -0.01])
-    with pytest.raises(ValueError):
-        bch_log_product(small, small, order=4)
 
 
 # ---------------------------------------------------------------------------

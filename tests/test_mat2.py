@@ -150,11 +150,3 @@ def test_exp_log_round_trip_near_parabolic():
     a = mat2.exp_sl2(x)
     back = mat2.log_sl2(a)
     assert mat2.norm2(back - x) <= 1e-9
-
-
-def test_commutator_traceless():
-    rng = np.random.default_rng(9)
-    x = mat2.project_traceless(rng.standard_normal((20, 2, 2)))
-    y = mat2.project_traceless(rng.standard_normal((20, 2, 2)))
-    c = mat2.commutator(x, y)
-    np.testing.assert_allclose(mat2.trace2(c), 0.0, atol=1e-12)

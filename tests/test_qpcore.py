@@ -723,6 +723,31 @@ def test_sup_norm_chunks_the_phase_matrix(monkeypatch):
     assert rows == []
 
 
+def test_sup_norm_samples_the_support_mesh(monkeypatch):
+    from qpspec import kam
+    from qpspec.mat2 import norm2
+
+    # a product stores radius ra + rb while its support stays smaller;
+    # sup_norm sizes its mesh by the support (3 here), not the radius 40
+    s = kam.seeded_sl2_series(1e-2, 3, 5, dim=2)
+    f = qc.FourierSeries.from_arrays(2, 40, s.modes, s.values)
+    assert f.support_radius() == 3
+    want = float(np.max(norm2(f.on_mesh(13))))
+    grids = []
+    on_mesh = qc.FourierSeries.on_mesh
+
+    def spy(self, g=None):
+        grids.append(g)
+        return on_mesh(self, g)
+
+    monkeypatch.setattr(qc.FourierSeries, "on_mesh", spy)
+    assert f.sup_norm() == want
+    assert grids == [13]
+    cos = qc.FourierSeries(1, 30, {(2,): 0.5, (-2,): 0.5})
+    assert cos.sup_norm() == 1.0
+    assert grids[1:] == [9]
+
+
 @pytest.mark.parametrize("radius,scale,limit,norm", [
     (16383, 2.5e-4 / 32767, 2 ** 31, "qc.ck_norm(f, 0)"),
     (2047, 1e-9, 768 * 2 ** 20, "f.sup_norm()"),
