@@ -208,9 +208,8 @@ def build_potential(spec) -> FourierSeries:
     if family == "ck":
         return _admitted("potential", ck_potential, *_ck_spec(spec))
     if family == "cosine":
-        terms = {mode if len(mode) > 1 else mode[0]: amp for mode, amp
-                 in _mode_table(spec, "potential", "terms", float).items()}
-        return _admitted("potential", cosine_polynomial, terms,
+        return _admitted("potential", cosine_polynomial,
+                         _mode_table(spec, "potential", "terms", float),
                          dim=_field(spec, "potential", "dim", int, 1))
     raise ConfigError(f"unknown potential family '{family}'")
 
@@ -277,20 +276,11 @@ def energy_grid(num: dict) -> np.ndarray:
 # emitters
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _json_default(obj):
+    """json's hook for what it cannot encode: numpy scalars and arrays."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _cell(value) -> str:
@@ -316,8 +306,8 @@ def emit_rows(rows, columns, out_dir: Path, stem: str, fmt: str) -> str:
             lines.append(",".join(_cell(row.get(col)) for col in columns))
         path.write_text("\n".join(lines) + "\n")
     else:
-        path.write_text(json.dumps(_jsonable(rows), sort_keys=True,
-                                   indent=2) + "\n")
+        path.write_text(json.dumps(rows, sort_keys=True, indent=2,
+                                   default=_json_default) + "\n")
     return name
 
 
@@ -337,9 +327,9 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs,
         "wall_times": {k: round(float(v), 6) for k, v in wall_times.items()},
     }
     if summary is not None:
-        body["summary"] = _jsonable(summary)
-    (out_dir / name).write_text(json.dumps(body, sort_keys=True, indent=2)
-                                + "\n")
+        body["summary"] = summary
+    (out_dir / name).write_text(json.dumps(body, sort_keys=True, indent=2,
+                                           default=_json_default) + "\n")
     return name
 
 

@@ -187,7 +187,9 @@ class _HalfModes:
     conj(c_{-n}) and S_0 = Re c_0; values are columns, 1 for a scalar
     series and 4 for the entries of a 2x2 one."""
 
-    modes: np.ndarray  # (half modes, dim)
+    modes: np.ndarray  # (half modes, dim), floats for the phase matmul
+    plus: np.ndarray  # c_n as stored, 0 if absent (symmetrized reads)
+    minus: np.ndarray  # c_{-n} as stored, 0 if absent (likewise)
     cos: np.ndarray  # Re S_n
     sin: np.ndarray | None  # Im S_n, None when every Im S_n is 0
     imag_bound: float  # |Im c_0| + sum_n ||c_n - conj(c_{-n})|| >= |Im f|
@@ -299,7 +301,8 @@ class FourierSeries:
 
     def _half_modes(self) -> "_HalfModes":
         """The series as a real sum over its half-mode set, built once by
-        vectorized pairing of the coefficient rows."""
+        vectorized pairing of the coefficient rows: the one place that
+        pairs n with -n."""
         if self._half is None:
             modes = self.modes
             values = self.values.reshape(len(modes), 4 if self.is_matrix
@@ -317,14 +320,16 @@ class FourierSeries:
             plus = np.zeros((len(half), values.shape[1]), dtype=complex)
             minus = np.zeros_like(plus)
             plus[slot[first >= 0]] = values[first >= 0]
-            minus[slot[first <= 0]] = np.conj(values[first <= 0])
+            minus[slot[first <= 0]] = values[first <= 0]
             # n = 0 is its own partner: halving gives S_0 = Re c_0 and the
             # defect term |Im c_0|
             weight = np.where(first[index] == 0, 0.5, 1.0)
-            pair = weight[:, None] * (plus + minus)
-            defect = np.abs(plus - minus).max(axis=1)
+            partner = np.conj(minus)
+            pair = weight[:, None] * (plus + partner)
+            defect = np.abs(plus - partner).max(axis=1)
             self._half = _HalfModes(
-                half, pair.real, pair.imag if np.any(pair.imag) else None,
+                half, plus, minus, pair.real,
+                pair.imag if np.any(pair.imag) else None,
                 float(weight @ defect),
                 1e-10 * (1.0 + float(np.sum(np.abs(values).max(axis=1)))),
                 float(np.max(defect, initial=0.0)))
@@ -408,24 +413,18 @@ class FourierSeries:
 
     def symmetrized(self) -> "FourierSeries":
         """Project onto the real subspace: c_n <- (c_n + conj(c_{-n})) / 2,
-        on the union of the modes n and -n."""
-        rows = len(self.modes)
-        both = np.concatenate([self.modes, -self.modes])
-        order = np.lexsort(both.T[::-1])
-        both = both[order]
-        first = np.ones(len(both), dtype=bool)
-        first[1:] = (both[1:] != both[:-1]).any(axis=1)
-        # slot[i] is the union row of sorted row i; a row of modes holds
-        # c_n at n, a row of -modes holds c_n at -n, whose partner it is
-        slot = np.cumsum(first) - 1
-        own, partner = order < rows, order >= rows
-        c = np.zeros((int(first.sum()),) + self.values.shape[1:],
-                     dtype=complex)
-        c_minus = np.zeros_like(c)
-        c[slot[own]] = self.values[order[own]]
-        c_minus[slot[partner]] = self.values[order[partner] - rows]
+        on the union of the modes n and -n, read off the half-mode
+        pairing."""
+        half = self._half_modes()
+        plus, minus = half.plus, half.minus
+        # rows at -n from the stored pair: conj(S_n) flips zero signs
+        off = half.modes.any(axis=1)
         return FourierSeries.from_arrays(
-            self.dim, self.radius, both[first], (c + np.conj(c_minus)) / 2.0,
+            self.dim, self.radius,
+            np.concatenate([half.modes, -half.modes[off]]),
+            np.concatenate([plus + np.conj(minus),
+                            minus[off] + np.conj(plus[off])]).reshape(
+                (-1,) + self.values.shape[1:]) / 2.0,
             self.period)
 
     # ---- algebra ---------------------------------------------------------
@@ -443,24 +442,16 @@ class FourierSeries:
 def cosine_polynomial(terms, dim: int = 1) -> FourierSeries:
     """Real even trigonometric polynomial sum_n a_n cos(2 pi <n, theta>).
 
-    ``terms`` maps the (positive-representative) mode n to the amplitude a_n;
-    bare ints are accepted for d = 1.
+    ``terms`` maps a mode n (a tuple, or a bare int for d = 1) to the
+    amplitude a_n.  Each a_n is stored at n and symmetrized, which halves
+    it onto n and -n and keeps a_0 whole.
     """
     coeffs = {}
-    radius = 0
     for key, amp in terms.items():
         k = _as_key(key)
-        if len(k) != dim:
-            raise ValueError(f"mode {k} has wrong dimension")
-        mk = tuple(-v for v in k)
-        if k == mk:
-            # zero mode: cos(0) = 1 contributes the full amplitude
-            coeffs[k] = coeffs.get(k, 0j) + complex(amp)
-        else:
-            coeffs[k] = coeffs.get(k, 0j) + amp / 2.0
-            coeffs[mk] = coeffs.get(mk, 0j) + amp / 2.0
-        radius = max(radius, max(abs(v) for v in k))
-    return FourierSeries(dim, radius, coeffs)
+        coeffs[k] = coeffs.get(k, 0.0) + amp
+    radius = max((abs(v) for k in coeffs for v in k), default=0)
+    return FourierSeries(dim, radius, coeffs).symmetrized()
 
 
 def ck_potential(eps: float, k: int, modes) -> FourierSeries:

@@ -602,6 +602,24 @@ def test_json_format_and_out_override(tmp_path):
     assert names == set(manifest["outputs"]) | {"ids_manifest.json"}
 
 
+def test_json_rows_encode_numpy_values_as_plain_json(tmp_path):
+    from qpspec.cli import emit_rows
+
+    row = {"flag": np.bool_(True), "count": np.int64(7),
+           "x": np.float64(0.1), "m": (1, -2),
+           "grid": np.array([[0.5, -1.0], [2.0, 3.25]]), "none": None}
+    assert emit_rows([row], list(row), tmp_path, "rows", "json") \
+        == "rows.json"
+    assert (tmp_path / "rows.json").read_text() == (
+        '[\n  {\n    "count": 7,\n    "flag": true,\n'
+        '    "grid": [\n      [\n        0.5,\n        -1.0\n      ],\n'
+        '      [\n        2.0,\n        3.25\n      ]\n    ],\n'
+        '    "m": [\n      1,\n      -2\n    ],\n    "none": null,\n'
+        '    "x": 0.1\n  }\n]\n')
+    with pytest.raises(TypeError, match="complex"):
+        emit_rows([{"z": 1j}], ["z"], tmp_path, "bad", "json")
+
+
 def test_threads_and_seed_do_not_change_values(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     cfg = _base_config(d1)

@@ -2,10 +2,12 @@
 
 For V = 2 lambda cos (amo_potential(lambda)), duality gives
 N_lambda(E) = N_{1/lambda}(E / lambda), and the rotation number maps the
-same way (Aubry & Andre, Ann. Israel Phys. Soc. 3 (1980); Avron & Simon,
-Duke Math. J. 50 (1983)).  Both sides run on the same energies, scaled by
-1/lambda on the dual side, so each check needs no closed form and holds
-on the supercritical side as well.
+same way; the spectrum scales, Sigma_lambda = lambda Sigma_{1/lambda}, so
+every labelled gap keeps its label and scales its length by lambda, and
+mu_lambda(e) = mu_{1/lambda}(e / lambda) (Aubry & Andre, Ann. Israel Phys.
+Soc. 3 (1980); Avron & Simon, Duke Math. J. 50 (1983)).  Both sides run on
+the same energies, scaled by 1/lambda on the dual side, so each check
+needs no closed form and holds on the supercritical side as well.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import math
 import numpy as np
 import pytest
 
+from qpspec.gaps import detect_gaps, homogeneity_profile, label_all
 from qpspec.qpcore import amo_potential, diophantine_check
 from qpspec.rotnum import schrodinger_rotation_grid
-from qpspec.spectrum import ids_curve
+from qpspec.spectrum import TruncatedOperator, ids_curve, spectrum_scan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 L = 4000
@@ -58,3 +61,62 @@ def test_rotation_obeys_duality(freq, coupling):
     # the sum of each side's largest estimate is
     larger_errors = float(err.max()) + float(err_dual.max())
     assert float(np.max(np.abs(rho - rho_dual))) <= larger_errors
+
+
+# gaps shorter than MIN_GAP_CELLS scan cells are dropped, as the CLI's
+# default min_gap_length does; a gap within BORDER_CELLS of that length
+# can pass the filter on one side and fail it on the other as lo - hi
+# rounds (at 0.8 and 3.5e-3 the gaps labelled +-7 are two cells long on
+# both sides and kept only on the 1/lambda side), so it is not compared
+MIN_GAP_CELLS = 2.0
+BORDER_CELLS = 1.0
+M_MAX = 20
+LABEL_TOL = 1e-3
+HOMOG_EPS = np.array([1e-2, 3e-2, 1e-1, 3e-1])
+HOMOG_SAMPLES = 200
+
+
+def _scan_and_gaps(freq, coupling, resolution):
+    V = amo_potential(coupling)
+    H = TruncatedOperator.sampled(V, freq, L, PHASES)
+    scan = spectrum_scan(V, freq, L, PHASES, resolution, operator=H)
+    records, _ = detect_gaps(scan, H.ids, MIN_GAP_CELLS * resolution)
+    return scan, label_all(records, freq, M_MAX, LABEL_TOL)
+
+
+@pytest.fixture(scope="module", params=[(0.5, 2e-3), (0.8, 3.5e-3)],
+                ids=["0.5", "0.8"])
+def scans(request, freq):
+    """(lambda, resolution r, scan and gaps at lambda, and at 1/lambda):
+    r / lambda on the dual side, so that both scan meshes line up."""
+    coupling, resolution = request.param
+    return (coupling, resolution,
+            _scan_and_gaps(freq, coupling, resolution),
+            _scan_and_gaps(freq, 1.0 / coupling, resolution / coupling))
+
+
+def test_scan_and_gaps_obey_duality(scans):
+    coupling, cell, (scan, gaps), (scan_dual, gaps_dual) = scans
+    # the meshes line up, so every interval endpoint lies within a cell
+    assert len(scan) == len(scan_dual)
+    assert float(np.max(np.abs(np.asarray(scan)
+                               - coupling * np.asarray(scan_dual)))) <= cell
+    here = {g.m: g.length for g in gaps}
+    dual = {g.m: coupling * g.length for g in gaps_dual}
+    border = {m for side in (here, dual) for m, length in side.items()
+              if length < (MIN_GAP_CELLS + BORDER_CELLS) * cell}
+    assert {(1,), (-1,)} <= here.keys() - border
+    assert here.keys() - border == dual.keys() - border
+    for m in here.keys() - border:
+        assert abs(here[m] - dual[m]) <= cell, m
+
+
+def test_homogeneity_obeys_duality(scans):
+    coupling, cell, (scan, _), (scan_dual, _) = scans
+    mu = homogeneity_profile(scan, HOMOG_EPS, HOMOG_SAMPLES).mu
+    mu_dual = homogeneity_profile(scan_dual, HOMOG_EPS / coupling,
+                                  HOMOG_SAMPLES).mu
+    # mu is the spectral share of a window of half-width eps, so one scan
+    # cell moves it by at most the cell share r / eps
+    cell_share = cell / HOMOG_EPS
+    assert np.all(np.abs(mu - mu_dual) <= cell_share)

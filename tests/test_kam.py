@@ -314,6 +314,18 @@ def test_mesh_sampling_has_one_owner():
     assert not hasattr(kam, "_window_size")
 
 
+def test_mode_sorting_has_one_owner():
+    # qpcore sorts mode rows in FourierSeries._store alone; symmetrized and
+    # cosine_polynomial read the half-mode pairing instead of a union sort
+    path = Path(kam.__file__).parent / "qpcore.py"
+    sorts = {name for name, fn in _functions(ast.parse(path.read_text()),
+                                             "qpcore")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "lexsort"}
+    assert sorts == {"qpcore.FourierSeries._store"}
+    assert path.read_text().count("lexsort") == 1
+
+
 def _direct_mesh_values(g, span, s):
     """The direct-evaluation reference: every mesh row through
     evaluate, reshaped to the grid."""

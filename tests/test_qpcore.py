@@ -189,6 +189,91 @@ def test_symmetrized_is_the_keywise_pairing(dim, matrix):
                                                      f.period)
 
 
+def _union_symmetrized(f):
+    """symmetrized by its own union of the modes n and -n (one lexsort and
+    a cumsum), the way it was written before it read the half-mode
+    pairing; the reference for the bit-equality test."""
+    rows = len(f.modes)
+    both = np.concatenate([f.modes, -f.modes])
+    order = np.lexsort(both.T[::-1])
+    both = both[order]
+    first = np.ones(len(both), dtype=bool)
+    first[1:] = (both[1:] != both[:-1]).any(axis=1)
+    slot = np.cumsum(first) - 1
+    own, partner = order < rows, order >= rows
+    c = np.zeros((int(first.sum()),) + f.values.shape[1:], dtype=complex)
+    c_minus = np.zeros_like(c)
+    c[slot[own]] = f.values[order[own]]
+    c_minus[slot[partner]] = f.values[order[partner] - rows]
+    return qc.FourierSeries.from_arrays(
+        f.dim, f.radius, both[first], (c + np.conj(c_minus)) / 2.0, f.period)
+
+
+def _keywise_cosine_polynomial(terms, dim=1):
+    """cosine_polynomial by a dict loop that halves each amplitude onto n
+    and -n itself, the way it was written before it symmetrized; the
+    reference for the bit-equality test."""
+    coeffs, radius = {}, 0
+    for key, amp in terms.items():
+        k = (key,) if np.ndim(key) == 0 else tuple(key)
+        mk = tuple(-v for v in k)
+        if k == mk:
+            coeffs[k] = coeffs.get(k, 0j) + complex(amp)
+        else:
+            coeffs[k] = coeffs.get(k, 0j) + amp / 2.0
+            coeffs[mk] = coeffs.get(mk, 0j) + amp / 2.0
+        radius = max(radius, max(abs(v) for v in k))
+    return qc.FourierSeries(dim, radius, coeffs)
+
+
+def _signed_zeros(rng, x):
+    """x with about a fifth of its entries set to 0.0 and a sixth to -0.0."""
+    pick = rng.random(x.shape)
+    return np.where(pick < 0.2, 0.0, np.where(pick < 0.37, -0.0, x))
+
+
+def _bits(f):
+    """Modes, float64 bit patterns of the values and the scalars of f."""
+    return (f.modes.tolist(), f.values.view(np.int64).tolist(),
+            f.values.shape, f.dim, f.radius, f.period)
+
+
+def test_symmetrized_matches_the_union_reference_bit_for_bit():
+    # 1-3-D, scalar and 2x2, periods 1 and 2; some partners absent, some
+    # present, and exact zeros of both signs in both parts
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        dim, matrix, period = 1 + seed % 3, seed // 3 % 2 == 1, 1 + seed % 2
+        radius = int(rng.integers(0, 5 - dim))
+        ball = qc.integer_ball(dim, radius)
+        modes = ball[rng.random(len(ball)) < rng.uniform(0.2, 1.0)]
+        shape = (len(modes),) + ((2, 2) if matrix else ())
+        values = np.empty(shape, dtype=complex)
+        values.real = _signed_zeros(rng, rng.standard_normal(shape))
+        values.imag = _signed_zeros(rng, rng.standard_normal(shape))
+        f = qc.FourierSeries.from_arrays(dim, radius, modes, values, period)
+        assert _bits(f.symmetrized()) == _bits(_union_symmetrized(f)), seed
+
+
+def test_cosine_polynomial_matches_the_keywise_reference_bit_for_bit():
+    # one-sided term maps (no mode with its negative), the zero mode in
+    # some, bare-int keys in 1-D, exact zeros of both signs
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        dim = 1 + seed % 3
+        ball = qc.integer_ball(dim, int(rng.integers(0, 5 - dim)))
+        first = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)]
+        ball = ball[(first > 0) | ((first == 0) & (rng.random() < 0.5))]
+        ball = ball[rng.random(len(ball)) < 0.7]
+        sign = np.where(rng.random(len(ball)) < 0.5, -1, 1)
+        amps = _signed_zeros(rng, rng.standard_normal(len(ball)) * 3.0)
+        terms = {(int(n[0]) if dim == 1 and seed % 2 else tuple(n)): float(a)
+                 for n, a in zip((sign[:, None] * ball).tolist(), amps)}
+        got = qc.cosine_polynomial(terms, dim=dim)
+        assert _bits(got) == _bits(_keywise_cosine_polynomial(terms, dim)), \
+            seed
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("matrix", [False, True])
 def test_shifted_is_the_keywise_phase(dim, matrix):
