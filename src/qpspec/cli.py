@@ -56,6 +56,7 @@ from .rotnum import schrodinger_rotation_grid
 from .spectrum import TruncatedOperator, ids_curve, spectrum_scan
 
 _FLOAT_FMT = "%.17g"
+_ROWS_PER_WRITE = 4096
 
 # every numerics field as (type, default); a nested table is a subsection.
 # min_gap_length defaults to twice the resolution
@@ -297,17 +298,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_rows(rows, columns, out_dir: Path, stem: str, fmt: str) -> str:
+def emit_rows(names, columns, out_dir: Path, stem: str, fmt: str) -> str:
+    """Write out_dir/stem.fmt from one column per name, _ROWS_PER_WRITE rows
+    at a time: the CSV lines through _cell, or the bytes of json.dumps(rows,
+    sort_keys=True, indent=2) + "\\n" for rows keyed by name."""
+    n_rows = len(columns[0]) if len(columns) else 0
+    if len(columns) != len(names) or any(len(c) != n_rows for c in columns):
+        raise ValueError(f"{stem}: one column of one length per name")
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_json_default)
     name = f"{stem}.{fmt}"
-    path = out_dir / name
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(row.get(col)) for col in columns))
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        path.write_text(json.dumps(rows, sort_keys=True, indent=2,
-                                   default=_json_default) + "\n")
+    with open(out_dir / name, "w") as fh:
+        fh.write(",".join(names) + "\n" if fmt == "csv" else "[")
+        for at in range(0, n_rows, _ROWS_PER_WRITE):
+            parts = [c[at:at + _ROWS_PER_WRITE] for c in columns]
+            rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else p
+                         for p in parts))
+            if fmt == "csv":
+                fh.writelines(",".join(map(_cell, r)) + "\n" for r in rows)
+            else:  # the chunk's items, spliced inside one pair of brackets
+                text = encoder.encode([dict(zip(names, r)) for r in rows])
+                fh.write(("," if at else "") + text[1:-2])
+        fh.write("" if fmt == "csv" else "\n]\n" if n_rows else "]\n")
     return name
 
 
@@ -402,26 +413,24 @@ def _scan_and_label(V, freq, num, out_dir: Path):
 
 def cmd_ids(cfg, V, freq, num, out_dir, fmt):
     curve = ids_curve(V, freq, energy_grid(num), num["L"], num["phases"])
-    rows = [{"E": float(e), "N": float(n)}
-            for e, n in zip(curve.energies, curve.values)]
-    return [emit_rows(rows, ["E", "N"], out_dir, "ids", fmt)], None
+    return [emit_rows(["E", "N"], [curve.energies, curve.values], out_dir,
+                      "ids", fmt)], None
 
 
 def cmd_scan(cfg, V, freq, num, out_dir, fmt):
     scan, provenance = _scan_intervals(V, freq, num, out_dir)
-    rows = [{"E_lo": a, "E_hi": b} for a, b in scan]
-    name = emit_rows(rows, ["E_lo", "E_hi"], out_dir, "scan", fmt)
+    name = emit_rows(["E_lo", "E_hi"], np.reshape(scan, (-1, 2)).T, out_dir,
+                     "scan", fmt)
     sha = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-    return [name], {"intervals": len(rows), "scan_sha256": sha,
+    return [name], {"intervals": len(scan), "scan_sha256": sha,
                     **provenance}
 
 
 def cmd_gaps(cfg, V, freq, num, out_dir, fmt):
     labelled, boundary, provenance = _scan_and_label(V, freq, num, out_dir)
-    rows = [dataclasses.asdict(rec) for rec in labelled]
-    name = emit_rows(rows, [f.name for f in dataclasses.fields(GapRecord)],
-                     out_dir, "gaps", fmt)
-    return [name], {"gaps": len(rows), "boundary": list(boundary),
+    names = [f.name for f in dataclasses.fields(GapRecord)]
+    name = emit_rows(names, _columns(labelled, names), out_dir, "gaps", fmt)
+    return [name], {"gaps": len(labelled), "boundary": list(boundary),
                     **provenance}
 
 
@@ -435,8 +444,8 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
                            eps * c_norm, k)
-    name = emit_rows(report["rows"],
-                     ["m", "abs_m", "length", "bound", "pass"],
+    names = ["m", "abs_m", "length", "bound", "pass"]
+    name = emit_rows(names, _columns(report["rows"], names, dict.__getitem__),
                      out_dir, "decay", fmt)
     summary = {"all_pass": report["all_pass"],
                "log_slope": report["log_slope"],
@@ -453,10 +462,9 @@ def cmd_homog(cfg, V, freq, num, out_dir, fmt):
     except ValueError as exc:
         # every eps must lie below the diameter of this scan
         raise ConfigError(f"numerics.homog_eps: {exc}") from exc
-    rows = [{"eps": float(e), "mu": float(m), "attaining_E": float(a)}
-            for e, m, a in zip(profile.eps, profile.mu, profile.attaining_E)]
-    name = emit_rows(rows, ["eps", "mu", "attaining_E"], out_dir, "homog",
-                     fmt)
+    name = emit_rows(["eps", "mu", "attaining_E"],
+                     [profile.eps, profile.mu, profile.attaining_E],
+                     out_dir, "homog", fmt)
     return [name], {"min_mu": profile.min_mu(), **provenance}
 
 
@@ -464,20 +472,22 @@ def cmd_rotation(cfg, V, freq, num, out_dir, fmt):
     energies = energy_grid(num)
     rho, err = schrodinger_rotation_grid(
         V, freq, energies, n_iters=num["rotation_iterations"])
-    rows = [{"E": float(e), "rho": float(r), "error": float(x),
-             "N_dual": 1.0 - 2.0 * float(r)}
-            for e, r, x in zip(energies, rho, err)]
-    name = emit_rows(rows, ["E", "rho", "error", "N_dual"], out_dir,
+    name = emit_rows(["E", "rho", "error", "N_dual"],
+                     [energies, rho, err, 1.0 - 2.0 * rho], out_dir,
                      "rotation", fmt)
     summary = {"iterations": num["rotation_iterations"],
                "max_error": float(err.max())}
     return [name], summary
 
 
+def _columns(records, names, get=getattr) -> list:
+    """One column per name: get(record, name) of every record."""
+    return [[get(rec, name) for rec in records] for name in names]
+
+
 def _emit_ledger(ledger, out_dir, fmt):
-    return emit_rows([dataclasses.asdict(row) for row in ledger],
-                     [col.name for col in dataclasses.fields(kam.LedgerStep)],
-                     out_dir, "kam", fmt)
+    names = [f.name for f in dataclasses.fields(kam.LedgerStep)]
+    return emit_rows(names, _columns(ledger, names), out_dir, "kam", fmt)
 
 
 def cmd_kam(cfg, V, freq, num, out_dir, fmt):
@@ -585,20 +595,19 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     except StepSizeError as exc:
         raise ConfigError(f"edge.delta: {exc}") from exc
     mp, bound = step["mp"], step["bound"]
-    row = {
-        "m": label,
-        "E_plus": refined.E_plus,
-        "zeta": step["zeta"],
-        "delta": step["delta"],
-        "delta1": bound["delta1"],
-        "predicted_gap_upper": bound["predicted_gap_upper"],
-        "measured_length": refined.length,
-        "coarse_length": coarse_length,
-        "d_lin": mp.d_lin,
-        "d_quad": mp.d_quad,
-        "hypotheses_failed": ";".join(bound["failed"]),
-    }
-    name = emit_rows([row], list(row.keys()), out_dir, "edge", fmt)
+    names, values = zip(
+        ("m", label),
+        ("E_plus", refined.E_plus),
+        ("zeta", step["zeta"]),
+        ("delta", step["delta"]),
+        ("delta1", bound["delta1"]),
+        ("predicted_gap_upper", bound["predicted_gap_upper"]),
+        ("measured_length", refined.length),
+        ("coarse_length", coarse_length),
+        ("d_lin", mp.d_lin),
+        ("d_quad", mp.d_quad),
+        ("hypotheses_failed", ";".join(bound["failed"])))
+    name = emit_rows(names, [[v] for v in values], out_dir, "edge", fmt)
     return [name], {"ratio": bound["predicted_gap_upper"] / refined.length}
 
 

@@ -67,8 +67,9 @@ def detect_gaps(scan, ids_curve, min_length: float):
     if not scan:
         raise ValueError("empty scan")
     intervals = sorted((float(a), float(b)) for a, b in scan)
+    # lo - hi of two mesh points rounds; a slack far below a cell absorbs it
     gaps = [(hi, lo) for (_, hi), (lo, _) in zip(intervals, intervals[1:])
-            if lo - hi >= min_length]
+            if lo - hi >= min_length * (1.0 - 1e-9)]
     records = []
     if gaps:
         mids = np.array([0.5 * (hi + lo) for hi, lo in gaps])

@@ -123,7 +123,7 @@ def _pivot_counts(diags, energies):
     """
     shift = _shifted(energies)
     phases, size = diags.shape
-    cols = np.ascontiguousarray(diags.T)[:, :, None]
+    cols = diags.T[:, :, None]
     cells = max(1, phases * shift.size)
     block = max(1, min(size, 255, _BLOCK_CELLS // cells))
     piv = np.empty((block, phases, shift.size))
@@ -243,16 +243,6 @@ def spectrum_scan(V: FourierSeries, freq: Frequency, L: int, phases: int,
     if H.diag.shape != (phases, 2 * L + 1):
         raise ValueError("operator must be the (phases, 2L+1) sampled one")
     edges = lo + resolution * np.arange(n_cells + 1)
-    present = _pruned_present(H, edges)
-
-    intervals = []
-    start = None
-    for i, p in enumerate(present):
-        if p and start is None:
-            start = edges[i]
-        elif not p and start is not None:
-            intervals.append((float(start), float(edges[i])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(edges[-1])))
-    return intervals
+    # a run of present cells [i, j) spans edges[i] to edges[j]
+    flips = np.flatnonzero(np.diff(np.pad(_pruned_present(H, edges), 1)))
+    return list(zip(edges[flips[::2]].tolist(), edges[flips[1::2]].tolist()))

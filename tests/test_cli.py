@@ -608,8 +608,8 @@ def test_json_rows_encode_numpy_values_as_plain_json(tmp_path):
     row = {"flag": np.bool_(True), "count": np.int64(7),
            "x": np.float64(0.1), "m": (1, -2),
            "grid": np.array([[0.5, -1.0], [2.0, 3.25]]), "none": None}
-    assert emit_rows([row], list(row), tmp_path, "rows", "json") \
-        == "rows.json"
+    assert emit_rows(list(row), [[v] for v in row.values()], tmp_path,
+                     "rows", "json") == "rows.json"
     assert (tmp_path / "rows.json").read_text() == (
         '[\n  {\n    "count": 7,\n    "flag": true,\n'
         '    "grid": [\n      [\n        0.5,\n        -1.0\n      ],\n'
@@ -617,7 +617,137 @@ def test_json_rows_encode_numpy_values_as_plain_json(tmp_path):
         '    "m": [\n      1,\n      -2\n    ],\n    "none": null,\n'
         '    "x": 0.1\n  }\n]\n')
     with pytest.raises(TypeError, match="complex"):
-        emit_rows([{"z": 1j}], ["z"], tmp_path, "bad", "json")
+        emit_rows(["z"], [[1j]], tmp_path, "bad", "json")
+
+
+def _emit_row_dicts(rows, columns, out_dir, stem, fmt):
+    """The row-dict writer that emit_rows replaced, kept as its reference:
+    one dict per row, every CSV line or the whole JSON text in memory."""
+    from qpspec.cli import _cell, _json_default
+
+    name = f"{stem}.{fmt}"
+    path = out_dir / name
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(_cell(row.get(col)) for col in columns))
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path.write_text(json.dumps(rows, sort_keys=True, indent=2,
+                                   default=_json_default) + "\n")
+    return name
+
+
+def _mixed_table(n):
+    """n rows of every kind of cell the commands write, as columns."""
+    rng = np.random.default_rng(n)
+    kinds = [None, True, np.bool_(False), np.int64(-3), np.float32(0.1),
+             "a;b", (1, -2), np.array([[0.5, -1.0], [2.0, 3.25]])]
+    return {
+        "E": rng.standard_normal(n),
+        "count": np.arange(n),
+        "flag": np.arange(n) % 3 == 0,
+        "pair": np.arange(2.0 * n).reshape(n, 2) / 3.0,
+        "mixed": [kinds[i % len(kinds)] for i in range(n)],
+        "m": [tuple(range(-(i % 3), 1)) for i in range(n)],
+        "x": [np.float64(1.0 / (i + 1)) for i in range(n)],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n,per_write", [(0, 4096), (1, 4096), (13, 4096),
+                                         (13, 5), (12, 4), (9000, 4096)])
+def test_emit_rows_matches_the_row_dict_writer(tmp_path, monkeypatch, fmt,
+                                               n, per_write):
+    import qpspec.cli
+    from qpspec.cli import emit_rows
+
+    monkeypatch.setattr(qpspec.cli, "_ROWS_PER_WRITE", per_write)
+    table = _mixed_table(n)
+    names = list(table)
+    rows = [dict(zip(names, row)) for row in zip(*table.values())]
+    ref = _emit_row_dicts(rows, names, tmp_path, "ref", fmt)
+    got = emit_rows(names, list(table.values()), tmp_path, "got", fmt)
+    assert got == f"got.{fmt}"
+    assert (tmp_path / got).read_bytes() == (tmp_path / ref).read_bytes()
+
+
+def test_emit_rows_rejects_columns_of_unequal_length(tmp_path):
+    from qpspec.cli import emit_rows
+
+    with pytest.raises(ValueError, match="one length"):
+        emit_rows(["a", "b"], [[1.0, 2.0], [3.0]], tmp_path, "bad", "csv")
+    with pytest.raises(ValueError, match="one length"):
+        emit_rows(["a", "b"], [np.zeros(3)], tmp_path, "bad", "json")
+
+
+def test_emit_rows_is_the_one_row_writer():
+    # only emit_rows and write_manifest write files, and no command builds
+    # a dict per row: commands hand emit_rows their columns
+    import ast
+
+    import qpspec.cli
+
+    tree = ast.parse(Path(qpspec.cli.__file__).read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+
+    def called(node, names):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (
+            getattr(func, "attr", None) in names
+            or getattr(func, "id", None) in names)
+
+    writes = {"open", "write", "writelines", "write_text", "write_bytes"}
+    writers = {fn.name for fn in functions
+               for node in ast.walk(fn) if called(node, writes)}
+    assert writers == {"emit_rows", "write_manifest"}
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    per_row = {fn.name for fn in functions if fn.name.startswith("cmd_")
+               for loop in ast.walk(fn) if isinstance(loop, loops)
+               for node in ast.walk(loop) if node is not loop
+               and (isinstance(node, (ast.Dict, ast.DictComp))
+                    or called(node, {"dict", "asdict"}))}
+    assert per_row == set()
+    assert not any(called(node, {"asdict"}) for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ids_at_the_point_cap_writes_in_bounded_memory(tmp_path, fmt):
+    # the most energies admission accepts, in a child whose address space
+    # is capped far below one row dict, or one CSV line, per energy
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import qpspec
+
+    points = 2 ** 20
+    cfg = _base_config(tmp_path / "out",
+                       potential={"family": "amo", "coupling": 0.3},
+                       numerics={"L": 100, "phases": 1,
+                                 "energy": {"min": -2.5, "max": 2.5,
+                                            "points": points}})
+    limit = 384 * 2 ** 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(qpspec.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-m", "qpspec.cli", "ids", "--config",
+         _write(tmp_path, cfg), "--format", fmt], env=env,
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert out.returncode == 0, out.stderr
+    lines, tail = 0, b""
+    with open(tmp_path / "out" / f"ids.{fmt}", "rb") as fh:
+        while chunk := fh.read(2 ** 20):
+            lines += chunk.count(b"\n")
+            tail = (tail + chunk)[-64:]
+    # a header and one line per row; or brackets and four lines per object
+    assert lines == (points + 1 if fmt == "csv" else 4 * points + 2)
+    assert tail.endswith(b"\n" if fmt == "csv" else b"\n  }\n]\n")
 
 
 def test_threads_and_seed_do_not_change_values(tmp_path):

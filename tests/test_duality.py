@@ -64,12 +64,11 @@ def test_rotation_obeys_duality(freq, coupling):
 
 
 # gaps shorter than MIN_GAP_CELLS scan cells are dropped, as the CLI's
-# default min_gap_length does; a gap within BORDER_CELLS of that length
-# can pass the filter on one side and fail it on the other as lo - hi
-# rounds (at 0.8 and 3.5e-3 the gaps labelled +-7 are two cells long on
-# both sides and kept only on the 1/lambda side), so it is not compared
+# default min_gap_length does; detect_gaps decides a gap of exactly that
+# length the same way on both sides however lo - hi rounds (at 0.8 and
+# 3.5e-3 the gaps labelled +-7 are two cells long on both sides), so
+# every gap is compared
 MIN_GAP_CELLS = 2.0
-BORDER_CELLS = 1.0
 M_MAX = 20
 LABEL_TOL = 1e-3
 HOMOG_EPS = np.array([1e-2, 3e-2, 1e-1, 3e-1])
@@ -103,11 +102,9 @@ def test_scan_and_gaps_obey_duality(scans):
                                - coupling * np.asarray(scan_dual)))) <= cell
     here = {g.m: g.length for g in gaps}
     dual = {g.m: coupling * g.length for g in gaps_dual}
-    border = {m for side in (here, dual) for m, length in side.items()
-              if length < (MIN_GAP_CELLS + BORDER_CELLS) * cell}
-    assert {(1,), (-1,)} <= here.keys() - border
-    assert here.keys() - border == dual.keys() - border
-    for m in here.keys() - border:
+    assert {(1,), (-1,)} <= here.keys()
+    assert here.keys() == dual.keys()
+    for m in here:
         assert abs(here[m] - dual[m]) <= cell, m
 
 

@@ -56,6 +56,26 @@ def test_detect_min_length_filter():
     assert recs[0].E_minus == 2.0
 
 
+def test_two_cell_gap_is_kept_however_its_length_rounds():
+    # a scan's edges lie on a mesh: a two-cell gap whose lo - hi rounds
+    # below 2 * resolution is as long as min_length, and a one-cell and a
+    # just-short gap are not
+    resolution = 2e-3
+    edges = -2.3 + resolution * np.arange(2000)
+    short = np.flatnonzero(edges[2:] - edges[:-2] < 2 * resolution)
+    assert short.size
+    i = int(short[0])
+    scan = [(float(edges[0]), float(edges[i])),
+            (float(edges[i + 2]), float(edges[i + 3])),
+            (float(edges[i + 4]), float(edges[i + 5]))]
+    recs, _ = detect_gaps(scan, lambda E: 0.5, min_length=2 * resolution)
+    assert [r.E_minus for r in recs] == [edges[i]]
+    assert recs[0].length < 2 * resolution
+    recs, _ = detect_gaps(scan, lambda E: 0.5,
+                          min_length=2 * resolution * (1 + 1e-6))
+    assert recs == []
+
+
 def test_batched_plateaus_equal_the_scalar_recounts(golden):
     V = cosine_polynomial({1: 0.6})
     H = TruncatedOperator.sampled(V, golden, 1500, 8)
