@@ -301,24 +301,34 @@ def _cell(value) -> str:
 def emit_rows(names, columns, out_dir: Path, stem: str, fmt: str) -> str:
     """Write out_dir/stem.fmt from one column per name, _ROWS_PER_WRITE rows
     at a time: the CSV lines through _cell, or the bytes of json.dumps(rows,
-    sort_keys=True, indent=2) + "\\n" for rows keyed by name."""
+    sort_keys=True, indent=2) + "\\n" for rows keyed by name.
+
+    The rows go to a partial file beside it, which replaces out_dir/stem.fmt
+    only once every row is written; on any error it is removed, and an
+    earlier out_dir/stem.fmt stays as it was."""
     n_rows = len(columns[0]) if len(columns) else 0
     if len(columns) != len(names) or any(len(c) != n_rows for c in columns):
         raise ValueError(f"{stem}: one column of one length per name")
     encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_json_default)
     name = f"{stem}.{fmt}"
-    with open(out_dir / name, "w") as fh:
-        fh.write(",".join(names) + "\n" if fmt == "csv" else "[")
-        for at in range(0, n_rows, _ROWS_PER_WRITE):
-            parts = [c[at:at + _ROWS_PER_WRITE] for c in columns]
-            rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else p
-                         for p in parts))
-            if fmt == "csv":
-                fh.writelines(",".join(map(_cell, r)) + "\n" for r in rows)
-            else:  # the chunk's items, spliced inside one pair of brackets
-                text = encoder.encode([dict(zip(names, r)) for r in rows])
-                fh.write(("," if at else "") + text[1:-2])
-        fh.write("" if fmt == "csv" else "\n]\n" if n_rows else "]\n")
+    partial = out_dir / f"{name}.partial"
+    try:
+        with open(partial, "w") as fh:
+            fh.write(",".join(names) + "\n" if fmt == "csv" else "[")
+            for at in range(0, n_rows, _ROWS_PER_WRITE):
+                parts = [c[at:at + _ROWS_PER_WRITE] for c in columns]
+                rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else p
+                             for p in parts))
+                if fmt == "csv":
+                    fh.writelines(",".join(map(_cell, r)) + "\n"
+                                  for r in rows)
+                else:  # the chunk's items, spliced inside one pair of brackets
+                    text = encoder.encode([dict(zip(names, r)) for r in rows])
+                    fh.write(("," if at else "") + text[1:-2])
+            fh.write("" if fmt == "csv" else "\n]\n" if n_rows else "]\n")
+        partial.replace(out_dir / name)
+    finally:  # no partial file left after a replace; after an error, drop it
+        partial.unlink(missing_ok=True)
     return name
 
 

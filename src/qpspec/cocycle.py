@@ -1,9 +1,8 @@
-"""Quasi-periodic SL(2,R) cocycles: construction, iteration, hyperbolicity.
+"""Quasi-periodic SL(2,R) cocycles: construction and hyperbolicity.
 
 A cocycle is a pair (alpha, A) with alpha a torus translation vector and
 A a matrix-valued function on the torus.  The n-th iterate is the ordered
-product A(theta + (n-1) alpha) ... A(theta); negative iterates multiply
-the inverted single steps A(theta - k alpha)^{-1}, k = 1, ..., |n|.
+product A(theta + (n-1) alpha) ... A(theta).
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ from .rotnum import orbit_product
 __all__ = [
     "Cocycle",
     "HyperbolicityVerdict",
-    "constant_cocycle",
     "schrodinger_cocycle",
-    "iterate",
     "uniform_hyperbolicity_test",
 ]
 
 _DET_TOL = 1e-9
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -55,12 +51,6 @@ class Cocycle:
         (..., dim), gives (..., n, 2, 2).
         """
         return self.map_series.evaluate(self.freq.orbit(theta0, np.arange(n)))
-
-
-def constant_cocycle(freq: Frequency, a) -> Cocycle:
-    a = np.asarray(a, dtype=float)
-    zero = tuple([0] * freq.dim)
-    return Cocycle(freq, FourierSeries(freq.dim, 0, {zero: a.astype(complex)}))
 
 
 def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
@@ -97,29 +87,6 @@ def _product(mats):
                          np.broadcast_to(np.eye(2), mats.shape[1:]),
                          mats.shape[0], grow)
     return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0)
-
-
-def iterate(c: Cocycle, theta, n: int):
-    """n-th cocycle iterate at theta; identity at n = 0, inverse chain for n < 0.
-
-    theta is one point, of shape () or (dim,).  Raises OverflowError when
-    the iterate's norm exceeds the float range.
-    """
-    if np.shape(theta) not in ((), (c.freq.dim,)):
-        raise ValueError(f"iterate needs one phase of shape () or "
-                         f"({c.freq.dim},), got shape {np.shape(theta)}")
-    n = int(n)
-    if n == 0:
-        return np.eye(2)
-    if n > 0:
-        mats = c.orbit_matrices(theta, n)
-    else:  # step k applies A(theta - (k + 1) alpha)^-1
-        mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
-    prod, e, log_norm = _product(mats)
-    if not log_norm <= _LOG_MAX:
-        raise OverflowError(f"iterate n={n}: log-norm {float(log_norm):.4g} "
-                            "exceeds the float range")
-    return np.ldexp(prod, e)
 
 
 # ---------------------------------------------------------------------------

@@ -834,9 +834,10 @@ def _delta_guard(x_norm: float, freq: Frequency) -> float:
 class MoserPoschelData:
     """Averaged data of one Moser-Poschel perturbation step.
 
-    d_of_delta(delta) = d_lin * delta + d_quad * delta^2 is the
-    determinant surrogate whose sign decides whether the shifted
-    energy leaves the spectrum.
+    d_lin = -zeta [X11^2] and d_quad = [X11^2][X12^2] - [X11 X12]^2 are
+    the coefficients of the determinant surrogate
+    d_lin * delta + d_quad * delta^2, whose sign decides whether the
+    shifted energy leaves the spectrum.
     """
 
     zeta: float
@@ -860,15 +861,6 @@ class MoserPoschelData:
 
     def cauchy_schwarz_slack(self) -> float:
         return self.x11_sq * self.x12_sq - self.x11_x12 ** 2
-
-    def d_of_delta(self, delta: float) -> float:
-        return self.d_lin * delta + self.d_quad * delta * delta
-
-    def det_identity_defect(self, delta: float) -> float:
-        """Two-sided evaluation gap of the determinant identity."""
-        direct = float(np.linalg.det(self.b0 - delta * self.b1)) \
-            + 0.25 * delta * delta * self.zeta ** 2 * self.x11_sq ** 2
-        return abs(direct - self.d_of_delta(delta))
 
 
 def mp_brackets(zeta: float, x11_sq: float, x11_x12: float,
@@ -974,7 +966,7 @@ def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
         and mp.x11_sq / cs <= 0.5 * zeta ** (-kappa),
         "slack_lower": cs >= 8.0 * zeta ** (2.0 * kappa),
     }
-    det_val = float(np.linalg.det(mp.b0 - delta1 * mp.b1))
+    det_val = float(det2(mp.b0 - delta1 * mp.b1))
     hyp["determinant"] = det_val >= 3.0 * zeta * zeta * (1.0 - 1e-9)
     rot_margin = math.sqrt(max(det_val, 0.0)) - 1.5 * zeta
     hyp["rotation_positive"] = rot_margin > 0.0

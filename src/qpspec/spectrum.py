@@ -48,12 +48,6 @@ class TruncatedOperator:
             raise ValueError("diagonal must have length 2L+1")
 
     @classmethod
-    def build(cls, V: FourierSeries, freq: Frequency, theta,
-              L: int) -> "TruncatedOperator":
-        pts = freq.orbit(theta, np.arange(-L, L + 1))
-        return cls(L, np.asarray(V.evaluate(pts), dtype=float))
-
-    @classmethod
     def sampled(cls, V: FourierSeries, freq: Frequency, L: int,
                 phases: int) -> "TruncatedOperator":
         """One diagonal per Kronecker phase sample, evaluated in one call."""
@@ -71,14 +65,6 @@ class TruncatedOperator:
     @property
     def size(self) -> int:
         return 2 * self.L + 1
-
-    def dense(self) -> np.ndarray:
-        if self.diag.ndim != 1:
-            raise ValueError("dense() needs a single-phase operator")
-        m = np.diag(self.diag)
-        off = np.ones(self.size - 1)
-        m += np.diag(off, 1) + np.diag(off, -1)
-        return m
 
     def _counts(self, energies) -> np.ndarray:
         """(nE, phases) counts of eigenvalues <= E."""
@@ -155,8 +141,6 @@ def _pivot_counts(diags, energies):
 class IdsCurve:
     energies: np.ndarray
     values: np.ndarray
-    L: int
-    phases: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -179,7 +163,7 @@ def ids_curve(V: FourierSeries, freq: Frequency, energies, L: int,
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energy grid must be strictly increasing")
     H = TruncatedOperator.sampled(V, freq, L, phases)
-    return IdsCurve(energies, H.ids(energies), L, phases)
+    return IdsCurve(energies, H.ids(energies))
 
 
 def _pruned_present(H: TruncatedOperator, edges) -> np.ndarray:

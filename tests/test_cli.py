@@ -620,6 +620,30 @@ def test_json_rows_encode_numpy_values_as_plain_json(tmp_path):
         emit_rows(["z"], [[1j]], tmp_path, "bad", "json")
 
 
+class _Unwritable:
+    """A cell that neither the CSV nor the JSON writer can encode."""
+
+    def __str__(self):
+        raise TypeError("unwritable cell")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_rewrite_keeps_the_earlier_file(tmp_path, monkeypatch, fmt):
+    # the bad cell sits in the third chunk, after two have been written;
+    # the earlier file stays byte for byte and no partial file is left
+    import qpspec.cli
+    from qpspec.cli import emit_rows
+
+    monkeypatch.setattr(qpspec.cli, "_ROWS_PER_WRITE", 2)
+    name = emit_rows(["E"], [np.arange(7.0)], tmp_path, "ids", fmt)
+    before = (tmp_path / name).read_bytes()
+    bad = [0.5, 1.5, 2.5, 3.5, _Unwritable(), 5.5]
+    with pytest.raises(TypeError, match="unwritable|not JSON"):
+        emit_rows(["E"], [bad], tmp_path, "ids", fmt)
+    assert (tmp_path / name).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def _emit_row_dicts(rows, columns, out_dir, stem, fmt):
     """The row-dict writer that emit_rows replaced, kept as its reference:
     one dict per row, every CSV line or the whole JSON text in memory."""
@@ -1339,7 +1363,8 @@ def test_every_public_name_resolves():
 
 # public top-level names of src/qpspec, and public members of its public
 # classes (as Class.member), that no library code calls yet, and why each
-# stays; a name leaves the table once library code calls it
+# stays; a name leaves the table once library code calls it or it moves
+# into tests/, and each reason names the ROADMAP item that decides which
 _KEPT = {
     "degree": "the kam run's conjugacy-degree check (ROADMAP item 5)",
     "conjugated_rotation": "the kam run's rotation-number invariant "
@@ -1349,19 +1374,6 @@ _KEPT = {
     "rotation_number": "perfbench traces it until its span is dropped "
                        "(ROADMAP item 7); the single-orbit reference the "
                        "rotation grid is pinned to",
-    "iterate": "the paper's A_n; its tests pin the cocycle identity and "
-               "the exponent range of orbit_product",
-    "constant_cocycle": "the cone-test and rotation tests run on its "
-                        "cocycles",
-    "TruncatedOperator.build": "the single-phase operator of the count "
-                               "tests in tests/test_spectrum.py and of "
-                               "test_sampled_rows_match_single_phase_builds",
-    "TruncatedOperator.dense": "the eigvalsh reference of "
-                               "test_count_matches_dense_solver",
-    "MoserPoschelData.det_identity_defect": "test_mp_step_identity_conjugacy "
-                                            "and test_mp_step_oscillating_"
-                                            "conjugacy check the determinant "
-                                            "identity with it",
 }
 
 # public members (as Class.member) whose name another class of src/qpspec
@@ -1385,6 +1397,7 @@ def test_every_public_function_has_a_library_caller():
     # ast does not know the receiver's class, and such shared names are
     # listed in _SHARED
     import ast
+    import re
 
     src = Path(__file__).resolve().parents[1] / "src" / "qpspec"
     trees = {path.stem: ast.parse(path.read_text())
@@ -1481,3 +1494,6 @@ def test_every_public_function_has_a_library_caller():
     assert {name: sorted(public[name]) for name in _KEPT
             if public.get(name)} == {}, "_KEPT names that now have callers"
     assert set(_KEPT) <= set(public), "_KEPT names that are gone"
+    assert {name: reason for name, reason in _KEPT.items()
+            if not re.search(r"ROADMAP item \d+", reason)} == {}, \
+        "_KEPT reasons that name no ROADMAP item to decide them"

@@ -7,13 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from _reference import constant_cocycle, iterate
 from qpspec import mat2
-from qpspec.cocycle import (
-    constant_cocycle,
-    iterate,
-    schrodinger_cocycle,
-    uniform_hyperbolicity_test,
-)
+from qpspec.cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
 from qpspec.qpcore import amo_potential, cosine_polynomial, diophantine_check
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

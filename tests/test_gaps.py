@@ -439,7 +439,7 @@ def _dyadic(lo, n):
 
 def test_holder_linear_curve():
     E = np.linspace(0.0, 1.0, 2001)
-    curve = IdsCurve(E, E.copy(), L=1000, phases=1)
+    curve = IdsCurve(E, E.copy())
     eps = _dyadic(0.0125, 4)
     rep = holder_modulus(curve, eps)
     # symmetric increment of a linear curve is 2 eps, ratio 2 sqrt(eps)
@@ -450,7 +450,7 @@ def test_holder_linear_curve():
 def test_holder_free_curve_flat_ratio():
     E = np.linspace(-2.0, 2.0, 4001)
     N = 1.0 - np.arccos(np.clip(E / 2.0, -1.0, 1.0)) / math.pi
-    curve = IdsCurve(E, N, L=1000, phases=1)
+    curve = IdsCurve(E, N)
     rep = holder_modulus(curve, _dyadic(0.0125, 5))
     # square-root edges keep the ratio pinned near sqrt(2)/pi
     assert 0.40 <= rep["C0_hat"] <= 0.47
@@ -462,7 +462,7 @@ def test_holder_free_curve_flat_ratio():
 def test_holder_jump_flagged():
     E = np.linspace(0.0, 1.0, 4001)
     N = (E >= 0.5).astype(float)
-    curve = IdsCurve(E, N, L=1000, phases=1)
+    curve = IdsCurve(E, N)
     rep = holder_modulus(curve, _dyadic(0.0125, 4))
     assert rep["holder_violation"]
     assert rep["C0_hat"] == pytest.approx(1.0 / math.sqrt(0.0125), rel=1e-6)
@@ -471,7 +471,7 @@ def test_holder_jump_flagged():
 
 def test_holder_rejects_empty_grid():
     E = np.linspace(0.0, 1.0, 101)
-    curve = IdsCurve(E, E.copy(), L=1000, phases=1)
+    curve = IdsCurve(E, E.copy())
     with pytest.raises(ValueError):
         holder_modulus(curve, [0.8])
 

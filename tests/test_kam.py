@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import d_of_delta, det_identity_defect
 from qpspec import kam
 from qpspec.errors import (DivisorError, ReductionError, ResonanceError,
                            SizeError)
@@ -849,8 +850,8 @@ def test_mp_step_identity_conjugacy(freq):
     assert mp.x11_sq == pytest.approx(1.0)
     assert mp.x11_x12 == pytest.approx(0.0)
     assert mp.x12_sq == pytest.approx(0.0)
-    assert mp.d_of_delta(delta) == pytest.approx(-delta * zeta)
-    assert abs(mp.det_identity_defect(delta)) < 1e-15
+    assert d_of_delta(mp, delta) == pytest.approx(-delta * zeta)
+    assert abs(det_identity_defect(mp, delta)) < 1e-15
     assert mp.P1_norm_bound >= 0.0
 
 
@@ -863,7 +864,7 @@ def test_mp_step_oscillating_conjugacy(freq):
     mp = moser_poschel_step(X, 0.02, 5e-5, freq)
     assert mp.x11_sq > 0.0
     assert mp.cauchy_schwarz_slack() >= -1e-12
-    assert abs(mp.det_identity_defect(5e-5)) < 1e-14
+    assert abs(det_identity_defect(mp, 5e-5)) < 1e-14
     assert np.isfinite(mp.P1_norm_bound)
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import constant_cocycle
 from qpspec import cocycle, mat2, rotnum
-from qpspec.cocycle import Cocycle, constant_cocycle, schrodinger_cocycle
+from qpspec.cocycle import Cocycle, schrodinger_cocycle
 from qpspec.errors import DegreeError
 from qpspec.qpcore import (
     FourierSeries,

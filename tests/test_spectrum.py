@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import dense, truncated_operator
 from qpspec import spectrum
 from qpspec.qpcore import (amo_potential, ck_potential, cosine_polynomial,
                            diophantine_check, dist_to_int, phase_samples)
@@ -50,7 +51,7 @@ def eigen_count_below(h, E):
 
 
 def test_count_three_site_free(freq):
-    h = TruncatedOperator.build(_zero_potential(), freq, 0.0, 1)
+    h = truncated_operator(_zero_potential(), freq, 0.0, 1)
     # eigenvalues -sqrt2, 0, sqrt2
     assert eigen_count_below(h, -1.5) == 0
     assert eigen_count_below(h, -1.0) == 1
@@ -59,7 +60,7 @@ def test_count_three_site_free(freq):
 
 
 def test_count_closed_inequality(freq):
-    h = TruncatedOperator.build(_zero_potential(), freq, 0.0, 1)
+    h = truncated_operator(_zero_potential(), freq, 0.0, 1)
     # exact eigenvalue hits are included by the upward nudge
     assert eigen_count_below(h, 0.0) == 2
     assert eigen_count_below(h, math.sqrt(2.0)) == 3
@@ -69,15 +70,15 @@ def test_count_closed_inequality(freq):
 def test_count_matches_dense_solver(freq):
     V = amo_potential(0.64)
     for theta in (0.0, 0.21, 0.77):
-        h = TruncatedOperator.build(V, freq, theta, 30)
-        evals = np.linalg.eigvalsh(h.dense())
+        h = truncated_operator(V, freq, theta, 30)
+        evals = np.linalg.eigvalsh(dense(h))
         for E in (-2.5, -1.0, -0.3, 0.2, 1.4, 2.9):
             assert eigen_count_below(h, E) == int((evals <= E).sum())
 
 
 def test_count_monotone_and_saturates(freq):
     V = amo_potential(0.5)
-    h = TruncatedOperator.build(V, freq, 0.3, 50)
+    h = truncated_operator(V, freq, 0.3, 50)
     grid = np.linspace(-4.0, 4.0, 81)
     counts = [eigen_count_below(h, e) for e in grid]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -237,7 +238,7 @@ def test_scan_mesh_spans_every_dense_eigenvalue(freq, monkeypatch):
     spectrum_scan(V, freq, 500, 8, 0.05)
     (H, edges), = seen
     for diag in H.diag:
-        evals = np.linalg.eigvalsh(TruncatedOperator(500, diag).dense())
+        evals = np.linalg.eigvalsh(dense(TruncatedOperator(500, diag)))
         assert edges[0] < evals[0] and evals[-1] < edges[-1]
 
 
@@ -302,7 +303,7 @@ def test_scan_rejects_zero_phases(freq):
 def test_ids_curve_rejects_non_finite_values():
     grid = np.linspace(-1.0, 1.0, 3)
     with pytest.raises(ValueError, match="finite"):
-        IdsCurve(grid, np.full(3, np.nan), 200, 1)
+        IdsCurve(grid, np.full(3, np.nan))
 
 
 def test_sampled_rows_match_single_phase_builds(freq):
@@ -310,7 +311,7 @@ def test_sampled_rows_match_single_phase_builds(freq):
     stack = TruncatedOperator.sampled(V, freq, 300, 4)
     assert stack.diag.shape == (4, 601)
     for j, theta in enumerate(phase_samples(1, 4)):
-        row = TruncatedOperator.build(V, freq, theta, 300).diag
+        row = truncated_operator(V, freq, theta, 300).diag
         assert np.array_equal(stack.diag[j], row)
 
 
