@@ -10,6 +10,7 @@ averaging.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ _SHIFT_EPS = 2.0 ** -50
 _BLOCK_CELLS = 1 << 17
 # mesh edges per coarse cell of the pruned wide scan
 _SCAN_STRIDE = 8
+# cells (rows x phases x energies) from which a Sturm pass is split over
+# the CPUs: fork plus reap cost 3-5 ms, about 1e7 cells of counting
+_SPLIT_CELLS = 1 << 24
+# POSIX fixes SIGKILL at 9
+_SIGKILL = 9
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,106 @@ def _shifted(E):
 
 
 def _pivot_counts(diags, energies):
-    """Negative-pivot counts of the shifted LDL^T recurrence, vectorized.
+    """Negative-pivot counts of the shifted LDL^T recurrence.
 
     diags: (phases, size) diagonals; energies: (nE,) targets.
     Returns (nE, phases) integer counts of eigenvalues <= E.
+
+    Every Sturm pass enters here.  A pass of at least _SPLIT_CELLS cells
+    (rows x phases x energies) with two or more energies is split over
+    the CPUs of os.sched_getaffinity: the energies are cut into one
+    contiguous chunk per CPU, a forked child counts each chunk but the
+    first, which the parent counts, and each child sends its int64 counts
+    back through a pipe.  Anything smaller, or a platform without fork or
+    sched_getaffinity, runs serially in _pivot_rows.  A chunk whose child
+    cannot be forked, exits non-zero or sends short data is counted by
+    the parent, and a parent that raises kills and reaps its children
+    first, so no process outlives a pass.  The count at one energy does
+    not depend on the other energies of its pass, so the split cannot
+    change a number.
+    """
+    energies = np.asarray(energies, dtype=float)
+    phases, size = diags.shape
+    parts = 1
+    if (size * phases * energies.size >= _SPLIT_CELLS
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        parts = min(len(os.sched_getaffinity(0)), energies.size)
+    if parts < 2:
+        return _pivot_rows(diags, energies)
+    out = np.empty((energies.size, phases), dtype=np.int64)
+    cuts = [energies.size * i // parts for i in range(parts + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            children.append((_fork_rows(diags, energies[lo:hi]), lo, hi))
+        out[:cuts[1]] = _pivot_rows(diags, energies[:cuts[1]])
+        for child, lo, hi in children:
+            if not (child and _collect(child, out[lo:hi])):
+                out[lo:hi] = _pivot_rows(diags, energies[lo:hi])
+    finally:
+        # close every pipe; kill and reap every child not reaped yet
+        for child, _, _ in children:
+            if child:
+                pid, pipe = child
+                pipe.close()
+                if pid is not None:
+                    os.kill(pid, _SIGKILL)
+                    os.waitpid(pid, 0)
+    return out
+
+
+def _fork_rows(diags, energies):
+    """[pid, read end of its pipe] of a child counting energies, or None.
+
+    The child sends _pivot_rows(diags, energies) as int64 bytes and leaves
+    through os._exit, so no exit hook or buffered stream of the parent
+    runs in it.  A forked child starts at once with the diagonals in
+    place, where a spawned one would first import numpy (0.18 s); it runs
+    only numpy ufuncs, none of the BLAS whose threads fork does not copy.
+    """
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            counts = np.ascontiguousarray(_pivot_rows(diags, energies),
+                                          dtype=np.int64)
+            view = memoryview(counts).cast("B")
+            while view:
+                view = view[os.write(wfd, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return [pid, open(rfd, "rb", buffering=0)]
+
+
+def _collect(child, dest) -> bool:
+    """Read a child's counts into dest and reap it; False if it failed."""
+    pid, pipe = child
+    view = memoryview(dest).cast("B")
+    with pipe:
+        while view:
+            n = pipe.readinto(view)
+            if not n:
+                break
+            view = view[n:]
+    status = os.waitpid(pid, 0)[1]
+    child[0] = None  # reaped
+    return not view and status == 0
+
+
+def _pivot_rows(diags, energies):
+    """_pivot_counts in this process: the row loop over the whole pass.
 
     The recurrence runs phase-major, (phases, nE), in place in a
     preallocated block of rows: the block is filled with the shifted
@@ -126,9 +228,9 @@ def _pivot_counts(diags, energies):
             np.subtract(piv[:n], shift, out=piv[:n])
             np.subtract(rows[0], r, out=rows[0])
             for prev, d in zip(rows, rows[1:n]):
-                np.divide(1.0, prev, out=r)
+                np.reciprocal(prev, out=r)
                 np.subtract(d, r, out=d)
-            np.divide(1.0, rows[n - 1], out=r)
+            np.reciprocal(rows[n - 1], out=r)
             np.signbit(piv[:n], out=neg[:n])
             count += np.add.reduce(neg[:n].view(np.uint8), axis=0,
                                    dtype=np.uint8, out=tally)

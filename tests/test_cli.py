@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -774,7 +775,7 @@ def test_ids_at_the_point_cap_writes_in_bounded_memory(tmp_path, fmt):
     assert tail.endswith(b"\n" if fmt == "csv" else b"\n  }\n]\n")
 
 
-def test_threads_and_seed_do_not_change_values(tmp_path):
+def test_threads_and_seed_do_not_change_values(tmp_path, monkeypatch):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     cfg = _base_config(d1)
     p = _write(tmp_path, cfg)
@@ -782,6 +783,46 @@ def test_threads_and_seed_do_not_change_values(tmp_path):
     assert main(["ids", "--config", p, "--out", str(d2),
                  "--threads", "2", "--seed", "7"]) == 0
     assert (d1 / "ids.csv").read_bytes() == (d2 / "ids.csv").read_bytes()
+    # the scan's fine pass counts about 870 energies on 8 x 4001 rows,
+    # 2^24.7 cells, which the default run splits over the CPUs
+    from qpspec import spectrum
+    p = _write(tmp_path, _base_config(
+        tmp_path,
+        potential={"family": "ck", "epsilon": 0.01, "k": 6,
+                   "modes": [1, 2, 3, 4, 5, 6, 7, 8]},
+        numerics={"L": 2000, "phases": 8, "resolution": 4e-3,
+                  "min_gap_length": 8e-3}))
+    passes, forks = [], []
+    kernel, fork = spectrum._pivot_counts, os.fork
+
+    def counted(diags, energies):
+        passes.append(diags.size * len(energies))
+        return kernel(diags, energies)
+
+    def forked():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(spectrum, "_pivot_counts", counted)
+    monkeypatch.setattr(os, "fork", forked)
+    written = {}
+    for run, cpus, split_cells in (("one_cpu", {0}, spectrum._SPLIT_CELLS),
+                                   ("forced", {0, 1}, 0),
+                                   ("default", None, spectrum._SPLIT_CELLS)):
+        with monkeypatch.context() as m:
+            if cpus is not None:
+                m.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            m.setattr(spectrum, "_SPLIT_CELLS", split_cells)
+            forks.clear()
+            assert main(["gaps", "--config", p,
+                         "--out", str(tmp_path / run)]) == 0
+        written[run] = (tmp_path / run / "gaps.csv").read_bytes()
+        assert bool(forks) == (run == "forced" or (
+            run == "default" and len(os.sched_getaffinity(0)) > 1))
+    assert max(passes) >= spectrum._SPLIT_CELLS
+    assert written["forced"] == written["one_cpu"] == written["default"]
 
 
 def test_output_path_naming_a_file_exits_2(tmp_path, capsys):

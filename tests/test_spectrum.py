@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,12 @@ def test_sturm_counting_has_one_owner():
     users = sorted(path.name for path in src.glob("*.py")
                    if "_pivot_counts" in path.read_text())
     assert users == ["spectrum.py"]
+    # one module forks, for the split Sturm pass
+    forks = sorted(path.name for path in src.glob("*.py")
+                   if any(isinstance(node, ast.Attribute)
+                          and node.attr == "fork"
+                          for node in ast.walk(ast.parse(path.read_text()))))
+    assert forks == ["spectrum.py"]
     # the CLI scans in one place, the helper that may reuse a stored scan
     cli_tree = ast.parse((src / "cli.py").read_text())
     scans = [node for node in ast.walk(cli_tree)
@@ -397,9 +404,109 @@ def _kernel_cases():
     yield rng.normal(size=(1, 50)), np.array([0.3])
 
 
-def test_pivot_kernel_matches_floored_reference():
+def _assert_kernel_matches_floored_reference():
     for diags, energies in _kernel_cases():
         want = _pivot_counts_floored(diags, energies)
         got = _pivot_counts(diags, energies)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_pivot_kernel_matches_floored_reference():
+    _assert_kernel_matches_floored_reference()
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Split every pass of two or more energies into up to three chunks."""
+    monkeypatch.setattr(spectrum, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def _forks(monkeypatch):
+    """The list that every os.fork call appends its result to."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_split_kernel_matches_floored_reference(forced_split, monkeypatch):
+    forks = _forks(monkeypatch)
+    _assert_kernel_matches_floored_reference()
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_counts_every_chunk_when_fork_fails(forced_split,
+                                                  monkeypatch):
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    _assert_kernel_matches_floored_reference()
+
+
+def test_split_counts_the_chunk_of_a_failed_child(forced_split,
+                                                  monkeypatch):
+    parent = os.getpid()
+    rows = spectrum._pivot_rows
+
+    def fails_in_child(diags, energies):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return rows(diags, energies)
+
+    monkeypatch.setattr(spectrum, "_pivot_rows", fails_in_child)
+    forks = _forks(monkeypatch)
+    _assert_kernel_matches_floored_reference()
+    assert forks
+
+
+def test_split_kills_its_children_when_the_parent_raises(forced_split,
+                                                         monkeypatch):
+    parent = os.getpid()
+    rows = spectrum._pivot_rows
+
+    def interrupted(diags, energies):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return rows(diags, energies)
+
+    monkeypatch.setattr(spectrum, "_pivot_rows", interrupted)
+    forks = _forks(monkeypatch)
+    diags, energies = np.zeros((4, 300)), np.linspace(-1.0, 1.0, 9)
+    with pytest.raises(KeyboardInterrupt):
+        _pivot_counts(diags, energies)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forks = _forks(monkeypatch)
+    _assert_kernel_matches_floored_reference()
+    assert forks == []
+
+
+def test_small_passes_and_single_energies_stay_serial(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SPLIT_CELLS", 1200)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _forks(monkeypatch)
+    rng = np.random.default_rng(3)
+    # one cell short of the split, and one energy over it
+    _pivot_counts(rng.normal(size=(4, 149)), np.zeros(2))
+    _pivot_counts(rng.normal(size=(1, 1200)), np.zeros(1))
+    assert forks == []
+    _pivot_counts(rng.normal(size=(4, 150)), np.zeros(2))
+    assert len(forks) == 1
