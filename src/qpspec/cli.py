@@ -647,13 +647,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (overrides the config)")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=0,
-                   help="accepted for compatibility and ignored; Sturm "
-                        "passes of 2^24 cells or more split over the CPU "
-                        "affinity (limit it with taskset), and no setting "
-                        "affects values")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; affects nothing numeric")
     return p
 
 

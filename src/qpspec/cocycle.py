@@ -1,8 +1,8 @@
-"""Quasi-periodic SL(2,R) cocycles: construction and hyperbolicity.
+"""The Schrodinger transfer cocycle: its matrices and a hyperbolicity test.
 
-A cocycle is a pair (alpha, A) with alpha a torus translation vector and
-A a matrix-valued function on the torus.  The n-th iterate is the ordered
-product A(theta + (n-1) alpha) ... A(theta).
+The transfer cocycle of the potential V at energy E is the pair (alpha,
+A) with A(theta) = [[E - V(theta), -1], [1, 0]]; its n-th iterate is the
+ordered product A(theta + (n-1) alpha) ... A(theta).
 """
 
 from __future__ import annotations
@@ -17,62 +17,19 @@ from .qpcore import FourierSeries, Frequency, phase_samples
 from .rotnum import orbit_product
 
 __all__ = [
-    "Cocycle",
     "HyperbolicityVerdict",
-    "schrodinger_cocycle",
+    "transfer_matrices",
     "uniform_hyperbolicity_test",
 ]
 
-_DET_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class Cocycle:
-    """Immutable pair of a frequency and an SL(2,R)-valued series."""
-
-    freq: Frequency
-    map_series: FourierSeries
-    is_schrodinger: bool = False
-
-    def __post_init__(self):
-        if not self.map_series.is_matrix:
-            raise ValueError("cocycle map must be matrix-valued")
-        if self.map_series.dim != self.freq.dim:
-            raise ValueError("frequency and map dimension mismatch")
-        vals = self.map_series.on_mesh()
-        defect = np.abs(mat2.det2(vals) - 1.0).max()
-        if defect > _DET_TOL:
-            raise ValueError(f"det deviates from 1 by {defect:.3e} on grid")
-
-    def orbit_matrices(self, theta0, n):
-        """Map values along theta0, theta0+alpha, ..., theta0+(n-1)alpha.
-
-        One phase gives shape (n, 2, 2); a stack of phases, shape
-        (..., dim), gives (..., n, 2, 2).
-        """
-        return self.map_series.evaluate(self.freq.orbit(theta0, np.arange(n)))
-
-
-def schrodinger_cocycle(V: FourierSeries, E: float, freq: Frequency) -> Cocycle:
-    """Transfer-matrix cocycle [[E - V(theta), -1], [1, 0]]."""
-    if V.is_matrix:
-        raise ValueError("potential must be scalar-valued")
-    if V.dim != freq.dim:
-        raise ValueError("potential and frequency dimension mismatch")
-    if V.period != 1:
-        raise ValueError("potential must be a full-period series")
-    modes = V.modes
-    # E and the constant entries sit on the zero mode, stored or added
-    if modes.any(axis=1).all():
-        modes = np.concatenate([modes, np.zeros((1, V.dim), dtype=int)])
-    values = np.zeros((len(modes), 2, 2), dtype=complex)
-    values[:len(V.values), 0, 0] = -V.values
-    zero = ~modes.any(axis=1)
-    values[zero, 0, 0] += E
-    values[zero, 0, 1] = -1.0
-    values[zero, 1, 0] = 1.0
-    series = FourierSeries.from_arrays(V.dim, V.radius, modes, values)
-    return Cocycle(freq, series, is_schrodinger=True)
+def transfer_matrices(energy: float, v) -> np.ndarray:
+    """Transfer matrices [[E - v, -1], [1, 0]], shape v.shape + (2, 2)."""
+    mats = np.zeros(np.shape(v) + (2, 2))
+    mats[..., 0, 0] = energy - v
+    mats[..., 0, 1] = -1.0
+    mats[..., 1, 0] = 1.0
+    return mats
 
 
 def _product(mats):
@@ -123,9 +80,11 @@ def _cone_image_margin(prod):
     return _CONE_SLOPE - max(abs(s_lo), abs(s_hi))
 
 
-def uniform_hyperbolicity_test(c: Cocycle, phases: int,
+def uniform_hyperbolicity_test(V: FourierSeries, energy: float,
+                               freq: Frequency, *, phases: int,
                                orbit: int) -> HyperbolicityVerdict:
-    """Cone-field certificate of uniform hyperbolicity.
+    """Cone-field certificate of uniform hyperbolicity of the transfer
+    cocycle of the scalar potential V at energy.
 
     The fixed cone |slope| <= 2 must map strictly inside itself, with the
     margin 0.05, under the orbit-length product from every sampled phase;
@@ -136,13 +95,19 @@ def uniform_hyperbolicity_test(c: Cocycle, phases: int,
     energies just past a spectral edge certify only once the expanding
     and contracting directions separate beyond the cone.
     """
+    if V.is_matrix:
+        raise ValueError("potential must be scalar-valued")
+    if V.dim != freq.dim:
+        raise ValueError("potential and frequency dimension mismatch")
+    if V.period != 1:
+        raise ValueError("potential must be a full-period series")
     if phases < 1:
         raise ValueError("phases >= 1 required")
     if orbit < 10:
         raise ValueError("orbit >= 10 required")
-    theta = phase_samples(c.freq.dim, phases)
-    mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
-    prod, _, log_norm = _product(mats)
+    theta = phase_samples(freq.dim, phases)
+    v = V.evaluate(freq.orbit(theta, np.arange(orbit)))
+    prod, _, log_norm = _product(transfer_matrices(energy, v.T))
     growth = float(np.min(log_norm) / orbit)
     cone_margin = min(_cone_image_margin(prod[p]) for p in range(phases))
     return HyperbolicityVerdict(cone_margin >= _CONE_MARGIN, orbit, growth,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
+from .cocycle import transfer_matrices, uniform_hyperbolicity_test
 from .errors import (DivergenceError, DivisorError, ReductionError,
                      ResonanceError, StepSizeError)
 from .mat2 import (det2, exp_sl2, inv2, log_sl2, norm2, project_traceless,
@@ -803,8 +803,8 @@ def _admit_edge(V: FourierSeries, freq: Frequency, m, energy) -> None:
     hull.  The fibered rotation number must then satisfy
     2 rho = <m, alpha> mod Z.
     """
-    verdict = uniform_hyperbolicity_test(
-        schrodinger_cocycle(V, energy, freq), phases=8, orbit=2000)
+    verdict = uniform_hyperbolicity_test(V, energy, freq, phases=8,
+                                         orbit=2000)
     if verdict.certified:
         raise ReductionError(
             "cocycle is uniformly hyperbolic: the energy sits inside a gap, "
@@ -1015,11 +1015,8 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     A = rotation(turn)
     band = max(V.support_radius(), 1)
     v_vals, = _mesh_values(_grid(4 * band), 1, V)
-    cocycle_vals = np.zeros(v_vals.shape + (2, 2))
-    cocycle_vals[..., 0, 0] = e_reduce - v_vals
-    cocycle_vals[..., 0, 1] = -1.0
-    cocycle_vals[..., 1, 0] = 1.0
-    logs = log_sl2(inv2(A) @ (inv2(Q) @ cocycle_vals @ Q))
+    logs = log_sl2(inv2(A) @ (inv2(Q) @ transfer_matrices(e_reduce, v_vals)
+                              @ Q))
     f = _extract_series(logs, freq.dim, 4 * band, period=1)
 
     reduced = reduce_to_parabolic(A, f, freq, m,

@@ -383,7 +383,7 @@ class FourierSeries:
         """Real values on the g^d equispaced mesh of [0, period)^d, shaped
         (g,) * d plus the value shape, by one inverse FFT; aliased modes
         accumulate in row order, so any support gives the direct sum's
-        values.  g defaults to 4 radius + 1 (the Cocycle det check)."""
+        values.  g defaults to 4 radius + 1."""
         g = 4 * max(self.radius, 1) + 1 if g is None else int(g)
         self._real_half_modes()
         buf = np.zeros((g,) * self.dim + self.values.shape[1:],

@@ -10,7 +10,6 @@ number by half the frequency pairing with their winding degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from .errors import DegreeError
 from .qpcore import FourierSeries, Frequency, array_elements, dist_to_int
 
 __all__ = [
-    "RotationEstimate",
-    "rotation_number",
-    "rotation_from_orbit",
     "orbit_product",
     "schrodinger_rotation_grid",
     "rotation_series",
@@ -38,72 +34,12 @@ _SEGMENTS = 50
 _MIN_SEGMENT = 64
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
-    rho: float
-    iterations: int
-    error: float
-
-
-def _estimate(total, half_total, half_at, n, fold):
-    """(rho mod 1, half-orbit error) of a walk; fold maps rho into [0, 1/2]."""
+def _estimate(total, half_total, half_at, n):
+    """(rho folded into [0, 1/2], half-orbit error) of a walk."""
     rho = (total / (_TWO_PI * n)) % 1.0
     rho_half = (half_total / (_TWO_PI * half_at)) % 1.0
     err = dist_to_int(rho - rho_half)
-    if fold:
-        rho = np.minimum(rho, 1.0 - rho)
-    return rho, err
-
-
-def rotation_from_orbit(mats, schrodinger: bool = False) -> RotationEstimate:
-    """Rotation estimate from precomputed orbit matrices of shape (n, 2, 2).
-
-    Walks v = e1 along the orbit and sums the advance of its angle, the
-    principal atan2 of (v x w, v . w) for its image w, with a subtotal
-    after n // 2 steps for the error estimate.  Schrodinger orbits lift
-    each advance into the window (_LIFT_LO, _LIFT_LO + 2 pi], which
-    transfer matrices never leave; general cocycles unwrap it against a
-    running mean advance, as their steps drift by a constant angle.  One
-    orbit walks on Python floats, which beat numpy scalar ufuncs.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[0]
-    if n < 2:
-        raise ValueError("an orbit of >= 2 steps required")
-    a, b, c, d = mats.reshape(n, 4).T.tolist()
-    v0, v1 = 1.0, 0.0
-    total = half_total = mean = 0.0
-    half_at = n // 2
-    warmup = min(64, n)
-    for k in range(n):
-        w0, w1 = a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1
-        delta = math.atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
-        if schrodinger:
-            delta += _TWO_PI * (delta <= _LIFT_LO)
-        elif k < warmup:
-            mean += (delta - mean) / (k + 1)
-        else:
-            delta += _TWO_PI * round((mean - delta) / _TWO_PI)
-            mean += 0.02 * (delta - mean)
-        total += delta
-        norm = math.hypot(w0, w1)
-        v0, v1 = w0 / norm, w1 / norm
-        if k + 1 == half_at:
-            half_total = total
-    rho, err = _estimate(total, half_total, half_at, n, schrodinger)
-    return RotationEstimate(float(rho), n, float(err))
-
-
-def rotation_number(c, theta0, n_iters: int) -> RotationEstimate:
-    """Average projective-angle advance of a Cocycle along one orbit, mod Z.
-
-    Schrodinger cocycles are folded into [0, 1/2]; general cocycles report
-    the representative in [0, 1).
-    """
-    if n_iters < 1000:
-        raise ValueError("n_iters >= 1000 required")
-    mats = c.orbit_matrices(theta0, n_iters)
-    return rotation_from_orbit(mats, schrodinger=c.is_schrodinger)
+    return np.minimum(rho, 1.0 - rho), err
 
 
 def _segment_cuts(n: int) -> list:
@@ -265,7 +201,7 @@ def schrodinger_rotation_grid(V: FourierSeries, freq: Frequency, energies,
         # any positive scale keeps the direction; a sixth of np.hypot's cost
         norm = np.maximum(abs(w0), abs(w1))
         w0, w1 = w0 / norm, w1 / norm
-    return _estimate(total, half_total, n_iters // 2, n_iters, True)
+    return _estimate(total, half_total, n_iters // 2, n_iters)
 
 
 def rotation_series(n_vec) -> FourierSeries:

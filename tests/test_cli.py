@@ -775,14 +775,18 @@ def test_ids_at_the_point_cap_writes_in_bounded_memory(tmp_path, fmt):
     assert tail.endswith(b"\n" if fmt == "csv" else b"\n  }\n]\n")
 
 
-def test_threads_and_seed_do_not_change_values(tmp_path, monkeypatch):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    cfg = _base_config(d1)
-    p = _write(tmp_path, cfg)
-    assert main(["ids", "--config", p]) == 0
-    assert main(["ids", "--config", p, "--out", str(d2),
-                 "--threads", "2", "--seed", "7"]) == 0
-    assert (d1 / "ids.csv").read_bytes() == (d2 / "ids.csv").read_bytes()
+def test_removed_flags_exit_2_and_cpu_split_keeps_values(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    # no flag sets threads or a seed: each is an argparse usage error
+    p = _write(tmp_path, _base_config(tmp_path / "a"))
+    for flag, value in (("--threads", "2"), ("--seed", "7")):
+        with pytest.raises(SystemExit) as exc:
+            main(["ids", "--config", p, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
     # the scan's fine pass counts about 870 energies on 8 x 4001 rows,
     # 2^24.7 cells, which the default run splits over the CPUs
     from qpspec import spectrum
@@ -1412,9 +1416,6 @@ _KEPT = {
                            "(ROADMAP item 5)",
     "holder_modulus": "the spectrum-as-a-set report (ROADMAP item 9)",
     "gap_separation_check": "the spectrum-as-a-set report (ROADMAP item 9)",
-    "rotation_number": "perfbench traces it until its span is dropped "
-                       "(ROADMAP item 7); the single-orbit reference the "
-                       "rotation grid is pinned to",
 }
 
 # public members (as Class.member) whose name another class of src/qpspec

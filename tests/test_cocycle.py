@@ -1,4 +1,5 @@
-"""Cocycle construction, iteration, and the finite-orbit hyperbolicity verdict."""
+"""Transfer matrices, cocycle iteration, and the finite-orbit hyperbolicity
+verdict."""
 
 from __future__ import annotations
 
@@ -7,10 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from _reference import constant_cocycle, iterate
+from _reference import constant_cocycle, iterate, schrodinger_cocycle
 from qpspec import mat2
-from qpspec.cocycle import schrodinger_cocycle, uniform_hyperbolicity_test
-from qpspec.qpcore import amo_potential, cosine_polynomial, diophantine_check
+from qpspec.cocycle import transfer_matrices, uniform_hyperbolicity_test
+from qpspec.qpcore import (
+    FourierSeries,
+    amo_potential,
+    cosine_polynomial,
+    diophantine_check,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,6 +49,31 @@ def test_det_one_on_grid(freq):
     c = schrodinger_cocycle(amo_potential(0.7), 0.3, freq)
     vals = c.map_series.evaluate(np.linspace(0, 1, 32)[:, None])
     np.testing.assert_allclose(mat2.det2(vals), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("V,kwargs,match", [
+    (FourierSeries(1, 0, {(0,): np.eye(2)}), {}, "scalar-valued"),
+    (cosine_polynomial({(1, 0): 0.4}, dim=2), {}, "dimension mismatch"),
+    (FourierSeries(1, 1, {(1,): 0.5, (-1,): 0.5}, period=2), {},
+     "full-period"),
+    (amo_potential(0.3), {"phases": 0}, "phases >= 1"),
+    (amo_potential(0.3), {"orbit": 9}, "orbit >= 10"),
+], ids=["matrix", "dim", "period", "phases", "orbit"])
+def test_cone_test_rejects_bad_input(freq, V, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        uniform_hyperbolicity_test(V, 1.0, freq,
+                                   **{"phases": 4, "orbit": 100, **kwargs})
+
+
+def test_transfer_matrices_shape_and_entries():
+    v = np.array([[0.25, -1.5, 0.0], [2.0, 3.5, -0.75]])
+    mats = transfer_matrices(1.0, v)
+    assert mats.shape == (2, 3, 2, 2)
+    np.testing.assert_array_equal(mats[..., 0, 0], 1.0 - v)
+    np.testing.assert_array_equal(mats[..., 0, 1], -1.0)
+    np.testing.assert_array_equal(mats[..., 1, 0], 1.0)
+    np.testing.assert_array_equal(mats[..., 1, 1], 0.0)
+    np.testing.assert_array_equal(mat2.det2(mats), 1.0)
 
 
 def test_iterate_identity_cases(freq):
@@ -118,8 +149,8 @@ def test_det_drift_long_products(freq):
 
 
 def test_verdict_free_hyperbolic(freq):
-    c = schrodinger_cocycle(_zero_potential(), 3.0, freq)
-    v = uniform_hyperbolicity_test(c, phases=8, orbit=200)
+    v = uniform_hyperbolicity_test(_zero_potential(), 3.0, freq, phases=8,
+                                   orbit=200)
     assert v.certified
     # finite-orbit estimate carries an O(1/orbit) bias from the eigenbasis
     assert v.growth_exponent == pytest.approx(math.log((3 + math.sqrt(5)) / 2),
@@ -128,8 +159,8 @@ def test_verdict_free_hyperbolic(freq):
 
 
 def test_verdict_free_elliptic(freq):
-    c = schrodinger_cocycle(_zero_potential(), 0.0, freq)
-    v = uniform_hyperbolicity_test(c, phases=4, orbit=100)
+    v = uniform_hyperbolicity_test(_zero_potential(), 0.0, freq, phases=4,
+                                   orbit=100)
     assert not v.certified
 
 
@@ -139,13 +170,13 @@ def test_verdict_free_energy_dichotomy(freq):
     # elliptic energies are never certified
     for E in (2.6, 3.0, 4.0, 6.0):
         for sign in (1.0, -1.0):
-            c = schrodinger_cocycle(_zero_potential(), sign * E, freq)
-            v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+            v = uniform_hyperbolicity_test(_zero_potential(), sign * E,
+                                           freq, phases=4, orbit=300)
             assert v.certified, (sign * E, v)
     for E in (0.0, 0.5, 1.0, 1.5, 1.9):
         for sign in (1.0, -1.0):
-            c = schrodinger_cocycle(_zero_potential(), sign * E, freq)
-            v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+            v = uniform_hyperbolicity_test(_zero_potential(), sign * E,
+                                           freq, phases=4, orbit=300)
             assert not v.certified, (sign * E, v)
 
 
@@ -155,28 +186,30 @@ def test_verdict_is_even_in_the_free_energy(freq, E):
     # A(-E) = -D A(E) D with D = diag(1, -1), so every product at -E is
     # +-D P D: the same norms and the mirrored cone image, bit for bit
     up, down = (uniform_hyperbolicity_test(
-        schrodinger_cocycle(_zero_potential(), sign * E, freq), phases=4,
-        orbit=300) for sign in (1.0, -1.0))
+        _zero_potential(), sign * E, freq, phases=4, orbit=300)
+        for sign in (1.0, -1.0))
     assert up == down
 
 
 def test_verdict_amo_above_spectrum(freq):
     # spectrum of the coupling-0.3 operator lies inside [-2.6, 2.6]
-    c = schrodinger_cocycle(amo_potential(0.3), 3.2, freq)
-    v = uniform_hyperbolicity_test(c, phases=8, orbit=300)
+    v = uniform_hyperbolicity_test(amo_potential(0.3), 3.2, freq, phases=8,
+                                   orbit=300)
     assert v.certified
     assert v.growth_exponent > 0.1
 
 
 def test_verdict_amo_in_spectrum(freq):
-    c = schrodinger_cocycle(amo_potential(0.3), 0.0, freq)
-    v = uniform_hyperbolicity_test(c, phases=4, orbit=400)
+    v = uniform_hyperbolicity_test(amo_potential(0.3), 0.0, freq, phases=4,
+                                   orbit=400)
     assert not v.certified
 
 
 def test_rotation_cocycle_winding(freq):
-    c = constant_cocycle(freq, mat2.rotation(0.17))
-    v = uniform_hyperbolicity_test(c, phases=2, orbit=50)
+    # at E = c a constant potential c steps by the exact quarter turn
+    # [[0, -1], [1, 0]], whose products have norm exactly 1
+    v = uniform_hyperbolicity_test(cosine_polynomial({0: 0.3}), 0.3, freq,
+                                   phases=2, orbit=50)
     assert not v.certified
     assert v.growth_exponent == pytest.approx(0.0, abs=1e-12)
 
@@ -184,8 +217,8 @@ def test_rotation_cocycle_winding(freq):
 def test_verdict_amo_below_spectrum_not_certified(freq):
     # outside the hull, yet too close to it for the fixed cone at this
     # orbit length: the certificate is sufficient only
-    c = schrodinger_cocycle(amo_potential(0.3), -2.75, freq)
-    v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+    v = uniform_hyperbolicity_test(amo_potential(0.3), -2.75, freq,
+                                   phases=4, orbit=300)
     assert not v.certified
     assert v.growth_exponent > 0.5
 
@@ -218,7 +251,8 @@ def test_iterate_and_verdict_far_above_spectrum(freq):
     want = np.linalg.matrix_power(a / 40.0, 100) * 40.0 ** 100
     got = iterate(c, 0.3, 100)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    v = uniform_hyperbolicity_test(c, phases=4, orbit=300)
+    v = uniform_hyperbolicity_test(_zero_potential(), 40.0, freq, phases=4,
+                                   orbit=300)
     assert v.certified
     assert v.growth_exponent == pytest.approx(math.log(20 + math.sqrt(399)),
                                               abs=1e-2)

@@ -825,6 +825,25 @@ def test_kam_builds_no_general_cocycle():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert not names & {"Cocycle", "rotation_number"}
+    # no library module defines a general cocycle or the one-orbit walk,
+    # and one function makes the transfer matrices for two callers: the
+    # cone test and the gap-edge step
+    defined, builds = set(), set()
+    for path in sorted(Path(kam.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        for fn in ast.walk(module):
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(fn.name)
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr",
+                                                         None))
+                    == "transfer_matrices" for node in ast.walk(fn)):
+                builds.add(f"{path.stem}.{fn.name}")
+    assert not defined & {"Cocycle", "schrodinger_cocycle", "orbit_matrices",
+                          "rotation_number"}
+    assert builds == {"cocycle.uniform_hyperbolicity_test",
+                      "kam.gap_edge_step"}
     reduce_fn = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef)
                      and node.name == "reduce_to_parabolic")

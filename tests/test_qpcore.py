@@ -858,7 +858,8 @@ def _limited_child(code, limit):
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parent.parent))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qc.__file__).parent.parent), str(Path(__file__).parent)]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=120,
@@ -889,12 +890,13 @@ def test_sampled_operator_fits_an_address_space_limit():
 
 
 def test_cocycle_det_check_fits_an_address_space_limit():
-    # the check's 8189-point mesh x 4095 modes was a 512 MiB phase matrix
+    # the matrix series' default mesh, 8189 points x 4095 modes, was a
+    # 512 MiB phase matrix
     defect = _limited_child(
-        _CK_2000 + "from qpspec.cocycle import schrodinger_cocycle; "
+        _CK_2000 + "from _reference import schrodinger_series; "
         "V = qc.ck_potential(1e-3, 2, range(1, 2048)); "
-        "c = schrodinger_cocycle(V, 0.5, freq); "
-        "print(repr(float(abs(mat2.det2(c.map_series.on_mesh()) - 1).max())))",
+        "s = schrodinger_series(V, 0.5); "
+        "print(repr(float(abs(mat2.det2(s.on_mesh()) - 1).max())))",
         768 * 2 ** 20)
     assert defect <= 1e-12
 

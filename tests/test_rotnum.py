@@ -9,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import constant_cocycle
+from _reference import (
+    constant_cocycle,
+    rotation_from_orbit,
+    rotation_number,
+    schrodinger_cocycle,
+)
 from qpspec import cocycle, mat2, rotnum
-from qpspec.cocycle import Cocycle, schrodinger_cocycle
 from qpspec.errors import DegreeError
 from qpspec.qpcore import (
     FourierSeries,
@@ -19,13 +23,12 @@ from qpspec.qpcore import (
     cosine_polynomial,
     diophantine_check,
     dist_to_int,
+    phase_samples,
 )
 from qpspec.rotnum import (
     conjugated_rotation,
     degree,
     orbit_product,
-    rotation_from_orbit,
-    rotation_number,
     rotation_series,
     schrodinger_rotation_grid,
 )
@@ -636,72 +639,6 @@ def test_perturbation_bound_parabolic(freq):
 # the one orbit kernel
 
 
-def _float_walk(mats, schrodinger):
-    """rotation_from_orbit's walk as the shared walker ran it before it
-    moved there, kept as a reference: the Python-float walk, then the
-    half-orbit estimate."""
-    a, b, c, d = np.moveaxis(mats.reshape(-1, 4), -1, 0).tolist()
-    v0, v1 = 1.0, 0.0
-    n = len(a)
-    total = half_total = mean = 0.0
-    for k in range(n):
-        w0, w1 = a[k] * v0 + b[k] * v1, c[k] * v0 + d[k] * v1
-        delta = math.atan2(v0 * w1 - v1 * w0, v0 * w0 + v1 * w1)
-        if schrodinger:
-            delta += 2.0 * math.pi * (delta <= -0.5 * math.pi)
-        elif k < min(64, n):
-            mean += (delta - mean) / (k + 1)
-        else:
-            delta += 2.0 * math.pi * round((mean - delta) / (2.0 * math.pi))
-            mean += 0.02 * (delta - mean)
-        total = total + delta
-        norm = math.hypot(w0, w1)
-        v0, v1 = w0 / norm, w1 / norm
-        if k + 1 == n // 2:
-            half_total = total
-    rho = (total / (2.0 * math.pi * n)) % 1.0
-    rho_half = (half_total / (2.0 * math.pi * (n // 2))) % 1.0
-    err = dist_to_int(rho - rho_half)
-    if schrodinger:
-        rho = np.minimum(rho, 1.0 - rho)
-    return float(rho), float(err)
-
-
-def _general_orbits(freq):
-    """Constant rotations, two of them conjugated, and transfer series read
-    as general cocycles, 4000 steps each.  The near half-turn and the
-    energy below the spectrum step across the principal branch's cut, so
-    the "mean" lift has to unwrap them."""
-    conj = np.array([[2.0, 0.3], [0.1, 0.6]])
-    rot = constant_cocycle(freq, mat2.rotation(0.17))
-    stacks = [rot.orbit_matrices(0.0, 4000)]
-    for turn in (0.31, 0.48):
-        conj_rot = conj @ mat2.rotation(turn) @ np.linalg.inv(conj)
-        stacks.append(np.broadcast_to(conj_rot, (4000, 2, 2)))
-    for V, E in ((amo_potential(0.3), 0.5), (amo_potential(0.3), -1.2),
-                 (_zero_potential(), 3.0), (amo_potential(0.3), -3.0)):
-        series = schrodinger_cocycle(V, E, freq).map_series
-        stacks.append(Cocycle(freq, series).orbit_matrices(0.2, 4000))
-    return stacks
-
-
-@pytest.mark.parametrize("schrodinger", [False, True],
-                         ids=["mean", "transfer"])
-def test_rotation_from_orbit_is_the_float_walk(freq, schrodinger):
-    # the walk moved into rotation_from_orbit keeps every float operation
-    for j, mats in enumerate(_general_orbits(freq)):
-        est = rotation_from_orbit(mats, schrodinger=schrodinger)
-        assert est.iterations == 4000
-        assert (est.rho, est.error) == _float_walk(mats, schrodinger), j
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_rotation_from_orbit_rejects_short_orbits(n):
-    # the half-orbit error estimate divides by n // 2
-    with pytest.raises(ValueError, match=">= 2 steps"):
-        rotation_from_orbit(np.broadcast_to(np.eye(2), (n, 2, 2)))
-
-
 _CONE_CASES = [
     pytest.param(_zero_potential(), sign * E, 4, 300, id=f"free{sign * E:g}")
     for E in (0.0, 0.5, 1.0, 1.5, 1.9, 2.6, 3.0, 4.0, 6.0, 40.0)
@@ -711,14 +648,12 @@ _CONE_CASES = [
     for E, phases, orbit in ((3.2, 8, 300), (0.0, 4, 400), (-2.75, 4, 300))
 ] + [
     pytest.param(amo_potential(0.004), 0.724, 8, 2000, id="gap_edge"),
-    pytest.param(None, 0.17, 2, 50, id="rotation"),
+    # a constant potential c with |E - c| < 2: one elliptic matrix, a
+    # rotation up to conjugation
+    pytest.param(cosine_polynomial({0: 0.3}),
+                 0.3 + 2.0 * math.cos(2.0 * math.pi * 0.17), 2, 50,
+                 id="rotation"),
 ]
-
-
-def _cone_cocycle(freq, V, E):
-    if V is None:
-        return constant_cocycle(freq, mat2.rotation(E))
-    return schrodinger_cocycle(V, E, freq)
 
 
 def test_cone_test_runs_one_product(freq, monkeypatch):
@@ -731,8 +666,8 @@ def test_cone_test_runs_one_product(freq, monkeypatch):
         return products[-1]
 
     monkeypatch.setattr(cocycle, "orbit_product", spy)
-    got = cocycle.uniform_hyperbolicity_test(
-        schrodinger_cocycle(amo_potential(0.3), 0.0, freq), 4, 400)
+    got = cocycle.uniform_hyperbolicity_test(amo_potential(0.3), 0.0, freq,
+                                             phases=4, orbit=400)
     assert lengths == [400]
     (P, _), = products
     assert got.cone_margin == min(cocycle._cone_image_margin(p) for p in P)
@@ -741,11 +676,13 @@ def test_cone_test_runs_one_product(freq, monkeypatch):
 @pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
 def test_cone_test_matches_two_pass_walk(freq, V, E, phases, orbit):
     # the verdict, margin and growth exponent of the product recomputed
-    # from the orbit matrices with a plain matrix step
-    c = _cone_cocycle(freq, V, E)
-    got = cocycle.uniform_hyperbolicity_test(c, phases, orbit)
+    # from the matrix series' orbit values with a plain matrix step; the
+    # series sums E - V in another order, so the figures agree to 1e-12
+    got = cocycle.uniform_hyperbolicity_test(V, E, freq, phases=phases,
+                                             orbit=orbit)
 
-    theta = cocycle.phase_samples(c.freq.dim, phases)
+    theta = phase_samples(freq.dim, phases)
+    c = schrodinger_cocycle(V, E, freq)
     mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
     grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
     P, e = orbit_product(lambda k, P: mats[k] @ P,
@@ -753,12 +690,29 @@ def test_cone_test_matches_two_pass_walk(freq, V, E, phases, orbit):
                          grow)
     log_norm = np.log(mat2.norm2(P)) + e * math.log(2.0)
     margin = min(cocycle._cone_image_margin(P[p]) for p in range(phases))
-    assert got == cocycle.HyperbolicityVerdict(
-        margin >= 0.05, orbit, float(np.min(log_norm) / orbit), margin)
+    growth = float(np.min(log_norm) / orbit)
+    assert (got.certified, got.orbit_length) == (margin >= 0.05, orbit)
+    for value, want in ((got.cone_margin, margin),
+                        (got.growth_exponent, growth)):
+        assert value == want == -math.inf or abs(value - want) <= 1e-12
+
+
+@pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
+def test_transfer_matrices_match_the_matrix_series(freq, V, E, phases,
+                                                   orbit):
+    # the cone test's orbit values against the matrix series [[E - V, -1],
+    # [1, 0]] at the same points: the entry E - V may round once apart,
+    # one unit in the last place of a value below 4
+    theta = phase_samples(freq.dim, phases)
+    got = cocycle.transfer_matrices(
+        E, V.evaluate(freq.orbit(theta, np.arange(orbit))))
+    want = schrodinger_cocycle(V, E, freq).orbit_matrices(theta, orbit)
+    assert got.shape == want.shape == (phases, orbit, 2, 2)
+    assert np.abs(got - want).max() <= 4.5e-16
 
 
 def test_orbit_walk_has_one_owner():
-    src = Path(rotation_number.__code__.co_filename).parent
+    src = Path(rotnum.__file__).parent
     owners, nested, private = set(), [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -777,14 +731,13 @@ def test_orbit_walk_has_one_owner():
                     and not a.name.endswith("__")]
     # the rotation grid takes column e1's principal angle through _lift,
     # and degree steps the angle of a conjugacy's first column
-    assert owners == {"rotnum.rotation_from_orbit", "rotnum.degree",
-                      "rotnum._lift"}
+    assert owners == {"rotnum.degree", "rotnum._lift"}
     assert nested == []
     assert private == []
 
 
 def test_orbit_product_has_one_owner():
-    src = Path(rotation_number.__code__.co_filename).parent
+    src = Path(rotnum.__file__).parent
     frexp, step_loops, defined = set(), [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
