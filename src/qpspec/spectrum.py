@@ -10,6 +10,7 @@ averaging.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -107,12 +108,17 @@ def _pivot_counts(diags, energies):
     Every Sturm pass enters here.  A pass of at least _SPLIT_CELLS cells
     (rows x phases x energies) with two or more energies is split over
     the CPUs of os.sched_getaffinity: the energies are cut into one
-    contiguous chunk per CPU, a forked child counts each chunk but the
-    first, which the parent counts, and each child sends its int64 counts
-    back through a pipe.  Anything smaller, or a platform without fork or
+    contiguous chunk per CPU, and a forked child counts each chunk but
+    the first, which the parent counts, straight into its rows of one
+    shared anonymous mapping.  A child leaves through os._exit, status 0
+    only once its rows are written, so no exit hook or buffered stream of
+    the parent runs in it.  A forked child starts at once with
+    the diagonals in place, where a spawned one would first import numpy
+    (0.18 s); it runs only numpy ufuncs, none of the BLAS whose threads
+    fork does not copy.  Anything smaller, or a platform without fork or
     sched_getaffinity, runs serially in _pivot_rows.  A chunk whose child
-    cannot be forked, exits non-zero or sends short data is counted by
-    the parent, and a parent that raises kills and reaps its children
+    cannot be forked, exits non-zero or is killed by a signal is counted
+    by the parent, and a parent that raises kills and reaps its children
     first, so no process outlives a pass.  The count at one energy does
     not depend on the other energies of its pass, so the split cannot
     change a number.
@@ -125,76 +131,40 @@ def _pivot_counts(diags, energies):
         parts = min(len(os.sched_getaffinity(0)), energies.size)
     if parts < 2:
         return _pivot_rows(diags, energies)
-    out = np.empty((energies.size, phases), dtype=np.int64)
     cuts = [energies.size * i // parts for i in range(parts + 1)]
-    children = []
+    shared = mmap.mmap(-1, energies.size * phases * 8)
+    out = np.frombuffer(shared, dtype=np.int64).reshape(energies.size, phases)
+    own = [(0, cuts[1])]  # the chunks this process counts
+    children = {}  # pid -> chunk of every child not reaped yet
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append((_fork_rows(diags, energies[lo:hi]), lo, hi))
-        out[:cuts[1]] = _pivot_rows(diags, energies[:cuts[1]])
-        for child, lo, hi in children:
-            if not (child and _collect(child, out[lo:hi])):
+            try:
+                pid = os.fork()
+            except OSError:
+                own.append((lo, hi))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    out[lo:hi] = _pivot_rows(diags, energies[lo:hi])
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = lo, hi
+        for lo, hi in own:
+            out[lo:hi] = _pivot_rows(diags, energies[lo:hi])
+        for pid, (lo, hi) in list(children.items()):
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
                 out[lo:hi] = _pivot_rows(diags, energies[lo:hi])
+        return out.copy()
     finally:
-        # close every pipe; kill and reap every child not reaped yet
-        for child, _, _ in children:
-            if child:
-                pid, pipe = child
-                pipe.close()
-                if pid is not None:
-                    os.kill(pid, _SIGKILL)
-                    os.waitpid(pid, 0)
-    return out
-
-
-def _fork_rows(diags, energies):
-    """[pid, read end of its pipe] of a child counting energies, or None.
-
-    The child sends _pivot_rows(diags, energies) as int64 bytes and leaves
-    through os._exit, so no exit hook or buffered stream of the parent
-    runs in it.  A forked child starts at once with the diagonals in
-    place, where a spawned one would first import numpy (0.18 s); it runs
-    only numpy ufuncs, none of the BLAS whose threads fork does not copy.
-    """
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rfd)
-            counts = np.ascontiguousarray(_pivot_rows(diags, energies),
-                                          dtype=np.int64)
-            view = memoryview(counts).cast("B")
-            while view:
-                view = view[os.write(wfd, view):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return [pid, open(rfd, "rb", buffering=0)]
-
-
-def _collect(child, dest) -> bool:
-    """Read a child's counts into dest and reap it; False if it failed."""
-    pid, pipe = child
-    view = memoryview(dest).cast("B")
-    with pipe:
-        while view:
-            n = pipe.readinto(view)
-            if not n:
-                break
-            view = view[n:]
-    status = os.waitpid(pid, 0)[1]
-    child[0] = None  # reaped
-    return not view and status == 0
+        for pid in children:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        del out  # the mapping cannot close while a view exports it
+        shared.close()
 
 
 def _pivot_rows(diags, energies):

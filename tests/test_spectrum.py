@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -348,12 +349,27 @@ def test_sturm_counting_has_one_owner():
     users = sorted(path.name for path in src.glob("*.py")
                    if "_pivot_counts" in path.read_text())
     assert users == ["spectrum.py"]
-    # one module forks, for the split Sturm pass
-    forks = sorted(path.name for path in src.glob("*.py")
+    # one module forks, for the split Sturm pass, and its children write
+    # their counts into a shared mapping, not through pipes
+    trees = {path.name: list(ast.walk(ast.parse(path.read_text())))
+             for path in src.glob("*.py")}
+    forks = sorted(name for name, nodes in trees.items()
                    if any(isinstance(node, ast.Attribute)
-                          and node.attr == "fork"
-                          for node in ast.walk(ast.parse(path.read_text()))))
+                          and node.attr == "fork" for node in nodes))
     assert forks == ["spectrum.py"]
+    pipes = sorted(name for name, nodes in trees.items()
+                   if any(isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "pipe"
+                          and getattr(node.func.value, "id", None) == "os"
+                          for node in nodes))
+    assert pipes == []
+    mmaps = sorted(name for name, nodes in trees.items()
+                   if any((isinstance(node, ast.Import)
+                           and any(a.name == "mmap" for a in node.names))
+                          or (isinstance(node, ast.ImportFrom)
+                              and node.module == "mmap") for node in nodes))
+    assert mmaps == ["spectrum.py"]
     # the CLI scans in one place, the helper that may reuse a stored scan
     cli_tree = ast.parse((src / "cli.py").read_text())
     scans = [node for node in ast.walk(cli_tree)
@@ -455,20 +471,47 @@ def test_split_counts_every_chunk_when_fork_fails(forced_split,
     _assert_kernel_matches_floored_reference()
 
 
+def _raise_in_child():
+    raise RuntimeError("child failed")
+
+
+def _sigkill_in_child():
+    # the end the OOM killer gives a child: no exit status of its own
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fail", [_raise_in_child, _sigkill_in_child],
+                         ids=["raises", "sigkill"])
 def test_split_counts_the_chunk_of_a_failed_child(forced_split,
-                                                  monkeypatch):
+                                                  monkeypatch, fail):
     parent = os.getpid()
     rows = spectrum._pivot_rows
 
     def fails_in_child(diags, energies):
         if os.getpid() != parent:
-            raise RuntimeError("child failed")
+            fail()
         return rows(diags, energies)
 
     monkeypatch.setattr(spectrum, "_pivot_rows", fails_in_child)
     forks = _forks(monkeypatch)
     _assert_kernel_matches_floored_reference()
     assert forks
+
+
+def test_split_result_owns_its_memory(forced_split):
+    fd_dir = Path("/proc/self/fd")
+    fds = len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+    rng = np.random.default_rng(11)
+    diags = rng.normal(size=(3, 200))
+    first = _pivot_counts(diags, rng.normal(size=7))
+    kept = first.copy()
+    second = _pivot_counts(diags, rng.normal(size=5))
+    for counts in (first, second):
+        assert counts.dtype == np.int64
+        assert counts.flags.owndata
+    assert np.array_equal(first, kept)
+    if fds is not None:
+        assert len(os.listdir(fd_dir)) <= fds
 
 
 def test_split_kills_its_children_when_the_parent_raises(forced_split,
