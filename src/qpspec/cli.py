@@ -107,9 +107,9 @@ def load_config(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = _object("config", json.loads(p.read_text(),
+        cfg = _object("config", json.loads(p.read_text(encoding="utf-8"),
                                            object_pairs_hook=_unique_keys))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     for name in ("potential", "frequency"):
         _field(cfg, "", name, dict)
@@ -397,7 +397,8 @@ def _stored_scan(out_dir: Path, digest: str):
 def _scan_intervals(V, freq, num, out_dir: Path, operator=None):
     """Scan intervals, reused from out_dir when current, and their provenance
     for the manifest summary.  A computed scan counts on operator, the
-    sampled truncation, when the caller passes it."""
+    sampled truncation, when the caller passes it.  A scan with no
+    interval is a ConfigError: no command can work on it."""
     digest = _scan_digest(V, freq, num)
     scan = _stored_scan(out_dir, digest)
     source = "reused"
@@ -405,6 +406,12 @@ def _scan_intervals(V, freq, num, out_dir: Path, operator=None):
         scan = spectrum_scan(V, freq, num["L"], num["phases"],
                              num["resolution"], operator=operator)
         source = "computed"
+    if not scan:
+        # a cell counts only when every phase puts an eigenvalue in it
+        raise ConfigError(
+            f"numerics: the scan at L={num['L']}, phases={num['phases']} "
+            f"and resolution={num['resolution']:g} finds no spectrum; "
+            "raise L or coarsen the resolution")
     return scan, {"scan": source, "spectral_digest": digest}
 
 

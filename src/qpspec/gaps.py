@@ -364,6 +364,8 @@ def homogeneity_profile(scan, eps_grid, E_samples: int) -> HomogeneityProfile:
     the window ratio over a finite union of intervals is attained at an
     edge.
     """
+    if not scan:
+        raise ValueError("empty scan")
     intervals = sorted((float(a), float(b)) for a, b in scan)
     diam = intervals[-1][1] - intervals[0][0]
     eps_grid = np.asarray(sorted(float(e) for e in eps_grid))

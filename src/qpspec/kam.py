@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import transfer_matrices, uniform_hyperbolicity_test
+from .cocycle import transfer_matrices
 from .errors import (DivergenceError, DivisorError, ReductionError,
                      ResonanceError, StepSizeError)
 from .mat2 import (det2, exp_sl2, inv2, log_sl2, norm2, project_traceless,
@@ -795,20 +795,11 @@ def reduce_to_parabolic(A: np.ndarray, f: FourierSeries, freq: Frequency,
 def _admit_edge(V: FourierSeries, freq: Frequency, m, energy) -> None:
     """Admit the exact transfer cocycle at a gap-edge energy, or raise.
 
-    The gate is the cone certificate alone: the energy is rejected when
-    the cone test certifies uniform hyperbolicity.  The certificate is
-    sufficient only, and the fixed cone never certifies inside a labelled
-    gap, whose invariant directions wind with the phase; so the gate
-    rejects only energies that the cone resolves, outside the spectrum's
-    hull.  The fibered rotation number must then satisfy
-    2 rho = <m, alpha> mod Z.
+    The fibered rotation number must satisfy 2 rho = <m, alpha> mod Z up
+    to sign.  While the reduction runs one window inside the gap, under
+    the relaxed parabolic slack, this check is tighter than the
+    reduction's own parabolic test.
     """
-    verdict = uniform_hyperbolicity_test(V, energy, freq, phases=8,
-                                         orbit=2000)
-    if verdict.certified:
-        raise ReductionError(
-            "cocycle is uniformly hyperbolic: the energy sits inside a gap, "
-            "not at an edge")
     rho = float(schrodinger_rotation_grid(
         V, freq, [energy], n_iters=_EDGE_RHO_ITERATIONS)[0][0])
     bracket = float(np.dot(m, freq.vec))
@@ -991,12 +982,13 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     window.  The transfer cocycle is taken one window into the gap, at
     edge - window, which keeps the rotation number locked while the trace
     defect stays within the relaxed parabolic slack max(1e-6, 20 window).
-    That exact cocycle must pass _admit_edge: the cone test must not
-    certify it, which it cannot one window inside a labelled gap, and its
-    rotation number must match m.  It is then written as R_rho e^{f}
-    around the elliptic normal form of its average and reduced to the
-    parabolic normal form.  delta defaults to half the smaller of the
-    contraction guard and zeta^(17/18).
+    The averaged transfer matrix there must be elliptic, |E - mean V| < 2,
+    which puts the energy strictly inside the spectrum's convex hull, and
+    the exact cocycle must pass _admit_edge: its rotation number must
+    match m.  It is then written as R_rho e^{f} around the elliptic
+    normal form of its average and reduced to the parabolic normal form.
+    delta defaults to half the smaller of the contraction guard and
+    zeta^(17/18).
 
     Returns {"zeta", "delta", "mp", "bound"}: the edge datum, the step
     size, the MoserPoschelData of that step and its gap_edge_bound.

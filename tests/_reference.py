@@ -3,10 +3,10 @@
 The library keeps what a command reaches.  These helpers build the
 paper's other objects from library parts, for the tests to check the
 library against: general cocycles with their orbit matrices, the
-Schrodinger cocycle as a matrix-valued series, the cocycle iterate A_n,
-constant cocycles, the single-orbit rotation number, the single-phase
-truncated operator with its dense matrix, and the Moser-Poschel
-determinant surrogate at a gap edge.
+Schrodinger cocycle as a matrix-valued series, the cocycle iterate A_n
+with its stack product, constant cocycles, the single-orbit rotation
+number, the single-phase truncated operator with its dense matrix, and
+the Moser-Poschel determinant surrogate at a gap edge.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qpspec import mat2
-from qpspec.cocycle import _product
 from qpspec.kam import MoserPoschelData
 from qpspec.qpcore import FourierSeries, Frequency, dist_to_int
+from qpspec.rotnum import orbit_product
 from qpspec.spectrum import TruncatedOperator
 
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -84,6 +84,20 @@ def constant_cocycle(freq: Frequency, a) -> Cocycle:
     return Cocycle(freq, FourierSeries(freq.dim, 0, {zero: a.astype(complex)}))
 
 
+def stack_product(mats):
+    """Product mats[n-1] ... mats[0] of an (n, [lanes,] 2, 2) stack.
+
+    Returns (P, e, log_norm): the product P * 2**e and its log spectral
+    norm.  For det 1 a step's sum of |entries| bounds the row sums of the
+    step and of its inverse, the adjugate, so it is orbit_product's grow.
+    """
+    grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
+    P, e = orbit_product(lambda k, P: mats[k] @ P,
+                         np.broadcast_to(np.eye(2), mats.shape[1:]),
+                         mats.shape[0], grow)
+    return P, e, np.log(mat2.norm2(P)) + e * math.log(2.0)
+
+
 def iterate(c: Cocycle, theta, n: int):
     """n-th iterate at theta; identity at n = 0, inverse chain for n < 0.
 
@@ -102,7 +116,7 @@ def iterate(c: Cocycle, theta, n: int):
         mats = c.orbit_matrices(theta, n)
     else:  # step k applies A(theta - (k + 1) alpha)^-1
         mats = mat2.inv2(c.orbit_matrices(c.freq.orbit(theta, n), -n)[::-1])
-    prod, e, log_norm = _product(mats)
+    prod, e, log_norm = stack_product(mats)
     if not log_norm <= _LOG_MAX:
         raise OverflowError(f"iterate n={n}: log-norm {float(log_norm):.4g} "
                             "exceeds the float range")

@@ -389,6 +389,15 @@ def test_invalid_json_exits_2(tmp_path):
     assert main(["ids", "--config", str(p)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # one 0xff byte inside a string of an otherwise valid config
+    text = json.dumps(_base_config(tmp_path, note="@"))
+    p = tmp_path / "latin.json"
+    p.write_bytes(text.encode().replace(b"@", b"\xff"))
+    assert main(["ids", "--config", str(p)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_unknown_format_exits_2(tmp_path):
     cfg = _base_config(tmp_path)
     cfg["output"]["format"] = "xml"
@@ -1167,6 +1176,17 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      None, 2, "config repeats the key 'L'"),
     ("ids", _Pairs(("potential", {"family": "amo", "coupling": 0.3})),
      None, 2, "config repeats the key 'potential'"),
+    # a scan that finds no spectrum: at L 100 no cell of width 1e-4 holds
+    # an eigenvalue of both phases
+    *[(command, {"potential": potential,
+                 "numerics": {"L": 100, "phases": 2, "resolution": 1e-4}},
+       None, 2, "L=100, phases=2 and resolution=0.0001 finds no spectrum")
+      for command, potential in (
+          ("scan", {"family": "amo", "coupling": 3.0}),
+          ("gaps", {"family": "amo", "coupling": 3.0}),
+          ("homog", {"family": "amo", "coupling": 3.0}),
+          ("decay", {"family": "ck", "epsilon": 3.0, "k": 2,
+                     "modes": [1]}))],
     # a run of no step, and a residual bound no run can meet
     ("kam", {"kam": {"rho0": 0.17, "max_steps": 0, "perturbation": {
         "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.max_steps"),
@@ -1190,7 +1210,9 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "cosine_duplicate_mode", "terms_duplicate_mode_spaced", "L_fraction",
         "phases_fraction", "points_fraction", "coupling_bool",
         "phases_bool", "cosine_repeated_key", "numerics_repeated_key",
-        "top_level_repeated_key", "max_steps_zero", "residual_tol_zero"])
+        "top_level_repeated_key", "scan_empty", "gaps_scan_empty",
+        "homog_scan_empty", "decay_scan_empty", "max_steps_zero",
+        "residual_tol_zero"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):

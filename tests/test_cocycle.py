@@ -1,5 +1,4 @@
-"""Transfer matrices, cocycle iteration, and the finite-orbit hyperbolicity
-verdict."""
+"""Transfer matrices and cocycle iteration."""
 
 from __future__ import annotations
 
@@ -10,9 +9,8 @@ import pytest
 
 from _reference import constant_cocycle, iterate, schrodinger_cocycle
 from qpspec import mat2
-from qpspec.cocycle import transfer_matrices, uniform_hyperbolicity_test
+from qpspec.cocycle import transfer_matrices
 from qpspec.qpcore import (
-    FourierSeries,
     amo_potential,
     cosine_polynomial,
     diophantine_check,
@@ -49,20 +47,6 @@ def test_det_one_on_grid(freq):
     c = schrodinger_cocycle(amo_potential(0.7), 0.3, freq)
     vals = c.map_series.evaluate(np.linspace(0, 1, 32)[:, None])
     np.testing.assert_allclose(mat2.det2(vals), 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("V,kwargs,match", [
-    (FourierSeries(1, 0, {(0,): np.eye(2)}), {}, "scalar-valued"),
-    (cosine_polynomial({(1, 0): 0.4}, dim=2), {}, "dimension mismatch"),
-    (FourierSeries(1, 1, {(1,): 0.5, (-1,): 0.5}, period=2), {},
-     "full-period"),
-    (amo_potential(0.3), {"phases": 0}, "phases >= 1"),
-    (amo_potential(0.3), {"orbit": 9}, "orbit >= 10"),
-], ids=["matrix", "dim", "period", "phases", "orbit"])
-def test_cone_test_rejects_bad_input(freq, V, kwargs, match):
-    with pytest.raises(ValueError, match=match):
-        uniform_hyperbolicity_test(V, 1.0, freq,
-                                   **{"phases": 4, "orbit": 100, **kwargs})
 
 
 def test_transfer_matrices_shape_and_entries():
@@ -148,81 +132,6 @@ def test_det_drift_long_products(freq):
     assert abs(mat2.det2(p) - 1.0) <= 1e-8 * 10000
 
 
-def test_verdict_free_hyperbolic(freq):
-    v = uniform_hyperbolicity_test(_zero_potential(), 3.0, freq, phases=8,
-                                   orbit=200)
-    assert v.certified
-    # finite-orbit estimate carries an O(1/orbit) bias from the eigenbasis
-    assert v.growth_exponent == pytest.approx(math.log((3 + math.sqrt(5)) / 2),
-                                              abs=5e-3)
-    assert v.cone_margin > 0.05
-
-
-def test_verdict_free_elliptic(freq):
-    v = uniform_hyperbolicity_test(_zero_potential(), 0.0, freq, phases=4,
-                                   orbit=100)
-    assert not v.certified
-
-
-def test_verdict_free_energy_dichotomy(freq):
-    # the fixed-width cone resolves |E| > 2 once the expanding and
-    # contracting slopes separate past the cone boundary (|E| >= 2.52 here);
-    # elliptic energies are never certified
-    for E in (2.6, 3.0, 4.0, 6.0):
-        for sign in (1.0, -1.0):
-            v = uniform_hyperbolicity_test(_zero_potential(), sign * E,
-                                           freq, phases=4, orbit=300)
-            assert v.certified, (sign * E, v)
-    for E in (0.0, 0.5, 1.0, 1.5, 1.9):
-        for sign in (1.0, -1.0):
-            v = uniform_hyperbolicity_test(_zero_potential(), sign * E,
-                                           freq, phases=4, orbit=300)
-            assert not v.certified, (sign * E, v)
-
-
-@pytest.mark.parametrize("E", [0.5, 1.5, 1.9, 2.01, 2.1, 2.3, 2.6, 3.0, 4.0,
-                               6.0, 40.0])
-def test_verdict_is_even_in_the_free_energy(freq, E):
-    # A(-E) = -D A(E) D with D = diag(1, -1), so every product at -E is
-    # +-D P D: the same norms and the mirrored cone image, bit for bit
-    up, down = (uniform_hyperbolicity_test(
-        _zero_potential(), sign * E, freq, phases=4, orbit=300)
-        for sign in (1.0, -1.0))
-    assert up == down
-
-
-def test_verdict_amo_above_spectrum(freq):
-    # spectrum of the coupling-0.3 operator lies inside [-2.6, 2.6]
-    v = uniform_hyperbolicity_test(amo_potential(0.3), 3.2, freq, phases=8,
-                                   orbit=300)
-    assert v.certified
-    assert v.growth_exponent > 0.1
-
-
-def test_verdict_amo_in_spectrum(freq):
-    v = uniform_hyperbolicity_test(amo_potential(0.3), 0.0, freq, phases=4,
-                                   orbit=400)
-    assert not v.certified
-
-
-def test_rotation_cocycle_winding(freq):
-    # at E = c a constant potential c steps by the exact quarter turn
-    # [[0, -1], [1, 0]], whose products have norm exactly 1
-    v = uniform_hyperbolicity_test(cosine_polynomial({0: 0.3}), 0.3, freq,
-                                   phases=2, orbit=50)
-    assert not v.certified
-    assert v.growth_exponent == pytest.approx(0.0, abs=1e-12)
-
-
-def test_verdict_amo_below_spectrum_not_certified(freq):
-    # outside the hull, yet too close to it for the fixed cone at this
-    # orbit length: the certificate is sufficient only
-    v = uniform_hyperbolicity_test(amo_potential(0.3), -2.75, freq,
-                                   phases=4, orbit=300)
-    assert not v.certified
-    assert v.growth_exponent > 0.5
-
-
 @pytest.mark.parametrize("n", [1000, -1000])
 def test_iterate_overflow_raises(freq, n):
     c = schrodinger_cocycle(amo_potential(0.3), 5.0, freq)
@@ -243,7 +152,7 @@ def test_iterate_negative_hyperbolic_is_adjugate(freq, n):
     assert np.abs(back - adj).max() <= 1e-12 * np.abs(fwd).max()
 
 
-def test_iterate_and_verdict_far_above_spectrum(freq):
+def test_iterate_far_above_spectrum(freq):
     # 64 steps at E = 40 grow past 1e100, whose squares leave the float
     # range; the renormalization must still measure the norm
     c = schrodinger_cocycle(_zero_potential(), 40.0, freq)
@@ -251,8 +160,3 @@ def test_iterate_and_verdict_far_above_spectrum(freq):
     want = np.linalg.matrix_power(a / 40.0, 100) * 40.0 ** 100
     got = iterate(c, 0.3, 100)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    v = uniform_hyperbolicity_test(_zero_potential(), 40.0, freq, phases=4,
-                                   orbit=300)
-    assert v.certified
-    assert v.growth_exponent == pytest.approx(math.log(20 + math.sqrt(399)),
-                                              abs=1e-2)

@@ -387,6 +387,15 @@ def test_homogeneity_interior_ratio_is_two():
     assert np.all(prof.mu <= 2.0 + 1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: detect_gaps([], lambda mids: 0.5, 1e-3),
+    lambda: homogeneity_profile([], [0.1], E_samples=5),
+], ids=["detect_gaps", "homogeneity_profile"])
+def test_empty_scan_is_rejected(call):
+    with pytest.raises(ValueError, match="empty scan"):
+        call()
+
+
 def test_homogeneity_leaves_numpy_ma_unimported():
     # a fresh interpreter: deduplicating the centres (touching intervals
     # share one) must not import numpy.ma, which costs more than the

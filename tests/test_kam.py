@@ -784,15 +784,6 @@ def test_reduce_precheck_rejects_wrong_label(freq):
                           4.0 / 6000)
 
 
-def test_reduce_precheck_rejects_hyperbolic(freq):
-    from qpspec.qpcore import cosine_polynomial
-
-    # the free cocycle at E = 3 lies above the spectrum [-2, 2]
-    free = cosine_polynomial({0: 0.0})
-    with pytest.raises(ReductionError, match="uniformly hyperbolic"):
-        kam._admit_edge(free, freq, (0,), 3.0)
-
-
 def test_edge_admission_accepts_a_true_edge(freq):
     from qpspec.qpcore import amo_potential
 
@@ -825,15 +816,17 @@ def test_kam_builds_no_general_cocycle():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert not names & {"Cocycle", "rotation_number"}
-    # no library module defines a general cocycle or the one-orbit walk,
-    # and one function makes the transfer matrices for two callers: the
-    # cone test and the gap-edge step
+    # no library module defines a general cocycle, the one-orbit walk or
+    # a cone certificate, and one function makes the transfer matrices
+    # for one caller, the gap-edge step
     defined, builds = set(), set()
     for path in sorted(Path(kam.__file__).parent.glob("*.py")):
         module = ast.parse(path.read_text())
         for fn in ast.walk(module):
             if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(fn.name)
+            elif isinstance(fn, ast.Name) and isinstance(fn.ctx, ast.Store):
+                defined.add(fn.id)
             if isinstance(fn, ast.FunctionDef) and any(
                     isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr",
@@ -841,9 +834,10 @@ def test_kam_builds_no_general_cocycle():
                     == "transfer_matrices" for node in ast.walk(fn)):
                 builds.add(f"{path.stem}.{fn.name}")
     assert not defined & {"Cocycle", "schrodinger_cocycle", "orbit_matrices",
-                          "rotation_number"}
-    assert builds == {"cocycle.uniform_hyperbolicity_test",
-                      "kam.gap_edge_step"}
+                          "rotation_number", "uniform_hyperbolicity_test",
+                          "HyperbolicityVerdict", "_cone_image_margin",
+                          "_CONE_MARGIN"}
+    assert builds == {"kam.gap_edge_step"}
     reduce_fn = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef)
                      and node.name == "reduce_to_parabolic")

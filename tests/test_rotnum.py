@@ -14,6 +14,7 @@ from _reference import (
     rotation_from_orbit,
     rotation_number,
     schrodinger_cocycle,
+    stack_product,
 )
 from qpspec import cocycle, mat2, rotnum
 from qpspec.errors import DegreeError
@@ -485,7 +486,7 @@ def test_stack_product_matches_the_renormalized_loop(freq, case):
         "rotation_lanes": lambda: _phase_stack(
             constant_cocycle(freq, mat2.rotation(0.31)), 8, 2000),
     }[case]()
-    P, e, log_norm = cocycle._product(mats)
+    P, e, log_norm = stack_product(mats)
     want, want_log = _renormalized_product(mats)
     assert P.shape == want.shape and np.shape(e) == np.shape(want_log)
 
@@ -639,7 +640,7 @@ def test_perturbation_bound_parabolic(freq):
 # the one orbit kernel
 
 
-_CONE_CASES = [
+_TRANSFER_CASES = [
     pytest.param(_zero_potential(), sign * E, 4, 300, id=f"free{sign * E:g}")
     for E in (0.0, 0.5, 1.0, 1.5, 1.9, 2.6, 3.0, 4.0, 6.0, 40.0)
     for sign in (1.0, -1.0)
@@ -656,53 +657,12 @@ _CONE_CASES = [
 ]
 
 
-def test_cone_test_runs_one_product(freq, monkeypatch):
-    # one orbit_product pass, and the cone margin reads that pass's product
-    lengths, products = [], []
-
-    def spy(step, *args, **kwargs):
-        lengths.append(args[1])
-        products.append(orbit_product(step, *args, **kwargs))
-        return products[-1]
-
-    monkeypatch.setattr(cocycle, "orbit_product", spy)
-    got = cocycle.uniform_hyperbolicity_test(amo_potential(0.3), 0.0, freq,
-                                             phases=4, orbit=400)
-    assert lengths == [400]
-    (P, _), = products
-    assert got.cone_margin == min(cocycle._cone_image_margin(p) for p in P)
-
-
-@pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
-def test_cone_test_matches_two_pass_walk(freq, V, E, phases, orbit):
-    # the verdict, margin and growth exponent of the product recomputed
-    # from the matrix series' orbit values with a plain matrix step; the
-    # series sums E - V in another order, so the figures agree to 1e-12
-    got = cocycle.uniform_hyperbolicity_test(V, E, freq, phases=phases,
-                                             orbit=orbit)
-
-    theta = phase_samples(freq.dim, phases)
-    c = schrodinger_cocycle(V, E, freq)
-    mats = np.moveaxis(c.orbit_matrices(theta, orbit), 1, 0)
-    grow = float(np.abs(mats).sum(axis=(-2, -1)).max())
-    P, e = orbit_product(lambda k, P: mats[k] @ P,
-                         np.broadcast_to(np.eye(2), mats.shape[1:]), orbit,
-                         grow)
-    log_norm = np.log(mat2.norm2(P)) + e * math.log(2.0)
-    margin = min(cocycle._cone_image_margin(P[p]) for p in range(phases))
-    growth = float(np.min(log_norm) / orbit)
-    assert (got.certified, got.orbit_length) == (margin >= 0.05, orbit)
-    for value, want in ((got.cone_margin, margin),
-                        (got.growth_exponent, growth)):
-        assert value == want == -math.inf or abs(value - want) <= 1e-12
-
-
-@pytest.mark.parametrize("V,E,phases,orbit", _CONE_CASES)
+@pytest.mark.parametrize("V,E,phases,orbit", _TRANSFER_CASES)
 def test_transfer_matrices_match_the_matrix_series(freq, V, E, phases,
                                                    orbit):
-    # the cone test's orbit values against the matrix series [[E - V, -1],
-    # [1, 0]] at the same points: the entry E - V may round once apart,
-    # one unit in the last place of a value below 4
+    # transfer matrices along sampled phase orbits against the matrix
+    # series [[E - V, -1], [1, 0]] at the same points: the entry E - V may
+    # round once apart, one unit in the last place of a value below 4
     theta = phase_samples(freq.dim, phases)
     got = cocycle.transfer_matrices(
         E, V.evaluate(freq.orbit(theta, np.arange(orbit))))
