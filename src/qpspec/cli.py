@@ -35,11 +35,11 @@ from .errors import (
 )
 from .gaps import (
     GapRecord,
+    confirm_gap,
     decay_profile,
     detect_gaps,
     homogeneity_profile,
     label_all,
-    refine_gap_edges,
 )
 from .mat2 import rotation
 from .qpcore import (
@@ -584,48 +584,49 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
         raise ConfigError(f"edge.label {list(label)} needs {freq.dim} "
                           "components, one per frequency")
     delta = _field(spec, "edge", "delta", float, 0.0)
+    # edge_tol only floors the window: the width of the re-check's
+    # windows and how far into the gap the reduction runs
     window = max(_field(spec, "edge", "edge_tol", float, 1e-6), 4.0 / num["L"])
     inventory = _load_gap_inventory(Path(gaps_file))
     match = [row for row in inventory if row[0] == label]
     if not match:
         raise StaleArtifactError(
             f"gap label {label} not present in {gaps_file}")
-    _, e_minus, e_plus, coarse_length = match[0]
+    if len(match) > 1:
+        raise StaleArtifactError(
+            f"gap label {label} is listed {len(match)} times in {gaps_file}")
+    (_, e_minus, e_plus, coarse_length), = match
 
-    # re-resolve both edges to window accuracy: the inventory carries
-    # scan-cell estimates, and the parabolic gate needs the edge
-    gap = GapRecord(label, e_minus, e_plus, e_plus - e_minus, 0.0, None)
+    # the inventory's edges are scan cells; one Sturm pass checks that
+    # they still bound a gap of this truncation before the reduction
     try:
-        refined = refine_gap_edges(V, freq, gap, num["L"], window,
-                                   num["phases"])
+        confirm_gap(V, freq, e_minus, e_plus, num["L"], window,
+                    num["phases"])
     except EdgeSearchError as exc:
         raise StaleArtifactError(
             f"gap {label} from {gaps_file} could not be re-found on "
             f"re-measurement ({exc}); the inventory is stale") from exc
-    if refined.length == 0.0:
-        raise StaleArtifactError(
-            f"gap {label} from {gaps_file} vanished on "
-            "re-measurement; the inventory is stale")
+    length = e_plus - e_minus
     try:
-        step = kam.gap_edge_step(V, freq, label, refined.E_plus, window,
+        step = kam.gap_edge_step(V, freq, label, e_plus, window,
                                  delta=delta or None)
     except StepSizeError as exc:
         raise ConfigError(f"edge.delta: {exc}") from exc
     mp, bound = step["mp"], step["bound"]
     names, values = zip(
         ("m", label),
-        ("E_plus", refined.E_plus),
+        ("E_plus", e_plus),
         ("zeta", step["zeta"]),
         ("delta", step["delta"]),
         ("delta1", bound["delta1"]),
         ("predicted_gap_upper", bound["predicted_gap_upper"]),
-        ("measured_length", refined.length),
+        ("measured_length", length),
         ("coarse_length", coarse_length),
         ("d_lin", mp.d_lin),
         ("d_quad", mp.d_quad),
         ("hypotheses_failed", ";".join(bound["failed"])))
     name = emit_rows(names, [[v] for v in values], out_dir, "edge", fmt)
-    return [name], {"ratio": bound["predicted_gap_upper"] / refined.length}
+    return [name], {"ratio": bound["predicted_gap_upper"] / length}
 
 
 _COMMANDS = {

@@ -91,8 +91,9 @@ class SizeError(QpspecError, ValueError):
 
 
 class EdgeSearchError(QpspecError, ValueError):
-    """Edge refinement found no spectrum near a coarse edge, or no flip
-    of presence to bisect; a stale or too-coarse edge estimate."""
+    """A gap's inventory edges fail gaps.confirm_gap: the gap is not
+    wider than two windows, holds spectrum at its midpoint or just inside
+    an edge, or has no spectrum just beyond an edge; a stale inventory."""
 
 
 class ReductionError(QpspecError):

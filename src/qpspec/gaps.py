@@ -25,7 +25,7 @@ __all__ = [
     "detect_gaps",
     "label_all",
     "decay_profile",
-    "refine_gap_edges",
+    "confirm_gap",
     "homogeneity_profile",
     "holder_modulus",
     "gap_separation_check",
@@ -175,158 +175,44 @@ def decay_profile(gaps, eps: float, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# edge refinement
+# gap re-check
 
 
-# Edge searches run in lockstep: each round of every open search is one
-# Sturm pass over interleaved windows [lo0, hi0, lo1, hi1, ...].  Ladders
-# are asked in chunks, one round each: 8 steps looking for spectrum near
-# the coarse edge, then 8 + 56 looking for the presence flip.
-_TRUE_CHUNKS = (8,)
-_FALSE_CHUNKS = (8, 56)
-_BISECT_STEPS = 200
-_LEVELS = 4          # dyadic bisection levels evaluated per round
+def confirm_gap(V: FourierSeries, freq: Frequency, E_minus: float,
+                E_plus: float, L: int, window: float, phases: int) -> None:
+    """Check that [E_minus, E_plus] is still a gap of the truncation.
 
-
-def _present(H: TruncatedOperator, groups):
-    """Presence in every window of every group, from one counting pass."""
-    edges = [x for group in groups for window in group for x in window]
-    cells = H.present(edges)[::2].tolist() if edges else []
-    out, k = [], 0
-    for group in groups:
-        out.append(cells[k:k + len(group)])
-        k += len(group)
-    return out
-
-
-def _lockstep(H: TruncatedOperator, searches, probe=()):
-    """Run edge searches together, one presence pass per round.
-
-    Each search is a generator that yields its windows and receives their
-    presence.  The probe windows ride along in the first pass; if any of
-    them holds spectrum, returns None.  A search that fails raises after
-    the others finish, the first in order winning, as if run one by one.
-    """
-    windows = [next(s) for s in searches]
-    probe_hits, *hits = _present(H, [probe, *windows])
-    if any(probe_hits):
-        return None
-    results, failed = [None] * len(searches), {}
-    pending = range(len(searches))
-    while pending:
-        asked = []
-        for i, got in zip(pending, hits):
-            try:
-                windows[i] = searches[i].send(got)
-                asked.append(i)
-            except StopIteration as stop:
-                results[i] = stop.value
-            except ValueError as err:
-                failed[i] = err
-        pending = asked
-        hits = _present(H, [windows[i] for i in pending])
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
-def _bisection(window, x_true, x_false, tol: float):
-    """Shrink [x_true, x_false] (pred true/false at ends) to width tol.
-
-    Each round yields the midpoints of the next _LEVELS dyadic levels; the
-    walk down that tree repeats the one-step bisection float for float.
-    A midpoint equal to an end is a fixed point and ends the search.
-    """
-    done = 0
-    while True:
-        # heap order: node i splits into 2i (pred true) and 2i + 1 (false)
-        bounds, mids = {1: (x_true, x_false)}, {}
-        for i in range(1, 2 ** _LEVELS):
-            if i not in bounds:
-                continue
-            a, b = bounds[i]
-            m = 0.5 * (a + b)
-            if done + i.bit_length() > _BISECT_STEPS or abs(b - a) <= tol \
-                    or m in (a, b):
-                continue
-            mids[i] = m
-            bounds[2 * i], bounds[2 * i + 1] = (m, b), (a, m)
-        if not mids:
-            return 0.5 * (x_true + x_false)
-        hits = yield [window(m) for m in mids.values()]
-        hit = dict(zip(mids, hits))
-        i = 1
-        while i in mids:
-            i = 2 * i + (not hit[i])
-            done += 1
-        x_true, x_false = bounds[i]
-
-
-def _first(window, x, step: float, want: bool, chunks):
-    """First of x, x + step, ... whose presence is want, or None.
-
-    Each chunk of the ladder is one round, so a flip near the start costs
-    no pass over the rest of the ladder.
-    """
-    for size in chunks:
-        ladder = [x]
-        for _ in range(size - 1):
-            ladder.append(ladder[-1] + step)
-        hits = yield [window(x) for x in ladder]
-        if want in hits:
-            return ladder[hits.index(want)]
-        x = ladder[-1] + step
-    return None
-
-
-def _edge_search(coarse: float, side: str, w: float, tol: float):
-    """Search generator for one edge (see _lockstep).
-
-    side "upper": coarse is a band top (spectrum below, gap above) and
-    presence asks for an eigenvalue in (x - w, x) at every phase; "lower"
-    mirrors it.  EdgeSearchError when no spectrum is found near coarse
-    or presence never flips.
-    """
-    if side == "upper":
-        step, window = -w, lambda x: (x - w, x)
-    else:
-        step, window = w, lambda x: (x, x + w)
-    x_true = yield from _first(window, coarse, step, True, _TRUE_CHUNKS)
-    if x_true is None:
-        raise EdgeSearchError(
-            f"no spectrum found near {coarse:.6f} to refine")
-    x_false = yield from _first(window, x_true - 2.0 * step, -2.0 * step,
-                                False, _FALSE_CHUNKS)
-    if x_false is None:
-        raise EdgeSearchError(f"presence never flips near {coarse:.6f}")
-    flip = yield from _bisection(window, x_true, x_false, tol)
-    return flip + step
-
-
-def refine_gap_edges(V: FourierSeries, freq: Frequency, gap: GapRecord,
-                     L: int, edge_tol: float, phases: int = 8) -> GapRecord:
-    """Refine both edges of a detected gap; collapsed gaps are kept.
-
-    Both edges and the collapse probe at the midpoint advance in lockstep,
-    one Sturm pass per round.  The refined record is clamped inside the
-    coarse record (containment contract).
+    One Sturm pass asks for presence (an eigenvalue at every phase) in 20
+    windows of width window: 8 stepping outward from each edge, of which
+    some must hold spectrum; 1 just inside each edge and 2 at the
+    midpoint, which must not.  EdgeSearchError names the first failure
+    in this order: a gap not wider than two windows, spectrum at the
+    midpoint, no spectrum beyond an edge, spectrum just inside an edge;
+    the lower edge is reported before the upper one.
     """
     H = TruncatedOperator.sampled(V, freq, L, phases)
-    w = max(edge_tol, 4.0 / L)
-    mid = gap.midpoint
-    collapsed = replace(gap, E_minus=mid, E_plus=mid, length=0.0)
-    if gap.length <= 2.0 * w:
-        return collapsed
-    edges = _lockstep(H, [_edge_search(gap.E_minus, "upper", w, edge_tol),
-                          _edge_search(gap.E_plus, "lower", w, edge_tol)],
-                      probe=[(mid - w, mid), (mid, mid + w)])
-    if edges is None:
-        return collapsed
-    lo = max(edges[0], gap.E_minus)
-    hi = min(edges[1], gap.E_plus)
-    if lo >= hi:
-        return collapsed
-    return replace(gap, E_minus=lo, E_plus=hi, length=hi - lo)
+    w = window
+    if E_plus - E_minus <= 2.0 * w:
+        raise EdgeSearchError(
+            f"gap [{E_minus:.6f}, {E_plus:.6f}] is not wider than two "
+            f"windows of {w:.3g}")
+    mid = 0.5 * (E_minus + E_plus)
+    below, above = [E_minus], [E_plus]
+    for _ in range(7):
+        below.append(below[-1] - w)
+        above.append(above[-1] + w)
+    windows = ([(x - w, x) for x in below] + [(x, x + w) for x in above]
+               + [(E_minus, E_minus + w), (E_plus - w, E_plus),
+                  (mid - w, mid), (mid, mid + w)])
+    hits = H.present([x for pair in windows for x in pair])[::2].tolist()
+    if any(hits[18:]):
+        raise EdgeSearchError(f"spectrum at the gap midpoint {mid:.6f}")
+    for edge, outer in ((E_minus, hits[:8]), (E_plus, hits[8:16])):
+        if not any(outer):
+            raise EdgeSearchError(f"no spectrum found near {edge:.6f}")
+    for edge, inner in zip((E_minus, E_plus), hits[16:18]):
+        if inner:
+            raise EdgeSearchError(f"presence never flips near {edge:.6f}")
 
 
 # ---------------------------------------------------------------------------

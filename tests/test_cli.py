@@ -334,7 +334,7 @@ def test_kam_seeded_run_two_frequencies(tmp_path):
     assert summary["degree"] == [0, 0]
 
 
-def test_gaps_then_edge_pipeline(tmp_path, capsys):
+def test_gaps_then_edge_pipeline(tmp_path, capsys, monkeypatch):
     base = _base_config(
         tmp_path,
         potential={"family": "amo", "coupling": 0.004},
@@ -348,9 +348,27 @@ def test_gaps_then_edge_pipeline(tmp_path, capsys):
 
     base["edge"] = {"gaps_file": str(tmp_path / "gaps.csv"), "label": [1]}
     cfg2 = _write(tmp_path, base, "edge.json")
-    assert main(["edge", "--config", cfg2]) == 0
+    from qpspec import spectrum
+
+    passes = []
+    kernel = spectrum._pivot_counts
+
+    def counted(diags, energies):
+        passes.append(len(energies))
+        return kernel(diags, energies)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_pivot_counts", counted)
+        assert main(["edge", "--config", cfg2]) == 0
+    # the inventory's edges are re-checked in one Sturm pass and written
+    # as they are
+    assert len(passes) == 1
     _, rows = _read_csv(tmp_path / "edge.csv")
     row = rows[0]
+    gap = next(r for r in gap_rows if r["m"] == "1")
+    assert float(row["E_plus"]).hex() == float(gap["E_plus"]).hex()
+    assert float(row["measured_length"]).hex() == \
+        float(gap["length"]).hex()
     zeta = float(row["zeta"])
     assert 0.0 < zeta < 0.5
     assert float(row["delta"]) > 0.0
@@ -427,6 +445,23 @@ def test_edge_unknown_label_exits_4(tmp_path, capsys):
     assert "(7,)" in capsys.readouterr().err
 
 
+def test_edge_duplicate_label_exits_4(tmp_path, capsys):
+    # an inventory that lists the label twice does not say which gap is
+    # meant; that is a stale inventory, not a silent choice
+    inv = tmp_path / "gaps.csv"
+    # the first row alone is a gap that edge accepts at this config
+    inv.write_text("m,E_minus,E_plus,length,N_plateau,label_defect\n"
+                   "1,0.722,0.728,0.006,0.618,3e-05\n"
+                   "1,-0.728,-0.722,0.006,0.382,3e-05\n")
+    cfg = _base_config(tmp_path,
+                       potential={"family": "amo", "coupling": 0.004},
+                       numerics={"L": 2000, "phases": 8})
+    cfg["edge"] = {"gaps_file": str(inv), "label": [1]}
+    assert main(["edge", "--config", _write(tmp_path, cfg)]) == 4
+    assert "(1,) is listed 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "edge.csv").exists()
+
+
 def test_edge_json_inventory_rows_are_checked(tmp_path, capsys):
     inv = tmp_path / "gaps.json"
     row = {"m": [1], "E_minus": 0.722, "E_plus": 0.728, "length": 0.006}
@@ -441,8 +476,8 @@ def test_edge_json_inventory_rows_are_checked(tmp_path, capsys):
 
 
 def test_edge_that_cannot_be_refound_exits_4(tmp_path, capsys):
-    # at AMO coupling 3 this inventory edge has no spectrum within the
-    # refinement walk; that is a stale inventory, not a traceback
+    # at AMO coupling 3 this inventory edge has no spectrum in the eight
+    # windows below it; that is a stale inventory, not a traceback
     inv = tmp_path / "gaps.csv"
     inv.write_text("m,E_minus,E_plus,length,N_plateau,label_defect\n"
                    "2,-2.88,-2.59,0.29,0.236,6e-05\n")

@@ -1,4 +1,4 @@
-"""Gap detection, labelling, decay, refinement, homogeneity, separation."""
+"""Gap detection, labelling, decay, re-check, homogeneity, separation."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from qpspec.errors import AmbiguousLabelError, EdgeSearchError, LabelError
-from qpspec.gaps import (GapRecord, HomogeneityProfile, _edge_search,
-                         _lockstep, decay_profile, detect_gaps,
-                         gap_separation_check, holder_modulus,
-                         homogeneity_profile, label_all, refine_gap_edges)
+from qpspec.gaps import (GapRecord, HomogeneityProfile, confirm_gap,
+                         decay_profile, detect_gaps, gap_separation_check,
+                         holder_modulus, homogeneity_profile, label_all)
 from qpspec.qpcore import Frequency, cosine_polynomial, diophantine_check
 from qpspec.spectrum import (IdsCurve, TruncatedOperator, ids_curve,
                              spectrum_scan)
@@ -237,49 +236,7 @@ def test_decay_skips_zero_label_and_requires_labels():
 
 
 # ---------------------------------------------------------------------------
-# edge refinement
-
-
-def _band_edge(V, freq, coarse, side, L, edge_tol, phases=8):
-    """One edge search on its own: the window max(edge_tol, 4/L) keeps a
-    few mean level spacings inside, bisected down to edge_tol."""
-    H = TruncatedOperator.sampled(V, freq, L, phases)
-    search = _edge_search(coarse, side, max(edge_tol, 4.0 / L), edge_tol)
-    return _lockstep(H, [search])[0]
-
-
-def test_refine_free_band_edges(golden):
-    V0 = cosine_polynomial({0: 0.0})
-    up = _band_edge(V0, golden, 2.01, "upper", L=2000, edge_tol=1e-4,
-                    phases=4)
-    lo = _band_edge(V0, golden, -2.01, "lower", L=2000, edge_tol=1e-4,
-                    phases=4)
-    assert up == pytest.approx(2.0, abs=1e-4)
-    assert lo == pytest.approx(-2.0, abs=1e-4)
-
-
-def test_refine_band_edge_rejects_bad_input(golden):
-    V0 = cosine_polynomial({0: 0.0})
-    with pytest.raises(EdgeSearchError, match="no spectrum found"):
-        # far above the spectrum: no presence within the walk budget
-        _band_edge(V0, golden, 5.0, "upper", L=300, edge_tol=1e-3)
-    with pytest.raises(EdgeSearchError, match="never flips"):
-        # deep inside the band [-2, 2]: no gap within the walk budget
-        _band_edge(V0, golden, -1.9, "upper", L=300, edge_tol=1e-3)
-
-
-def test_refine_amo_gap_contained_and_stable(golden, amo):
-    V, scan, curve = amo
-    recs, _ = detect_gaps(scan, curve, min_length=5e-3)
-    main = max(recs, key=lambda r: r.length)
-    ra = refine_gap_edges(V, golden, main, L=1200, edge_tol=2e-4, phases=8)
-    rb = refine_gap_edges(V, golden, main, L=2400, edge_tol=2e-4, phases=8)
-    for r in (ra, rb):
-        assert main.E_minus <= r.E_minus <= r.E_plus <= main.E_plus
-        assert r.length > 0.5
-    assert abs(ra.E_minus - rb.E_minus) <= 2e-3
-    assert abs(ra.E_plus - rb.E_plus) <= 2e-3
-    assert ra.m == main.m and ra.N_plateau == main.N_plateau
+# gap re-check
 
 
 def _counting_kernel(monkeypatch):
@@ -296,62 +253,62 @@ def _counting_kernel(monkeypatch):
     return passes
 
 
-def test_refine_amo_gap_pass_budget_and_pinned_edges(golden, amo,
-                                                     monkeypatch):
+def _main_gap(amo):
     V, scan, curve = amo
     recs, _ = detect_gaps(scan, curve, min_length=5e-3)
-    main = max(recs, key=lambda r: r.length)
+    return V, max(recs, key=lambda r: r.length)
+
+
+def test_confirm_amo_gap_in_one_pass(golden, amo, monkeypatch):
+    # the scan's widest gap is confirmed at a coarser truncation too, each
+    # time from one Sturm pass over the 20 windows, and keeps its edges
+    V, main = _main_gap(amo)
+    assert main.E_minus.hex() == "-0x1.0dd2f1a9fbe77p+0"
+    assert main.E_plus.hex() == "-0x1.db22d0e560418p-2"
     passes = _counting_kernel(monkeypatch)
-    out = refine_gap_edges(V, golden, main, L=1200, edge_tol=2e-4, phases=8)
-    # one pass per round: probe and spectrum ladders, flip ladders,
-    # then two rounds of four bisection levels (one by one: 17 passes)
-    assert len(passes) <= 5
-    assert out.E_minus.hex() == "-0x1.0dd2f1a9fbe77p+0"
-    assert out.E_plus.hex() == "-0x1.db22d0e560418p-2"
+    for L in (1200, 2400):
+        assert confirm_gap(V, golden, main.E_minus, main.E_plus, L,
+                           max(2e-4, 4.0 / L), 8) is None
+    assert passes == [40, 40]
 
 
-@pytest.mark.parametrize("coarse, side, want", [
-    (1.9, "upper", "0x1.fffe8f5c28f5cp+0"),
-    (-2.01, "lower", "-0x1.fffd70a3d70a4p+0"),
-])
-def test_refine_band_edge_pinned(golden, monkeypatch, coarse, side, want):
+def test_confirm_rejects_a_gap_off_the_spectrum(golden, amo):
     V0 = cosine_polynomial({0: 0.0})
-    passes = _counting_kernel(monkeypatch)
-    got = _band_edge(V0, golden, coarse, side, L=800, edge_tol=1e-4,
-                     phases=4)
-    assert got.hex() == want
-    assert len(passes) <= 6
+    with pytest.raises(EdgeSearchError, match="no spectrum found near 5.0"):
+        # far above the spectrum: no presence beyond either edge
+        confirm_gap(V0, golden, 5.0, 6.0, 300, 4.0 / 300, 8)
+    # the widest gap widened by 0.02 per side reaches into both bands
+    V, main = _main_gap(amo)
+    lo = main.E_minus - 0.02
+    with pytest.raises(EdgeSearchError,
+                       match=f"presence never flips near {lo:.6f}"):
+        confirm_gap(V, golden, lo, main.E_plus + 0.02, 1200, 4.0 / 1200, 8)
 
 
-def test_refine_gap_reports_lower_edge_failure_first(golden):
+def test_confirm_reports_lower_edge_failure_first(golden):
     V0 = cosine_polynomial({0: 0.0})
-    above = GapRecord(None, 2.5, 3.5, 1.0, 1.0, None)
     with pytest.raises(ValueError, match="no spectrum found near 2.500000"):
-        refine_gap_edges(V0, golden, above, L=600, edge_tol=1e-3, phases=4)
+        confirm_gap(V0, golden, 2.5, 3.5, 600, 4.0 / 600, 4)
 
 
-def test_refine_collapses_fake_gap(golden):
+def test_confirm_rejects_fake_gap(golden):
     # an interval in the middle of the free band is not a gap; the
-    # presence probe sees spectrum at the midpoint and collapses it
+    # midpoint windows see spectrum
     V0 = cosine_polynomial({0: 0.0})
-    fake = GapRecord(None, -0.05, 0.05, 0.1, 0.5, None)
-    out = refine_gap_edges(V0, golden, fake, L=600, edge_tol=1e-3, phases=4)
-    assert out.length == 0.0
-    assert out.E_minus == out.E_plus == pytest.approx(0.0)
+    with pytest.raises(EdgeSearchError, match="midpoint 0.000000"):
+        confirm_gap(V0, golden, -0.05, 0.05, 600, 4.0 / 600, 4)
 
 
-def test_refine_collapses_subwindow_gap(golden):
+def test_confirm_rejects_subwindow_gap(golden):
     V0 = cosine_polynomial({0: 0.0})
-    slim = GapRecord(None, 0.1, 0.101, 0.001, 0.5, None)
-    out = refine_gap_edges(V0, golden, slim, L=600, edge_tol=1e-3, phases=4)
-    assert out.length == 0.0
+    with pytest.raises(EdgeSearchError, match="not wider than two windows"):
+        confirm_gap(V0, golden, 0.1, 0.101, 600, 4.0 / 600, 4)
 
 
-def test_refine_rejects_zero_phases(golden):
+def test_confirm_rejects_zero_phases(golden):
     V0 = cosine_polynomial({0: 0.0})
-    gap = GapRecord(None, 2.1, 2.5, 0.4, 1.0, None)
     with pytest.raises(ValueError, match="phases"):
-        refine_gap_edges(V0, golden, gap, L=600, edge_tol=1e-3, phases=0)
+        confirm_gap(V0, golden, 2.1, 2.5, 600, 4.0 / 600, 0)
 
 
 # ---------------------------------------------------------------------------

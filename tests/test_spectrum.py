@@ -370,6 +370,25 @@ def test_sturm_counting_has_one_owner():
                           or (isinstance(node, ast.ImportFrom)
                               and node.module == "mmap") for node in nodes))
     assert mmaps == ["spectrum.py"]
+    # the gap re-check is the one library caller of present; the Sturm
+    # edge refinement it replaced stays gone
+    present = sorted(f"{name[:-3]}.{fn.name}"
+                     for name, nodes in trees.items() for fn in nodes
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "present")
+    assert present == ["gaps.confirm_gap"]
+    deleted = {"refine_gap_edges", "_present", "_lockstep", "_bisection",
+               "_first", "_edge_search", "_TRUE_CHUNKS", "_FALSE_CHUNKS",
+               "_BISECT_STEPS", "_LEVELS"}
+    defined = sorted(
+        name for name, nodes in trees.items() for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in deleted
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id in deleted)
+    assert defined == []
     # the CLI scans in one place, the helper that may reuse a stored scan
     cli_tree = ast.parse((src / "cli.py").read_text())
     scans = [node for node in ast.walk(cli_tree)
