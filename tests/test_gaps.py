@@ -259,17 +259,29 @@ def _main_gap(amo):
     return V, max(recs, key=lambda r: r.length)
 
 
-def test_confirm_amo_gap_in_one_pass(golden, amo, monkeypatch):
-    # the scan's widest gap is confirmed at a coarser truncation too, each
-    # time from one Sturm pass over the 20 windows, and keeps its edges
+def test_refine_amo_gap_contained_and_stable(golden, amo):
+    # the scan's widest gap is confirmed at a coarser and at a finer
+    # truncation, and the check leaves its record as it was
     V, main = _main_gap(amo)
-    assert main.E_minus.hex() == "-0x1.0dd2f1a9fbe77p+0"
-    assert main.E_plus.hex() == "-0x1.db22d0e560418p-2"
-    passes = _counting_kernel(monkeypatch)
+    before = (main.E_minus, main.E_plus, main.m, main.N_plateau)
+    assert main.length > 0.5
     for L in (1200, 2400):
         assert confirm_gap(V, golden, main.E_minus, main.E_plus, L,
                            max(2e-4, 4.0 / L), 8) is None
-    assert passes == [40, 40]
+    assert (main.E_minus, main.E_plus, main.m, main.N_plateau) == before
+
+
+def test_refine_amo_gap_pass_budget_and_pinned_edges(golden, amo,
+                                                     monkeypatch):
+    # one Sturm pass over the 20 windows (40 energies); the edges that
+    # edge writes are the scan's cells, pinned bit for bit
+    V, main = _main_gap(amo)
+    passes = _counting_kernel(monkeypatch)
+    assert confirm_gap(V, golden, main.E_minus, main.E_plus, 1200,
+                       4.0 / 1200, 8) is None
+    assert passes == [40]
+    assert main.E_minus.hex() == "-0x1.0dd2f1a9fbe77p+0"
+    assert main.E_plus.hex() == "-0x1.db22d0e560418p-2"
 
 
 def test_confirm_rejects_a_gap_off_the_spectrum(golden, amo):
