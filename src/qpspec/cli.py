@@ -31,7 +31,6 @@ from .errors import (
     QpspecError,
     SizeError,
     StaleArtifactError,
-    StepSizeError,
 )
 from .gaps import (
     GapRecord,
@@ -58,6 +57,11 @@ from .spectrum import TruncatedOperator, ids_curve, spectrum_scan
 _FLOAT_FMT = "%.17g"
 _ROWS_PER_WRITE = 4096
 
+# the sections of a config
+_SECTIONS = ("potential", "frequency", "numerics", "kam", "edge", "output")
+# the fields of each potential family beside "family"
+_FAMILIES = {"free": (), "amo": ("coupling",), "ck": ("epsilon", "k", "modes"),
+             "cosine": ("terms", "dim")}
 # every numerics field as (type, default); a nested table is a subsection.
 # min_gap_length defaults to twice the resolution
 _NUMERICS = {
@@ -92,8 +96,6 @@ _LOWER_BOUNDS = {
     "kam.stop_tol": (0.0, True),
     "kam.max_steps": (1, True),
     "kam.residual_tol": (0.0, False),
-    # 0 (the default) lets the edge step pick delta inside its guard
-    "edge.delta": (0.0, True),
 }
 _REQUIRED = object()
 
@@ -111,6 +113,7 @@ def load_config(path) -> dict:
                                            object_pairs_hook=_unique_keys))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    _known(cfg, "", _SECTIONS)
     for name in ("potential", "frequency"):
         _field(cfg, "", name, dict)
     return cfg
@@ -130,6 +133,16 @@ def _object(name: str, val) -> dict:
     if not isinstance(val, dict):
         raise ConfigError(f"{name} section must be an object, got {val!r}")
     return val
+
+
+def _known(spec: dict, section: str, names) -> None:
+    """A ConfigError naming section.key for the first key of spec that is
+    not one of names; a misspelt field would otherwise keep its default."""
+    for key in spec:
+        if key not in names:
+            raise ConfigError(
+                f"unknown field {f'{section}.{key}' if section else key}; "
+                f"{section or 'the config'} takes {', '.join(names)}")
 
 
 def _typed(name: str, val, kind):
@@ -183,7 +196,9 @@ def _field(spec: dict, section: str, name: str, kind,
 
 
 def _fields(spec: dict, section: str, table: dict) -> dict:
-    """Every field of table read from spec; a nested table is a subsection."""
+    """Every field of table read from spec; a nested table is a subsection.
+    A key of spec that table does not hold is a ConfigError."""
+    _known(spec, section, table)
     return {name: _fields(_field(spec, section, name, dict, {}),
                           f"{section}.{name}", entry)
             if isinstance(entry, dict) else _field(spec, section, name, *entry)
@@ -202,21 +217,23 @@ def _admitted(section: str, build, *args, **kwargs):
 def build_potential(spec) -> FourierSeries:
     spec = _object("potential", spec)
     family = _field(spec, "potential", "family", str)
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown potential family '{family}'")
+    _known(spec, "potential", ("family",) + _FAMILIES[family])
     if family == "free":
         return cosine_polynomial({0: 0.0})
     if family == "amo":
         return amo_potential(_field(spec, "potential", "coupling", float))
     if family == "ck":
         return _admitted("potential", ck_potential, *_ck_spec(spec))
-    if family == "cosine":
-        return _admitted("potential", cosine_polynomial,
-                         _mode_table(spec, "potential", "terms", float),
-                         dim=_field(spec, "potential", "dim", int, 1))
-    raise ConfigError(f"unknown potential family '{family}'")
+    return _admitted("potential", cosine_polynomial,
+                     _mode_table(spec, "potential", "terms", float),
+                     dim=_field(spec, "potential", "dim", int, 1))
 
 
 def build_frequency(spec):
     spec = _object("frequency", spec)
+    _known(spec, "frequency", ("components", "gamma", "tau", "cutoff"))
     return _admitted(
         "frequency", diophantine_check,
         _field(spec, "frequency", "components", [float]),
@@ -509,8 +526,11 @@ def _emit_ledger(ledger, out_dir, fmt):
 
 def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     spec = _field(cfg, "", "kam", dict)
+    _known(spec, "kam", ("rho0", "perturbation", *_KAM_OPTION_TYPES))
     A = rotation(_field(spec, "kam", "rho0", float))
     pert = _field(spec, "kam", "perturbation", dict)
+    # terms, when given, take the place of the seeded fields
+    _known(pert, "kam.perturbation", ("terms", "scale", "radius", "seed"))
     if "terms" in pert:
         section = "kam.perturbation.terms"
         f = _admitted(section, kam.explicit_sl2_series,
@@ -567,7 +587,7 @@ def _read_gap_inventory(path: Path):
     for r in _parse_rows(path.read_text(), path.suffix):
         m = r["m"].split(";") if isinstance(r["m"], str) else r["m"]
         row = (tuple(int(x) for x in np.atleast_1d(m)), float(r["E_minus"]),
-               float(r["E_plus"]), float(r["length"]))
+               float(r["E_plus"]))
         if not all(map(math.isfinite, row[1:])):
             raise ValueError(f"gap {row[0]} has a non-finite entry")
         if row[1] > row[2]:
@@ -578,12 +598,12 @@ def _read_gap_inventory(path: Path):
 
 def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     spec = _field(cfg, "", "edge", dict)
+    _known(spec, "edge", ("gaps_file", "label", "edge_tol"))
     gaps_file = _field(spec, "edge", "gaps_file", str)
     label = tuple(_field(spec, "edge", "label", [int]))
     if len(label) != freq.dim:
         raise ConfigError(f"edge.label {list(label)} needs {freq.dim} "
                           "components, one per frequency")
-    delta = _field(spec, "edge", "delta", float, 0.0)
     # edge_tol only floors the window: the width of the re-check's
     # windows and how far into the gap the reduction runs
     window = max(_field(spec, "edge", "edge_tol", float, 1e-6), 4.0 / num["L"])
@@ -595,7 +615,7 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     if len(match) > 1:
         raise StaleArtifactError(
             f"gap label {label} is listed {len(match)} times in {gaps_file}")
-    (_, e_minus, e_plus, coarse_length), = match
+    (_, e_minus, e_plus), = match
 
     # the inventory's edges are scan cells; one Sturm pass checks that
     # they still bound a gap of this truncation before the reduction
@@ -607,21 +627,14 @@ def cmd_edge(cfg, V, freq, num, out_dir, fmt):
             f"gap {label} from {gaps_file} could not be re-found on "
             f"re-measurement ({exc}); the inventory is stale") from exc
     length = e_plus - e_minus
-    try:
-        step = kam.gap_edge_step(V, freq, label, e_plus, window,
-                                 delta=delta or None)
-    except StepSizeError as exc:
-        raise ConfigError(f"edge.delta: {exc}") from exc
+    step = kam.gap_edge_step(V, freq, label, e_plus, window)
     mp, bound = step["mp"], step["bound"]
     names, values = zip(
         ("m", label),
         ("E_plus", e_plus),
-        ("zeta", step["zeta"]),
-        ("delta", step["delta"]),
-        ("delta1", bound["delta1"]),
+        ("zeta", mp.zeta),
         ("predicted_gap_upper", bound["predicted_gap_upper"]),
         ("measured_length", length),
-        ("coarse_length", coarse_length),
         ("d_lin", mp.d_lin),
         ("d_quad", mp.d_quad),
         ("hypotheses_failed", ";".join(bound["failed"])))
@@ -661,6 +674,7 @@ def _parser() -> argparse.ArgumentParser:
 def _output_of(cfg: dict, args):
     """(format, created output directory); the flags override the config."""
     section = _field(cfg, "", "output", dict, {})
+    _known(section, "output", ("dir", "format"))
     fmt = args.format or _field(section, "output", "format", str, "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")

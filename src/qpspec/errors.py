@@ -80,11 +80,6 @@ class DivergenceError(QpspecError):
         super().__init__(message)
 
 
-class StepSizeError(QpspecError, ValueError):
-    """A perturbation step size lies outside its contraction guard; the
-    guard depends on the computed conjugacy, so it is known only then."""
-
-
 class SizeError(QpspecError, ValueError):
     """An input asks for an array above the element cap
     (qpcore.array_elements); raised before the array is allocated."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cocycle import transfer_matrices
 from .errors import (DivergenceError, DivisorError, ReductionError,
-                     ResonanceError, StepSizeError)
+                     ResonanceError)
 from .mat2 import (det2, exp_sl2, inv2, log_sl2, norm2, project_traceless,
                    rotation, trace2)
 from .qpcore import (FourierSeries, Frequency, array_elements, ck_norm,
@@ -74,8 +74,6 @@ _RESIDUAL_POINTS = {1: 256, 2: 16, 3: 7}
 # support, the closing average doubles it again, and the residual check
 # lifts that to the double cover (the conjugacy stays within 7 r + 4)
 _FIRST_STEP_REACH = 16
-# quadratic-tail constant: exponent-2 instance of 8 * sum_m (2 pi m)^-p
-_D_TAU = 8.0 * (math.pi ** 2 / 6.0) / (4.0 * math.pi ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def _absorb_average(A: np.ndarray, f: FourierSeries) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the modewise solve and its divisor floor
+# the divisor floor and the non-resonant step
 
 
 def _check_divisors(modes: list, smallest, what: str) -> None:
@@ -384,51 +382,33 @@ def _check_divisors(modes: list, smallest, what: str) -> None:
         raise DivisorError(modes[worst], float(smallest[worst]), what)
 
 
-def _modewise_solve(f: FourierSeries, freq: Frequency, band, system,
-                    what: str, rhs=lambda c: c) -> FourierSeries:
-    """Solve system(phases)[i] vec(y_n) = vec(rhs(c_n)) for every mode
-    0 < |n| <= band of f, where phases[i] = e^{2 pi i <n, alpha>}.
-
-    band None solves every nonzero mode and gives the solution the radius
-    of the largest one.  The smallest singular value of each 4x4 system
-    is its divisor; the floor check runs before one batched solve, and
-    the solution is projected onto the real subspace.
-    """
-    sizes = np.abs(f.modes).max(axis=1)
-    pick = sizes > 0
-    if band is not None:
-        pick &= sizes <= band
-    if not pick.any():
-        return _constant_series(np.zeros((2, 2)), f.dim, 1)
-    modes = f.modes[pick]
-    phases = np.exp(1j * _TWO_PI * (modes @ freq.vec))
-    mats = system(phases)
-    _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
-                    what)
-    vecs = rhs(f.values[pick]).reshape(-1, 4)
-    sol = np.linalg.solve(mats, vecs[..., None])[..., 0]
-    radius = band if band is not None else int(sizes[pick].max())
-    return FourierSeries.from_arrays(f.dim, radius, modes,
-                                     sol.reshape(-1, 2, 2), 1).symmetrized()
-
-
-# ---------------------------------------------------------------------------
-# non-resonant step
-
-
 def _solve_homological(A: np.ndarray, f: FourierSeries, band: int,
                        freq: Frequency) -> FourierSeries:
     """Modewise solve of A^{-1} Y(theta+alpha) A - Y(theta) = f_osc(theta).
 
     Covers modes 0 < |n| <= band; anything beyond stays in the
     remainder for a later, wider solve.  Row-major vec convention:
-    Y -> A^{-1} Y A has the 4x4 matrix kron(A^{-1}, A^T).
+    Y -> A^{-1} Y A has the 4x4 matrix kron(A^{-1}, A^T), so mode n
+    solves (e^{2 pi i <n, alpha>} kron - I) vec(y_n) = vec(c_n).  The
+    smallest singular value of each 4x4 system is its divisor; the floor
+    check runs before one batched solve, and the solution is projected
+    onto the real subspace.
     """
+    sizes = np.abs(f.modes).max(axis=1)
+    pick = (sizes > 0) & (sizes <= band)
+    if not pick.any():
+        return _constant_series(np.zeros((2, 2)), f.dim, 1)
+    modes = f.modes[pick]
     kron = np.kron(inv2(np.asarray(A, dtype=float)), np.asarray(A).T)
-    return _modewise_solve(
-        f, freq, band, lambda ph: ph[:, None, None] * kron - np.eye(4),
-        "homological divisor under the safety floor; a resonance was "
-        "missed upstream")
+    phases = np.exp(1j * _TWO_PI * (modes @ freq.vec))
+    mats = phases[:, None, None] * kron - np.eye(4)
+    _check_divisors(modes, np.linalg.svd(mats, compute_uv=False)[:, -1],
+                    "homological divisor under the safety floor; a "
+                    "resonance was missed upstream")
+    vecs = f.values[pick].reshape(-1, 4)
+    sol = np.linalg.solve(mats, vecs[..., None])[..., 0]
+    return FourierSeries.from_arrays(f.dim, band, modes,
+                                     sol.reshape(-1, 2, 2), 1).symmetrized()
 
 
 def nonresonant_step(state: KamState, window: int, threshold: float,
@@ -816,11 +796,6 @@ def _admit_edge(V: FourierSeries, freq: Frequency, m, energy) -> None:
 # Moser-Poschel step at a right gap edge
 
 
-def _delta_guard(x_norm: float, freq: Frequency) -> float:
-    """Contraction guard gamma^3 / (D_tau ||X||^2) on the step size delta."""
-    return freq.gamma ** 3 / (_D_TAU * x_norm ** 2)
-
-
 @dataclass(frozen=True)
 class MoserPoschelData:
     """Averaged data of one Moser-Poschel perturbation step.
@@ -828,7 +803,8 @@ class MoserPoschelData:
     d_lin = -zeta [X11^2] and d_quad = [X11^2][X12^2] - [X11 X12]^2 are
     the coefficients of the determinant surrogate
     d_lin * delta + d_quad * delta^2, whose sign decides whether the
-    shifted energy leaves the spectrum.
+    shifted energy leaves the spectrum.  d_quad is the Cauchy-Schwarz
+    slack of the averages: below -1e-12 it is rejected.
     """
 
     zeta: float
@@ -839,19 +815,17 @@ class MoserPoschelData:
     x12_sq: float
     d_lin: float
     d_quad: float
-    P1_norm_bound: float
     x_norm: float
 
     def __post_init__(self):
+        if not 0.0 < self.zeta < 0.5:
+            raise ValueError("zeta must lie in (0, 1/2)")
         if self.x11_sq <= 0.0:
             raise ValueError("[X11^2] must be positive")
-        if self.cauchy_schwarz_slack() < -1e-12:
+        if self.d_quad < -1e-12:
             raise ValueError("averages violate Cauchy-Schwarz")
         if abs(float(trace2(self.b1))) > 1e-12:
             raise ValueError("b1 must be traceless")
-
-    def cauchy_schwarz_slack(self) -> float:
-        return self.x11_sq * self.x12_sq - self.x11_x12 ** 2
 
 
 def mp_brackets(zeta: float, x11_sq: float, x11_x12: float,
@@ -865,74 +839,35 @@ def mp_brackets(zeta: float, x11_sq: float, x11_x12: float,
     return b0, b1
 
 
-def _solve_parabolic_cohomological(B: np.ndarray, G: FourierSeries,
-                                   freq: Frequency) -> FourierSeries:
-    """Modewise solve of -Y(theta+alpha) B + B Y(theta) = B (G - [G])."""
-    left, right = np.kron(B, np.eye(2)), np.kron(np.eye(2), B.T)
-    return _modewise_solve(
-        G, freq, None, lambda ph: left - ph[:, None, None] * right,
-        "parabolic cohomological divisor under the floor",
-        rhs=lambda c: B @ np.asarray(c))
+def moser_poschel_step(X: FourierSeries, zeta: float) -> MoserPoschelData:
+    """The averaged data of one perturbative step off a right gap edge.
 
-
-def moser_poschel_step(X: FourierSeries, zeta: float, delta: float,
-                       freq: Frequency) -> MoserPoschelData:
-    """One perturbative step off a right gap edge, fully measured.
-
-    Builds the quadratic perturbation P from the conjugacy entries,
-    averages it into b1, removes the oscillating part with one
-    cohomological solve, and measures the leftover second-order term
-    on the grid.
+    Averages the quadratic terms [X11^2], [X11 X12] and [X12^2] of the
+    conjugacy entries on the plain-torus mesh, and builds b0, b1 and the
+    determinant coefficients from them.
     """
-    if not 0.0 < zeta < 0.5:
-        raise ValueError("zeta must lie in (0, 1/2)")
     if not X.is_matrix:
         raise ValueError("conjugacy must be matrix-valued")
     x_norm = ck_norm(X, 0)
     if not math.isfinite(x_norm):
         raise ReductionError(f"conjugacy norm {x_norm} is not finite")
-    guard = _delta_guard(x_norm, freq)
-    if not 0.0 < delta < guard:
-        raise StepSizeError(
-            f"delta = {delta:.3e} outside the contraction guard "
-            f"(0, {guard:.3e})")
 
     # quadratic entries are genuinely periodic even when X lives on the
     # double cover, so the plain-torus grid resolves them
     radius = max(X.support_radius(), 1)
-    g = _grid(2 * radius + 2, minimum=64)
-    vals, = _mesh_values(g, 1, X)
+    vals, = _mesh_values(_grid(2 * radius + 2, minimum=64), 1, X)
     x11 = vals[..., 0, 0]
     x12 = vals[..., 0, 1]
     a = float(np.mean(x11 * x11))
     b = float(np.mean(x11 * x12))
     c = float(np.mean(x12 * x12))
     b0, b1 = mp_brackets(zeta, a, b, c)
-
-    P_vals = np.empty(x11.shape + (2, 2))
-    P_vals[..., 0, 0] = x11 * x12 - zeta * x11 * x11
-    P_vals[..., 0, 1] = -zeta * x11 * x12 + x12 * x12
-    P_vals[..., 1, 0] = -x11 * x11
-    P_vals[..., 1, 1] = -x11 * x12
-    B = np.array([[1.0, zeta], [0.0, 1.0]])
-    G_vals = -delta * (inv2(B) @ P_vals)
-    G = _extract_series(G_vals, freq.dim, 2 * radius, period=1)
-    Y = _solve_parabolic_cohomological(B, G, freq)
-
-    y_here, y_next = _mesh_values(g, 1, Y, Y.shifted(freq.vec))
-    perturbed = B - delta * P_vals
-    conj = inv2(exp_sl2(y_next)) @ perturbed @ exp_sl2(y_here)
-    leading = exp_sl2(b0 - delta * b1)
-    P1 = (conj - leading) / (delta * delta)
-    P1_norm = float(np.max(norm2(P1)))
-
     return MoserPoschelData(
         zeta=float(zeta), b0=b0, b1=b1, x11_sq=a, x11_x12=b, x12_sq=c,
-        d_lin=-zeta * a, d_quad=a * c - b * b,
-        P1_norm_bound=P1_norm, x_norm=x_norm)
+        d_lin=-zeta * a, d_quad=a * c - b * b, x_norm=x_norm)
 
 
-def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
+def gap_edge_bound(mp: MoserPoschelData) -> dict:
     """Predicted local gap-length bound delta_1 = zeta^(17/18).
 
     Each hypothesis of the perturbed-rotation argument is evaluated
@@ -942,15 +877,9 @@ def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
     precision: norm_gate needs ||X|| zeta^(1/36) <= 1/4 with ||X|| >= 1
     (X is SL(2,R)-valued), so zeta <= 4^-36 ~ 2e-22; "failed" is never empty.
     """
-    if zeta < 0.0:
-        raise ValueError("gap edge bound needs zeta >= 0")
-    if zeta == 0.0:
-        return {"delta1": 0.0, "rotation_positive": False,
-                "predicted_gap_upper": 0.0, "collapsed": True,
-                "hypotheses": {}, "failed": []}
+    zeta, cs = mp.zeta, mp.d_quad
     kappa = 1.0 / 18.0
     delta1 = zeta ** (17.0 / 18.0)
-    cs = mp.cauchy_schwarz_slack()
     hyp = {
         "norm_gate": mp.x_norm * zeta ** (kappa / 2.0) <= 0.25,
         "ratio_bound": cs > 0.0
@@ -961,21 +890,17 @@ def gap_edge_bound(mp: MoserPoschelData, zeta: float) -> dict:
     hyp["determinant"] = det_val >= 3.0 * zeta * zeta * (1.0 - 1e-9)
     rot_margin = math.sqrt(max(det_val, 0.0)) - 1.5 * zeta
     hyp["rotation_positive"] = rot_margin > 0.0
-    failed = [name for name, ok in hyp.items() if not ok]
     return {
-        "delta1": delta1,
-        "rotation_positive": bool(hyp["rotation_positive"]),
         "rotation_margin": rot_margin,
         "determinant_value": det_val,
         "predicted_gap_upper": delta1,
-        "collapsed": False,
         "hypotheses": hyp,
-        "failed": failed,
+        "failed": [name for name, ok in hyp.items() if not ok],
     }
 
 
 def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
-                  window: float, delta: float = None) -> dict:
+                  window: float) -> dict:
     """Gap-edge datum zeta and its predicted local gap bound.
 
     edge is the resolved right edge of the gap labelled m, to accuracy
@@ -987,11 +912,9 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
     the exact cocycle must pass _admit_edge: its rotation number must
     match m.  It is then written as R_rho e^{f} around the elliptic
     normal form of its average and reduced to the parabolic normal form.
-    delta defaults to half the smaller of the contraction guard and
-    zeta^(17/18).
 
-    Returns {"zeta", "delta", "mp", "bound"}: the edge datum, the step
-    size, the MoserPoschelData of that step and its gap_edge_bound.
+    Returns {"mp", "bound"}: the MoserPoschelData of the step at the
+    edge datum zeta (mp.zeta) and its gap_edge_bound.
     """
     m = _gap_label(m, freq)
     e_reduce = edge - window
@@ -1018,10 +941,5 @@ def gap_edge_step(V: FourierSeries, freq: Frequency, m, edge: float,
         raise ReductionError(
             f"edge datum zeta={zeta:.3e} leaves (0, 1/2); the perturbation "
             "step is not defined on this side of the gap")
-    B = reduced["B"]
-    if delta is None:
-        delta = 0.5 * min(_delta_guard(ck_norm(B, 0), freq),
-                          zeta ** (17.0 / 18.0))
-    mp = moser_poschel_step(B, zeta, delta, freq)
-    return {"zeta": zeta, "delta": delta, "mp": mp,
-            "bound": gap_edge_bound(mp, zeta)}
+    mp = moser_poschel_step(reduced["B"], zeta)
+    return {"mp": mp, "bound": gap_edge_bound(mp)}

@@ -363,7 +363,10 @@ def test_gaps_then_edge_pipeline(tmp_path, capsys, monkeypatch):
     # the inventory's edges are re-checked in one Sturm pass and written
     # as they are
     assert len(passes) == 1
-    _, rows = _read_csv(tmp_path / "edge.csv")
+    header, rows = _read_csv(tmp_path / "edge.csv")
+    assert header == ["m", "E_plus", "zeta", "predicted_gap_upper",
+                      "measured_length", "d_lin", "d_quad",
+                      "hypotheses_failed"]
     row = rows[0]
     gap = next(r for r in gap_rows if r["m"] == "1")
     assert float(row["E_plus"]).hex() == float(gap["E_plus"]).hex()
@@ -371,17 +374,17 @@ def test_gaps_then_edge_pipeline(tmp_path, capsys, monkeypatch):
         float(gap["length"]).hex()
     zeta = float(row["zeta"])
     assert 0.0 < zeta < 0.5
-    assert float(row["delta"]) > 0.0
-    assert float(row["predicted_gap_upper"]) > 0.0
+    assert float(row["predicted_gap_upper"]) == zeta ** (17.0 / 18.0)
     assert float(row["measured_length"]) >= 4e-3
 
-    # a step size beyond the contraction guard is a config error, not a
-    # traceback, and it leaves the earlier edge.csv in place
-    base["edge"]["delta"] = 1.0
+    # a field edge does not define, such as the removed step size delta,
+    # is a config error, not a traceback, and it leaves the earlier
+    # edge.csv in place
+    base["edge"]["delta"] = 1e-9
     before = (tmp_path / "edge.csv").read_text()
     capsys.readouterr()
     assert main(["edge", "--config", _write(tmp_path, base, "big.json")]) == 2
-    assert "edge.delta" in capsys.readouterr().err
+    assert "unknown field edge.delta" in capsys.readouterr().err
     assert (tmp_path / "edge.csv").read_text() == before
 
 
@@ -1150,8 +1153,27 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
      "kam.perturbation.scale"),
     ("edge", {"edge": {"label": [1]}}, _NAN_EDGE_INVENTORY, 4, "unreadable"),
     ("edge", {"edge": {"label": [1]}}, _SWAPPED_INVENTORY, 4, "unreadable"),
-    ("edge", {"edge": {"label": [1], "delta": -1.0}}, _NO_E_PLUS_INVENTORY,
-     2, "edge.delta"),
+    # a field the section does not define, checked before any other
+    ("edge", {"edge": {"label": [1], "delta": 1e-9}}, _NO_E_PLUS_INVENTORY,
+     2, "unknown field edge.delta"),
+    ("scan", {"numerics": {"L": 400, "phases": 2, "resolutoin": 0.01}},
+     None, 2, "unknown field numerics.resolutoin"),
+    ("ids", {"potential": {"family": "amo", "coupling": 0.3,
+                           "epsilon": 0.01}}, None, 2,
+     "unknown field potential.epsilon"),
+    ("ids", {"numeric": {"L": 400}}, None, 2, "unknown field numeric;"),
+    ("ids", {"frequency": {"components": [GOLDEN], "gama": 0.1}}, None, 2,
+     "unknown field frequency.gama"),
+    ("ids", {"numerics": {"energy": {"min": -2.5, "max": 2.5, "points": 11,
+                                     "pts": 3}}}, None, 2,
+     "unknown field numerics.energy.pts"),
+    ("ids", {"output": {"fmt": "json"}}, None, 2, "unknown field output.fmt"),
+    ("kam", {"kam": {"rho0": 0.17, "stoptol": 1e-9, "perturbation": {
+        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2,
+     "unknown field kam.stoptol"),
+    ("kam", {"kam": {"rho0": 0.17, "perturbation": {
+        "scale": 1e-4, "radius": 1, "sede": 1}}}, None, 2,
+     "unknown field kam.perturbation.sede"),
     # values the library constructors reject while the CLI builds a section
     ("ids", {"frequency": {"components": []}}, None, 2, "frequency"),
     ("ids", {"frequency": {"components": [1.5]}}, None, 2, "frequency"),
@@ -1236,7 +1258,10 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "homog_eps_empty", "homog_eps_above_diam", "homog_samples_negative",
         "output_not_object", "output_dir_not_path", "gamma_nan",
         "scale_nan", "inventory_nan_edge", "inventory_edges_swapped",
-        "delta_negative", "components_empty", "component_above_one",
+        "edge_delta_unknown", "numerics_key_misspelt",
+        "amo_epsilon_unknown", "section_unknown", "frequency_key_unknown",
+        "energy_key_unknown", "output_key_unknown", "kam_key_unknown",
+        "perturbation_key_unknown", "components_empty", "component_above_one",
         "dim_four", "term_dimension", "dim_not_the_frequency_dim",
         "ck_mode_zero", "ck_mode_zero_decay", "radius_negative",
         "seed_negative", "stop_tol_negative", "gaps_file_not_a_string",
@@ -1302,8 +1327,7 @@ _SWEEP = [
                    "kam.stop_tol kam.max_steps kam.residual_tol "
                    "kam.perturbation.scale kam.perturbation.radius "
                    "kam.perturbation.seed kam.perturbation.terms"),
-    ("edge", "amo", "edge edge.gaps_file edge.label edge.delta "
-                    "edge.edge_tol"),
+    ("edge", "amo", "edge edge.gaps_file edge.label edge.edge_tol"),
 ]
 
 

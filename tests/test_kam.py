@@ -620,8 +620,8 @@ def test_modewise_solve_has_one_owner():
             if isinstance(node, ast.Raise) and node.exc is not None \
                     and "DivisorError" in ast.unparse(node.exc):
                 owners["DivisorError"].add(fn.name)
-    assert owners == {"solve": {"_modewise_solve"},
-                      "svd": {"_modewise_solve"},
+    assert owners == {"solve": {"_solve_homological"},
+                      "svd": {"_solve_homological"},
                       "DivisorError": {"_check_divisors"}}
 
 
@@ -816,9 +816,10 @@ def test_kam_builds_no_general_cocycle():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert not names & {"Cocycle", "rotation_number"}
-    # no library module defines a general cocycle, the one-orbit walk or
-    # a cone certificate, and one function makes the transfer matrices
-    # for one caller, the gap-edge step
+    # no library module defines a general cocycle, the one-orbit walk, a
+    # cone certificate or the Moser-Poschel remainder and its step size,
+    # and one function makes the transfer matrices for one caller, the
+    # gap-edge step
     defined, builds = set(), set()
     for path in sorted(Path(kam.__file__).parent.glob("*.py")):
         module = ast.parse(path.read_text())
@@ -836,13 +837,17 @@ def test_kam_builds_no_general_cocycle():
     assert not defined & {"Cocycle", "schrodinger_cocycle", "orbit_matrices",
                           "rotation_number", "uniform_hyperbolicity_test",
                           "HyperbolicityVerdict", "_cone_image_margin",
-                          "_CONE_MARGIN"}
+                          "_CONE_MARGIN", "StepSizeError", "_delta_guard",
+                          "_D_TAU", "_solve_parabolic_cohomological",
+                          "_modewise_solve", "P1_norm_bound",
+                          "cauchy_schwarz_slack"}
     assert builds == {"kam.gap_edge_step"}
-    reduce_fn = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef)
-                     and node.name == "reduce_to_parabolic")
-    params = reduce_fn.args.args + reduce_fn.args.kwonlyargs
-    assert "check_inputs" not in {a.arg for a in params}
+    params = {node.name: {a.arg for a in node.args.args
+                          + node.args.kwonlyargs}
+              for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "check_inputs" not in params["reduce_to_parabolic"]
+    assert "delta" not in params["gap_edge_step"]
+    assert "delta" not in params["moser_poschel_step"]
 
 
 # ---------------------------------------------------------------------------
@@ -856,43 +861,39 @@ def test_mp_brackets_identity_conjugacy():
     assert np.allclose(b1, np.array([[-zeta / 2.0, 0.0], [-1.0, zeta / 2.0]]))
 
 
-def test_mp_step_identity_conjugacy(freq):
+def test_mp_step_identity_conjugacy():
     X = FourierSeries(1, 0, {(0,): np.eye(2, dtype=complex)}, 2)
     zeta, delta = 0.01, 1e-4
-    mp = moser_poschel_step(X, zeta, delta, freq)
+    mp = moser_poschel_step(X, zeta)
     assert mp.x11_sq == pytest.approx(1.0)
     assert mp.x11_x12 == pytest.approx(0.0)
     assert mp.x12_sq == pytest.approx(0.0)
     assert d_of_delta(mp, delta) == pytest.approx(-delta * zeta)
     assert abs(det_identity_defect(mp, delta)) < 1e-15
-    assert mp.P1_norm_bound >= 0.0
 
 
-def test_mp_step_oscillating_conjugacy(freq):
+def test_mp_step_oscillating_conjugacy():
     X = FourierSeries(1, 1, {
         (0,): np.eye(2, dtype=complex),
         (1,): np.array([[0.05, 0.02], [0.0, -0.05]], dtype=complex),
         (-1,): np.array([[0.05, 0.02], [0.0, -0.05]], dtype=complex),
     }, 2)
-    mp = moser_poschel_step(X, 0.02, 5e-5, freq)
+    mp = moser_poschel_step(X, 0.02)
     assert mp.x11_sq > 0.0
-    assert mp.cauchy_schwarz_slack() >= -1e-12
+    assert mp.d_quad >= -1e-12
     assert abs(det_identity_defect(mp, 5e-5)) < 1e-14
-    assert np.isfinite(mp.P1_norm_bound)
 
 
 def test_mp_step_two_dimensional_means_are_the_direct_ones():
     # grid-shaped samples in 2-D: the three averages are the means of
     # the direct evaluation on the plain-torus mesh of the step
-    freq2 = diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0), gamma=0.01,
-                              tau=2.5, cutoff=10)
     off = np.array([[0.05, 0.02], [0.01, -0.05]], dtype=complex)
     X = FourierSeries(2, 1, {(0, 0): np.eye(2, dtype=complex),
                              (1, 0): off, (-1, 0): off,
                              (0, 1): 0.5j * off.T, (0, -1): -0.5j * off.T,
                              (1, -1): 0.3 * off, (-1, 1): 0.3 * off},
                       2).symmetrized()
-    mp = moser_poschel_step(X, 0.02, 1e-8, freq2)
+    mp = moser_poschel_step(X, 0.02)
     # the step's plain-torus mesh for support radius 1 has 64 points a side
     vals = _direct_mesh_values(64, 1, X)
     x11, x12 = vals[..., 0, 0], vals[..., 0, 1]
@@ -902,7 +903,6 @@ def test_mp_step_two_dimensional_means_are_the_direct_ones():
                       (mp.x12_sq, np.mean(x12 * x12))):
         assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
     assert mp.x11_x12 != 0.0
-    assert np.isfinite(mp.P1_norm_bound)
 
 
 def test_mp_determinant_identity_random_tuples():
@@ -921,33 +921,33 @@ def test_mp_determinant_identity_random_tuples():
     assert worst < 1e-12
 
 
-def test_mp_step_guards(freq):
+def test_mp_step_guards():
     X = FourierSeries(1, 0, {(0,): np.eye(2, dtype=complex)}, 2)
-    with pytest.raises(ValueError):
-        moser_poschel_step(X, 0.6, 1e-6, freq)
-    with pytest.raises(ValueError):
-        moser_poschel_step(X, 0.01, 0.0, freq)
-    with pytest.raises(ValueError):
-        moser_poschel_step(X, 0.01, 1.0, freq)
+    for zeta in (0.6, 0.5, 0.0, -0.01):
+        with pytest.raises(ValueError, match="zeta"):
+            moser_poschel_step(X, zeta)
+    with pytest.raises(ValueError, match="matrix-valued"):
+        moser_poschel_step(FourierSeries(1, 0, {(0,): 1.0 + 0j}, 1), 0.01)
 
 
-def test_mp_step_rejects_a_nonfinite_conjugacy(freq):
-    # a NaN coefficient makes ck_norm NaN: a ReductionError, for any
-    # delta, before the step-size guard
+def test_mp_step_rejects_a_nonfinite_conjugacy():
+    # a NaN coefficient makes ck_norm NaN: a ReductionError before any
+    # average is taken
     bad = np.full((2, 2), math.nan, dtype=complex)
     X = FourierSeries(1, 1, {(0,): np.eye(2, dtype=complex), (1,): bad,
                              (-1,): bad}, 2)
-    for delta in (1e-6, 1.0):
-        with pytest.raises(ReductionError, match="not finite"):
-            moser_poschel_step(X, 0.01, delta, freq)
+    with pytest.raises(ReductionError, match="not finite"):
+        moser_poschel_step(X, 0.01)
 
 
 def test_mp_data_validation():
     b0, b1 = mp_brackets(0.01, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         MoserPoschelData(zeta=0.01, b0=b0, b1=b1, x11_sq=-1.0, x11_x12=0.0,
-                         x12_sq=1.0, d_lin=-0.01, d_quad=1.0,
-                         P1_norm_bound=1.0, x_norm=1.0)
+                         x12_sq=1.0, d_lin=-0.01, d_quad=1.0, x_norm=1.0)
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        MoserPoschelData(zeta=0.01, b0=b0, b1=b1, x11_sq=1.0, x11_x12=0.0,
+                         x12_sq=1.0, d_lin=-0.01, d_quad=-1e-6, x_norm=1.0)
 
 
 def test_gap_edge_bound_all_hypotheses_pass():
@@ -955,36 +955,32 @@ def test_gap_edge_bound_all_hypotheses_pass():
     b0, b1 = mp_brackets(z, a, b, c)
     mp = MoserPoschelData(zeta=z, b0=b0, b1=b1, x11_sq=a, x11_x12=b,
                           x12_sq=c, d_lin=-z * a, d_quad=a * c - b * b,
-                          P1_norm_bound=1.0, x_norm=1.0)
-    out = gap_edge_bound(mp, z)
+                          x_norm=1.0)
+    out = gap_edge_bound(mp)
     assert out["failed"] == []
     assert all(out["hypotheses"].values())
-    assert out["delta1"] == pytest.approx(z ** (17.0 / 18.0))
     assert out["predicted_gap_upper"] == pytest.approx(z ** (17.0 / 18.0))
-    assert out["rotation_positive"] is True
+    assert out["hypotheses"]["rotation_positive"] is True
 
 
 def test_gap_edge_bound_reports_failures_without_raising():
     b0, b1 = mp_brackets(1e-4, 1.0, 0.0, 0.0)
     mp = MoserPoschelData(zeta=1e-4, b0=b0, b1=b1, x11_sq=1.0, x11_x12=0.0,
-                          x12_sq=0.0, d_lin=-1e-4, d_quad=0.0,
-                          P1_norm_bound=1.0, x_norm=1.0)
-    out = gap_edge_bound(mp, 1e-4)
+                          x12_sq=0.0, d_lin=-1e-4, d_quad=0.0, x_norm=1.0)
+    out = gap_edge_bound(mp)
     assert "ratio_bound" in out["failed"]
     assert out["hypotheses"]["ratio_bound"] is False
 
 
 def test_gap_edge_bound_collapsed_edge():
+    # a collapsed edge (zeta 0), or the other side of the gap (zeta < 0),
+    # has no Moser-Poschel data, so gap_edge_bound never sees one
     b0, b1 = mp_brackets(0.01, 1.0, 0.0, 1.0)
-    mp = MoserPoschelData(zeta=0.01, b0=b0, b1=b1, x11_sq=1.0, x11_x12=0.0,
-                          x12_sq=1.0, d_lin=-0.01, d_quad=1.0,
-                          P1_norm_bound=1.0, x_norm=1.0)
-    out = gap_edge_bound(mp, 0.0)
-    assert out["collapsed"] is True
-    assert out["predicted_gap_upper"] == 0.0
-    assert out["hypotheses"] == {}
-    with pytest.raises(ValueError):
-        gap_edge_bound(mp, -1e-6)
+    for zeta in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="zeta"):
+            MoserPoschelData(zeta=zeta, b0=b0, b1=b1, x11_sq=1.0,
+                             x11_x12=0.0, x12_sq=1.0, d_lin=-0.01,
+                             d_quad=1.0, x_norm=1.0)
 
 
 # ---------------------------------------------------------------------------
