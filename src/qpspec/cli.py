@@ -62,24 +62,19 @@ _SECTIONS = ("potential", "frequency", "numerics", "kam", "edge", "output")
 # the fields of each potential family beside "family"
 _FAMILIES = {"free": (), "amo": ("coupling",), "ck": ("epsilon", "k", "modes"),
              "cosine": ("terms", "dim")}
-# every numerics field as (type, default); a nested table is a subsection.
-# min_gap_length defaults to twice the resolution
+# every numerics field as (type, default); a nested table is a subsection
 _NUMERICS = {
     "L": (int, 3000),
     "phases": (int, 8),
     "resolution": (float, 2e-3),
     "energy": {"min": (float, -2.5), "max": (float, 2.5),
                "points": (int, 201)},
-    "min_gap_length": (float, None),
     "M_max": (int, 20),
     "label_tol": (float, 1e-3),
     "rotation_iterations": (int, 20000),
     "homog_eps": ([float], [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]),
     "homog_samples": (int, 200),
 }
-# run options of the kam section; unset ones keep the engine's defaults
-_KAM_OPTION_TYPES = {"M": int, "sigma": float, "stop_tol": float,
-                     "max_steps": int, "residual_tol": float}
 # lower bound of a field as (bound, whether the bound itself is admitted)
 _LOWER_BOUNDS = {
     "numerics.L": (100, True),
@@ -91,11 +86,6 @@ _LOWER_BOUNDS = {
     "numerics.rotation_iterations": (2, True),
     "numerics.homog_eps": (0.0, False),
     "numerics.homog_samples": (0, True),
-    "kam.M": (1, True),
-    # the run stops once the perturbation norm is at most stop_tol
-    "kam.stop_tol": (0.0, True),
-    "kam.max_steps": (1, True),
-    "kam.residual_tol": (0.0, False),
 }
 _REQUIRED = object()
 
@@ -268,8 +258,6 @@ def numerics_of(cfg: dict) -> dict:
     """Numerics with defaults filled in, each field converted to its type."""
     out = _fields(_field(cfg, "", "numerics", dict, {}), "numerics",
                   _NUMERICS)
-    if out["min_gap_length"] is None:
-        out["min_gap_length"] = 2.0 * out["resolution"]
     if not out["homog_eps"]:
         raise ConfigError("numerics.homog_eps must be a nonempty list")
     grid = out["energy"]
@@ -436,7 +424,8 @@ def _scan_and_label(V, freq, num, out_dir: Path):
     # one sampled truncation serves the scan and the plateau recount
     H = TruncatedOperator.sampled(V, freq, num["L"], num["phases"])
     scan, provenance = _scan_intervals(V, freq, num, out_dir, operator=H)
-    records, boundary = detect_gaps(scan, H.ids, num["min_gap_length"])
+    # a gap must span at least two scan cells
+    records, boundary = detect_gaps(scan, H.ids, 2.0 * num["resolution"])
     labelled = label_all(records, freq, num["M_max"], num["label_tol"])
     return labelled, boundary, provenance
 
@@ -475,16 +464,20 @@ def cmd_decay(cfg, V, freq, num, out_dir, fmt):
     eps, k, modes = _ck_spec(spec)
     # the C^k norm sums over the multi-index ball of radius k
     c_norm = _admitted("potential.k", ck_norm, ck_potential(1.0, k, modes), k)
+    effective = eps * c_norm
+    if not math.isfinite(effective):
+        raise ConfigError(f"potential.k: the C^k bound at epsilon={eps:g} "
+                          f"and k={k} is {effective}, not finite")
     labelled, _, provenance = _scan_and_label(V, freq, num, out_dir)
     report = decay_profile([g for g in labelled if g.abs_label() <= k],
-                           eps * c_norm, k)
+                           effective, k)
     names = ["m", "abs_m", "length", "bound", "pass"]
     name = emit_rows(names, _columns(report["rows"], names, dict.__getitem__),
                      out_dir, "decay", fmt)
     summary = {"all_pass": report["all_pass"],
                "log_slope": report["log_slope"],
                "eps": eps, "k": k, "c_norm_upper": c_norm,
-               "effective_eps": eps * c_norm, **provenance}
+               "effective_eps": effective, **provenance}
     return [name], summary
 
 
@@ -526,7 +519,7 @@ def _emit_ledger(ledger, out_dir, fmt):
 
 def cmd_kam(cfg, V, freq, num, out_dir, fmt):
     spec = _field(cfg, "", "kam", dict)
-    _known(spec, "kam", ("rho0", "perturbation", *_KAM_OPTION_TYPES))
+    _known(spec, "kam", ("rho0", "perturbation"))
     A = rotation(_field(spec, "kam", "rho0", float))
     pert = _field(spec, "kam", "perturbation", dict)
     # terms, when given, take the place of the seeded fields
@@ -543,10 +536,8 @@ def cmd_kam(cfg, V, freq, num, out_dir, fmt):
                       _field(pert, "kam.perturbation", "radius", int),
                       _field(pert, "kam.perturbation", "seed", int),
                       dim=freq.dim)
-    options = {key: _field(spec, "kam", key, kind)
-               for key, kind in _KAM_OPTION_TYPES.items() if key in spec}
     try:
-        state = kam.almost_reducibility_run(A, f, freq, **options)
+        state = kam.almost_reducibility_run(A, f, freq)
     except SizeError as exc:
         # the run's series outgrow the cap from the perturbation's radius
         raise ConfigError(f"{section}: {exc}") from exc
@@ -598,15 +589,15 @@ def _read_gap_inventory(path: Path):
 
 def cmd_edge(cfg, V, freq, num, out_dir, fmt):
     spec = _field(cfg, "", "edge", dict)
-    _known(spec, "edge", ("gaps_file", "label", "edge_tol"))
+    _known(spec, "edge", ("gaps_file", "label"))
     gaps_file = _field(spec, "edge", "gaps_file", str)
     label = tuple(_field(spec, "edge", "label", [int]))
     if len(label) != freq.dim:
         raise ConfigError(f"edge.label {list(label)} needs {freq.dim} "
                           "components, one per frequency")
-    # edge_tol only floors the window: the width of the re-check's
-    # windows and how far into the gap the reduction runs
-    window = max(_field(spec, "edge", "edge_tol", float, 1e-6), 4.0 / num["L"])
+    # the width of the re-check's windows and how far into the gap the
+    # reduction runs
+    window = 4.0 / num["L"]
     inventory = _load_gap_inventory(Path(gaps_file))
     match = [row for row in inventory if row[0] == label]
     if not match:

@@ -61,8 +61,9 @@ def detect_gaps(scan, ids_curve, min_length: float):
     ids_curve receives the array of every gap midpoint at once and returns
     the IDS there (a scalar holds at every midpoint), so the plateaus are
     recounted in one pass.  Returns (records, (E_min, E_max)): the
-    unlabelled gap records of length at least min_length, and the outer
-    spectrum boundary for the label-0 unbounded components.
+    unlabelled gap records of length at least min_length (the CLI asks
+    for two scan cells, 2 resolution), and the outer spectrum boundary
+    for the label-0 unbounded components.
     """
     if not scan:
         raise ValueError("empty scan")
@@ -137,8 +138,9 @@ def label_all(records, freq: Frequency, M_max: int, tol: float):
 def decay_profile(gaps, eps: float, k: int) -> dict:
     """Check measured gap lengths against the eps^(1/4) |m|^(-k/9) bound.
 
-    The comparison is strict; a length exactly at the bound fails.  A
-    log-log slope of length against |m| is reported for trend reading.
+    The comparison is strict; a length exactly at the bound fails, and
+    so does a profile of no row (all_pass is false).  A log-log slope of
+    length against |m| is reported for trend reading.
     """
     rows = []
     pts = []
@@ -167,7 +169,7 @@ def decay_profile(gaps, eps: float, k: int) -> dict:
             slope = float(np.polyfit(xs, ys, 1)[0])
     return {
         "rows": rows,
-        "all_pass": all(r["pass"] for r in rows),
+        "all_pass": bool(rows) and all(r["pass"] for r in rows),
         "log_slope": slope,
         "eps": eps,
         "k": k,

@@ -56,9 +56,11 @@ _TWO_PI = 2.0 * math.pi
 _DIVISOR_FLOOR = 1e-12
 _START_NORM = 1e-2
 _STEP_NORM = 0.1
+_PARABOLIC_TOL = 1e-10
+# the schedule of the proof, not a run input: threshold eps^_SIGMA capped,
+# the norm a run stops at, and the residual tolerance of every step
 _SIGMA = 0.1
 _THRESHOLD_CAP = 5e-3
-_PARABOLIC_TOL = 1e-10
 _STOP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-7
 # gap-edge reduction: schedule length and the rotation-number admission
@@ -279,7 +281,7 @@ class KamState:
 
     The accumulated conjugacy lives on the double cover and satisfies
     B(theta+alpha)^{-1} A0 e^{f0(theta)} B(theta) = A e^{f(theta)} up
-    to the stored residual tolerance; A0, f0 are the original data of
+    to the residual tolerance _RESIDUAL_TOL; A0, f0 are the original data of
     the run, kept so the identity stays checkable end to end.
     """
 
@@ -291,7 +293,6 @@ class KamState:
     freq: Frequency
     A0: np.ndarray
     f0: FourierSeries
-    residual_tol: float
 
     def norm(self) -> float:
         return ck_norm(self.f, 0)
@@ -310,7 +311,7 @@ class KamState:
 
     def check_residual(self) -> float:
         """The residual, or ReductionError when it exceeds the tolerance."""
-        bound = self.residual_tol * (1.0 + self.conjugacy_norm() ** 2)
+        bound = _RESIDUAL_TOL * (1.0 + self.conjugacy_norm() ** 2)
         defect = self.residual()
         if defect > bound:
             raise ReductionError(
@@ -318,8 +319,8 @@ class KamState:
         return defect
 
 
-def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
-                  residual_tol: float = _RESIDUAL_TOL) -> KamState:
+def initial_state(A: np.ndarray, f: FourierSeries,
+                  freq: Frequency) -> KamState:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2) or abs(float(det2(A)) - 1.0) > 1e-9:
         raise ValueError("constant part must be a real 2x2 unimodular matrix")
@@ -330,8 +331,7 @@ def initial_state(A: np.ndarray, f: FourierSeries, freq: Frequency,
         raise ValueError("perturbation dimension does not match frequency")
     ident = _constant_series(np.eye(2), freq.dim, period=2)
     return KamState(A=A, f=f, B_accum=ident, deg_accum=(0,) * freq.dim,
-                    ledger=(), freq=freq, A0=A.copy(), f0=f,
-                    residual_tol=float(residual_tol))
+                    ledger=(), freq=freq, A0=A.copy(), f0=f)
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +618,16 @@ def resonant_step(state: KamState, n_star: tuple) -> KamState:
 # the almost-reducibility schedule
 
 
-def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
-                            freq: Frequency, *, M: int = 10,
-                            sigma: float = _SIGMA, stop_tol: float = _STOP_TOL,
-                            max_steps: int = 12,
-                            residual_tol: float = _RESIDUAL_TOL) -> KamState:
-    """Drive the perturbation below stop_tol on a doubling band schedule.
+def almost_reducibility_run(A: np.ndarray, f: FourierSeries, freq: Frequency,
+                            *, max_steps: int = 12) -> KamState:
+    """Drive the perturbation below _STOP_TOL on a doubling band schedule.
 
-    Step j solves up to band l_j = M^(2^(j-1)), capped by the stored
-    support so nothing is ever discarded; the resonance window is that
-    band, capped per dimension, and the threshold follows the measured
-    perturbation norm.  Divergence (two consecutive non-contracting
-    steps) raises with the ledger attached.
+    Step j solves up to band l_j = 10^(2^(j-1)), at most 10^6 and capped
+    by the stored support so nothing is ever discarded; the resonance
+    window is that band, capped per dimension, and the threshold
+    eps^_SIGMA follows the measured perturbation norm eps.  Divergence
+    (two consecutive non-contracting steps) raises with the ledger
+    attached.
     A non-finite f, or one above the entry gate, raises before any step,
     and so does SizeError when a series of the first step, at up to
     _FIRST_STEP_REACH times the radius of f, would pass the element cap.
@@ -643,19 +641,19 @@ def almost_reducibility_run(A: np.ndarray, f: FourierSeries,
     if not norm0 <= _START_NORM:
         raise _EntryGateError(f"starting perturbation norm {norm0:.3e} is "
                               f"outside the entry gate {_START_NORM:.0e}")
-    state = initial_state(A, f, freq, residual_tol)
+    state = initial_state(A, f, freq)
     worse = 0
     for j in range(1, max_steps + 1):
         eps = state.norm()
-        if eps <= stop_tol:
+        if eps <= _STOP_TOL:
             break
-        band = int(min(float(M) ** (2 ** (j - 1)), 1e6))
-        band = min(band, max(state.f.support_radius(), 1))
+        band = min(10 ** min(2 ** (j - 1), 6),
+                   max(state.f.support_radius(), 1))
         # the scan protects the divisors of the modes actually solved:
         # the resonance window is the solve band (beyond it the stored
         # series has no content to strip), capped per dimension
         window = min(band, _WINDOW_CAP[freq.dim])
-        threshold = min(eps ** sigma, _THRESHOLD_CAP)
+        threshold = min(eps ** _SIGMA, _THRESHOLD_CAP)
         info = eigen_rho(state.A)
         site = None
         if info["kind"] != "hyperbolic":

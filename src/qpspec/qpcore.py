@@ -160,8 +160,10 @@ def diophantine_check(alpha, gamma: float, tau: float, cutoff: int) -> Frequency
     order = np.argsort(size, kind="stable")
     ball, size = ball[order], size[order]
     dist = dist_to_int(ball @ np.asarray(alpha))
-    required = gamma / size.astype(float) ** tau
-    bad = np.flatnonzero(dist < required)
+    # size^tau may overflow, the bound then rounds to 0: 0 fails at any tau
+    with np.errstate(over="ignore"):
+        required = gamma / size.astype(float) ** tau
+    bad = np.flatnonzero((dist < required) | (dist == 0.0))
     if bad.size:
         i = bad[0]
         raise DiophantineRejection(ball[i], dist[i], required[i])
@@ -470,19 +472,23 @@ def amo_potential(coupling: float) -> FourierSeries:
 def ck_norm(f: FourierSeries, k: int) -> float:
     """Coefficient bound for the C^k norm of f: the largest, over j >= 0
     with |j|_1 <= k, of sum_n prod_i |2 pi n_i / p|^{j_i} ||c_n||, where
-    ||c_n|| is the modulus or, for a matrix series, the spectral norm."""
+    ||c_n|| is the modulus or, for a matrix series, the spectral norm.  A
+    zero c_n adds 0 at every order, an overflowing factor gives inf."""
     if k < 0:
         raise ValueError("k must be >= 0")
     modes, values = f.modes, f.values
     scale = _TWO_PI / f.period
     coeff_norm = norm2(values) if f.is_matrix else np.abs(values)
     js = integer_ball(f.dim, k)
+    zero = coeff_norm == 0
     bound = 0.0
     for j in js[(js >= 0).all(axis=1) & (js.sum(axis=1) <= k)].tolist():
         deriv_mag = np.ones(modes.shape[0])
         for axis, power in enumerate(j):
             if power:
-                deriv_mag *= np.abs(scale * modes[:, axis]) ** power
+                with np.errstate(over="ignore"):
+                    deriv_mag *= np.abs(scale * modes[:, axis]) ** power
         # np.maximum, unlike max, keeps a NaN
-        bound = float(np.maximum(bound, np.sum(deriv_mag * coeff_norm)))
+        bound = float(np.maximum(bound, np.sum(np.where(zero, 0.0, deriv_mag)
+                                                * coeff_norm)))
     return bound

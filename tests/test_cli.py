@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -162,13 +163,39 @@ def test_decay_ck_all_pass(tmp_path):
         tmp_path,
         potential={"family": "ck", "epsilon": 0.01, "k": 6,
                    "modes": [1, 2, 3, 4, 5, 6, 7, 8]},
-        numerics={"L": 3000, "resolution": 2e-3, "min_gap_length": 4e-3}))
+        numerics={"L": 3000, "resolution": 2e-3}))
     assert main(["decay", "--config", cfg]) == 0
     summary = _manifest(tmp_path, "decay")["summary"]
     assert summary["all_pass"] is True
     assert summary["effective_eps"] > summary["eps"]
     _, rows = _read_csv(tmp_path / "decay.csv")
     assert rows and all(r["pass"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("k", [300, 1000])
+def test_decay_rejects_a_non_finite_ck_bound(tmp_path, capsys, k):
+    # (2 pi)^k passes the float range: the bound is inf, so no gap is
+    # checked against it and no Infinity reaches the manifest
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        potential={"family": "ck", "epsilon": 0.01, "k": k,
+                   "modes": [1, 2, 3]}))
+    assert main(["decay", "--config", cfg]) == 2
+    assert "config error: potential.k: " in capsys.readouterr().err
+    assert not (tmp_path / "decay_manifest.json").exists()
+
+
+def test_decay_of_no_gap_does_not_pass(tmp_path):
+    # at k = 0 only label-0 gaps are in range and none is checked
+    cfg = _write(tmp_path, _base_config(
+        tmp_path,
+        potential={"family": "ck", "epsilon": 0.01, "k": 0,
+                   "modes": [1, 2, 3]},
+        numerics={"L": 1000, "resolution": 4e-3}))
+    assert main(["decay", "--config", cfg]) == 0
+    assert (tmp_path / "decay.csv").read_text() == \
+        "m,abs_m,length,bound,pass\n"
+    assert _manifest(tmp_path, "decay")["summary"]["all_pass"] is False
 
 
 def test_decay_requires_ck_family(tmp_path):
@@ -306,21 +333,6 @@ def test_readme_lists_the_kam_columns():
             == [f.name for f in dataclasses.fields(LedgerStep)])
 
 
-def test_kam_engine_defaults_match_the_spelled_out_options(tmp_path):
-    # unset run options fall back to almost_reducibility_run's defaults
-    pert = {"scale": 2.5e-4, "radius": 3, "seed": 11}
-    spelled = {"rho0": 0.17, "perturbation": pert, "M": 10, "sigma": 0.1,
-               "stop_tol": 1e-12, "max_steps": 12, "residual_tol": 1e-7}
-    texts = []
-    for name, section in (("bare", {"rho0": 0.17, "perturbation": pert}),
-                          ("spelled", spelled)):
-        out = tmp_path / name
-        cfg = _write(tmp_path, _base_config(out, kam=section), f"{name}.json")
-        assert main(["kam", "--config", cfg]) == 0
-        texts.append((out / "kam.csv").read_text())
-    assert texts[0] == texts[1]
-
-
 def test_kam_seeded_run_two_frequencies(tmp_path):
     cfg = _write(tmp_path, _base_config(
         tmp_path,
@@ -338,8 +350,7 @@ def test_gaps_then_edge_pipeline(tmp_path, capsys, monkeypatch):
     base = _base_config(
         tmp_path,
         potential={"family": "amo", "coupling": 0.004},
-        numerics={"L": 6000, "phases": 8, "resolution": 2e-3,
-                  "min_gap_length": 4e-3})
+        numerics={"L": 6000, "phases": 8, "resolution": 2e-3})
     cfg = _write(tmp_path, base, "gaps.jsonc".replace("c", ""))
     assert main(["gaps", "--config", cfg]) == 0
     _, gap_rows = _read_csv(tmp_path / "gaps.csv")
@@ -425,11 +436,17 @@ def test_unknown_format_exits_2(tmp_path):
     assert main(["ids", "--config", _write(tmp_path, cfg)]) == 2
 
 
-def test_rational_frequency_exits_3(tmp_path):
-    cfg = _base_config(tmp_path, frequency={"components": [0.5],
-                                            "gamma": 0.1, "tau": 1.5,
-                                            "cutoff": 60})
-    assert main(["ids", "--config", _write(tmp_path, cfg)]) == 3
+def test_rational_frequency_exits_3(tmp_path, capsys):
+    # at tau 1000 for 1/3 and 600 for 1/4, gamma / n^tau rounds to 0; a
+    # distance of 0 still fails
+    for alpha, tau, n in ((0.5, 1.5, 2), (1.0 / 3.0, 1000.0, 3),
+                          (0.25, 600.0, 4)):
+        cfg = _base_config(tmp_path, frequency={"components": [alpha],
+                                                "gamma": 0.1, "tau": tau,
+                                                "cutoff": 60})
+        assert main(["ids", "--config", _write(tmp_path, cfg)]) == 3
+        assert f"frequency rejected at n=({n},): dist=0.000000e+00" in \
+            capsys.readouterr().err
 
 
 def test_edge_missing_inventory_exits_4(tmp_path):
@@ -529,17 +546,18 @@ def test_kam_divergence_writes_the_partial_ledger(tmp_path, monkeypatch,
     assert not (tmp_path / "kam_manifest.json").exists()
 
 
-# 89/144 passes the default Diophantine scan (cutoff 60); a wide band
-# then meets the rational's near-resonances
+# 5/8 passes a Diophantine scan of cutoff 7; the first step's band, 10,
+# then meets the rational's exact resonances: 2 rho0 = <1, alpha> =
+# <-7, alpha> mod Z at rho0 = 5/16, and <8, alpha> in Z for the solve
 @pytest.mark.parametrize("rho0,needle", [
-    (0.3090277777777778, "two resonant sites (-143,) and (1,)"),
+    (0.3125, "two resonant sites (-7,) and (1,)"),
     (0.17, "homological divisor under the safety floor")],
     ids=["resonance_isolation", "divisor_floor"])
 def test_kam_engine_failures_exit_5(tmp_path, capsys, rho0, needle):
     cfg = _base_config(
-        tmp_path, frequency={"components": [0.6180555555555556]},
-        kam={"rho0": rho0, "M": 1000,
-             "perturbation": {"scale": 1e-7, "radius": 150, "seed": 1}})
+        tmp_path, frequency={"components": [0.625], "cutoff": 7},
+        kam={"rho0": rho0,
+             "perturbation": {"scale": 1e-7, "radius": 10, "seed": 1}})
     assert main(["kam", "--config", _write(tmp_path, cfg)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("reduction failed: ") and needle in err
@@ -841,8 +859,7 @@ def test_removed_flags_exit_2_and_cpu_split_keeps_values(tmp_path,
         tmp_path,
         potential={"family": "ck", "epsilon": 0.01, "k": 6,
                    "modes": [1, 2, 3, 4, 5, 6, 7, 8]},
-        numerics={"L": 2000, "phases": 8, "resolution": 4e-3,
-                  "min_gap_length": 8e-3}))
+        numerics={"L": 2000, "phases": 8, "resolution": 4e-3}))
     passes, forks = [], []
     kernel, fork = spectrum._pivot_counts, os.fork
 
@@ -905,7 +922,7 @@ def test_scan_reuse_keeps_data_files_byte_identical(tmp_path, fmt):
         tmp_path,
         potential={"family": "ck", "epsilon": 0.01, "k": 6,
                    "modes": [1, 2, 3, 4, 5, 6, 7, 8]},
-        numerics={"L": 1000, "resolution": 4e-3, "min_gap_length": 8e-3}))
+        numerics={"L": 1000, "resolution": 4e-3}))
     with_scan, alone = tmp_path / "with_scan", tmp_path / "alone"
     assert _run(cfg, ("scan",) + _SCAN_USERS, with_scan, fmt) == {
         "scan": "computed", "gaps": "reused", "decay": "reused",
@@ -1120,10 +1137,6 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
     ("kam", {"kam": {"rho0": 0.17, "perturbation": {
         "terms": {"1": [[0.0, math.inf], [0.0, 0.0]]}}}}, None, 2,
      "kam.perturbation.terms"),
-    ("kam", {"kam": {"rho0": 0.17, "M": 0, "perturbation": {
-        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.M"),
-    ("kam", {"kam": {"rho0": 0.17, "M": -1, "perturbation": {
-        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.M"),
     ("gaps", {"numerics": {"M_max": 0}}, None, 2, "numerics.M_max"),
     ("rotation", {"numerics": {"rotation_iterations": 1}}, None, 2,
      "numerics.rotation_iterations"),
@@ -1194,8 +1207,6 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
     ("kam", {"kam": {"rho0": 0.17, "perturbation": {
         "scale": 1e-4, "radius": 1, "seed": -1}}}, None, 2,
      "kam.perturbation"),
-    ("kam", {"kam": {"rho0": 0.17, "stop_tol": -1, "perturbation": {
-        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.stop_tol"),
     ("edge", {"edge": {"gaps_file": 5, "label": [1]}}, None, 2,
      "edge.gaps_file"),
     ("edge", {"edge": {"label": [1, 0]}}, _TWO_D_INVENTORY, 2, "edge.label"),
@@ -1244,15 +1255,21 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
           ("homog", {"family": "amo", "coupling": 3.0}),
           ("decay", {"family": "ck", "epsilon": 3.0, "k": 2,
                      "modes": [1]}))],
-    # a run of no step, and a residual bound no run can meet
-    ("kam", {"kam": {"rho0": 0.17, "max_steps": 0, "perturbation": {
-        "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2, "kam.max_steps"),
-    ("kam", {"kam": {"rho0": 0.17, "residual_tol": 0.0, "perturbation": {
+    # fields a config no longer takes: the reduction schedule is fixed,
+    # the edge window is 4/L and a gap spans at least two scan cells
+    *[("kam", {"kam": {"rho0": 0.17, key: value, "perturbation": {
         "scale": 1e-4, "radius": 1, "seed": 1}}}, None, 2,
-     "kam.residual_tol"),
+       f"unknown field kam.{key}; kam takes rho0, perturbation")
+      for key, value in (("M", 0), ("sigma", 0.1), ("stop_tol", -1),
+                         ("max_steps", 0), ("residual_tol", 0.0))],
+    ("edge", {"edge": {"label": [1], "edge_tol": 1e-6}},
+     _NO_E_PLUS_INVENTORY, 2,
+     "unknown field edge.edge_tol; edge takes gaps_file, label"),
+    ("gaps", {"numerics": {"min_gap_length": 4e-3}}, None, 2,
+     "unknown field numerics.min_gap_length;"),
 ], ids=["coupling", "ck_k", "gamma", "rho0", "label", "empty_inventory",
         "inventory_without_E_plus", "terms_dimension", "terms_trace",
-        "terms_infinite", "kam_M_zero", "kam_M_negative", "M_max",
+        "terms_infinite", "M_max",
         "rotation_iterations", "homog_eps", "resolution_nan",
         "energy_max_infinite", "coupling_nan", "homog_eps_nan",
         "homog_eps_empty", "homog_eps_above_diam", "homog_samples_negative",
@@ -1264,15 +1281,16 @@ _SWAPPED_INVENTORY = ("m,E_minus,E_plus,length,N_plateau,label_defect\n"
         "perturbation_key_unknown", "components_empty", "component_above_one",
         "dim_four", "term_dimension", "dim_not_the_frequency_dim",
         "ck_mode_zero", "ck_mode_zero_decay", "radius_negative",
-        "seed_negative", "stop_tol_negative", "gaps_file_not_a_string",
+        "seed_negative", "gaps_file_not_a_string",
         "label_not_the_frequency_dim",
         "cutoff_ball_too_big", "terms_duplicate_mode",
         "cosine_duplicate_mode", "terms_duplicate_mode_spaced", "L_fraction",
         "phases_fraction", "points_fraction", "coupling_bool",
         "phases_bool", "cosine_repeated_key", "numerics_repeated_key",
         "top_level_repeated_key", "scan_empty", "gaps_scan_empty",
-        "homog_scan_empty", "decay_scan_empty", "max_steps_zero",
-        "residual_tol_zero"])
+        "homog_scan_empty", "decay_scan_empty", "kam_M_zero",
+        "kam_sigma_removed", "stop_tol_negative", "max_steps_zero",
+        "residual_tol_zero", "edge_tol_removed", "min_gap_length_removed"])
 def test_bad_section_values_exit_in_contract(tmp_path, capsys, command,
                                              section, inventory, code,
                                              needle):
@@ -1302,7 +1320,7 @@ def test_integral_float_is_an_int(tmp_path):
 
 
 _SWEEP_VALUES = [None, True, -1, 0, 2.5, math.nan, math.inf, "x", [], {},
-                 [-1], [0.5, 2.0]]
+                 [-1], [0.5, 2.0], 1000.0, 1e300, -1e300, 1e-300, 10 ** 200]
 _SWEEP_POTENTIALS = {
     "amo": {"family": "amo", "coupling": 0.3},
     "ck": {"family": "ck", "epsilon": 0.01, "k": 6, "modes": [1, 2, 3]},
@@ -1317,17 +1335,22 @@ _SWEEP = [
     ("decay", "ck", "potential.epsilon potential.k potential.modes"),
     ("ids", "cosine", "potential.dim potential.terms"),
     ("gaps", "amo", "numerics numerics.L numerics.phases "
-                    "numerics.resolution numerics.min_gap_length "
-                    "numerics.M_max numerics.label_tol"),
+                    "numerics.resolution numerics.M_max numerics.label_tol"),
     ("rotation", "amo", "numerics.rotation_iterations numerics.energy "
                         "numerics.energy.min numerics.energy.max "
                         "numerics.energy.points"),
     ("homog", "amo", "numerics.homog_eps numerics.homog_samples"),
-    ("kam", "amo", "kam kam.rho0 kam.perturbation kam.M kam.sigma "
-                   "kam.stop_tol kam.max_steps kam.residual_tol "
-                   "kam.perturbation.scale kam.perturbation.radius "
-                   "kam.perturbation.seed kam.perturbation.terms"),
-    ("edge", "amo", "edge edge.gaps_file edge.label edge.edge_tol"),
+    ("kam", "amo", "kam kam.rho0 kam.perturbation kam.perturbation.scale "
+                   "kam.perturbation.radius kam.perturbation.seed "
+                   "kam.perturbation.terms"),
+    ("edge", "amo", "edge edge.gaps_file edge.label"),
+]
+# fields a config no longer takes, where every value exits 2
+_SWEEP_REMOVED = [
+    ("gaps", "amo", "numerics.min_gap_length"),
+    ("kam", "amo", "kam.M kam.sigma kam.stop_tol kam.max_steps "
+                   "kam.residual_tol"),
+    ("edge", "amo", "edge.edge_tol"),
 ]
 
 
@@ -1347,7 +1370,8 @@ def _sweep_base(potential: str) -> dict:
 
 
 @pytest.mark.parametrize("command,potential,field", [
-    (command, potential, field) for command, potential, fields in _SWEEP
+    (command, potential, field)
+    for command, potential, fields in _SWEEP + _SWEEP_REMOVED
     for field in fields.split()])
 def test_malformed_values_exit_in_contract(tmp_path, monkeypatch, capsys,
                                            command, potential, field):
@@ -1367,7 +1391,62 @@ def test_malformed_values_exit_in_contract(tmp_path, monkeypatch, capsys,
         Path("config.json").write_text(json.dumps(cfg))
         codes.append(main([command, "--config", "config.json"]))
     capsys.readouterr()
-    assert set(codes) <= {0, 2, 3, 4, 5, 6}, codes
+    removed = any(field in fields.split() for *_, fields in _SWEEP_REMOVED)
+    assert set(codes) <= ({2} if removed else {0, 2, 3, 4, 5, 6}), codes
+
+
+def _taken_fields(cfg: dict, path: tuple, capsys) -> set:
+    """Dotted names of the fields under path that the CLI admits, read
+    from the "... takes a, b" message of a key the section does not take;
+    a field whose value gets no such message is a leaf (or a mode
+    table)."""
+    node = cfg
+    for key in path:
+        node = node[key]
+    node["unlisted"] = 0
+    Path("config.json").write_text(json.dumps(cfg))
+    # kam and edge alone read their sections; ids reads the others
+    command = path[0] if path and path[0] in ("kam", "edge") else "ids"
+    main([command, "--config", "config.json"])
+    del node["unlisted"]
+    taken = re.search(r"takes (.*)", capsys.readouterr().err)
+    if taken is None:
+        return {".".join(path)}
+    return set().union(*(
+        _taken_fields(cfg, path + (name,), capsys)
+        if isinstance(node.get(name), dict) else {".".join(path + (name,))}
+        for name in taken.group(1).split(", ")))
+
+
+def test_readme_table_lists_every_admitted_field(tmp_path, monkeypatch,
+                                                 capsys):
+    import qpspec.cli
+
+    monkeypatch.chdir(tmp_path)
+    admitted = _taken_fields(_sweep_base("amo"), (), capsys)
+    for family in qpspec.cli._FAMILIES:
+        cfg = _sweep_base("amo")
+        cfg["potential"] = dict(_SWEEP_POTENTIALS.get(family,
+                                                      {"family": family}))
+        admitted |= _taken_fields(cfg, ("potential",), capsys)
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("### Config fields")[1]
+    rows = {name: [cell.strip() for cell in cells.split("|")]
+            for name, cells
+            in re.findall(r"^\| `([\w.]+)` \|(.*)\|$", table, re.M)}
+    assert set(rows) == admitted
+    # the numerics defaults and the checked lower bounds as the CLI has them
+    defaults = qpspec.cli.numerics_of({})
+    for name, (_, default, lower) in rows.items():
+        if name.startswith("numerics."):
+            want = defaults
+            for key in name.split(".")[1:]:
+                want = want[key]
+            assert json.loads(default.strip("`")) == want, name
+        if name in qpspec.cli._LOWER_BOUNDS:
+            bound, closed = qpspec.cli._LOWER_BOUNDS[name]
+            op, value = re.search(r"(>=?) (\S+)$", lower).groups()
+            assert (op == ">=", float(value)) == (closed, bound), name
 
 
 # one field of a cheap valid config set to a size no array may take:

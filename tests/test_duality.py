@@ -64,7 +64,7 @@ def test_rotation_obeys_duality(freq, coupling):
 
 
 # gaps shorter than MIN_GAP_CELLS scan cells are dropped, as the CLI's
-# default min_gap_length does; detect_gaps decides a gap of exactly that
+# gap floor of 2 resolution does; detect_gaps decides a gap of exactly that
 # length the same way on both sides however lo - hi rounds (at 0.8 and
 # 3.5e-3 the gaps labelled +-7 are two cells long on both sides), so
 # every gap is compared

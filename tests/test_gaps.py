@@ -231,6 +231,9 @@ def test_decay_skips_zero_label_and_requires_labels():
     zero = GapRecord((0,), -3.0, -2.9, 0.1, 0.0, 0.0)
     report = decay_profile([zero, _labelled(1, 0.0, 1e-4)], 0.01, 6)
     assert len(report["rows"]) == 1
+    # a profile of no row checked no gap, so it does not pass
+    empty = decay_profile([zero], 0.01, 6)
+    assert empty["rows"] == [] and empty["all_pass"] is False
     with pytest.raises(ValueError):
         decay_profile([GapRecord(None, 0.0, 0.1, 0.1, 0.3, None)], 0.01, 6)
 

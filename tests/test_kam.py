@@ -388,9 +388,9 @@ def test_run_window_is_the_capped_solve_band(freq, monkeypatch, case):
         A, f = rotation(GOLDEN / 2.0 + 1e-3), _rand_sl2_series(3e-5, 2, 5)
     else:
         A, f = rotation(0.17), kam.seeded_sl2_series(2.5e-4, 3, 11)
-    M, cap = 10, kam._WINDOW_CAP[freq.dim]
+    cap = kam._WINDOW_CAP[freq.dim]
     log = _logged_schedule(monkeypatch)
-    out = almost_reducibility_run(A, f, freq, M=M)
+    out = almost_reducibility_run(A, f, freq)
     assert out.norm() <= 1e-12
     kinds = {row.kind for row in out.ledger}
     assert kinds == ({"resonant", "nonresonant"} if case == "resonant"
@@ -399,14 +399,15 @@ def test_run_window_is_the_capped_solve_band(freq, monkeypatch, case):
         if row.kind == "nonresonant":
             assert row.window == min(row.band, cap)
     # every scan of step j (the run's and the step's own) uses the band
-    # min(M^(2^(j-1)), support radius at the start of step j), capped
+    # min(10^(2^(j-1)), 10^6, support radius at the start of step j),
+    # capped
     j, windows = 0, []
     for what, value in log:
         if what == "scan":
             windows.append(value)
             continue
         j += 1
-        band = min(int(min(float(M) ** (2 ** (j - 1)), 1e6)), value)
+        band = min(10 ** 2 ** (j - 1), 10 ** 6, value)
         assert windows and set(windows) == {min(band, cap)}
         windows = []
     assert j == len(out.ledger)
@@ -665,8 +666,7 @@ def test_run_zero_perturbation_stops_immediately(freq):
 
 def test_run_nonresonant_schedule(freq):
     out = almost_reducibility_run(rotation(0.17),
-                                  _rand_sl2_series(2.5e-4, 3, 11), freq,
-                                  M=10, max_steps=12)
+                                  _rand_sl2_series(2.5e-4, 3, 11), freq)
     kinds = [row.kind for row in out.ledger]
     assert kinds and set(kinds) == {"nonresonant"}
     assert len(kinds) <= 6
@@ -680,8 +680,7 @@ def test_run_nonresonant_schedule(freq):
 
 def test_run_resonant_start(freq):
     out = almost_reducibility_run(rotation(GOLDEN / 2.0 + 1e-3),
-                                  _rand_sl2_series(3e-5, 2, 5), freq,
-                                  M=10, max_steps=12)
+                                  _rand_sl2_series(3e-5, 2, 5), freq)
     kinds = [row.kind for row in out.ledger]
     assert kinds[0] == "resonant"
     sites = [row.n_star for row in out.ledger if row.kind == "resonant"]
@@ -707,8 +706,7 @@ def test_nonresonant_step_refines_inside_one_step(freq):
 def test_run_rotation_number_bookkeeping(freq):
     rho0 = GOLDEN / 2.0 + 1e-3
     out = almost_reducibility_run(rotation(rho0),
-                                  _rand_sl2_series(3e-5, 2, 5), freq,
-                                  M=10, max_steps=12)
+                                  _rand_sl2_series(3e-5, 2, 5), freq)
     expected = conjugated_rotation(rho0, out.deg_accum, freq)
     assert dist_to_int(eigen_rho(out.A)["rho"] - expected) < 1e-4
 

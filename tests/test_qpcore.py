@@ -36,6 +36,17 @@ def test_rational_rejected_with_report():
     assert err.required == pytest.approx(0.2 / 2.0**1.5)
 
 
+@pytest.mark.parametrize("alpha,tau,n", [(1.0 / 3.0, 1000.0, (3,)),
+                                         (0.25, 600.0, (4,))])
+def test_rational_rejected_where_the_bound_underflows(alpha, tau, n):
+    # |n|^tau overflows and gamma / |n|^tau rounds to 0; a distance of
+    # exactly 0 is still a rejection
+    with pytest.raises(DiophantineRejection) as info:
+        qc.diophantine_check(alpha, gamma=0.1, tau=tau, cutoff=60)
+    assert info.value.n == n
+    assert info.value.distance == 0.0
+
+
 def test_two_dim_scan_is_the_oracle():
     # (golden, sqrt2 - 1) with gamma = 0.05 violates the sup-norm bound at
     # n = (1, 1): dist(<n, alpha>, Z) = 0.032 < 0.05.  The exhaustive scan
@@ -619,10 +630,34 @@ def test_ck_norm_is_the_coefficient_sum(dim, matrix, period):
         qc.ck_norm(f, -1)
 
 
-@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("k", [0, 2, 200])
 def test_ck_norm_keeps_a_nan(k):
-    f = qc.FourierSeries(1, 2, {(1,): math.nan, (0,): 1.0})
+    f = qc.FourierSeries(1, 1000, {(1000,): math.nan, (0,): 1.0})
     assert math.isnan(qc.ck_norm(f, k))
+
+
+def test_ck_norm_zero_coefficient_adds_zero_at_any_order():
+    # (2 pi 1000)^200 overflows a float: the zero coefficient there adds 0,
+    # not NaN, and no overflow warning is raised
+    f = qc.cosine_polynomial({1: 1.0, 1000: 0.0})
+    assert qc.ck_norm(f, 200) == pytest.approx((2 * math.pi) ** 200,
+                                               rel=1e-12)
+    # ck_potential's 3^-1000 underflows to 0 while (2 pi)^1000 overflows
+    # on the mode 1: the bound is inf
+    assert qc.ck_norm(qc.ck_potential(1.0, 1000, [1, 2, 3]), 1000) \
+        == math.inf
+
+
+def test_ck_norm_finite_bound_is_the_plain_sum():
+    # the guard against overflow changes no bit of a finite bound
+    rng = np.random.default_rng(5)
+    f = qc.cosine_polynomial({n: rng.standard_normal() * n ** -3.0
+                              for n in range(1, 12)})
+    size = np.abs(f.values)
+    for k in (0, 1, 6, 40):
+        plain = max(float(np.sum(np.abs(2 * math.pi * f.modes[:, 0]) ** j
+                                 * size)) for j in range(k + 1))
+        assert qc.ck_norm(f, k) == plain
 
 
 def test_frequency_orbit_points():
